@@ -11,9 +11,9 @@
 // any mismatch — DESIGN.md §6). A tile-width sweep at the largest corpus
 // shows where the amortization saturates. Feeds the
 // BENCH_batch_query.json snapshot; target: batched closest_any ≥2x the
-// per-query loop at the largest corpus (the win is amortization and
-// locality — one snapshot, one score block, no per-query string-hash
-// lookups — so it holds on a single core).
+// per-query loop at the largest corpus. Both sides rank touched rows
+// only (DESIGN.md §8), so the batch's edge is running clients in
+// parallel on the pool.
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
 #include <chrono>

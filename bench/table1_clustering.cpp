@@ -25,11 +25,12 @@ int main() {
                                       const core::Clustering& clustering) {
     const auto stats =
         core::clustering_stats(clustering, exp.nodes.size());
+    std::string sizes = "[";
+    sizes += fmt(stats.mean_size) + ", " + fmt(stats.median_size) + ", " +
+             fmt(stats.max_size) + "]";
     table.row({label, fmt(stats.nodes_clustered),
                fmt_pct(stats.fraction_clustered),
-               fmt(stats.num_clusters),
-               "[" + fmt(stats.mean_size) + ", " + fmt(stats.median_size) +
-                   ", " + fmt(stats.max_size) + "]"});
+               fmt(stats.num_clusters), sizes});
   };
 
   for (double t : {0.01, 0.1, 0.5}) {

@@ -30,7 +30,9 @@ CustomerCatalog CustomerCatalog::build(const Deployment& deployment,
     c.index = i;
     c.web_name = dns::Name::parse("img.customer" + std::to_string(i) + "." +
                                   config.customer_zone_suffix);
-    c.cdn_name = catalog.cdn_zone_.prefixed("c" + std::to_string(i));
+    std::string cdn_label = "c";
+    cdn_label += std::to_string(i);
+    c.cdn_name = catalog.cdn_zone_.prefixed(cdn_label);
     c.answer_count = config.answer_count;
 
     const auto indices = rng.sample_indices(edge.size(), subset_size);

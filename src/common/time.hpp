@@ -137,7 +137,11 @@ class SimTime {
     std::snprintf(buf, sizeof(buf), "%.2f %s", v, unit);
     return std::string{buf};
   };
-  if (us < 0) return "-" + to_string(Duration{-d.micros()});
+  if (us < 0) {
+    std::string negated = "-";
+    negated += to_string(Duration{-d.micros()});
+    return negated;
+  }
   if (us < 1e3) return fmt(us, "us");
   if (us < 1e6) return fmt(us / 1e3, "ms");
   if (us < 60e6) return fmt(us / 1e6, "s");

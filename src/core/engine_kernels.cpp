@@ -369,6 +369,18 @@ void subset_scores(const CorpusView& v, const RowView& query,
   if (touched_maps != nullptr) *touched_maps = s.touched.size();
 }
 
+void touched_scores(const CorpusView& v, const RowView& query,
+                    std::vector<RankedCandidate>& out) {
+  Scratch& s = scratch();
+  accumulate(v, query.entries, s);
+  out.clear();
+  out.reserve(s.touched.size());
+  for (const std::uint32_t m : s.touched) {
+    out.push_back(RankedCandidate{
+        m, score_touched(v, m, query.norm, query.entries.size(), s)});
+  }
+}
+
 std::optional<RankedCandidate> best_match(const CorpusView& v,
                                           const RowView& query,
                                           std::size_t* touched_maps) {

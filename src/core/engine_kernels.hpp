@@ -116,6 +116,13 @@ void subset_scores(const CorpusView& v, const RowView& query,
                    std::span<const std::size_t> subset, std::span<double> out,
                    std::size_t* touched_maps);
 
+/// (row, score) for every row sharing a replica with the query, in
+/// first-touch order: exactly the rows `dense_scores` writes, with the
+/// same score bits; every other row scores 0. `out` is overwritten, and
+/// its size is the query's touched-map count.
+void touched_scores(const CorpusView& v, const RowView& query,
+                    std::vector<RankedCandidate>& out);
+
 /// Best-scoring live row (ties to the lowest index; first live row at 0
 /// similarity when nothing is comparable); nullopt iff no live rows.
 [[nodiscard]] std::optional<RankedCandidate> best_match(

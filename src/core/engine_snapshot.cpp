@@ -14,11 +14,6 @@ std::vector<double> EngineSnapshot::scores(const RatioMap& query) const {
   return out;
 }
 
-void EngineSnapshot::scores(const RowView& query, std::span<double> out,
-                            std::size_t* touched_maps) const {
-  engine_detail::dense_scores(view(), query, out, touched_maps);
-}
-
 void EngineSnapshot::scores_of(std::size_t index, std::span<double> out,
                                std::size_t* touched_maps) const {
   engine_detail::dense_scores(view(), row_view(index), out, touched_maps);
@@ -30,20 +25,16 @@ std::vector<double> EngineSnapshot::scores_of(std::size_t index) const {
   return out;
 }
 
-void EngineSnapshot::scores_subset(const RatioMap& query,
+void EngineSnapshot::scores_subset(const RowView& query,
                                    std::span<const std::size_t> subset,
                                    std::span<double> out,
                                    std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), engine_detail::as_query(query), subset,
-                               out, touched_maps);
+  engine_detail::subset_scores(view(), query, subset, out, touched_maps);
 }
 
-void EngineSnapshot::scores_of_subset(std::size_t index,
-                                      std::span<const std::size_t> subset,
-                                      std::span<double> out,
-                                      std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), row_view(index), subset, out,
-                               touched_maps);
+void EngineSnapshot::touched_scores(const RowView& query,
+                                    std::vector<RankedCandidate>& out) const {
+  engine_detail::touched_scores(view(), query, out);
 }
 
 std::optional<RankedCandidate> EngineSnapshot::best_match(
@@ -66,38 +57,6 @@ std::vector<RankedCandidate> EngineSnapshot::top_k(const RatioMap& query,
 std::size_t EngineSnapshot::comparable_count(const RatioMap& query) const {
   return engine_detail::comparable_count(view(),
                                          engine_detail::as_query(query));
-}
-
-FlatMatrix<double> EngineSnapshot::scores_batch(
-    std::span<const RatioMap> queries, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  FlatMatrix<double> out(queries.size(), size());  // zero-initialised
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-  return out;
-}
-
-void EngineSnapshot::scores_of_batch(std::span<const std::size_t> rows,
-                                     FlatMatrix<double>& out,
-                                     ThreadPool* pool,
-                                     std::uint64_t* maps_touched,
-                                     std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(rows.size());
-  for (const std::size_t index : rows) refs.push_back(row_view(index));
-  out.assign(rows.size(), size(), 0.0);
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-}
-
-std::vector<std::vector<RankedCandidate>> EngineSnapshot::topk_batch(
-    std::span<const RatioMap> queries, std::size_t k, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  return engine_detail::topk_batch(view(), refs, k, pool, maps_touched, tile);
 }
 
 }  // namespace crp::core

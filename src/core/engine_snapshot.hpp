@@ -25,15 +25,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/flat_matrix.hpp"
 #include "core/engine_kernels.hpp"
 #include "core/ratio_map.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
-
-namespace crp {
-class ThreadPool;
-}
 
 namespace crp::core {
 
@@ -71,19 +66,17 @@ class EngineSnapshot {
   [[nodiscard]] std::vector<double> scores(const RatioMap& query) const;
   void scores(const RatioMap& query, std::span<double> out,
               std::size_t* touched_maps = nullptr) const;
-  void scores(const RowView& query, std::span<double> out,
-              std::size_t* touched_maps = nullptr) const;
   [[nodiscard]] std::vector<double> scores_of(std::size_t index) const;
   void scores_of(std::size_t index, std::span<double> out,
                  std::size_t* touched_maps = nullptr) const;
-  void scores_subset(const RatioMap& query,
+  /// Subset read with a raw row view (possibly another shard's) as the
+  /// query — the scatter/gather candidate-list path.
+  void scores_subset(const RowView& query,
                      std::span<const std::size_t> subset,
                      std::span<double> out,
                      std::size_t* touched_maps = nullptr) const;
-  void scores_of_subset(std::size_t index,
-                        std::span<const std::size_t> subset,
-                        std::span<double> out,
-                        std::size_t* touched_maps = nullptr) const;
+  void touched_scores(const RowView& query,
+                      std::vector<RankedCandidate>& out) const;
   [[nodiscard]] std::optional<RankedCandidate> best_match(
       const RowView& query, std::size_t* touched_maps = nullptr) const;
   [[nodiscard]] std::vector<RankedCandidate> rank_all(
@@ -91,19 +84,6 @@ class EngineSnapshot {
   [[nodiscard]] std::vector<RankedCandidate> top_k(const RatioMap& query,
                                                    std::size_t k) const;
   [[nodiscard]] std::size_t comparable_count(const RatioMap& query) const;
-
-  [[nodiscard]] FlatMatrix<double> scores_batch(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr,
-      std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = engine_detail::kQueryTile) const;
-  void scores_of_batch(std::span<const std::size_t> rows,
-                       FlatMatrix<double>& out, ThreadPool* pool = nullptr,
-                       std::uint64_t* maps_touched = nullptr,
-                       std::size_t tile = engine_detail::kQueryTile) const;
-  [[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-      std::span<const RatioMap> queries, std::size_t k,
-      ThreadPool* pool = nullptr, std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = engine_detail::kQueryTile) const;
 
   // --- storage-identity probes (tests of structural sharing only) ---
 

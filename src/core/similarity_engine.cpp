@@ -285,6 +285,11 @@ void SimilarityEngine::scores_of_subset(std::size_t index,
                                touched_maps);
 }
 
+void SimilarityEngine::touched_scores(
+    const RowView& query, std::vector<RankedCandidate>& out) const {
+  engine_detail::touched_scores(view(), query, out);
+}
+
 std::optional<RankedCandidate> SimilarityEngine::best_match(
     const RowView& query, std::size_t* touched_maps) const {
   return engine_detail::best_match(view(), query, touched_maps);

@@ -216,6 +216,14 @@ class SimilarityEngine {
                         std::span<double> out,
                         std::size_t* touched_maps = nullptr) const;
 
+  /// (row, score) for every corpus row sharing a replica with `query`:
+  /// the rows the dense `scores` writes, bit-identical, in first-touch
+  /// order. Every other row scores exactly 0, so a ranking over these
+  /// alone costs O(touched), not O(corpus). `out.size()` afterwards is
+  /// the touched-map count the dense form reports.
+  void touched_scores(const RowView& query,
+                      std::vector<RankedCandidate>& out) const;
+
   /// The best-scoring *live* row for the query — `top_k(query, 1)[0]`
   /// without the sort or the allocation: highest similarity, ties to the
   /// lowest row index, and the first live row (at similarity 0) when no
@@ -273,7 +281,6 @@ class SimilarityEngine {
   /// Same tiled kernel with corpus rows as the queries: row `i` of `out`
   /// is bit-identical to `scores_of(rows[i])`. `out` is reshaped to
   /// rows.size() x size(). Dead rows query as empty maps (all zeros).
-  /// This is the PositionService's batched serving path.
   void scores_of_batch(std::span<const std::size_t> rows,
                        FlatMatrix<double>& out, ThreadPool* pool = nullptr,
                        std::uint64_t* maps_touched = nullptr,

@@ -5,14 +5,12 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/top_k.hpp"
-#include "service/serving_detail.hpp"
 #include "service/serving_snapshot.hpp"
 
 namespace crp::service {
 
-using serving_detail::ScoredRef;
-using serving_detail::better_ref;
+using serving_detail::SlotRec;
+using serving_detail::Vetted;
 
 const char* to_string(AnswerTier tier) {
   switch (tier) {
@@ -83,22 +81,23 @@ PositionService::PositionService(ServiceConfig config)
   config_.clustering.metric = config_.metric;
 }
 
-bool PositionService::is_live(const PositionReport& report,
-                              SimTime now) const {
-  return now - report.when <= config_.staleness_bound;
+bool PositionService::is_live(SimTime when, SimTime now) const {
+  return now - when <= config_.staleness_bound;
 }
 
-bool PositionService::is_live_id(const std::string& node_id,
-                                 SimTime now) const {
-  const auto it = reports_.find(node_id);
-  return it != reports_.end() && is_live(it->second, now);
+std::size_t PositionService::live_slot(const std::string& node_id,
+                                       SimTime now) const {
+  const auto it = slot_of_.find(node_id);
+  if (it == slot_of_.end() || !is_live(slots_[it->second].when, now)) {
+    return ServingSnapshot::npos;
+  }
+  return it->second;
 }
 
-bool PositionService::is_stale_usable(const PositionReport& report,
-                                      SimTime now) const {
+bool PositionService::is_stale_usable(SimTime when, SimTime now) const {
   return config_.stale_usable_bound > config_.staleness_bound &&
-         now - report.when > config_.staleness_bound &&
-         now - report.when <= config_.stale_usable_bound;
+         now - when > config_.staleness_bound &&
+         now - when <= config_.stale_usable_bound;
 }
 
 Duration PositionService::usable_bound() const {
@@ -121,7 +120,7 @@ void PositionService::sync_engine_stats() {
 bool PositionService::publish_impl(PositionReport report, SimTime now) {
   if (now > write_now_) write_now_ = now;
   if (report.node_id.empty() || report.map.empty() ||
-      !is_live(report, now) || report.when > now) {
+      !is_live(report.when, now) || report.when > now) {
     reports_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -132,15 +131,18 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
     return false;
   }
   if (it != reports_.end()) {
-    engine_.update(slot_of_.at(report.node_id), report.map);
+    const std::size_t slot = slot_of_.at(report.node_id);
+    engine_.update(slot, report.map);
+    slots_[slot].when = report.when;
     it->second = std::move(report);
   } else {
     const std::size_t slot = engine_.add(report.map);
     slot_of_.emplace(report.node_id, slot);
-    if (slot == node_at_.size()) {
-      node_at_.push_back(report.node_id);
+    SlotRec rec{report.node_id, report.when};
+    if (slot == slots_.size()) {
+      slots_.push_back(std::move(rec));
     } else {
-      node_at_[slot] = report.node_id;  // reused tombstoned slot
+      slots_[slot] = std::move(rec);  // reused tombstoned slot
     }
     reports_.emplace(report.node_id, std::move(report));
   }
@@ -197,7 +199,7 @@ bool PositionService::drop_node(const std::string& node_id) {
   // valid — bumping the epoch here would force a needless recluster.
   if (it == slot_of_.end()) return false;
   engine_.remove(it->second);
-  node_at_[it->second].clear();
+  slots_[it->second] = SlotRec{};
   slot_of_.erase(it);
   reports_.erase(node_id);
   sync_engine_stats();
@@ -214,7 +216,7 @@ void PositionService::reset(SimTime now) {
   compactions_base_ += engine.compactions;
   reports_.clear();
   slot_of_.clear();
-  node_at_.clear();
+  slots_.clear();
   engine_.clear(config_.metric);
   // Fresh generation, not a mutation: snapshots holding the pre-crash
   // clustering keep it alive untouched.
@@ -254,74 +256,77 @@ std::vector<std::string> PositionService::live_nodes(SimTime now) const {
   std::vector<std::string> nodes;
   nodes.reserve(reports_.size());
   for (const auto& [id, report] : reports_) {
-    if (is_live(report, now)) nodes.push_back(id);
+    if (is_live(report.when, now)) nodes.push_back(id);
   }
   std::sort(nodes.begin(), nodes.end());
   return nodes;
 }
 
-void PositionService::similarity_scores(std::size_t client_slot,
-                                        std::span<double> out) const {
+std::vector<RankedNode> PositionService::rank_any(const core::RowView& query,
+                                                  std::size_t exclude,
+                                                  bool stale_band,
+                                                  std::size_t k,
+                                                  SimTime now) const {
+  std::vector<core::RankedCandidate> touched;
+  engine_.touched_scores(query, touched);
+  counters_->similarity_queries.add();
+  counters_->maps_touched.add(touched.size());
+  // No id-sorted index here: a short answer pads through the heap.
+  return serving_detail::rank_touched<RankedNode>(
+      touched, slots_, nullptr, exclude, k,
+      [&](std::size_t slot) { return usable_at(slot, stale_band, now); });
+}
+
+std::vector<Vetted> PositionService::vet(
+    std::span<const std::string> candidates, bool stale_band,
+    SimTime now) const {
+  std::vector<Vetted> vetted;
+  vetted.reserve(candidates.size());
+  for (const std::string& candidate : candidates) {
+    const auto it = slot_of_.find(candidate);
+    if (it == slot_of_.end() || !usable_at(it->second, stale_band, now)) {
+      continue;
+    }
+    vetted.push_back(Vetted{&candidate, it->second});
+  }
+  return vetted;
+}
+
+std::vector<RankedNode> PositionService::rank_candidates(
+    std::size_t client_slot, std::span<const Vetted> vetted,
+    std::span<const std::size_t> slots, std::size_t k) const {
+  // One subset engine query scores exactly the vetted slots —
+  // O(client postings + candidates), no engine-sized vector to fill or
+  // zero. Subset reads are bit-identical to the dense scores at those
+  // slots, which are bit-identical to per-pair similarity(), so the
+  // ranking matches the naive loop byte for byte.
+  std::vector<double> scores(slots.size());
   std::size_t touched = 0;
-  engine_.scores_of(client_slot, out, &touched);
+  engine_.scores_of_subset(client_slot, slots, scores, &touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
+  return serving_detail::rank_vetted<RankedNode>(vetted, scores, client_slot,
+                                                 k);
 }
 
 std::vector<RankedNode> PositionService::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now) const {
   counters_->queries_served.add();
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end() || !is_live(client_it->second, now)) {
-    return {};
-  }
-  // One subset engine query scores exactly the live candidates' slots —
-  // O(client postings + candidates), no engine-sized vector to fill or
-  // zero. Subset reads are bit-identical to the dense scores at those
-  // slots, which are bit-identical to per-pair similarity(), so the
-  // ranking matches the naive loop byte for byte.
-  std::vector<const std::string*> vetted;
-  std::vector<std::size_t> slots;
-  vetted.reserve(candidates.size());
-  slots.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    if (candidate == client) continue;
-    const auto it = reports_.find(candidate);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    vetted.push_back(&candidate);
-    slots.push_back(slot_of_.at(candidate));
-  }
-  std::vector<double> scores(slots.size());
-  std::size_t touched = 0;
-  engine_.scores_of_subset(slot_of_.at(client), slots, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (std::size_t i = 0; i < vetted.size(); ++i) {
-    heap.offer(ScoredRef{vetted[i], scores[i]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  const std::size_t client_slot = live_slot(client, now);
+  if (client_slot == ServingSnapshot::npos) return {};
+  const std::vector<Vetted> vetted = vet(candidates, /*stale_band=*/false, now);
+  return rank_candidates(client_slot, vetted, serving_detail::slots_of(vetted),
+                         k);
 }
 
 std::vector<RankedNode> PositionService::closest_any(
     const std::string& client, std::size_t k, SimTime now) const {
   counters_->queries_served.add();
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end() || !is_live(client_it->second, now)) {
-    return {};
-  }
-  std::vector<double> scores(engine_.size());
-  similarity_scores(slot_of_.at(client), scores);
-  // Bounded heap instead of materialize-and-partial_sort: only the k
-  // kept nodes are ever copied, and under the (similarity, node_id)
-  // total order the result equals the full stable sort either way.
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& [id, report] : reports_) {
-    if (id == client || !is_live(report, now)) continue;
-    heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  const std::size_t client_slot = live_slot(client, now);
+  if (client_slot == ServingSnapshot::npos) return {};
+  return rank_any(engine_.row_view(client_slot), client_slot,
+                  /*stale_band=*/false, k, now);
 }
 
 std::vector<RankedNode> PositionService::top_k(const core::RatioMap& query,
@@ -331,17 +336,8 @@ std::vector<RankedNode> PositionService::top_k(const core::RatioMap& query,
   // The query is external — no corpus row to exclude, and pairwise
   // similarity depends only on the query and the candidate's own row,
   // so shards of a partitioned corpus score it bit-identically.
-  std::vector<double> scores(engine_.size());
-  std::size_t touched = 0;
-  engine_.scores(query, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& [id, report] : reports_) {
-    if (!is_live(report, now)) continue;
-    heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return rank_any(core::engine_detail::as_query(query), ServingSnapshot::npos,
+                  /*stale_band=*/false, k, now);
 }
 
 TieredAnswer PositionService::tiered_query(
@@ -349,14 +345,16 @@ TieredAnswer PositionService::tiered_query(
     bool any, std::size_t k, SimTime now) const {
   counters_->queries_served.add();
   TieredAnswer out;
-  const auto client_it = reports_.find(client);
-  if (client_it == reports_.end()) {
+  const auto client_it = slot_of_.find(client);
+  if (client_it == slot_of_.end()) {
     out.reason = DegradedReason::kUnknownClient;
     counters_->refused_queries.add();
     return out;
   }
-  const bool fresh = is_live(client_it->second, now);
-  if (!fresh && !is_stale_usable(client_it->second, now)) {
+  const std::size_t client_slot = client_it->second;
+  const SimTime when = slots_[client_slot].when;
+  const bool fresh = is_live(when, now);
+  if (!fresh && !is_stale_usable(when, now)) {
     out.reason = DegradedReason::kClientExpired;
     counters_->refused_queries.add();
     return out;
@@ -366,41 +364,14 @@ TieredAnswer PositionService::tiered_query(
   // candidates); the stale tier widens the candidate band to
   // stale-but-usable reports — a degraded client deserves whatever
   // usable information the corpus still holds.
-  const auto usable = [&](const PositionReport& report) {
-    return is_live(report, now) ||
-           (!fresh && is_stale_usable(report, now));
-  };
-
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
   if (any) {
-    std::vector<double> scores(engine_.size());
-    similarity_scores(slot_of_.at(client), scores);
-    for (const auto& [id, report] : reports_) {
-      if (id == client || !usable(report)) continue;
-      heap.offer(ScoredRef{&id, scores[slot_of_.at(id)]});
-    }
+    out.ranked = rank_any(engine_.row_view(client_slot), client_slot,
+                          /*stale_band=*/!fresh, k, now);
   } else {
-    std::vector<const std::string*> vetted;
-    std::vector<std::size_t> slots;
-    vetted.reserve(candidates.size());
-    slots.reserve(candidates.size());
-    for (const std::string& candidate : candidates) {
-      if (candidate == client) continue;
-      const auto it = reports_.find(candidate);
-      if (it == reports_.end() || !usable(it->second)) continue;
-      vetted.push_back(&candidate);
-      slots.push_back(slot_of_.at(candidate));
-    }
-    std::vector<double> scores(slots.size());
-    std::size_t touched = 0;
-    engine_.scores_of_subset(slot_of_.at(client), slots, scores, &touched);
-    counters_->similarity_queries.add();
-    counters_->maps_touched.add(touched);
-    for (std::size_t i = 0; i < vetted.size(); ++i) {
-      heap.offer(ScoredRef{vetted[i], scores[i]});
-    }
+    const std::vector<Vetted> vetted = vet(candidates, !fresh, now);
+    out.ranked = rank_candidates(client_slot, vetted,
+                                 serving_detail::slots_of(vetted), k);
   }
-  out.ranked = serving_detail::materialize<RankedNode>(heap.take_sorted());
   if (out.ranked.empty()) {
     // Nothing usable to rank against: refuse explicitly rather than
     // hand back an empty vector indistinguishable from "client gone".
@@ -427,62 +398,19 @@ TieredAnswer PositionService::closest_tiered(
   return tiered_query(client, candidates, /*any=*/false, k, now);
 }
 
-std::vector<RankedNode> PositionService::rank_snapshot(
-    std::span<const SnapshotNode> snapshot, std::size_t client_slot,
-    std::span<const double> scores, std::size_t k) const {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const SnapshotNode& node : snapshot) {
-    // Slots identify nodes uniquely, so this is the scalar paths'
-    // "candidate == client" skip without the string compare.
-    if (node.slot == client_slot) continue;
-    heap.offer(ScoredRef{node.id, scores[node.slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
 std::vector<std::vector<RankedNode>> PositionService::closest_batch(
     std::span<const std::string> clients, std::size_t k, SimTime now,
     ThreadPool* pool) const {
   counters_->queries_served.add(clients.size());
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  // Shared liveness snapshot: one report-map walk (with one slot lookup
-  // per node) serves the whole batch, where the scalar path pays a map
-  // walk plus a string-hash lookup per node for every single query. The
-  // snapshot is also one consistent membership view — every query of
-  // the batch answers against the same epoch of the corpus.
-  std::vector<SnapshotNode> snapshot;
-  snapshot.reserve(reports_.size());
-  for (const auto& [id, report] : reports_) {
-    if (is_live(report, now)) {
-      snapshot.push_back(SnapshotNode{&id, slot_of_.at(id)});
-    }
-  }
-
-  // Live clients' engine rows; unknown/stale clients keep {} results,
-  // exactly like their scalar queries.
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const auto it = reports_.find(clients[i]);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    rows.push_back(slot_of_.at(clients[i]));
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
+  // Unknown/stale clients keep {} results, exactly like their scalar
+  // queries; each live one is an independent touched-only read.
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_.scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_snapshot(snapshot, rows[j], scores.row(j), k);
+  p.parallel_for(0, clients.size(), [&](std::size_t i) {
+    const std::size_t slot = live_slot(clients[i], now);
+    if (slot == ServingSnapshot::npos) return;
+    out[i] = rank_any(engine_.row_view(slot), slot, /*stale_band=*/false, k,
+                      now);
   });
   return out;
 }
@@ -493,44 +421,17 @@ std::vector<std::vector<RankedNode>> PositionService::closest_batch(
     ThreadPool* pool) const {
   counters_->queries_served.add(clients.size());
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  // The candidate set is vetted once for the batch. Snapshot ids borrow
-  // the caller's strings; per client only the client itself (matched by
-  // slot) is additionally skipped, as in the scalar path.
-  std::vector<SnapshotNode> snapshot;
-  snapshot.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const auto it = reports_.find(candidate);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    snapshot.push_back(SnapshotNode{&candidate, slot_of_.at(candidate)});
-  }
-
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const auto it = reports_.find(clients[i]);
-    if (it == reports_.end() || !is_live(it->second, now)) continue;
-    rows.push_back(slot_of_.at(clients[i]));
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
-  // Dense batch rows; the scalar path's subset reads are bit-identical
-  // to dense reads at the same slots, so rankings agree byte for byte.
-  // (The engine query also runs when no candidate survived vetting, so
-  // the touched accounting matches the scalar loop's.)
+  // The candidate set is vetted once for the batch; per client only the
+  // client itself (matched by slot) is additionally skipped, as in the
+  // scalar path. The engine query also runs when no candidate survived
+  // vetting, so the touched accounting matches the scalar loop's.
+  const std::vector<Vetted> vetted = vet(candidates, /*stale_band=*/false, now);
+  const std::vector<std::size_t> slots = serving_detail::slots_of(vetted);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_.scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_snapshot(snapshot, rows[j], scores.row(j), k);
+  p.parallel_for(0, clients.size(), [&](std::size_t i) {
+    const std::size_t slot = live_slot(clients[i], now);
+    if (slot == ServingSnapshot::npos) return;
+    out[i] = rank_candidates(slot, vetted, slots, k);
   });
   return out;
 }
@@ -569,19 +470,19 @@ void PositionService::ensure_clustering(SimTime now) {
 std::vector<std::string> PositionService::same_cluster(
     const std::string& node_id, SimTime now) {
   counters_->queries_served.add();
-  if (!is_live_id(node_id, now)) return {};
+  const std::size_t slot = live_slot(node_id, now);
+  if (slot == ServingSnapshot::npos) return {};
   ensure_clustering(now);
-  const std::size_t slot = slot_of_.at(node_id);
   const auto& cluster =
       clustering_->clusters[clustering_->assignment[slot]];
   std::vector<std::string> out;
   for (std::size_t member : cluster.members) {
     if (member == slot) continue;
-    const std::string& id = node_at_[member];
+    const SlotRec& rec = slots_[member];
     // Tombstoned slots and members whose reports went stale since the
     // clustering was cached are filtered here, at answer time.
-    if (id.empty() || !is_live_id(id, now)) continue;
-    out.push_back(id);
+    if (rec.id.empty() || !is_live(rec.when, now)) continue;
+    out.push_back(rec.id);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -592,10 +493,10 @@ PositionService::cluster_assignment(SimTime now) {
   counters_->queries_served.add();
   ensure_clustering(now);
   std::unordered_map<std::string, std::size_t> out;
-  for (std::size_t slot = 0; slot < node_at_.size(); ++slot) {
-    const std::string& id = node_at_[slot];
-    if (id.empty() || !is_live_id(id, now)) continue;
-    out[id] = clustering_->assignment[slot];
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    const SlotRec& rec = slots_[slot];
+    if (rec.id.empty() || !is_live(rec.when, now)) continue;
+    out[rec.id] = clustering_->assignment[slot];
   }
   return out;
 }
@@ -620,16 +521,16 @@ std::vector<std::string> PositionService::diverse_set(std::size_t n,
     bool center_live = false;
     std::string smallest;
     for (std::size_t member : cluster.members) {
-      const std::string& id = node_at_[member];
-      if (id.empty() || !is_live_id(id, now)) continue;
+      const SlotRec& rec = slots_[member];
+      if (rec.id.empty() || !is_live(rec.when, now)) continue;
       ++c.live_members;
       if (member == cluster.center) center_live = true;
-      if (smallest.empty() || id < smallest) smallest = id;
+      if (smallest.empty() || rec.id < smallest) smallest = rec.id;
     }
     if (c.live_members == 0) continue;
     // Prefer the center; if it went stale, the lexicographically
     // smallest live member stands in for it.
-    c.id = center_live ? node_at_[cluster.center] : smallest;
+    c.id = center_live ? slots_[cluster.center].id : smallest;
     candidates.push_back(std::move(c));
   }
 
@@ -670,22 +571,18 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     snap->slots_ = prev->slots_;
     snap->by_id_ = prev->by_id_;
   } else {
-    auto slots =
-        std::make_shared<std::vector<ServingSnapshot::SlotRec>>(
-            node_at_.size());
     auto by_id = std::make_shared<std::vector<std::uint32_t>>();
     by_id->reserve(reports_.size());
-    for (std::size_t i = 0; i < node_at_.size(); ++i) {
-      const std::string& id = node_at_[i];
-      if (id.empty()) continue;  // tombstoned slot: keep the {} record
-      (*slots)[i] = ServingSnapshot::SlotRec{id, reports_.at(id).when};
-      by_id->push_back(static_cast<std::uint32_t>(i));
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (!slots_[i].id.empty()) {
+        by_id->push_back(static_cast<std::uint32_t>(i));
+      }
     }
     std::sort(by_id->begin(), by_id->end(),
-              [&slots](std::uint32_t a, std::uint32_t b) {
-                return (*slots)[a].id < (*slots)[b].id;
+              [this](std::uint32_t a, std::uint32_t b) {
+                return slots_[a].id < slots_[b].id;
               });
-    snap->slots_ = std::move(slots);
+    snap->slots_ = std::make_shared<const std::vector<SlotRec>>(slots_);
     snap->by_id_ = std::move(by_id);
   }
   if (config_.snapshots.clustering) {

@@ -50,6 +50,7 @@
 #include "core/ratio_map.hpp"
 #include "core/similarity.hpp"
 #include "core/similarity_engine.hpp"
+#include "service/serving_detail.hpp"
 #include "service/wire.hpp"
 
 namespace crp {
@@ -325,18 +326,19 @@ class PositionService {
       std::size_t k, SimTime now) const;
 
   // --- batched serving (DESIGN.md §6 "Batched query execution") ---
-  /// `closest_any` for a whole batch of clients in one pass: result `i`
-  /// is bit-identical to `closest_any(clients[i], k, now)`. The
-  /// liveness snapshot is taken once and shared by every query — the
-  /// whole batch answers against one consistent membership view — the
-  /// engine runs its tiled multi-query kernel over the clients' corpus
-  /// rows, and the serving counters are updated once for the batch.
+  /// `closest_any` for a whole batch of clients: result `i` is
+  /// bit-identical to `closest_any(clients[i], k, now)`, with the same
+  /// counter totals. Clients run in parallel on `pool` (default
+  /// `ThreadPool::shared()`), each one touched-only engine read of its
+  /// own corpus row, so a client costs O(rows sharing a replica with
+  /// it), not O(corpus).
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients, std::size_t k, SimTime now,
       ThreadPool* pool = nullptr) const;
   /// Candidate-list variant: result `i` is bit-identical to
   /// `closest(clients[i], candidates, k, now)`. The candidate set is
-  /// vetted (known + live) once for the batch.
+  /// vetted (known + live) once for the batch; each client then scores
+  /// only the vetted slots.
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients,
       std::span<const std::string> candidates, std::size_t k, SimTime now,
@@ -419,15 +421,23 @@ class PositionService {
   /// Copies the engine's MutationStats into the atomic mirrors stats()
   /// reads (writer-side, after any engine mutation).
   void sync_engine_stats();
-  [[nodiscard]] bool is_live(const PositionReport& report,
-                             SimTime now) const;
-  [[nodiscard]] bool is_live_id(const std::string& node_id,
-                                SimTime now) const;
-  /// Is the report in the stale-but-usable band (older than the
-  /// staleness bound, within the stale tier)? Always false when the
-  /// stale tier is disabled.
-  [[nodiscard]] bool is_stale_usable(const PositionReport& report,
-                                     SimTime now) const;
+  /// Is a report stamped `when` within the staleness bound at `now`?
+  [[nodiscard]] bool is_live(SimTime when, SimTime now) const;
+  /// Is a report stamped `when` in the stale-but-usable band (older
+  /// than the staleness bound, within the stale tier)? Always false
+  /// when the stale tier is disabled.
+  [[nodiscard]] bool is_stale_usable(SimTime when, SimTime now) const;
+  /// Occupied `slot` is live, or stale-usable when `stale_band` widens
+  /// the candidate band.
+  [[nodiscard]] bool usable_at(std::size_t slot, bool stale_band,
+                               SimTime now) const {
+    return is_live(slots_[slot].when, now) ||
+           (stale_band && is_stale_usable(slots_[slot].when, now));
+  }
+  /// Engine slot of `node_id` if it is known and live at `now`, else
+  /// ServingSnapshot::npos.
+  [[nodiscard]] std::size_t live_slot(const std::string& node_id,
+                                      SimTime now) const;
   /// Age bound past which a report is useless even for degraded
   /// serving (= staleness_bound unless the stale tier extends it).
   [[nodiscard]] Duration usable_bound() const;
@@ -441,23 +451,25 @@ class PositionService {
   /// only on an actual drop — an unknown id is a no-op and must not
   /// invalidate the cached clustering.
   bool drop_node(const std::string& node_id);
-  /// One entry of a batch's shared liveness snapshot: a live node and
-  /// its engine slot. The pointed-to id lives in reports_ (or the
-  /// caller's candidate span) and outlives the query.
-  struct SnapshotNode {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
-  /// Ranks `snapshot` (minus the client itself) for one client of a
-  /// batch from its dense score row, with the (similarity desc, node_id
-  /// asc) total order shared by every closest path.
-  [[nodiscard]] std::vector<RankedNode> rank_snapshot(
-      std::span<const SnapshotNode> snapshot, std::size_t client_slot,
-      std::span<const double> scores, std::size_t k) const;
-  /// One engine query for `client_slot`'s similarity to the whole
-  /// corpus, with stats accounting. `out` must have engine_.size() slots.
-  void similarity_scores(std::size_t client_slot,
-                         std::span<double> out) const;
+  /// Every any-shaped read: one touched-only engine read of `query`,
+  /// with stats accounting, ranked over the usable nodes minus slot
+  /// `exclude` (serving_detail::rank_touched).
+  [[nodiscard]] std::vector<RankedNode> rank_any(const core::RowView& query,
+                                                 std::size_t exclude,
+                                                 bool stale_band,
+                                                 std::size_t k,
+                                                 SimTime now) const;
+  /// The known candidates usable at `now`, in caller order. The client
+  /// is not removed here; rank_candidates skips it by slot.
+  [[nodiscard]] std::vector<serving_detail::Vetted> vet(
+      std::span<const std::string> candidates, bool stale_band,
+      SimTime now) const;
+  /// Every candidate-list read: one subset engine read of
+  /// `client_slot`'s row over the vetted `slots`, with stats
+  /// accounting, ranked minus the client itself.
+  [[nodiscard]] std::vector<RankedNode> rank_candidates(
+      std::size_t client_slot, std::span<const serving_detail::Vetted> vetted,
+      std::span<const std::size_t> slots, std::size_t k) const;
   /// Recomputes the cached clustering if membership changed or the cache
   /// aged out. The clustering covers every engine row (stale-but-known
   /// nodes included); answers filter liveness afterwards.
@@ -466,11 +478,12 @@ class PositionService {
   ServiceConfig config_;
   std::unordered_map<std::string, PositionReport> reports_;
 
-  // The similarity corpus. node_at_[slot] is the node occupying an
-  // engine row ("" for tombstoned rows); slot_of_ is the inverse.
+  // The similarity corpus. slots_[slot] is the node occupying an engine
+  // row and its report time ({} for tombstoned rows) — the table a
+  // snapshot freezes; slot_of_ is the inverse.
   core::SimilarityEngine engine_;
   std::unordered_map<std::string, std::size_t> slot_of_;
-  std::vector<std::string> node_at_;
+  std::vector<serving_detail::SlotRec> slots_;
 
   // Cached clustering over the engine corpus. The clusterer lives here
   // so its center/singleton index allocations survive across rebuilds.

@@ -1,16 +1,12 @@
 #include "service/serving_snapshot.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/top_k.hpp"
-#include "service/serving_detail.hpp"
 
 namespace crp::service {
-
-using serving_detail::ScoredRef;
-using serving_detail::better_ref;
 
 std::size_t ServingSnapshot::find(const std::string& node_id) const {
   const std::vector<std::uint32_t>& index = *by_id_;
@@ -36,45 +32,16 @@ std::vector<std::string> ServingSnapshot::live_nodes(SimTime now) const {
   return nodes;
 }
 
-void ServingSnapshot::similarity_scores(std::size_t client_slot,
-                                        std::span<double> out) const {
-  std::size_t touched = 0;
-  engine_->scores_of(client_slot, out, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-}
-
 std::vector<RankedNode> ServingSnapshot::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now) const {
   counters_->queries_served.add();
   const std::size_t client_slot = find(client);
   if (client_slot == npos || !live_at(client_slot, now)) return {};
-  // Mirrors the mutable path: one subset read over the live candidates'
-  // slots, vetted in caller order (order is irrelevant to the ranking —
-  // the total order below absorbs it — but keeping it identical keeps
-  // the subset query's touched accounting identical too).
-  std::vector<const std::string*> vetted;
-  std::vector<std::size_t> slots;
-  vetted.reserve(candidates.size());
-  slots.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    if (candidate == client) continue;
-    const std::size_t slot = find(candidate);
-    if (slot == npos || !live_at(slot, now)) continue;
-    vetted.push_back(&candidate);
-    slots.push_back(slot);
-  }
-  std::vector<double> scores(slots.size());
-  std::size_t touched = 0;
-  engine_->scores_of_subset(client_slot, slots, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (std::size_t i = 0; i < vetted.size(); ++i) {
-    heap.offer(ScoredRef{vetted[i], scores[i]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  const std::vector<Vetted> vetted =
+      vet_candidates(candidates, /*stale_band=*/false, now);
+  return rank_candidates(engine_->row_view(client_slot), client_slot, vetted,
+                         serving_detail::slots_of(vetted), k);
 }
 
 std::vector<RankedNode> ServingSnapshot::closest_any(
@@ -82,17 +49,8 @@ std::vector<RankedNode> ServingSnapshot::closest_any(
   counters_->queries_served.add();
   const std::size_t client_slot = find(client);
   if (client_slot == npos || !live_at(client_slot, now)) return {};
-  std::vector<double> scores(engine_->size());
-  similarity_scores(client_slot, scores);
-  // The mutable path walks its unordered_map; this walks the sorted
-  // node table. Same candidate set, and the heap's total order makes
-  // the result offer-order-independent — byte-identical either way.
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
-    if (slot == client_slot || !live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return partial_closest_any(engine_->row_view(client_slot), client_slot,
+                             /*stale_band=*/false, k, now);
 }
 
 TieredAnswer ServingSnapshot::closest_any_tiered(const std::string& client,
@@ -125,40 +83,14 @@ TieredAnswer ServingSnapshot::closest_tiered_impl(
     return out;
   }
 
-  const auto usable = [&](std::size_t slot) {
-    return live_at(slot, now) || (!fresh && stale_usable_at(slot, now));
-  };
-
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
+  const core::RowView row = engine_->row_view(client_slot);
   if (any) {
-    std::vector<double> scores(engine_->size());
-    similarity_scores(client_slot, scores);
-    for (const std::uint32_t slot : *by_id_) {
-      if (slot == client_slot || !usable(slot)) continue;
-      heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
-    }
+    out.ranked = partial_closest_any(row, client_slot, !fresh, k, now);
   } else {
-    std::vector<const std::string*> vetted;
-    std::vector<std::size_t> slots;
-    vetted.reserve(candidates.size());
-    slots.reserve(candidates.size());
-    for (const std::string& candidate : candidates) {
-      if (candidate == client) continue;
-      const std::size_t slot = find(candidate);
-      if (slot == npos || !usable(slot)) continue;
-      vetted.push_back(&candidate);
-      slots.push_back(slot);
-    }
-    std::vector<double> scores(slots.size());
-    std::size_t touched = 0;
-    engine_->scores_of_subset(client_slot, slots, scores, &touched);
-    counters_->similarity_queries.add();
-    counters_->maps_touched.add(touched);
-    for (std::size_t i = 0; i < vetted.size(); ++i) {
-      heap.offer(ScoredRef{vetted[i], scores[i]});
-    }
+    const std::vector<Vetted> vetted = vet_candidates(candidates, !fresh, now);
+    out.ranked = rank_candidates(row, client_slot, vetted,
+                                 serving_detail::slots_of(vetted), k);
   }
-  out.ranked = serving_detail::materialize<RankedNode>(heap.take_sorted());
   if (out.ranked.empty()) {
     out.tier = AnswerTier::kRefused;
     out.reason = DegradedReason::kNoUsableCandidates;
@@ -175,17 +107,7 @@ std::vector<RankedNode> ServingSnapshot::top_k(const core::RatioMap& query,
                                                std::size_t k,
                                                SimTime now) const {
   counters_->queries_served.add();
-  std::vector<double> scores(engine_->size());
-  std::size_t touched = 0;
-  engine_->scores(query, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
-    if (!live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return partial_top_k(query, k, now);
 }
 
 std::optional<ServingSnapshot::Resident> ServingSnapshot::resident(
@@ -207,10 +129,7 @@ std::vector<ServingSnapshot::Vetted> ServingSnapshot::vet_candidates(
   vetted.reserve(candidates.size());
   for (const std::string& candidate : candidates) {
     const std::size_t slot = find(candidate);
-    if (slot == npos) continue;
-    if (!live_at(slot, now) && !(stale_band && stale_usable_at(slot, now))) {
-      continue;
-    }
+    if (slot == npos || !usable_at(slot, stale_band, now)) continue;
     vetted.push_back(Vetted{&candidate, slot});
   }
   return vetted;
@@ -219,82 +138,41 @@ std::vector<ServingSnapshot::Vetted> ServingSnapshot::vet_candidates(
 std::vector<RankedNode> ServingSnapshot::partial_closest_any(
     const core::RowView& client, std::size_t exclude_slot, bool stale_band,
     std::size_t k, SimTime now) const {
-  std::vector<double> scores(engine_->size());
-  std::size_t touched = 0;
-  engine_->scores(client, scores, &touched);
+  std::vector<core::RankedCandidate> touched;
+  engine_->touched_scores(client, touched);
   counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
-    if (slot == exclude_slot) continue;
-    if (!live_at(slot, now) && !(stale_band && stale_usable_at(slot, now))) {
-      continue;
-    }
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  counters_->maps_touched.add(touched.size());
+  return serving_detail::rank_touched<RankedNode>(
+      touched, *slots_, by_id_.get(), exclude_slot, k,
+      [&](std::size_t slot) { return usable_at(slot, stale_band, now); });
 }
 
 std::vector<RankedNode> ServingSnapshot::partial_closest(
     const core::RowView& client, std::size_t exclude_slot,
     std::span<const Vetted> candidates, std::size_t k) const {
   if (candidates.empty()) return {};
-  std::vector<double> scores(engine_->size());
-  std::size_t touched = 0;
-  engine_->scores(client, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const Vetted& candidate : candidates) {
-    if (candidate.slot == exclude_slot) continue;
-    heap.offer(ScoredRef{candidate.id, scores[candidate.slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return rank_candidates(client, exclude_slot, candidates,
+                         serving_detail::slots_of(candidates), k);
 }
 
 std::vector<RankedNode> ServingSnapshot::partial_top_k(
     const core::RatioMap& query, std::size_t k, SimTime now) const {
-  std::vector<double> scores(engine_->size());
-  std::size_t touched = 0;
-  engine_->scores(query, scores, &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::uint32_t slot : *by_id_) {
-    if (!live_at(slot, now)) continue;
-    heap.offer(ScoredRef{&(*slots_)[slot].id, scores[slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+  return partial_closest_any(core::engine_detail::as_query(query), npos,
+                             /*stale_band=*/false, k, now);
 }
 
 std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
     std::span<const ExternalClient> clients, std::size_t self_shard,
     std::size_t k, SimTime now) const {
+  // Partial reads never widen to the stale band: the batch path, like
+  // the unsharded one, serves fresh clients only.
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-  // One usable-node sweep and one score buffer serve every client of
-  // the batch — the partial twin of closest_batch's shared liveness
-  // snapshot. (Partial reads never widen to the stale band: the batch
-  // path, like the unsharded one, serves fresh clients only.)
-  std::vector<NodeRef> nodes;
-  nodes.reserve(by_id_->size());
-  for (const std::uint32_t slot : *by_id_) {
-    if (live_at(slot, now)) {
-      nodes.push_back(NodeRef{&(*slots_)[slot].id, slot});
-    }
-  }
-  std::vector<double> scores(engine_->size());
-  std::uint64_t touched_total = 0;
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    std::size_t touched = 0;
-    engine_->scores(clients[i].row, scores, &touched);
-    touched_total += touched;
     const std::size_t exclude =
         clients[i].owner == self_shard ? clients[i].slot : npos;
-    out[i] = rank_batch_row(nodes, exclude, scores, k);
+    out[i] = partial_closest_any(clients[i].row, exclude,
+                                 /*stale_band=*/false, k, now);
   }
-  counters_->similarity_queries.add(clients.size());
-  counters_->maps_touched.add(touched_total);
   return out;
 }
 
@@ -302,25 +180,48 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
     std::span<const ExternalClient> clients, std::size_t self_shard,
     std::span<const Vetted> candidates, std::size_t k) const {
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty() || candidates.empty()) return out;
-  std::vector<NodeRef> nodes;
-  nodes.reserve(candidates.size());
-  for (const Vetted& candidate : candidates) {
-    nodes.push_back(NodeRef{candidate.id, candidate.slot});
-  }
-  std::vector<double> scores(engine_->size());
-  std::uint64_t touched_total = 0;
+  if (candidates.empty()) return out;
+  const std::vector<std::size_t> slots = serving_detail::slots_of(candidates);
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    std::size_t touched = 0;
-    engine_->scores(clients[i].row, scores, &touched);
-    touched_total += touched;
     const std::size_t exclude =
         clients[i].owner == self_shard ? clients[i].slot : npos;
-    out[i] = rank_batch_row(nodes, exclude, scores, k);
+    out[i] = rank_candidates(clients[i].row, exclude, candidates, slots, k);
   }
-  counters_->similarity_queries.add(clients.size());
-  counters_->maps_touched.add(touched_total);
   return out;
+}
+
+void ServingSnapshot::check_invariants() const {
+  const std::vector<SlotRec>& slots = *slots_;
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("ServingSnapshot invariant: " + what);
+  };
+  if (slots.size() != engine_->size()) {
+    fail("slot table has " + std::to_string(slots.size()) +
+         " slots, engine has " + std::to_string(engine_->size()) + " rows");
+  }
+  std::vector<char> listed(slots.size(), 0);
+  for (std::size_t i = 0; i < by_id_->size(); ++i) {
+    const std::uint32_t slot = (*by_id_)[i];
+    if (slot >= slots.size() || slots[slot].id.empty()) {
+      fail("by_id lists empty slot " + std::to_string(slot));
+    }
+    if (listed[slot] != 0) fail("by_id lists slot twice: " + slots[slot].id);
+    listed[slot] = 1;
+    if (i > 0 && !(slots[(*by_id_)[i - 1]].id < slots[slot].id)) {
+      fail("by_id not strictly increasing at " + slots[slot].id);
+    }
+  }
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    const bool occupied = !slots[slot].id.empty();
+    if (occupied && listed[slot] == 0) {
+      fail("by_id misses slot of " + slots[slot].id);
+    }
+    if (occupied != engine_->alive(slot)) {
+      fail("slot " + std::to_string(slot) +
+           (occupied ? " has an id but a dead engine row"
+                     : " has no id but a live engine row"));
+    }
+  }
 }
 
 void ServingSnapshot::count_outcome(AnswerTier tier) const {
@@ -337,15 +238,17 @@ void ServingSnapshot::count_outcome(AnswerTier tier) const {
   }
 }
 
-std::vector<RankedNode> ServingSnapshot::rank_batch_row(
-    std::span<const NodeRef> nodes, std::size_t client_slot,
-    std::span<const double> scores, std::size_t k) const {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const NodeRef& node : nodes) {
-    if (node.slot == client_slot) continue;
-    heap.offer(ScoredRef{node.id, scores[node.slot]});
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
+std::vector<RankedNode> ServingSnapshot::rank_candidates(
+    const core::RowView& client, std::size_t exclude_slot,
+    std::span<const Vetted> candidates, std::span<const std::size_t> slots,
+    std::size_t k) const {
+  std::vector<double> scores(slots.size());
+  std::size_t touched = 0;
+  engine_->scores_subset(client, slots, scores, &touched);
+  counters_->similarity_queries.add();
+  counters_->maps_touched.add(touched);
+  return serving_detail::rank_vetted<RankedNode>(candidates, scores,
+                                                 exclude_slot, k);
 }
 
 std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
@@ -353,37 +256,12 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
     ThreadPool* pool) const {
   counters_->queries_served.add(clients.size());
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  std::vector<NodeRef> nodes;
-  nodes.reserve(by_id_->size());
-  for (const std::uint32_t slot : *by_id_) {
-    if (live_at(slot, now)) {
-      nodes.push_back(NodeRef{&(*slots_)[slot].id, slot});
-    }
-  }
-
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t slot = find(clients[i]);
-    if (slot == npos || !live_at(slot, now)) continue;
-    rows.push_back(slot);
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_->scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_batch_row(nodes, rows[j], scores.row(j), k);
+  p.parallel_for(0, clients.size(), [&](std::size_t i) {
+    const std::size_t slot = find(clients[i]);
+    if (slot == npos || !live_at(slot, now)) return;
+    out[i] = partial_closest_any(engine_->row_view(slot), slot,
+                                 /*stale_band=*/false, k, now);
   });
   return out;
 }
@@ -394,37 +272,16 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
     ThreadPool* pool) const {
   counters_->queries_served.add(clients.size());
   std::vector<std::vector<RankedNode>> out(clients.size());
-  if (clients.empty()) return out;
-
-  std::vector<NodeRef> nodes;
-  nodes.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const std::size_t slot = find(candidate);
-    if (slot == npos || !live_at(slot, now)) continue;
-    nodes.push_back(NodeRef{&candidate, slot});
-  }
-
-  std::vector<std::size_t> rows;
-  std::vector<std::size_t> result_at;
-  rows.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t slot = find(clients[i]);
-    if (slot == npos || !live_at(slot, now)) continue;
-    rows.push_back(slot);
-    result_at.push_back(i);
-  }
-  if (rows.empty()) return out;
-
+  // The candidate list is vetted once for the whole batch; each client
+  // then skips only itself, by slot.
+  const std::vector<Vetted> vetted =
+      vet_candidates(candidates, /*stale_band=*/false, now);
+  const std::vector<std::size_t> slots = serving_detail::slots_of(vetted);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  FlatMatrix<double> scores;
-  std::uint64_t touched = 0;
-  engine_->scores_of_batch(rows, scores, &p, &touched);
-  counters_->similarity_queries.add(rows.size());
-  counters_->maps_touched.add(touched);
-
-  p.parallel_for(0, rows.size(), [&](std::size_t j) {
-    out[result_at[j]] = rank_batch_row(nodes, rows[j], scores.row(j), k);
+  p.parallel_for(0, clients.size(), [&](std::size_t i) {
+    const std::size_t slot = find(clients[i]);
+    if (slot == npos || !live_at(slot, now)) return;
+    out[i] = rank_candidates(engine_->row_view(slot), slot, vetted, slots, k);
   });
   return out;
 }

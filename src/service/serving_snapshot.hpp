@@ -12,10 +12,10 @@
 // against the PositionService at the snapshot's membership epoch with
 // the same `now`. The similarity layer holds by the engine-snapshot
 // contract (same kernels, verbatim arrays); the serving layer holds
-// because ranking runs through the exact serving_detail comparator
-// under a *total* order, making results independent of candidate
-// iteration order — the one place this class iterates differently
-// (its sorted node table versus the service's unordered_map).
+// because ranking runs through the same serving_detail helpers under a
+// *total* order, making results independent of candidate iteration
+// order — the one place this class iterates differently (its id-sorted
+// node table versus the service's slot table).
 //
 // Liveness is filtered against the caller's `now` per query, exactly
 // like the mutable path — a snapshot does not pin time, only
@@ -34,6 +34,7 @@
 #include "common/time.hpp"
 #include "core/engine_snapshot.hpp"
 #include "service/position_service.hpp"
+#include "service/serving_detail.hpp"
 
 namespace crp {
 class ThreadPool;
@@ -126,10 +127,7 @@ class ServingSnapshot {
 
   /// One candidate surviving this shard's vetting: the caller's id
   /// string (borrowed) plus its local engine slot.
-  struct Vetted {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
+  using Vetted = serving_detail::Vetted;
   /// Vets a candidate list against this shard: kept iff resident here
   /// and usable at `now` (live, or stale-usable when `stale_band` — the
   /// degraded tier's widened candidate band). Caller order preserved.
@@ -143,7 +141,10 @@ class ServingSnapshot {
   /// This shard's partial answer to a closest-any query: every resident
   /// node usable at `now` (minus `exclude_slot` — the client's own slot
   /// when this is its owning shard, else npos) ranked against the
-  /// external client row, at most k kept.
+  /// external client row, at most k kept. Only the rows sharing a
+  /// replica with the client are scored and ranked; zero-score rows pad
+  /// a short answer (serving_detail::rank_touched), so the partial still
+  /// holds this shard's exact k best.
   [[nodiscard]] std::vector<RankedNode> partial_closest_any(
       const core::RowView& client, std::size_t exclude_slot,
       bool stale_band, std::size_t k, SimTime now) const;
@@ -163,10 +164,9 @@ class ServingSnapshot {
     std::size_t owner = 0;      // owning shard index
     std::size_t slot = npos;    // client's slot on the owning shard
   };
-  /// Batched partial_closest_any: one usable-node sweep and one reused
-  /// score buffer serve every client. `self_shard` is this snapshot's
-  /// shard index (for owner-only exclusion). Result i pairs with
-  /// clients[i].
+  /// partial_closest_any for every client of a cross-shard batch, in
+  /// order. `self_shard` is this snapshot's shard index (for owner-only
+  /// exclusion). Result i pairs with clients[i].
   [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
       std::span<const ExternalClient> clients, std::size_t self_shard,
       std::size_t k, SimTime now) const;
@@ -174,6 +174,15 @@ class ServingSnapshot {
   [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
       std::span<const ExternalClient> clients, std::size_t self_shard,
       std::span<const Vetted> candidates, std::size_t k) const;
+
+  /// Throws std::logic_error naming the first broken invariant of the
+  /// node table that find() and the zero-score padding rely on:
+  ///  * `by_id_` is strictly increasing by id;
+  ///  * every slot it lists has a non-empty id, and every non-empty
+  ///    slot is listed exactly once;
+  ///  * the slot table is as long as the engine;
+  ///  * a slot's id is non-empty exactly when its engine row is alive.
+  void check_invariants() const;
 
   /// Outcome accounting for gathered queries: the front-end decides
   /// what a scattered query answered, so it bumps queries_served and
@@ -199,12 +208,7 @@ class ServingSnapshot {
   friend class PositionService;
   ServingSnapshot() = default;
 
-  /// One engine slot's occupant: its id ("" for a tombstoned slot) and
-  /// its report timestamp (what liveness filters against).
-  struct SlotRec {
-    std::string id;
-    SimTime when = SimTime{-1};
-  };
+  using SlotRec = serving_detail::SlotRec;
 
   /// Engine slot of `node_id`, or npos if unknown at freeze time
   /// (binary search over the by-id index).
@@ -218,24 +222,24 @@ class ServingSnapshot {
            age > config_.staleness_bound &&
            age <= config_.stale_usable_bound;
   }
-  /// One dense engine query with stats accounting (the snapshot twin of
-  /// PositionService::similarity_scores).
-  void similarity_scores(std::size_t client_slot,
-                         std::span<double> out) const;
+  /// Live, or stale-usable when `stale_band` widens the candidate band.
+  [[nodiscard]] bool usable_at(std::size_t slot, bool stale_band,
+                               SimTime now) const {
+    return live_at(slot, now) || (stale_band && stale_usable_at(slot, now));
+  }
   /// Shared core of the tiered queries (the snapshot twin of
   /// PositionService::tiered_query): `any` means "every known node".
   [[nodiscard]] TieredAnswer closest_tiered_impl(
       const std::string& client, std::span<const std::string> candidates,
       bool any, std::size_t k, SimTime now) const;
-  /// A batch's shared view of one live node (see the service's
-  /// SnapshotNode — same ranking code path).
-  struct NodeRef {
-    const std::string* id = nullptr;
-    std::size_t slot = 0;
-  };
-  [[nodiscard]] std::vector<RankedNode> rank_batch_row(
-      std::span<const NodeRef> nodes, std::size_t client_slot,
-      std::span<const double> scores, std::size_t k) const;
+  /// One subset engine read over the vetted candidates' `slots`, with
+  /// stats accounting, ranked minus `exclude_slot` — every
+  /// candidate-list read ends here. Runs the engine read even for an
+  /// empty list, as the unsharded service does.
+  [[nodiscard]] std::vector<RankedNode> rank_candidates(
+      const core::RowView& client, std::size_t exclude_slot,
+      std::span<const Vetted> candidates, std::span<const std::size_t> slots,
+      std::size_t k) const;
 
   ServiceConfig config_;  // frozen copy: liveness bounds, metric, policy
   std::uint64_t membership_epoch_ = 0;

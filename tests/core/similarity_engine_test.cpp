@@ -248,6 +248,38 @@ TEST_P(SubsetAndRowViewTest, SubsetScoresMatchDenseReads) {
   }
 }
 
+// touched_scores lists exactly the rows the dense read writes — each
+// once, with the dense score bits — and every row it omits scores 0.
+TEST_P(SubsetAndRowViewTest, TouchedScoresAreTheDenseTouchedRows) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{7707 + static_cast<std::uint64_t>(kind)};
+  SimilarityEngine engine{random_corpus(rng, 60, 60), kind};
+  engine.remove(4);
+  engine.update(9, random_corpus(rng, 1, 60)[0]);
+
+  std::vector<double> dense(engine.size());
+  std::vector<RankedCandidate> touched;
+  for (const RatioMap& query : random_corpus(rng, 12, 60)) {
+    std::size_t dense_touched = 0;
+    engine.scores(query, dense, &dense_touched);
+    engine.touched_scores(engine_detail::as_query(query), touched);
+    EXPECT_EQ(touched.size(), dense_touched);
+    std::vector<char> seen(engine.size(), 0);
+    for (const RankedCandidate& t : touched) {
+      ASSERT_LT(t.index, engine.size());
+      EXPECT_EQ(seen[t.index], 0) << "row listed twice: " << t.index;
+      seen[t.index] = 1;
+      EXPECT_TRUE(engine.alive(t.index)) << t.index;
+      EXPECT_EQ(t.similarity, dense[t.index]) << "row " << t.index;
+    }
+    for (std::size_t m = 0; m < engine.size(); ++m) {
+      if (seen[m] == 0) {
+        EXPECT_EQ(dense[m], 0.0) << "untouched row " << m;
+      }
+    }
+  }
+}
+
 TEST_P(SubsetAndRowViewTest, RowViewsMirrorBitIdentically) {
   const SimilarityKind kind = GetParam();
   Rng rng{1234 + static_cast<std::uint64_t>(kind)};
@@ -661,30 +693,19 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
       if (engine.alive(i)) live_slots.push_back(i);
       EXPECT_EQ(engine.scores_of(i), snap->scores_of(i));
     }
+    for (const std::size_t slot : live_slots) {
+      std::vector<RankedCandidate> want;
+      std::vector<RankedCandidate> got;
+      engine.touched_scores(engine.row_view(slot), want);
+      snap->touched_scores(snap->row_view(slot), got);
+      EXPECT_EQ(got, want);
+    }
     if (!live_slots.empty()) {
-      // Subset and batch forms across pool sizes (0 = inline).
-      for (const std::size_t threads : {0, 4}) {
-        ThreadPool pool{threads};
-        FlatMatrix<double> got;
-        FlatMatrix<double> want;
-        std::uint64_t got_touched = 0;
-        std::uint64_t want_touched = 0;
-        engine.scores_of_batch(live_slots, want, &pool, &want_touched);
-        snap->scores_of_batch(live_slots, got, &pool, &got_touched);
-        EXPECT_EQ(got_touched, want_touched);
-        for (std::size_t r = 0; r < live_slots.size(); ++r) {
-          const auto gr = got.row(r);
-          const auto wr = want.row(r);
-          ASSERT_EQ(gr.size(), wr.size());
-          for (std::size_t cc = 0; cc < gr.size(); ++cc) {
-            EXPECT_EQ(gr[cc], wr[cc]);
-          }
-        }
-      }
       std::vector<double> sub_engine(live_slots.size());
       std::vector<double> sub_snap(live_slots.size());
       engine.scores_of_subset(live_slots[0], live_slots, sub_engine);
-      snap->scores_of_subset(live_slots[0], live_slots, sub_snap);
+      snap->scores_subset(snap->row_view(live_slots[0]), live_slots,
+                          sub_snap);
       EXPECT_EQ(sub_engine, sub_snap);
       EXPECT_EQ(engine.best_match(engine.row_view(live_slots[0])),
                 snap->best_match(snap->row_view(live_slots[0])));

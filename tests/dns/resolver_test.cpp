@@ -186,9 +186,9 @@ TEST_F(ResolverTest, CachePressureEvictsButStaysCorrect) {
         Name::parse("direct.example.com"), SimTime::epoch() + Seconds(i));
     ASSERT_TRUE(result.ok());
     // Churn the cache with misses under distinct names.
-    (void)resolver.resolve(Name::parse("m" + std::to_string(i) +
-                                       ".example.com"),
-                           SimTime::epoch() + Seconds(i));
+    std::string miss = "m";
+    miss += std::to_string(i) + ".example.com";
+    (void)resolver.resolve(Name::parse(miss), SimTime::epoch() + Seconds(i));
   }
   EXPECT_LE(resolver.cache_size(), 4u);
 }

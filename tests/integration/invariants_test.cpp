@@ -35,7 +35,9 @@ TEST(RatioMapInvariants, RandomInputsAlwaysCanonical) {
     ReplicaId prev;
     for (const auto& [replica, ratio] : map.entries()) {
       ASSERT_GT(ratio, 0.0);
-      if (prev.valid()) ASSERT_LT(prev, replica);
+      if (prev.valid()) {
+        ASSERT_LT(prev, replica);
+      }
       prev = replica;
       sum += ratio;
     }
@@ -155,8 +157,9 @@ TEST(NameInvariants, PrefixedAlwaysSubdomain) {
   for (int trial = 0; trial < 100; ++trial) {
     const dns::Name base = dns::Name::parse(
         "zone" + std::to_string(rng.uniform_int(0, 99)) + ".example");
-    const dns::Name child =
-        base.prefixed("c" + std::to_string(rng.uniform_int(0, 99)));
+    std::string label = "c";
+    label += std::to_string(rng.uniform_int(0, 99));
+    const dns::Name child = base.prefixed(label);
     ASSERT_TRUE(child.is_subdomain_of(base));
     ASSERT_FALSE(base.is_subdomain_of(child));
     ASSERT_EQ(child.num_labels(), base.num_labels() + 1);

@@ -19,6 +19,14 @@
 namespace crp::service {
 namespace {
 
+/// "n<i>", built with += (a "literal" + std::to_string(i) temporary
+/// trips GCC 12's -Wrestrict false positive).
+std::string node_name(int i) {
+  std::string id = "n";
+  id += std::to_string(i);
+  return id;
+}
+
 PositionReport report(const std::string& id,
                       std::vector<std::pair<ReplicaId, double>> entries,
                       SimTime when) {
@@ -79,25 +87,31 @@ TEST_P(SnapshotOracleTest, SnapshotMatchesMutableServiceBitForBit) {
 
     // Random membership: publishes spread over six hours (some updates
     // clobbering earlier reports), then a few removals — so the frozen
-    // corpus carries tombstoned slots and mixed-age reports.
+    // corpus carries tombstoned slots and mixed-age reports. Every write
+    // is followed by a freeze whose node table must hold its invariants.
     const SimTime t0 = SimTime::epoch();
     std::vector<std::string> ids;
     for (int i = 0; i < 48; ++i) {
-      ids.push_back("n" + std::to_string(100 + i));
+      ids.push_back(node_name(100 + i));
     }
     for (int round = 0; round < 64; ++round) {
       const std::string& id = ids[rng.uniform_int(0, ids.size() - 1)];
       const SimTime when =
           t0 + Minutes(static_cast<std::int64_t>(rng.uniform_int(0, 360)));
       (void)service.publish(random_report(rng, id, when), when + Minutes(1));
+      EXPECT_NO_THROW(
+          service.publish_snapshot(when + Minutes(1))->check_invariants());
     }
     for (int drops = 0; drops < 4; ++drops) {
       (void)service.remove(ids[rng.uniform_int(0, ids.size() - 1)]);
+      EXPECT_NO_THROW(
+          service.publish_snapshot(t0 + Hours(6))->check_invariants());
     }
 
     const SimTime frozen = t0 + Hours(6);
     const auto snap = service.publish_snapshot(frozen);
     ASSERT_NE(snap, nullptr);
+    EXPECT_NO_THROW(snap->check_invariants());
     EXPECT_EQ(snap->membership_epoch(), service.membership_epoch());
     EXPECT_EQ(snap->frozen_at(), frozen);
     ASSERT_TRUE(snap->has_clustering());
@@ -176,7 +190,7 @@ TEST(ServingSnapshotTest, SnapshotUnchangedByLaterWrites) {
   PositionService service;
   const SimTime t0 = SimTime::epoch();
   for (int i = 0; i < 12; ++i) {
-    (void)service.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)service.publish(random_report(rng, node_name(i), t0),
                           t0);
   }
   const auto snap = service.publish_snapshot(t0);
@@ -185,7 +199,7 @@ TEST(ServingSnapshotTest, SnapshotUnchangedByLaterWrites) {
 
   for (int i = 0; i < 12; ++i) {
     (void)service.publish(
-        random_report(rng, "n" + std::to_string(i), t0 + Minutes(5)),
+        random_report(rng, node_name(i), t0 + Minutes(5)),
         t0 + Minutes(5));
   }
   (void)service.remove("n3");
@@ -202,7 +216,7 @@ TEST(ServingSnapshotTest, RepublishWithoutWritesSharesEverything) {
   PositionService service;
   const SimTime t0 = SimTime::epoch();
   for (int i = 0; i < 8; ++i) {
-    (void)service.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)service.publish(random_report(rng, node_name(i), t0),
                           t0);
   }
   const auto s1 = service.publish_snapshot(t0);
@@ -228,7 +242,7 @@ TEST(ServingSnapshotTest, DisabledConfigNeverAutopublishes) {
   PositionService service;  // snapshots.enabled defaults to false
   const SimTime t0 = SimTime::epoch();
   for (int i = 0; i < 20; ++i) {
-    (void)service.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)service.publish(random_report(rng, node_name(i), t0),
                           t0);
   }
   (void)service.remove("n0");
@@ -257,7 +271,7 @@ TEST(ServingSnapshotTest, EpochLagBoundaryPacesRepublish) {
 
   // The next three epochs stay within the lag bound: no republish.
   for (int i = 1; i <= 3; ++i) {
-    (void)service.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)service.publish(random_report(rng, node_name(i), t0),
                           t0);
     EXPECT_EQ(service.snapshot(), first) << "republished at lag " << i;
   }
@@ -308,7 +322,7 @@ TEST(ServingSnapshotTest, ClusteringAttachesWhenCachedOrForced) {
   PositionService service;  // snapshots.clustering defaults to false
   const SimTime t0 = SimTime::epoch();
   for (int i = 0; i < 10; ++i) {
-    (void)service.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)service.publish(random_report(rng, node_name(i), t0),
                           t0);
   }
   // No clustering cached, none requested: cluster queries answer empty.
@@ -330,7 +344,7 @@ TEST(ServingSnapshotTest, ClusteringAttachesWhenCachedOrForced) {
   cfg.snapshots.clustering = true;
   PositionService forced{cfg};
   for (int i = 0; i < 10; ++i) {
-    (void)forced.publish(random_report(rng, "n" + std::to_string(i), t0),
+    (void)forced.publish(random_report(rng, node_name(i), t0),
                          t0);
   }
   const auto always = forced.publish_snapshot(t0);
@@ -359,7 +373,7 @@ TEST(ConcurrentServing, ReadersWriterAndStatsPolling) {
 
   const SimTime t0 = SimTime::epoch();
   std::vector<std::string> ids;
-  for (int i = 0; i < 32; ++i) ids.push_back("n" + std::to_string(i));
+  for (int i = 0; i < 32; ++i) ids.push_back(node_name(i));
   for (const std::string& id : ids) {
     (void)service.publish(random_report(rng, id, t0), t0);
   }

@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "service/wire.hpp"
 
 namespace crp::service {
 namespace {
+
+/// "n<i>", built with += (a "literal" + std::to_string(i) temporary
+/// trips GCC 12's -Wrestrict false positive).
+std::string node_name(int i) {
+  std::string id = "n";
+  id += std::to_string(i);
+  return id;
+}
 
 core::RatioMap map_of(std::uint32_t replica) {
   return core::RatioMap::from_ratios(
@@ -120,15 +130,15 @@ TEST(GossipMesh, StaleReportsAreNotAccepted) {
 
 TEST(GossipMesh, LocalStoreAnswersQueriesAfterConvergence) {
   GossipMesh mesh;
-  for (int i = 0; i < 6; ++i) mesh.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) mesh.add_node(node_name(i));
   mesh.fully_connect();
   // Two groups by replica overlap.
   for (int i = 0; i < 3; ++i) {
-    mesh.publish_local("n" + std::to_string(i), map_of(1),
+    mesh.publish_local(node_name(i), map_of(1),
                        SimTime::epoch());
   }
   for (int i = 3; i < 6; ++i) {
-    mesh.publish_local("n" + std::to_string(i), map_of(9),
+    mesh.publish_local(node_name(i), map_of(9),
                        SimTime::epoch());
   }
   SimTime t = SimTime::epoch();
@@ -248,10 +258,10 @@ TEST(GossipMesh, ChurnMidGossipStillConverges) {
   config.seed = 17;
   GossipMesh mesh{config};
   const int n = 12;
-  for (int i = 0; i < n; ++i) mesh.add_node("n" + std::to_string(i));
+  for (int i = 0; i < n; ++i) mesh.add_node(node_name(i));
   mesh.fully_connect();
   for (int i = 0; i < n; ++i) {
-    mesh.publish_local("n" + std::to_string(i),
+    mesh.publish_local(node_name(i),
                        map_of(static_cast<std::uint32_t>(i)),
                        SimTime::epoch());
   }
@@ -275,7 +285,7 @@ TEST(GossipMesh, ChurnMidGossipStillConverges) {
   // Every survivor learned the latecomer's report and vice versa.
   for (int i = 0; i < n; ++i) {
     if (i == 3 || i == 7) continue;
-    const std::string id = "n" + std::to_string(i);
+    const std::string id = node_name(i);
     EXPECT_TRUE(mesh.store(id).map_of("late").has_value()) << id;
     EXPECT_TRUE(mesh.store("late").map_of(id).has_value()) << id;
   }

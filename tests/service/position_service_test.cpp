@@ -304,7 +304,8 @@ TEST(PositionServiceContracts, LiveNodesStaysSortedUnderChurn) {
   SimTime now = SimTime::epoch();
   for (int step = 0; step < 200; ++step) {
     now = now + Minutes(1);
-    const std::string id = "n" + std::to_string(rng.uniform_int(0, 60));
+    std::string id = "n";
+    id += std::to_string(rng.uniform_int(0, 60));
     if (rng.uniform(0.0, 1.0) < 0.8) {
       (void)service.publish(report(id, {{ReplicaId{1}, 1.0}}, now), now);
     } else {

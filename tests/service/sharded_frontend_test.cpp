@@ -106,6 +106,14 @@ ServiceConfig oracle_config(core::SimilarityKind metric) {
   return cfg;
 }
 
+/// Runs every shard snapshot's node-table check on a fresh View.
+void expect_invariants(const ShardedFrontend& fe) {
+  const auto view = fe.view();
+  for (std::size_t s = 0; s < fe.shard_count(); ++s) {
+    EXPECT_NO_THROW(view.shard(s).check_invariants()) << "shard " << s;
+  }
+}
+
 /// The full-surface oracle: every read through the frontend must equal
 /// the unsharded service bit for bit.
 void expect_equivalent(PositionService& svc, ShardedFrontend& fe,
@@ -177,13 +185,16 @@ void run_oracle(std::size_t shards, core::SimilarityKind metric,
     const auto map = random_map(rng);
     EXPECT_EQ(fe.publish(report_of(id, map, t), t),
               svc.publish(report_of(id, map, t), t));
+    expect_invariants(fe);
     if (round % 7 == 3) {
       const auto& victim = corpus.ids[static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(corpus.ids.size()) - 1))];
       EXPECT_EQ(fe.remove(victim), svc.remove(victim));
+      expect_invariants(fe);
     }
   }
   EXPECT_EQ(fe.expire(t), svc.expire(t));
+  expect_invariants(fe);
   expect_equivalent(svc, fe, corpus, t, &pool);
 }
 

@@ -248,7 +248,9 @@ TEST(Wire, PeekNodeIdReadsIdWithoutFullDecode) {
   const std::string_view truncated{bytes.data(), id_end};
   EXPECT_FALSE(decode(truncated).has_value());
   const auto partial = peek_node_id(truncated);
-  if (partial.has_value()) EXPECT_EQ(*partial, report.node_id);
+  if (partial.has_value()) {
+    EXPECT_EQ(*partial, report.node_id);
+  }
 }
 
 TEST(Wire, PeekNodeIdRejectsBadHeaders) {
