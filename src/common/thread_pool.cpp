@@ -43,9 +43,13 @@ struct ForState {
   }
 };
 
-/// Set for the lifetime of a worker thread. A parallel_for issued from
-/// inside a body running on a worker of the same pool runs inline instead
-/// of enqueueing: workers must never block on the queue they drain.
+/// The pool whose range this thread is working on: set for the lifetime
+/// of a worker thread, and on a caller while it runs its own share of a
+/// parallel_for. A parallel_for issued from inside a body running on any
+/// participant of the same pool runs inline instead of enqueueing:
+/// workers must never block on the queue they drain, and a caller that
+/// enqueued a nested range would wait for workers busy with its outer
+/// one.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
 
 }  // namespace
@@ -113,7 +117,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   cv_.notify_all();
 
+  const ThreadPool* const outer = tl_worker_pool;
+  tl_worker_pool = this;
   state->run();
+  tl_worker_pool = outer;
   {
     std::unique_lock<std::mutex> lock{state->mu};
     if (--state->active == 0) {

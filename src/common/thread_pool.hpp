@@ -55,9 +55,12 @@ class ThreadPool {
   /// must write only to per-index state for thread-count-independent
   /// results.
   ///
-  /// Reentrancy: a parallel_for issued from a body already running on one
-  /// of this pool's workers executes the nested range inline (workers
-  /// never block on the queue they drain, so nesting cannot deadlock).
+  /// Reentrancy: a parallel_for issued from a body already running on any
+  /// participant of this pool's range — a worker, or the calling thread
+  /// while it works its own share — executes the nested range inline. No
+  /// participant ever blocks on the queue the pool drains, so nesting
+  /// cannot deadlock, and the caller never waits for workers busy with
+  /// its own outer range.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

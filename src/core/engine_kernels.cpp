@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "common/top_k.hpp"
@@ -105,14 +106,14 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
   for (const auto& [id, q_ratio] : entries) {
     const auto it = v.replica_slot->find(id);
     if (it == v.replica_slot->end()) continue;
-    const PostingList& list = v.post[it->second];
+    const ListView& list = v.lists[it->second];
     if (list.live == 0) continue;
     // Query entries arrive in increasing replica-id order, so each touched
     // map accumulates its shared replicas in exactly the order the
     // per-pair sorted merge visits them — scores stay bit-identical.
     switch (v.kind) {
       case SimilarityKind::kCosine:
-        for (const Posting& p : list.items) {
+        for (const Posting& p : list.postings()) {
           if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
@@ -124,7 +125,7 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         }
         break;
       case SimilarityKind::kJaccard:
-        for (const Posting& p : list.items) {
+        for (const Posting& p : list.postings()) {
           if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
@@ -136,7 +137,7 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         }
         break;
       case SimilarityKind::kWeightedOverlap:
-        for (const Posting& p : list.items) {
+        for (const Posting& p : list.postings()) {
           if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
@@ -218,11 +219,11 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
     std::size_t g_end = g + 1;
     while (g_end < s.gathered.size() && s.gathered[g_end].id == id) ++g_end;
     const auto it = v.replica_slot->find(id);
-    if (it == v.replica_slot->end() || v.post[it->second].live == 0) {
+    if (it == v.replica_slot->end() || v.lists[it->second].live == 0) {
       g = g_end;
       continue;
     }
-    const PostingList& list = v.post[it->second];
+    const ListView& list = v.lists[it->second];
     // For each gathered query holding this replica, walk the posting
     // list once, streaming terms into that query's accumulator row (maps
     // ascend along the list, so the row is written near-sequentially).
@@ -240,7 +241,7 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kCosine: {
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
+          for (const Posting& p : list.postings()) {
             if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
@@ -261,7 +262,7 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kJaccard: {
           const auto inter_row = s.inter.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
+          for (const Posting& p : list.postings()) {
             if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
@@ -281,7 +282,7 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
         case SimilarityKind::kWeightedOverlap: {
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
-          for (const Posting& p : list.items) {
+          for (const Posting& p : list.postings()) {
             if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
@@ -496,6 +497,85 @@ std::size_t comparable_count(const CorpusView& v, const RowView& query) {
     }
   }
   return count;
+}
+
+std::size_t check_view(const CorpusView& v, std::size_t live_replicas,
+                       const std::string& owner) {
+  const auto fail = [&owner](const std::string& what) {
+    throw std::logic_error(owner + " invariant: " + what);
+  };
+  if (v.norms.size() != v.size() || v.strongest.size() != v.size()) {
+    fail("row tables disagree in length");
+  }
+  if (v.replica_slot->size() != v.lists.size()) {
+    fail("replica index has " + std::to_string(v.replica_slot->size()) +
+         " replicas, list table " + std::to_string(v.lists.size()));
+  }
+  for (const auto& [id, slot] : *v.replica_slot) {
+    if (slot >= v.lists.size()) fail("replica maps past the list table");
+  }
+  std::size_t lists_live = 0;
+  std::size_t live_postings = 0;
+  std::size_t dead_postings = 0;
+  for (std::size_t l = 0; l < v.lists.size(); ++l) {
+    std::size_t live = 0;
+    for (const Posting& p : v.lists[l].postings()) {
+      if (p.map == kDeadPosting) {
+        ++dead_postings;
+        continue;
+      }
+      ++live;
+      if (p.map >= v.size() || !v.rows[p.map].live) {
+        fail("list " + std::to_string(l) + " has a live posting for dead row " +
+             std::to_string(p.map));
+      }
+    }
+    if (live != v.lists[l].live) {
+      fail("list " + std::to_string(l) + " counts " +
+           std::to_string(v.lists[l].live) + " live postings, holds " +
+           std::to_string(live));
+    }
+    if (live > 0) ++lists_live;
+    live_postings += live;
+  }
+  if (lists_live != live_replicas) fail("live replica count is off");
+
+  std::size_t live_rows = 0;
+  std::size_t live_entries = 0;
+  for (std::size_t m = 0; m < v.size(); ++m) {
+    if (!v.rows[m].live) {
+      if (v.rows[m].len != 0) fail("dead row " + std::to_string(m) + " has entries");
+      continue;
+    }
+    ++live_rows;
+    live_entries += v.rows[m].len;
+    for (const auto& [id, ratio] : v.row(m)) {
+      const auto it = v.replica_slot->find(id);
+      if (it == v.replica_slot->end()) {
+        fail("row " + std::to_string(m) + " names an unindexed replica");
+      }
+      std::size_t found = 0;
+      for (const Posting& p : v.lists[it->second].postings()) {
+        if (p.map != m) continue;
+        ++found;
+        if (p.ratio != ratio) {
+          fail("row " + std::to_string(m) + " posting ratio differs");
+        }
+      }
+      if (found != 1) {
+        fail("row " + std::to_string(m) + " entry has " +
+             std::to_string(found) + " live postings");
+      }
+    }
+  }
+  if (live_rows != v.live_rows) fail("live row count is off");
+  // Each live entry owns one live posting, so equal totals leave no
+  // stray live posting.
+  if (live_entries != live_postings) {
+    fail(std::to_string(live_postings) + " live postings for " +
+         std::to_string(live_entries) + " live entries");
+  }
+  return dead_postings;
 }
 
 void scores_batch(const CorpusView& v, std::span<const RowView> refs,

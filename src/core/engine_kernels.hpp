@@ -4,10 +4,10 @@
 // The mutable engine and its frozen snapshots answer queries through the
 // *same* compiled kernels, each presenting its storage as a borrowed
 // `CorpusView`. That is the whole bit-identity argument for the
-// concurrent read path (DESIGN.md §8): a snapshot is a verbatim copy of
-// the engine's CSR arrays and posting lists, and a query never sees
-// which of the two owners lent it the view — there is no second
-// implementation to drift.
+// concurrent read path (DESIGN.md §8): a snapshot holds the engine's
+// very entry bytes (shared arena chunks) and item-for-item copies of its
+// posting lists, and a query never sees which of the two owners lent it
+// the view — there is no second implementation to drift.
 //
 // Everything in `engine_detail` is internal: layouts and kernel
 // signatures may change freely between PRs. User code queries through
@@ -15,8 +15,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +34,7 @@ class ThreadPool;
 
 namespace crp::core {
 
-/// Borrowed view of one corpus row: the CSR entry segment (sorted by
+/// Borrowed view of one corpus row: its arena entry segment (sorted by
 /// replica id) plus its precomputed norm and strongest mapping. A view
 /// of engine A's row can be replayed into engine B (`add_row`) or used
 /// as a query (`scores`/`best_match`) with bit-identical results —
@@ -49,10 +52,12 @@ struct RowView {
 
 namespace engine_detail {
 
-/// A CSR row: entries[begin .. begin + len). Updates point `begin` at
-/// a fresh segment and orphan the old one until compaction.
+/// A row: `len` entries at `entries`, one contiguous segment of an
+/// entry-arena chunk. Updates point it at a fresh segment and orphan the
+/// old one until compaction; the bytes of a published segment are never
+/// rewritten.
 struct Row {
-  std::size_t begin = 0;
+  const RatioMap::Entry* entries = nullptr;
   std::uint32_t len = 0;
   bool live = false;
 };
@@ -65,30 +70,47 @@ struct Posting {
 };
 inline constexpr std::uint32_t kDeadPosting = 0xffffffffu;
 
-struct PostingList {
-  std::vector<Posting> items;
-  std::uint32_t live = 0;  // non-tombstoned items
+/// The kernels' handle on one replica's posting list: `size` postings at
+/// `items` (tombstones included), `live` of them not tombstoned. The
+/// mutable engine points it into its own growing lists, a snapshot into
+/// its frozen segments; a kernel cannot tell the two apart.
+struct ListView {
+  const Posting* items = nullptr;
+  std::uint32_t size = 0;
+  std::uint32_t live = 0;
+
+  [[nodiscard]] std::span<const Posting> postings() const {
+    return {items, size};
+  }
 };
 
-/// Borrowed, read-only view of a whole corpus — the CSR arrays, the
+/// Entry-arena chunk: fixed capacity, allocated once, appended into and
+/// never rewritten. Rows never straddle two chunks.
+using EntryChunk = std::vector<RatioMap::Entry>;
+using ChunkList = std::vector<std::shared_ptr<const EntryChunk>>;
+/// Frozen posting segment: the lists one freeze packed, back to back.
+using PostingSegment = std::vector<Posting>;
+using SegmentList = std::vector<std::shared_ptr<const PostingSegment>>;
+using ReplicaSlots = std::unordered_map<ReplicaId, std::uint32_t>;
+
+/// Borrowed, read-only view of a whole corpus — the row table, the
 /// inverted replica index and the liveness summary. Both owners build
 /// one in O(1): the mutable engine over its members (valid until the
 /// next mutation; the single-writer contract says no mutation runs
 /// concurrently with a query), the snapshot over its frozen shared
-/// arrays (valid while the snapshot is held).
+/// tables (valid while the snapshot is held).
 struct CorpusView {
   SimilarityKind kind = SimilarityKind::kCosine;
   std::span<const Row> rows;
-  std::span<const RatioMap::Entry> entries;
   std::span<const double> norms;
   std::span<const double> strongest;
-  const std::unordered_map<ReplicaId, std::uint32_t>* replica_slot = nullptr;
-  std::span<const PostingList> post;
+  const ReplicaSlots* replica_slot = nullptr;
+  std::span<const ListView> lists;
   std::size_t live_rows = 0;
 
   [[nodiscard]] std::size_t size() const { return rows.size(); }
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
-    return entries.subspan(rows[index].begin, rows[index].len);
+    return {rows[index].entries, rows[index].len};
   }
   [[nodiscard]] RowView row_view(std::size_t index) const {
     return RowView{row(index), norms[index], strongest[index]};
@@ -145,6 +167,31 @@ void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
 /// `want` entries, skipping indices already ranked in `out`.
 void pad_zero_rows(const CorpusView& v, std::vector<RankedCandidate>& out,
                    std::size_t want);
+
+// --- invariant checking (shared by both owners' check_invariants) ---
+
+/// Throws std::logic_error, prefixed with `owner`, on the first broken
+/// invariant of the row table and the list table as the kernels see
+/// them: every live row entry has exactly one live posting with the same
+/// ratio in its replica's list; list live counts are the non-tombstoned
+/// postings, and no live posting names a dead row; dead rows are empty;
+/// `v.live_rows` and `live_replicas` agree with the tables. Returns the
+/// tombstoned postings across all lists.
+std::size_t check_view(const CorpusView& v, std::size_t live_replicas,
+                       const std::string& owner);
+
+/// Whether [p, p + n) lies inside one of `blocks` (true for n == 0).
+template <typename T>
+[[nodiscard]] bool held_by(
+    std::span<const std::shared_ptr<const std::vector<T>>> blocks,
+    const T* p, std::size_t n) {
+  if (n == 0) return true;
+  const std::less<const T*> lt;
+  for (const auto& b : blocks) {
+    if (!lt(p, b->data()) && !lt(b->data() + b->size(), p + n)) return true;
+  }
+  return false;
+}
 
 // --- batched kernels (tiled, parallel across tiles, deterministic) ---
 

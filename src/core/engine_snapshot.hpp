@@ -1,28 +1,30 @@
 // Immutable, shared-ownership snapshot of a SimilarityEngine corpus —
 // the unit of the concurrent read path (DESIGN.md §8).
 //
-// `SimilarityEngine::freeze(epoch)` cuts one: verbatim copies of the
-// engine's CSR arrays and posting lists (components no mutation dirtied
-// since the previous freeze are shared with that snapshot, not copied),
-// tagged with the caller's membership epoch. Every query here runs the
-// same `engine_detail` kernels the mutable engine runs, over those
-// frozen bytes — so a snapshot query is bit-identical to the same query
-// against the engine at the moment of the freeze. That is the whole
-// determinism story: one kernel implementation, two storage owners.
+// `SimilarityEngine::freeze(epoch)` cuts one, tagged with the caller's
+// membership epoch. It shares the engine's entry-arena chunks (the row
+// bytes themselves), its replica index until a new replica appears, and
+// every frozen posting list no write touched since the previous freeze;
+// it owns fresh copies of the flat row tables and of the list-view table
+// the kernels walk. Every query here runs the same `engine_detail`
+// kernels the mutable engine runs, over those frozen bytes — so a
+// snapshot query is bit-identical to the same query against the engine
+// at the moment of the freeze. That is the whole determinism story: one
+// kernel implementation, two storage owners.
 //
 // Thread safety: an EngineSnapshot is deeply immutable after freeze();
 // any number of threads may query one concurrently with no locking (the
-// kernels' scratch is thread_local). Lifetime is shared_ptr-managed, so
-// a reader's results stay valid however long it holds its snapshot,
-// while the writer keeps mutating the live engine and cutting newer
-// snapshots.
+// kernels' scratch is thread_local). The writer keeps appending into the
+// arena's tail chunk while readers hold it, but only past every byte a
+// published row points at. Lifetime is shared_ptr-managed, so a reader's
+// results stay valid however long it holds its snapshot, while the
+// writer keeps mutating the live engine and cutting newer snapshots.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/engine_kernels.hpp"
@@ -31,6 +33,8 @@
 #include "core/similarity.hpp"
 
 namespace crp::core {
+
+class SimilarityEngine;
 
 class EngineSnapshot {
  public:
@@ -85,20 +89,32 @@ class EngineSnapshot {
                                                    std::size_t k) const;
   [[nodiscard]] std::size_t comparable_count(const RatioMap& query) const;
 
+  /// Throws std::logic_error naming the first broken invariant:
+  ///  * every row segment lies in an arena chunk the snapshot holds, and
+  ///    every list view in a posting segment it holds;
+  ///  * list live counts, live rows and live replicas agree with the
+  ///    frozen tables, and each live row entry has one live posting;
+  ///  * given `source` — the engine right after it cut this snapshot —
+  ///    every row and every frozen list equals the writer's, item for
+  ///    item.
+  void check_invariants(const SimilarityEngine* source = nullptr) const;
+
   // --- storage-identity probes (tests of structural sharing only) ---
 
   [[nodiscard]] const void* rows_identity() const { return rows_.get(); }
-  [[nodiscard]] const void* entries_identity() const { return entries_.get(); }
-  [[nodiscard]] const void* postings_identity() const { return post_.get(); }
+  /// The arena chunk list: shared while rows only append into the tail
+  /// chunk, replaced when a chunk opens or compaction repacks.
+  [[nodiscard]] const void* entries_identity() const { return chunks_.get(); }
+  /// The list-view table: shared while no posting list was written.
+  [[nodiscard]] const void* postings_identity() const { return lists_.get(); }
 
  private:
   friend class SimilarityEngine;  // the only producer
   EngineSnapshot() = default;
 
   [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,       *rows_, *entries_,
-                                     *norms_,     *strongest_,
-                                     replica_slot_.get(), *post_,
+    return engine_detail::CorpusView{kind_,   *rows_, *norms_, *strongest_,
+                                     replica_slot_.get(), *lists_,
                                      live_rows_};
   }
 
@@ -107,16 +123,18 @@ class EngineSnapshot {
   std::size_t live_rows_ = 0;
   std::size_t live_replicas_ = 0;
 
-  // Frozen storage, component-shared across consecutive freezes. Three
-  // components dirty independently: row metadata (rows/norms/strongest),
-  // the CSR entry array, and the posting index (slot map + lists).
+  // Frozen storage. Row tables (rows/norms/strongest) are copied when a
+  // row was written and shared otherwise; `chunks_` keeps alive the
+  // arena chunks the rows point into; `lists_` is the kernels' list
+  // table, each view pointing into one of the `segments_` it keeps
+  // alive.
   std::shared_ptr<const std::vector<engine_detail::Row>> rows_;
-  std::shared_ptr<const std::vector<RatioMap::Entry>> entries_;
   std::shared_ptr<const std::vector<double>> norms_;
   std::shared_ptr<const std::vector<double>> strongest_;
-  std::shared_ptr<const std::unordered_map<ReplicaId, std::uint32_t>>
-      replica_slot_;
-  std::shared_ptr<const std::vector<engine_detail::PostingList>> post_;
+  std::shared_ptr<const engine_detail::ChunkList> chunks_;
+  std::shared_ptr<const engine_detail::ReplicaSlots> replica_slot_;
+  std::shared_ptr<const std::vector<engine_detail::ListView>> lists_;
+  std::shared_ptr<const engine_detail::SegmentList> segments_;
 };
 
 }  // namespace crp::core

@@ -3,28 +3,35 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/thread_pool.hpp"
 #include "core/engine_snapshot.hpp"
 
 namespace crp::core {
 
+using engine_detail::ChunkList;
+using engine_detail::EntryChunk;
 using engine_detail::kDeadPosting;
+using engine_detail::ListView;
 using engine_detail::Posting;
-using engine_detail::PostingList;
+using engine_detail::PostingSegment;
+using engine_detail::ReplicaSlots;
 using engine_detail::Row;
+using engine_detail::SegmentList;
 
-SimilarityEngine::SimilarityEngine(SimilarityKind kind) : kind_(kind) {}
+SimilarityEngine::SimilarityEngine(SimilarityKind kind)
+    : kind_(kind),
+      chunks_(std::make_shared<const ChunkList>()),
+      replica_slot_(std::make_shared<ReplicaSlots>()) {}
 
 SimilarityEngine::SimilarityEngine(std::span<const RatioMap> corpus,
                                    SimilarityKind kind)
-    : kind_(kind) {
+    : SimilarityEngine(kind) {
   const std::size_t n = corpus.size();
-  std::size_t total = 0;
-  for (const RatioMap& map : corpus) total += map.size();
-
   rows_.reserve(n);
-  entries_.reserve(total);
   norms_.reserve(n);
   strongest_.reserve(n);
   // Building via add() keeps each posting list ordered by row index
@@ -33,37 +40,76 @@ SimilarityEngine::SimilarityEngine(std::span<const RatioMap> corpus,
   mstats_ = MutationStats{};  // a fresh build is not "mutation" churn
 }
 
+const RatioMap::Entry* SimilarityEngine::append_entries(
+    std::span<const RatioMap::Entry> src) {
+  if (src.empty()) return nullptr;
+  if (tail_ == nullptr || tail_fill_ + src.size() > tail_->size()) {
+    // The full tail stays in chunks_ (rows point into it); snapshots
+    // holding the old list keep sharing it.
+    tail_ = std::make_shared<EntryChunk>(
+        std::max(kArenaChunkEntries, src.size()));
+    auto chunks = std::make_shared<ChunkList>(*chunks_);
+    chunks->push_back(tail_);
+    chunks_ = std::move(chunks);
+    tail_fill_ = 0;
+  }
+  RatioMap::Entry* const at = tail_->data() + tail_fill_;
+  std::copy(src.begin(), src.end(), at);
+  tail_fill_ += src.size();
+  return at;
+}
+
+std::uint32_t SimilarityEngine::list_of(ReplicaId id) {
+  if (const auto it = replica_slot_->find(id); it != replica_slot_->end()) {
+    return it->second;
+  }
+  // A snapshot may be reading this index: insert into a private copy.
+  if (replica_slot_frozen_) {
+    replica_slot_ = std::make_shared<ReplicaSlots>(*replica_slot_);
+    replica_slot_frozen_ = false;
+  }
+  const auto list = static_cast<std::uint32_t>(lists_.size());
+  replica_slot_->emplace(id, list);
+  lists_.emplace_back();
+  list_views_.emplace_back();
+  return list;
+}
+
+void SimilarityEngine::mark_dirty(std::uint32_t list) {
+  if (!lists_[list].dirty) {
+    lists_[list].dirty = true;
+    dirty_lists_.push_back(list);
+  }
+}
+
 void SimilarityEngine::write_row(std::size_t index, const RowView& source) {
-  Row& r = rows_[index];
-  r.begin = entries_.size();
-  r.len = static_cast<std::uint32_t>(source.entries.size());
-  r.live = true;
   const auto src = source.entries;
-  entries_.insert(entries_.end(), src.begin(), src.end());
+  Row& r = rows_[index];
+  r.entries = append_entries(src);
+  r.len = static_cast<std::uint32_t>(src.size());
+  r.live = true;
   norms_[index] = source.norm;
   strongest_[index] = source.strongest;
   live_entries_ += src.size();
-  ++rows_version_;
-  ++entries_version_;
-  ++postings_version_;
+  rows_dirty_ = true;
 
   for (const auto& [id, ratio] : src) {
-    const auto [it, inserted] =
-        replica_slot_.try_emplace(id, static_cast<std::uint32_t>(post_.size()));
-    if (inserted) post_.emplace_back();
-    PostingList& list = post_[it->second];
-    if (list.live == 0) ++live_replicas_;
-    ++list.live;
-    list.items.push_back(
-        Posting{static_cast<std::uint32_t>(index), ratio});
+    const std::uint32_t l = list_of(id);
+    std::vector<Posting>& items = lists_[l].items;
+    ListView& view = list_views_[l];
+    if (view.live == 0) ++live_replicas_;
+    items.push_back(Posting{static_cast<std::uint32_t>(index), ratio});
+    view = ListView{items.data(), static_cast<std::uint32_t>(items.size()),
+                    view.live + 1};
+    mark_dirty(l);
   }
 }
 
 void SimilarityEngine::tombstone_row(std::size_t index) {
   const Row& r = rows_[index];
   for (const auto& [id, ratio] : row(index)) {
-    PostingList& list = post_[replica_slot_.at(id)];
-    for (Posting& p : list.items) {
+    const std::uint32_t l = replica_slot_->at(id);
+    for (Posting& p : lists_[l].items) {
       // Tombstoned postings carry kDeadPosting, so this match finds the
       // row's single live posting for the replica.
       if (p.map == static_cast<std::uint32_t>(index)) {
@@ -71,15 +117,14 @@ void SimilarityEngine::tombstone_row(std::size_t index) {
         break;
       }
     }
-    if (--list.live == 0) --live_replicas_;
+    if (--list_views_[l].live == 0) --live_replicas_;
+    mark_dirty(l);
     ++mstats_.postings_tombstoned;
   }
+  // The orphaned segment's bytes stay where they are: snapshots cut
+  // before this point still read them.
   dead_entries_ += r.len;
   live_entries_ -= r.len;
-  // The orphaned entry segment's bytes are untouched, so only the
-  // posting index dirties here (entries_version_ stays put — that is
-  // what lets remove-only churn share the entry array across freezes).
-  ++postings_version_;
 }
 
 std::size_t SimilarityEngine::add_impl(const RowView& source) {
@@ -110,25 +155,27 @@ std::size_t SimilarityEngine::add_row(const RowView& row) {
 void SimilarityEngine::clear(SimilarityKind kind) {
   kind_ = kind;
   rows_.clear();
-  entries_.clear();
   norms_.clear();
   strongest_.clear();
   free_rows_.clear();
   live_rows_ = 0;
   live_entries_ = 0;
   dead_entries_ = 0;
-  // Keep the replica map's buckets and the posting-list vectors — the
-  // whole point of clear() over a fresh engine is reusing them — but
-  // empty every list.
-  for (PostingList& list : post_) {
-    list.items.clear();
-    list.live = 0;
+  // A fresh arena: the old chunks live on in any snapshot holding them.
+  chunks_ = std::make_shared<const ChunkList>();
+  tail_.reset();
+  tail_fill_ = 0;
+  // Keep the replica map and the posting-list vectors — the whole point
+  // of clear() over a fresh engine is reusing them — but empty every
+  // list. Every list dirties, so the next freeze releases every segment.
+  for (std::uint32_t l = 0; l < lists_.size(); ++l) {
+    lists_[l].items.clear();
+    list_views_[l] = ListView{lists_[l].items.data(), 0, 0};
+    mark_dirty(l);
   }
   live_replicas_ = 0;
   mstats_ = MutationStats{};
-  ++rows_version_;
-  ++entries_version_;
-  ++postings_version_;
+  rows_dirty_ = true;
 }
 
 void SimilarityEngine::update(std::size_t index, const RatioMap& map) {
@@ -143,15 +190,13 @@ void SimilarityEngine::update(std::size_t index, const RatioMap& map) {
 void SimilarityEngine::remove(std::size_t index) {
   assert(index < rows_.size() && rows_[index].live);
   tombstone_row(index);
-  Row& r = rows_[index];
-  r.live = false;
-  r.len = 0;
+  rows_[index] = Row{};
   norms_[index] = 0.0;
   strongest_[index] = 0.0;
   free_rows_.push_back(static_cast<std::uint32_t>(index));
   --live_rows_;
   ++mstats_.removes;
-  ++rows_version_;
+  rows_dirty_ = true;
   maybe_compact();
 }
 
@@ -164,77 +209,206 @@ void SimilarityEngine::maybe_compact() {
 
 void SimilarityEngine::compact() {
   if (dead_entries_ == 0) return;
-  // Repack live row segments in row order; dead rows keep their slot
-  // (and their zero length), so no external index moves.
-  std::vector<RatioMap::Entry> packed;
-  packed.reserve(live_entries_);
+  // Repack live row segments in row order into a fresh arena; dead rows
+  // keep their slot (and their zero length), so no external index
+  // moves. `old` keeps the source chunks alive through the copy.
+  const std::shared_ptr<const ChunkList> old =
+      std::exchange(chunks_, std::make_shared<const ChunkList>());
+  tail_.reset();
+  tail_fill_ = 0;
   for (Row& r : rows_) {
-    if (!r.live) continue;
-    const std::size_t begin = packed.size();
-    packed.insert(packed.end(), entries_.begin() + static_cast<std::ptrdiff_t>(r.begin),
-                  entries_.begin() + static_cast<std::ptrdiff_t>(r.begin + r.len));
-    r.begin = begin;
+    if (r.live) r.entries = append_entries({r.entries, r.len});
   }
-  entries_ = std::move(packed);
 
-  // Drop tombstoned postings, preserving the survivors' order.
-  for (PostingList& list : post_) {
-    std::erase_if(list.items,
+  // Drop tombstoned postings, preserving the survivors' order. Every
+  // list dirties, so the next freeze repacks them all.
+  for (std::uint32_t l = 0; l < lists_.size(); ++l) {
+    std::vector<Posting>& items = lists_[l].items;
+    std::erase_if(items,
                   [](const Posting& p) { return p.map == kDeadPosting; });
-    list.items.shrink_to_fit();
+    items.shrink_to_fit();
+    list_views_[l] = ListView{items.data(),
+                              static_cast<std::uint32_t>(items.size()),
+                              list_views_[l].live};
+    mark_dirty(l);
   }
   dead_entries_ = 0;
   ++mstats_.compactions;
-  ++rows_version_;
-  ++entries_version_;
-  ++postings_version_;
+  rows_dirty_ = true;
+}
+
+void SimilarityEngine::retire_frozen(std::uint32_t list, std::size_t size) {
+  std::uint32_t& seg = lists_[list].segment;
+  if (seg == kNoSegment) return;
+  FrozenSegment& s = segments_[seg];
+  frozen_dead_ += size;
+  if (--s.lists == 0) {
+    frozen_dead_ -= s.block->size();
+    s.block.reset();
+  }
+  seg = kNoSegment;
+}
+
+void SimilarityEngine::freeze_postings(EngineSnapshot& snap) {
+  auto table = std::make_shared<std::vector<ListView>>();
+  if (frozen_ != nullptr) *table = *frozen_->lists_;
+  table->resize(lists_.size());
+  for (const std::uint32_t l : dirty_lists_) retire_frozen(l, (*table)[l].size);
+  // Repack rule — compaction's, one layer down: once superseded frozen
+  // postings reach the live ones, every list is packed afresh, which
+  // releases every older segment.
+  const std::size_t postings = live_entries_ + dead_entries_;
+  if (frozen_dead_ >= kCompactMinDeadEntries && frozen_dead_ >= postings) {
+    ++mstats_.repacks;
+    for (std::uint32_t l = 0; l < lists_.size(); ++l) {
+      retire_frozen(l, (*table)[l].size);
+      mark_dirty(l);
+    }
+  }
+
+  std::size_t total = 0;
+  for (const std::uint32_t l : dirty_lists_) total += lists_[l].items.size();
+  auto block = std::make_shared<PostingSegment>();
+  block->reserve(total);  // never grows past this: the views stay put
+  // The new segment's record: the first free one, else a new one.
+  const auto seg = static_cast<std::uint32_t>(
+      std::find_if(segments_.begin(), segments_.end(),
+                   [](const FrozenSegment& s) { return s.block == nullptr; }) -
+      segments_.begin());
+  if (seg == segments_.size()) segments_.emplace_back();
+  for (const std::uint32_t l : dirty_lists_) {
+    ListState& list = lists_[l];
+    list.dirty = false;
+    if (list.items.empty()) {
+      (*table)[l] = ListView{};
+      continue;
+    }
+    (*table)[l] = ListView{block->data() + block->size(),
+                           static_cast<std::uint32_t>(list.items.size()),
+                           list_views_[l].live};
+    block->insert(block->end(), list.items.begin(), list.items.end());
+    list.segment = seg;
+    ++segments_[seg].lists;
+  }
+  dirty_lists_.clear();
+  if (total > 0) segments_[seg].block = std::move(block);
+  mstats_.postings_frozen += total;
+
+  auto held = std::make_shared<SegmentList>();
+  for (const FrozenSegment& s : segments_) {
+    if (s.block != nullptr) held->push_back(s.block);
+  }
+  snap.lists_ = std::move(table);
+  snap.segments_ = std::move(held);
 }
 
 std::shared_ptr<const EngineSnapshot> SimilarityEngine::freeze(
     std::uint64_t epoch) {
-  FreezeCache& c = freeze_cache_;
-  const bool clean = c.snapshot != nullptr &&
-                     c.rows_version == rows_version_ &&
-                     c.entries_version == entries_version_ &&
-                     c.postings_version == postings_version_;
-  if (clean && c.snapshot->epoch() == epoch) return c.snapshot;
+  const bool rows_clean = frozen_ != nullptr && !rows_dirty_;
+  const bool lists_clean = frozen_ != nullptr && dirty_lists_.empty();
+  if (rows_clean && lists_clean && frozen_->epoch() == epoch) return frozen_;
 
   auto snap = std::shared_ptr<EngineSnapshot>(new EngineSnapshot());
   snap->kind_ = kind_;
   snap->epoch_ = epoch;
   snap->live_rows_ = live_rows_;
   snap->live_replicas_ = live_replicas_;
-  // Copy exactly the components a mutation dirtied since the retained
-  // snapshot was cut; share the rest. The row-metadata component bundles
-  // rows_/norms_/strongest_ (they dirty together).
-  if (c.snapshot != nullptr && c.rows_version == rows_version_) {
-    snap->rows_ = c.snapshot->rows_;
-    snap->norms_ = c.snapshot->norms_;
-    snap->strongest_ = c.snapshot->strongest_;
+  if (rows_clean) {
+    snap->rows_ = frozen_->rows_;
+    snap->norms_ = frozen_->norms_;
+    snap->strongest_ = frozen_->strongest_;
   } else {
     snap->rows_ = std::make_shared<const std::vector<Row>>(rows_);
     snap->norms_ = std::make_shared<const std::vector<double>>(norms_);
     snap->strongest_ = std::make_shared<const std::vector<double>>(strongest_);
   }
-  if (c.snapshot != nullptr && c.entries_version == entries_version_) {
-    snap->entries_ = c.snapshot->entries_;
+  snap->chunks_ = chunks_;
+  snap->replica_slot_ = replica_slot_;
+  replica_slot_frozen_ = true;
+  if (lists_clean) {
+    snap->lists_ = frozen_->lists_;
+    snap->segments_ = frozen_->segments_;
   } else {
-    snap->entries_ =
-        std::make_shared<const std::vector<RatioMap::Entry>>(entries_);
+    freeze_postings(*snap);
   }
-  if (c.snapshot != nullptr && c.postings_version == postings_version_) {
-    snap->replica_slot_ = c.snapshot->replica_slot_;
-    snap->post_ = c.snapshot->post_;
-  } else {
-    snap->replica_slot_ = std::make_shared<
-        const std::unordered_map<ReplicaId, std::uint32_t>>(replica_slot_);
-    snap->post_ = std::make_shared<const std::vector<PostingList>>(post_);
-  }
-  c.snapshot = snap;
-  c.rows_version = rows_version_;
-  c.entries_version = entries_version_;
-  c.postings_version = postings_version_;
+  frozen_ = snap;
+  rows_dirty_ = false;
   return snap;
+}
+
+void SimilarityEngine::check_invariants() const {
+  const std::string owner = "SimilarityEngine";
+  const auto fail = [&owner](const std::string& what) {
+    throw std::logic_error(owner + " invariant: " + what);
+  };
+  // Ownership first: the content checks below read through these.
+  if (tail_ != nullptr &&
+      (chunks_->empty() || chunks_->back() != tail_ ||
+       tail_fill_ > tail_->size())) {
+    fail("tail chunk is not the arena's last");
+  }
+  for (std::size_t m = 0; m < rows_.size(); ++m) {
+    if (!engine_detail::held_by<RatioMap::Entry>(*chunks_, rows_[m].entries,
+                                                 rows_[m].len)) {
+      fail("row " + std::to_string(m) + " lies outside the arena");
+    }
+  }
+  if (list_views_.size() != lists_.size()) fail("list table length is off");
+  for (std::size_t l = 0; l < lists_.size(); ++l) {
+    const ListView& lv = list_views_[l];
+    if (lv.items != lists_[l].items.data() ||
+        lv.size != lists_[l].items.size()) {
+      fail("list table entry " + std::to_string(l) + " is stale");
+    }
+  }
+
+  const std::size_t dead = engine_detail::check_view(view(), live_replicas_,
+                                                     owner);
+  if (dead != dead_entries_) {
+    fail(std::to_string(dead) + " tombstones for " +
+         std::to_string(dead_entries_) + " dead entries");
+  }
+  std::size_t live_entries = 0;
+  for (const Row& r : rows_) live_entries += r.len;
+  if (live_entries != live_entries_) fail("live entry total is off");
+  for (const std::uint32_t slot : free_rows_) {
+    if (slot >= rows_.size() || rows_[slot].live) fail("free row is live");
+  }
+
+  // Frozen bookkeeping: each segment record counts the lists whose
+  // current frozen copy lives in it, and the dead weight is what the
+  // held segments hold beyond those copies.
+  std::vector<std::uint32_t> lists_in(segments_.size(), 0);
+  std::size_t dirty = 0;
+  for (std::size_t l = 0; l < lists_.size(); ++l) {
+    if (lists_[l].dirty) ++dirty;
+    const std::uint32_t seg = lists_[l].segment;
+    if (seg == kNoSegment) continue;
+    if (seg >= segments_.size() || segments_[seg].block == nullptr) {
+      fail("list " + std::to_string(l) + " frozen into a released segment");
+    }
+    ++lists_in[seg];
+  }
+  if (dirty != dirty_lists_.size()) fail("dirty list set is off");
+  std::size_t held = 0;
+  for (std::size_t seg = 0; seg < segments_.size(); ++seg) {
+    if (segments_[seg].lists != lists_in[seg]) {
+      fail("segment " + std::to_string(seg) + " list count is off");
+    }
+    if ((segments_[seg].block != nullptr) != (lists_in[seg] > 0)) {
+      fail("segment " + std::to_string(seg) + " is held without lists");
+    }
+    if (segments_[seg].block != nullptr) held += segments_[seg].block->size();
+  }
+  std::size_t current = 0;
+  if (frozen_ != nullptr) {
+    for (std::size_t l = 0; l < frozen_->lists_->size(); ++l) {
+      if (l < lists_.size() && lists_[l].segment != kNoSegment) {
+        current += (*frozen_->lists_)[l].size;
+      }
+    }
+  }
+  if (held != current + frozen_dead_) fail("frozen dead weight is off");
 }
 
 // --- query forwarding: every public query runs the shared kernels over

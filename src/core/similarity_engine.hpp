@@ -8,10 +8,10 @@
 // 0 *by construction* for all three metrics. The engine exploits that
 // sparsity structure:
 //
-//   * CSR corpus storage — all maps flattened into contiguous replica-id
-//     and ratio arrays with per-map (begin, length) rows, plus
-//     precomputed norms, entry counts and strongest mappings. One
-//     cache-friendly block replaces a thousand small vectors.
+//   * Entry arena — every map's (replica, ratio) entries in one
+//     contiguous segment of a fixed-size chunk, plus precomputed norms,
+//     entry counts and strongest mappings in flat per-row tables. Rows
+//     append into the tail chunk; a row never straddles two chunks.
 //   * Inverted replica index — for each replica, the posting list of
 //     (map index, ratio) pairs that contain it. A query walks only the
 //     postings of its own replicas, so maps sharing no replica with the
@@ -23,15 +23,16 @@
 //
 // Incremental corpus maintenance (the PositionService's serving mode —
 // see DESIGN.md §6): `add`/`update`/`remove` mutate the corpus in place.
-// Updated and removed rows leave tombstones — dead segments in the entry
-// array and dead postings (map index `kDeadPosting`) in the posting
+// Updated and removed rows leave tombstones — orphaned segments in the
+// arena and dead postings (map index `kDeadPosting`) in the posting
 // lists — which queries skip. Once tombstones outnumber live entries the
-// engine compacts in place, rewriting both stores without disturbing row
-// indices (removed rows keep their slot; `add` reuses freed slots).
-// Scores over a mutated engine are bit-identical to scores over a
-// freshly built engine of the live maps: per touched map, accumulation
-// still follows increasing replica-id order, and norms/sizes come from
-// the same `RatioMap` the fresh build would ingest.
+// engine compacts, repacking the live rows into a fresh arena and
+// dropping dead postings, without disturbing row indices (removed rows
+// keep their slot; `add` reuses freed slots). Scores over a mutated
+// engine are bit-identical to scores over a freshly built engine of the
+// live maps: per touched map, accumulation still follows increasing
+// replica-id order, and norms/sizes come from the same `RatioMap` the
+// fresh build would ingest.
 //
 // Determinism contract (the repo's first parallel subsystem; later ones
 // follow the same conventions): all batch results are indexed by query
@@ -41,17 +42,18 @@
 // before calling add/update/remove/compact.
 //
 // Concurrent serving (DESIGN.md §8): `freeze()` produces an immutable
-// `EngineSnapshot` sharing this engine's query kernels (and, across
-// consecutive freezes, any storage components no mutation dirtied).
-// The engine itself stays single-writer: freeze() is a writer-side call,
-// and published snapshots are what reader threads query lock-free.
+// `EngineSnapshot` sharing this engine's query kernels, its arena chunks
+// and — until a new replica appears — its replica index; it copies only
+// the flat row tables and the posting lists written since the previous
+// freeze. The engine itself stays single-writer: freeze() is a
+// writer-side call, and published snapshots are what reader threads
+// query lock-free.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_matrix.hpp"
@@ -82,19 +84,34 @@ class SimilarityEngine {
     /// update/remove. Compaction reclaims them without resetting this.
     std::uint64_t postings_tombstoned = 0;
     std::uint64_t compactions = 0;
+    /// Postings copied into frozen segments by freeze(): the lists
+    /// written since the previous freeze, or every list on a repack.
+    std::uint64_t postings_frozen = 0;
+    /// Freezes that repacked every list into one segment.
+    std::uint64_t repacks = 0;
   };
 
   /// Dead-entry floor below which automatic compaction never triggers
   /// (tiny corpora churn freely without rewrite storms).
   static constexpr std::size_t kCompactMinDeadEntries = 256;
+  /// Entries per arena chunk (rows longer than this get a chunk of their
+  /// own).
+  static constexpr std::size_t kArenaChunkEntries = 4096;
 
   /// An empty mutable engine; grow it with `add`.
   explicit SimilarityEngine(SimilarityKind kind);
 
-  /// Ingests `corpus` (maps are copied into CSR form; the span need not
+  /// Ingests `corpus` (maps are copied into the arena; the span need not
   /// outlive the engine). `kind` fixes the metric for all queries.
   explicit SimilarityEngine(std::span<const RatioMap> corpus,
                             SimilarityKind kind = SimilarityKind::kCosine);
+
+  // The tail chunk and the replica index are written in place, so two
+  // engines must never share them: no copies.
+  SimilarityEngine(const SimilarityEngine&) = delete;
+  SimilarityEngine& operator=(const SimilarityEngine&) = delete;
+  SimilarityEngine(SimilarityEngine&&) = default;
+  SimilarityEngine& operator=(SimilarityEngine&&) = default;
 
   /// Number of row slots, dead ones included — the length of dense score
   /// vectors. Equals the corpus size for a never-mutated engine.
@@ -135,10 +152,11 @@ class SimilarityEngine {
   /// `add`.
   std::size_t add_row(const RowView& row);
   /// Empties the engine (rows, entries, postings, free list, mutation
-  /// counters) and re-fixes the metric, keeping the large allocations —
-  /// the cheap way to reuse one engine across unrelated corpora, which
-  /// is what keeps the SMF center index allocation-free across
-  /// reclusterings.
+  /// counters) and re-fixes the metric, keeping the replica index and
+  /// the posting-list allocations — the cheap way to reuse one engine
+  /// across unrelated corpora, which is what keeps the SMF center index
+  /// nearly allocation-free across reclusterings. Rows restart in a
+  /// fresh arena; snapshots keep the old chunks.
   void clear(SimilarityKind kind);
   /// Replaces the map at live row `index` (precondition: alive(index)).
   /// The old row's entries and postings become tombstones.
@@ -147,31 +165,49 @@ class SimilarityEngine {
   /// The slot survives — dense scores keep their positions — and scores
   /// against it are 0 from here on.
   void remove(std::size_t index);
-  /// Rewrites the entry array and posting lists without the tombstones,
-  /// preserving every row index. Called automatically once dead entries
-  /// outnumber live ones (past `kCompactMinDeadEntries`); callable
-  /// explicitly after bulk churn.
+  /// Repacks the live rows into a fresh arena and drops the dead
+  /// postings, preserving every row index. Called automatically once
+  /// dead entries outnumber live ones (past `kCompactMinDeadEntries`);
+  /// callable explicitly after bulk churn. Snapshots keep the old chunks
+  /// alive for as long as they are held.
   void compact();
   /// Tombstoned entries not yet reclaimed by compaction.
   [[nodiscard]] std::size_t dead_entries() const { return dead_entries_; }
   [[nodiscard]] const MutationStats& mutation_stats() const {
     return mstats_;
   }
+  /// Throws std::logic_error naming the first broken storage invariant:
+  ///  * each live row's entries each have exactly one live posting, with
+  ///    the same ratio, in their replica's list;
+  ///  * a list's live count equals its non-tombstoned postings;
+  ///  * the live-row, live-replica and live/dead entry totals agree with
+  ///    the rows and lists;
+  ///  * the kernels' list table matches the lists;
+  ///  * each row's segment lies in a chunk the engine holds;
+  ///  * the frozen-segment bookkeeping matches the newest snapshot.
+  void check_invariants() const;
 
   // --- freezing (the concurrent read path, DESIGN.md §8) ---
 
   /// Returns an immutable snapshot of the live corpus, tagged with the
   /// caller's membership `epoch`. Queries against the snapshot are
   /// bit-identical to the same queries against this engine right now —
-  /// they run through the same kernels over verbatim copies of the CSR
-  /// arrays and posting lists. Storage components no mutation dirtied
-  /// since the previous freeze are *shared* with that snapshot instead
-  /// of copied (tracked per component: row metadata, the entry array,
-  /// the posting index), so freezes between mutations are O(1) and a
-  /// remove-only churn window never recopies the entry array. Writer-
-  /// side call: not safe concurrently with mutations, and the engine
-  /// retains the newest snapshot for sharing, so an idle engine keeps
-  /// at most one full copy alive.
+  /// they run through the same kernels over the same entry bytes and
+  /// item-for-item copies of the posting lists. The cost is what the
+  /// writes since the previous freeze changed, plus three flat tables:
+  ///  * entries are never copied: the snapshot shares the arena chunks;
+  ///  * the replica index is shared until a new replica appears;
+  ///  * the lists written since the previous freeze are packed into one
+  ///    new immutable segment; every other list's frozen copy is shared.
+  ///    Once superseded frozen postings reach the live ones (past
+  ///    `kCompactMinDeadEntries`), every list is repacked into one
+  ///    segment so dead segments are released;
+  ///  * the row tables (metadata, norms, strongest) and the list-view
+  ///    table are copied when dirty.
+  /// A freeze with nothing written since the previous one shares every
+  /// component, and returns that very snapshot for the same epoch.
+  /// Writer-side call: not safe concurrently with mutations, and the
+  /// engine retains the newest snapshot to share from.
   [[nodiscard]] std::shared_ptr<const EngineSnapshot> freeze(
       std::uint64_t epoch);
 
@@ -187,7 +223,7 @@ class SimilarityEngine {
               std::size_t* touched_maps = nullptr) const;
 
   /// Same, with corpus row `index` as the query (no RatioMap needed; uses
-  /// the CSR row). scores_of(i)[i] is the self-similarity (1 for any
+  /// the stored row). scores_of(i)[i] is the self-similarity (1 for any
   /// non-empty live map under all three metrics). A dead row scores 0
   /// against everything.
   [[nodiscard]] std::vector<double> scores_of(std::size_t index) const;
@@ -314,32 +350,62 @@ class SimilarityEngine {
       ThreadPool* pool = nullptr) const;
 
  private:
+  friend class EngineSnapshot;  // check_invariants compares with its source
+
+  /// The writer's own state for one posting list; `list_views_` is the
+  /// kernels' flat table over the same items.
+  struct ListState {
+    std::vector<engine_detail::Posting> items;
+    std::uint32_t segment = kNoSegment;  // frozen copy's segment record
+    bool dirty = false;                  // written since the last freeze
+  };
+  /// A frozen posting segment and the number of lists whose current
+  /// frozen copy lives in it; released when that reaches zero.
+  struct FrozenSegment {
+    std::shared_ptr<const engine_detail::PostingSegment> block;
+    std::uint32_t lists = 0;
+  };
+  static constexpr std::uint32_t kNoSegment = 0xffffffffu;
+
   /// The kernels' borrowed view of this engine's storage. Valid until
   /// the next mutation; never escapes a single query call.
   [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,  rows_, entries_,      norms_,
-                                     strongest_, &replica_slot_, post_,
+    return engine_detail::CorpusView{kind_,      rows_,
+                                     norms_,     strongest_,
+                                     replica_slot_.get(), list_views_,
                                      live_rows_};
   }
 
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
-    return {entries_.data() + rows_[index].begin, rows_[index].len};
+    return {rows_[index].entries, rows_[index].len};
   }
 
-  /// Writes the view's entries as row `index`'s segment (at the tail of
-  /// entries_) and appends its postings.
+  /// Copies `src` to the arena's tail, opening a chunk when it does not
+  /// fit, and returns where it landed (nullptr for an empty row).
+  const RatioMap::Entry* append_entries(
+      std::span<const RatioMap::Entry> src);
+  /// The posting list of replica `id`, created on first sight.
+  std::uint32_t list_of(ReplicaId id);
+  void mark_dirty(std::uint32_t list);
+  /// Writes the view's entries as row `index`'s segment (at the arena's
+  /// tail) and appends its postings.
   void write_row(std::size_t index, const RowView& source);
   /// Shared slot pick + bookkeeping behind add/add_row.
   std::size_t add_impl(const RowView& source);
   /// Tombstones row `index`'s postings and orphans its entry segment.
   void tombstone_row(std::size_t index);
   void maybe_compact();
+  /// Drops list `list`'s frozen copy (`size` postings) from its segment,
+  /// releasing the segment once no list's frozen copy lives in it.
+  void retire_frozen(std::uint32_t list, std::size_t size);
+  /// freeze()'s posting half: packs the dirty lists (every list on a
+  /// repack) into one new segment and hands `snap` the list-view table.
+  void freeze_postings(EngineSnapshot& snap);
 
   SimilarityKind kind_;
 
-  // CSR corpus. Entry segments are append-only between compactions.
+  // Row tables: one arena segment per row, norms and strongest mappings.
   std::vector<engine_detail::Row> rows_;
-  std::vector<RatioMap::Entry> entries_;
   std::vector<double> norms_;       // RatioMap::norm() per row
   std::vector<double> strongest_;   // RatioMap::strongest_mapping() per row
   std::vector<std::uint32_t> free_rows_;  // dead slots, reused LIFO by add
@@ -347,35 +413,37 @@ class SimilarityEngine {
   std::size_t live_entries_ = 0;
   std::size_t dead_entries_ = 0;
 
+  // Entry arena. `chunks_` lists every chunk a row may point into and is
+  // replaced, never mutated, when a chunk opens, so snapshots share it
+  // by pointer. The writer appends at `tail_fill_` in `tail_` while
+  // readers read earlier bytes of the same chunk: no byte a published
+  // row points at is ever rewritten.
+  std::shared_ptr<const engine_detail::ChunkList> chunks_;
+  std::shared_ptr<engine_detail::EntryChunk> tail_;
+  std::size_t tail_fill_ = 0;
+
   // Inverted index: replica -> posting list. Lists keep insertion order;
   // within one replica each live row appears at most once, so posting
   // order never affects the per-map accumulation order (which follows
-  // the query's sorted entries).
-  std::unordered_map<ReplicaId, std::uint32_t> replica_slot_;
-  std::vector<engine_detail::PostingList> post_;
+  // the query's sorted entries). Once a freeze shares `replica_slot_`,
+  // it is copied before the next new replica is inserted.
+  std::shared_ptr<engine_detail::ReplicaSlots> replica_slot_;
+  bool replica_slot_frozen_ = false;
+  std::vector<ListState> lists_;
+  std::vector<engine_detail::ListView> list_views_;
   std::size_t live_replicas_ = 0;  // posting lists with live > 0
 
   MutationStats mstats_;
 
-  // Per-component dirt tracking for freeze()'s structural sharing. A
-  // component's version bumps whenever a mutation touches it: row
-  // metadata (rows_/norms_/strongest_) on add/update/remove/compact,
-  // the entry array on appends and compaction (NOT on remove — a
-  // tombstoned segment's bytes are unchanged, so remove-only churn
-  // keeps sharing the entry array), the posting index on any posting
-  // write. freeze() copies exactly the components whose version moved
-  // since the snapshot it retains was cut.
-  std::uint64_t rows_version_ = 0;
-  std::uint64_t entries_version_ = 0;
-  std::uint64_t postings_version_ = 0;
-
-  struct FreezeCache {
-    std::shared_ptr<const EngineSnapshot> snapshot;
-    std::uint64_t rows_version = 0;
-    std::uint64_t entries_version = 0;
-    std::uint64_t postings_version = 0;
-  };
-  FreezeCache freeze_cache_;
+  // Freeze state. The row tables dirty together on any row write;
+  // posting lists dirty individually (dirty_lists_). `frozen_dead_`
+  // counts the postings held in segments that no list's current frozen
+  // copy uses — the repack rule's dead weight.
+  bool rows_dirty_ = false;
+  std::vector<std::uint32_t> dirty_lists_;
+  std::vector<FrozenSegment> segments_;  // null blocks are free records
+  std::size_t frozen_dead_ = 0;
+  std::shared_ptr<const EngineSnapshot> frozen_;  // the newest snapshot
 };
 
 }  // namespace crp::core

@@ -138,6 +138,9 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
   } else {
     const std::size_t slot = engine_.add(report.map);
     slot_of_.emplace(report.node_id, slot);
+    // index_at may swap by_id_ for a copy, so it runs first.
+    const auto at = index_at(report.node_id);
+    by_id_->insert(at, static_cast<std::uint32_t>(slot));
     SlotRec rec{report.node_id, report.when};
     if (slot == slots_.size()) {
       slots_.push_back(std::move(rec));
@@ -165,6 +168,18 @@ bool PositionService::publish_encoded(std::string_view bytes, SimTime now) {
     return false;
   }
   return publish(std::move(*report), now);
+}
+
+std::vector<std::uint32_t>::iterator PositionService::index_at(
+    const std::string& node_id) {
+  if (by_id_frozen_) {
+    by_id_ = std::make_shared<std::vector<std::uint32_t>>(*by_id_);
+    by_id_frozen_ = false;
+  }
+  return std::lower_bound(by_id_->begin(), by_id_->end(), node_id,
+                          [this](std::uint32_t slot, const std::string& id) {
+                            return slots_[slot].id < id;
+                          });
 }
 
 std::size_t PositionService::publish_batch(std::span<const std::string> batch,
@@ -198,6 +213,8 @@ bool PositionService::drop_node(const std::string& node_id) {
   // Unknown id: membership is unchanged, so the cached clustering stays
   // valid — bumping the epoch here would force a needless recluster.
   if (it == slot_of_.end()) return false;
+  const auto at = index_at(node_id);
+  by_id_->erase(at);
   engine_.remove(it->second);
   slots_[it->second] = SlotRec{};
   slot_of_.erase(it);
@@ -217,6 +234,8 @@ void PositionService::reset(SimTime now) {
   reports_.clear();
   slot_of_.clear();
   slots_.clear();
+  by_id_ = std::make_shared<std::vector<std::uint32_t>>();
+  by_id_frozen_ = false;
   engine_.clear(config_.metric);
   // Fresh generation, not a mutation: snapshots holding the pre-crash
   // clustering keep it alive untouched.
@@ -569,22 +588,12 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     // on every accepted publish, updates included), so the node table
     // is shared, not rebuilt.
     snap->slots_ = prev->slots_;
-    snap->by_id_ = prev->by_id_;
   } else {
-    auto by_id = std::make_shared<std::vector<std::uint32_t>>();
-    by_id->reserve(reports_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!slots_[i].id.empty()) {
-        by_id->push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    std::sort(by_id->begin(), by_id->end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                return slots_[a].id < slots_[b].id;
-              });
     snap->slots_ = std::make_shared<const std::vector<SlotRec>>(slots_);
-    snap->by_id_ = std::move(by_id);
   }
+  // The id index is shared until a node joins or leaves.
+  snap->by_id_ = by_id_;
+  by_id_frozen_ = true;
   if (config_.snapshots.clustering) {
     ensure_clustering(now);
     snap->clustering_ = clustering_;

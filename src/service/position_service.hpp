@@ -470,6 +470,10 @@ class PositionService {
   [[nodiscard]] std::vector<RankedNode> rank_candidates(
       std::size_t client_slot, std::span<const serving_detail::Vetted> vetted,
       std::span<const std::size_t> slots, std::size_t k) const;
+  /// Where `node_id` sits (or would sit) in by_id_, for an insert or an
+  /// erase: by_id_ is copied first if a snapshot shares it.
+  [[nodiscard]] std::vector<std::uint32_t>::iterator index_at(
+      const std::string& node_id);
   /// Recomputes the cached clustering if membership changed or the cache
   /// aged out. The clustering covers every engine row (stale-but-known
   /// nodes included); answers filter liveness afterwards.
@@ -484,6 +488,13 @@ class PositionService {
   core::SimilarityEngine engine_;
   std::unordered_map<std::string, std::size_t> slot_of_;
   std::vector<serving_detail::SlotRec> slots_;
+  // Occupied slots sorted by node id — the index a snapshot's find()
+  // binary-searches. Kept sorted by insert/erase at lower_bound as nodes
+  // join and leave; once a snapshot shares it, the next join or leave
+  // edits a copy (index_at).
+  std::shared_ptr<std::vector<std::uint32_t>> by_id_ =
+      std::make_shared<std::vector<std::uint32_t>>();
+  bool by_id_frozen_ = false;
 
   // Cached clustering over the engine corpus. The clusterer lives here
   // so its center/singleton index allocations survive across rebuilds.

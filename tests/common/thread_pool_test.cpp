@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -90,6 +91,44 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineOnWorkers) {
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedParallelForRunsInlineOnCaller) {
+  // The sharded write path: an outer range over shards, each shard
+  // issuing its own nested range on the same pool. With one worker busy
+  // on the outer range, a nested call from the caller's share must run
+  // inline — were it to enqueue a helper, the caller would wait for the
+  // worker to finish its whole outer index first. The worker's body
+  // waits (bounded) for the caller's nested call to return.
+  ThreadPool pool{1};
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_in{false};
+  std::atomic<bool> nested_done{false};
+  std::atomic<bool> worker_saw_nested{false};
+  const auto wait_for = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds{5};
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return flag.load();
+  };
+  pool.parallel_for(0, 2, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) {
+      worker_in = true;
+      worker_saw_nested = wait_for(nested_done);
+      return;
+    }
+    // Let the worker claim the other index before nesting.
+    (void)wait_for(worker_in);
+    std::atomic<int> inner{0};
+    pool.parallel_for(0, 4, [&](std::size_t) { inner.fetch_add(1); });
+    EXPECT_EQ(inner.load(), 4);
+    nested_done = true;
+  });
+  EXPECT_TRUE(worker_in.load());
+  EXPECT_TRUE(worker_saw_nested.load())
+      << "the caller's nested parallel_for waited on the busy worker";
 }
 
 TEST(ThreadPoolTest, ReusableAcrossCalls) {

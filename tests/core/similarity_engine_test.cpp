@@ -4,8 +4,14 @@
 
 #include "core/engine_snapshot.hpp"
 
+#include <atomic>
+#include <bit>
+#include <deque>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -461,6 +467,7 @@ TEST_P(MutationOracleTest, MutateVsRebuildOracle) {
           slots[*slot].reset();
         }
       }
+      ASSERT_NO_THROW(engine.check_invariants()) << "step " << step;
     }
 
     // Rebuild from the live maps in slot order.
@@ -668,10 +675,13 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
       } else {
         engine.remove(slot);
       }
+      ASSERT_NO_THROW(engine.check_invariants());
     }
     const std::uint64_t epoch = 100 + static_cast<std::uint64_t>(trial);
     const auto snap = engine.freeze(epoch);
     ASSERT_NE(snap, nullptr);
+    ASSERT_NO_THROW(snap->check_invariants(&engine));
+    ASSERT_NO_THROW(engine.check_invariants());
     EXPECT_EQ(snap->epoch(), epoch);
     EXPECT_EQ(snap->size(), engine.size());
     EXPECT_EQ(snap->live_size(), engine.live_size());
@@ -716,8 +726,10 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     const auto before = snap->scores(probe);
     for (int m = 0; m < 6; ++m) {
       (void)engine.add(random_corpus(rng, 1, 30)[0]);
+      ASSERT_NO_THROW(engine.check_invariants());
     }
     EXPECT_EQ(snap->scores(probe), before);
+    ASSERT_NO_THROW(snap->check_invariants());
     // add() may reuse tombstoned slots, so compare live counts.
     EXPECT_NE(engine.live_size(), snap->live_size());
   }
@@ -757,18 +769,270 @@ TEST(EngineSnapshotTest, RemoveOnlyChurnSharesEntryArray) {
   engine.remove(victim);
   const auto s2 = engine.freeze(2);
   // A remove tombstones in place: row metadata and postings dirty, but
-  // the CSR entry bytes are untouched — that component is shared.
+  // the arena bytes are untouched — the chunks are shared.
   EXPECT_NE(s2->rows_identity(), s1->rows_identity());
   EXPECT_NE(s2->postings_identity(), s1->postings_identity());
   EXPECT_EQ(s2->entries_identity(), s1->entries_identity());
   EXPECT_EQ(s2->live_size(), s1->live_size() - 1);
 
-  // An add appends entries: every component dirties.
+  // An add appends into the tail chunk every snapshot shares: rows and
+  // postings dirty, the arena is still shared.
   (void)engine.add(map_of({{ReplicaId{4}, 1.0}}));
   const auto s3 = engine.freeze(3);
   EXPECT_NE(s3->rows_identity(), s2->rows_identity());
-  EXPECT_NE(s3->entries_identity(), s2->entries_identity());
+  EXPECT_EQ(s3->entries_identity(), s2->entries_identity());
   EXPECT_NE(s3->postings_identity(), s2->postings_identity());
+
+  // Compaction repacks into a fresh arena; the held snapshots keep the
+  // old chunks and still answer as frozen.
+  const auto probe = map_of({{ReplicaId{2}, 0.5}, {ReplicaId{3}, 0.5}});
+  const auto s1_scores = s1->scores(probe);
+  engine.compact();
+  const auto s4 = engine.freeze(4);
+  EXPECT_NE(s4->entries_identity(), s3->entries_identity());
+  EXPECT_EQ(s1->scores(probe), s1_scores);
+  EXPECT_EQ(s4->scores(probe), engine.scores(probe));
+  ASSERT_NO_THROW(s4->check_invariants(&engine));
+  ASSERT_NO_THROW(s1->check_invariants());
+}
+
+// --- freeze work: a republish copies what the writes since the previous
+// --- freeze touched, nothing more ---
+
+TEST(EngineSnapshotTest, FreezeCopiesOnlyTheListsAWriteTouched) {
+  SimilarityEngine engine{SimilarityKind::kCosine};
+  (void)engine.add(map_of({{ReplicaId{1}, 0.5}, {ReplicaId{2}, 0.5}}));
+  const std::size_t row =
+      engine.add(map_of({{ReplicaId{2}, 0.5}, {ReplicaId{3}, 0.5}}));
+  const std::size_t other =
+      engine.add(map_of({{ReplicaId{3}, 0.5}, {ReplicaId{4}, 0.5}}));
+  (void)engine.add(map_of({{ReplicaId{5}, 1.0}}));
+  (void)engine.freeze(1);
+  const auto frozen = [&engine] {
+    return engine.mutation_stats().postings_frozen;
+  };
+
+  // Update {2, 3} -> {3, 6}: lists 2 (row 0, dead), 3 (dead, row 2,
+  // new) and 6 (new) — 2 + 3 + 1 postings, tombstones included. Lists 1,
+  // 4 and 5 stay shared.
+  std::uint64_t before = frozen();
+  engine.update(row, map_of({{ReplicaId{3}, 0.5}, {ReplicaId{6}, 0.5}}));
+  auto snap = engine.freeze(2);
+  EXPECT_EQ(frozen() - before, 6u);
+  ASSERT_NO_THROW(snap->check_invariants(&engine));
+
+  // Remove {3, 4}: lists 3 (now 3 postings) and 4 (1) only.
+  before = frozen();
+  engine.remove(other);
+  snap = engine.freeze(3);
+  EXPECT_EQ(frozen() - before, 4u);
+  ASSERT_NO_THROW(snap->check_invariants(&engine));
+
+  // Nothing written: a re-freeze copies no posting.
+  before = frozen();
+  const auto again = engine.freeze(4);
+  EXPECT_EQ(frozen() - before, 0u);
+  EXPECT_EQ(again->postings_identity(), snap->postings_identity());
+  EXPECT_EQ(engine.mutation_stats().repacks, 0u);
+  ASSERT_NO_THROW(engine.check_invariants());
+}
+
+/// Every answer a corpus gives `queries` — dense scores, touched scores,
+/// top-k and best match — plus every 8th row's own touched scores and
+/// best match (reads of the row's arena bytes), flattened to bit
+/// patterns in answer order, so equality means equal bits in equal
+/// order.
+template <typename Corpus>
+std::vector<std::uint64_t> answer_bits(const Corpus& corpus,
+                                       std::span<const RatioMap> queries) {
+  std::vector<std::uint64_t> bits;
+  const auto ranked = [&bits](const RankedCandidate& rc) {
+    bits.push_back(rc.index);
+    bits.push_back(std::bit_cast<std::uint64_t>(rc.similarity));
+  };
+  std::vector<RankedCandidate> touched;
+  for (std::size_t row = 0; row < corpus.size(); row += 8) {
+    corpus.touched_scores(corpus.row_view(row), touched);
+    bits.push_back(touched.size());
+    for (const RankedCandidate& rc : touched) ranked(rc);
+    const auto best = corpus.best_match(corpus.row_view(row));
+    bits.push_back(best.has_value() ? 1 : 0);
+    if (best.has_value()) ranked(*best);
+  }
+  for (const RatioMap& q : queries) {
+    const RowView view{q.entries(), q.norm(), q.strongest_mapping()};
+    for (const double score : corpus.scores(q)) {
+      bits.push_back(std::bit_cast<std::uint64_t>(score));
+    }
+    corpus.touched_scores(view, touched);
+    bits.push_back(touched.size());
+    for (const RankedCandidate& rc : touched) ranked(rc);
+    const auto top = corpus.top_k(q, 5);
+    bits.push_back(top.size());
+    for (const RankedCandidate& rc : top) ranked(rc);
+    const auto best = corpus.best_match(view);
+    bits.push_back(best.has_value() ? 1 : 0);
+    if (best.has_value()) ranked(*best);
+  }
+  return bits;
+}
+
+/// One seeded write against `engine` — add, update, remove, or (rarely)
+/// an explicit compaction — drawing maps from a 96-replica id space.
+void random_write(SimilarityEngine& engine, Rng& rng) {
+  const auto live_row = [&]() -> std::optional<std::size_t> {
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < engine.size(); ++i) {
+      if (engine.alive(i)) live.push_back(i);
+    }
+    if (live.empty()) return std::nullopt;
+    return live[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  };
+  const double action = rng.uniform(0.0, 1.0);
+  if (action < 0.02) {
+    engine.compact();
+  } else if (action < 0.35) {
+    (void)engine.add(random_corpus(rng, 1, 96)[0]);
+  } else if (const auto row = live_row()) {
+    if (action < 0.85) {
+      engine.update(*row, random_corpus(rng, 1, 96)[0]);
+    } else {
+      engine.remove(*row);
+    }
+  }
+}
+
+struct HeldGeneration {
+  std::shared_ptr<const EngineSnapshot> snap;
+  std::vector<std::uint64_t> answers;  // the engine's, at the freeze
+};
+
+// The multi-generation contract: while the writer keeps appending into
+// the arena chunks held snapshots share, compacts, clears and repacks,
+// each of the 8 newest snapshots answers exactly as it did when frozen.
+TEST_P(EngineSnapshotTest, HeldGenerationsAnswerAsFrozen) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{9301 + static_cast<std::uint64_t>(kind)};
+  SimilarityEngine engine{kind};
+  const auto queries = random_corpus(rng, 6, 96);
+  std::deque<HeldGeneration> held;
+  std::uint64_t epoch = 0;
+  std::uint64_t repacks = 0;
+  std::uint64_t compactions = 0;
+  const auto fold_stats = [&] {  // clear() restarts the engine's counters
+    repacks += engine.mutation_stats().repacks;
+    compactions += engine.mutation_stats().compactions;
+  };
+  const auto bulk_add = [&] {
+    for (const RatioMap& map : random_corpus(rng, 120, 96)) {
+      (void)engine.add(map);
+    }
+  };
+
+  bulk_add();
+  for (int step = 0; step < 700; ++step) {
+    if (step == 350) {
+      fold_stats();
+      engine.clear(kind);
+      bulk_add();
+    } else {
+      random_write(engine, rng);
+    }
+    ASSERT_NO_THROW(engine.check_invariants()) << "step " << step;
+    if (rng.uniform(0.0, 1.0) < 0.5) {
+      auto snap = engine.freeze(++epoch);
+      ASSERT_NO_THROW(snap->check_invariants(&engine)) << "step " << step;
+      ASSERT_NO_THROW(engine.check_invariants()) << "step " << step;
+      held.push_back({snap, answer_bits(engine, queries)});
+      ASSERT_EQ(answer_bits(*snap, queries), held.back().answers);
+      if (held.size() > 8) held.pop_front();
+    }
+    for (const HeldGeneration& gen : held) {
+      ASSERT_NO_THROW(gen.snap->check_invariants());
+      ASSERT_EQ(answer_bits(*gen.snap, queries), gen.answers)
+          << "epoch " << gen.snap->epoch() << " drifted at step " << step;
+    }
+  }
+  fold_stats();
+  EXPECT_GE(repacks, 1u) << "the run never repacked its frozen postings";
+  EXPECT_GE(compactions, 1u) << "the run never compacted";
+}
+
+// The same contract under real concurrency: two readers query held
+// generations while the writer appends into the tail chunk they share,
+// compacts and repacks. Meant for ThreadSanitizer as much as for the
+// answer check.
+TEST(EngineSnapshotTest, ReadersQueryHeldGenerationsWhileWriterAppends) {
+  Rng rng{4242};
+  SimilarityEngine engine{SimilarityKind::kCosine};
+  const auto queries = random_corpus(rng, 4, 96);
+  for (const RatioMap& map : random_corpus(rng, 120, 96)) {
+    (void)engine.add(map);
+  }
+
+  std::mutex mu;
+  std::deque<HeldGeneration> held;  // guarded by mu
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> checks{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  const auto reader = [&](std::uint64_t seed) {
+    Rng pick{seed};
+    while (!stop.load()) {
+      HeldGeneration gen;
+      {
+        std::lock_guard<std::mutex> lock{mu};
+        if (held.empty()) continue;
+        gen = held[static_cast<std::size_t>(pick.uniform_int(
+            0, static_cast<std::int64_t>(held.size()) - 1))];
+      }
+      // Reads every row's bytes, some in the chunk the writer appends to.
+      try {
+        gen.snap->check_invariants();
+        if (answer_bits(*gen.snap, queries) != gen.answers) {
+          mismatches.fetch_add(1);
+        }
+      } catch (const std::logic_error&) {
+        mismatches.fetch_add(1);
+      }
+      checks.fetch_add(1);
+    }
+  };
+  std::thread r1{reader, 1};
+  std::thread r2{reader, 2};
+
+  std::string broken;  // the writer's first failed check, if any
+  for (int step = 0; step < 400 && broken.empty(); ++step) {
+    random_write(engine, rng);
+    if (step % 2 == 0) {
+      HeldGeneration gen{engine.freeze(static_cast<std::uint64_t>(step)),
+                         answer_bits(engine, queries)};
+      try {
+        gen.snap->check_invariants(&engine);
+      } catch (const std::logic_error& e) {
+        broken = e.what();
+        break;
+      }
+      std::lock_guard<std::mutex> lock{mu};
+      held.push_back(std::move(gen));
+      if (held.size() > 8) held.pop_front();
+    }
+  }
+  // Let the readers see the last generations before stopping them.
+  const std::uint64_t seen = checks.load();
+  while (broken.empty() && checks.load() < seen + 16) {
+    std::this_thread::yield();
+  }
+  stop = true;
+  r1.join();
+  r2.join();
+
+  ASSERT_EQ(broken, "");
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(checks.load(), 0u);
+  EXPECT_GE(engine.mutation_stats().repacks, 1u);
+  EXPECT_GE(engine.mutation_stats().compactions, 1u);
+  ASSERT_NO_THROW(engine.check_invariants());
 }
 
 }  // namespace
