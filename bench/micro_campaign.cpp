@@ -2,13 +2,21 @@
 // sharded parallel campaign, at three corpus sizes, with the latency
 // oracle's pair cache on and off.
 //
-// For each configuration the bench reports probes/sec, the oracle
-// pair-cache hit rate, and — because speed means nothing if the answers
-// drift — cross-checks that every variant produces a ratio-map digest
-// identical to the sequential baseline (DESIGN.md §6). Feeds the
-// BENCH_probing.json snapshot; target: the parallel path ≥4x sequential
-// on 8 worker threads (on multi-core hosts; on a single core the win is
-// the pair cache, and the thread sweep measures scheduling overhead).
+// For each configuration the bench reports probes/sec, the CDN latency
+// estimates computed per probe, the oracle pair-cache hit rate, and —
+// because speed means nothing if the answers drift — cross-checks that
+// every variant produces a ratio-map digest identical to the sequential
+// baseline (DESIGN.md §6). Estimates per probe are a deterministic work
+// count: a probe's customers share one estimate per nearby candidate, so
+// it never exceeds the policy's candidate pool, for any thread count.
+// Feeds the BENCH_probing.json snapshot; target: the parallel path ≥4x
+// sequential on 8 worker threads (on multi-core hosts).
+//
+// The pair-cache toggle does not reach redirection: candidate lists carry
+// each candidate's base RTT, so `select` never reads the cache. On a
+// campaign it covers the candidate-list prewarm (one base RTT per
+// resolver and edge replica, nearly all first-time pairs) and the
+// resolvers' upstream RTTs, so the on/off rows differ by little.
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
 #include <cstdint>
@@ -91,13 +99,18 @@ RunResult run(const Corpus& corpus, Mode mode, bool pair_cache,
 
 void report(const char* label, const Corpus& corpus, const RunResult& r,
             double baseline_wall) {
+  const double estimates_per_probe =
+      r.stats.probes_issued == 0
+          ? 0.0
+          : static_cast<double>(r.stats.cdn_estimates) /
+                static_cast<double>(r.stats.probes_issued);
   std::printf(
       "  %-26s %8zu probes  %9.0f probes/s  wall %7.3f s  "
-      "speedup %5.2fx  pair-cache hit %5.1f%%\n",
+      "speedup %5.2fx  %5.1f estimates/probe  pair-cache hit %5.1f%%\n",
       label, r.stats.probes_issued, r.stats.probes_per_second(),
       r.stats.wall_seconds,
       r.stats.wall_seconds > 0.0 ? baseline_wall / r.stats.wall_seconds : 0.0,
-      100.0 * r.stats.oracle_pair_hit_rate());
+      estimates_per_probe, 100.0 * r.stats.oracle_pair_hit_rate());
   (void)corpus;
 }
 

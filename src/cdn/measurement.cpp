@@ -6,20 +6,34 @@
 
 namespace crp::cdn {
 
+namespace {
+
+constexpr std::uint64_t kMeasureTag = stable_hash("cdn-measure");
+
+}  // namespace
+
 MeasurementSystem::MeasurementSystem(const netsim::LatencyOracle& oracle,
                                      MeasurementConfig config)
     : oracle_(&oracle), config_(config) {}
 
 double MeasurementSystem::estimate_ms(HostId resolver, HostId replica_host,
                                       SimTime t) const {
+  return estimate_ms(resolver, replica_host, t,
+                     oracle_->base_rtt_ms(resolver, replica_host));
+}
+
+double MeasurementSystem::estimate_ms(HostId resolver, HostId replica_host,
+                                      SimTime t, double base_rtt_ms) const {
+  estimates_.add();
   const std::int64_t epoch =
       t.micros() / std::max<std::int64_t>(1, config_.refresh.micros());
   // The estimate was taken at the start of the epoch...
   const SimTime sample_time{epoch * config_.refresh.micros()};
-  const double true_rtt = oracle_->rtt_ms(resolver, replica_host, sample_time);
+  const double true_rtt =
+      oracle_->rtt_ms(resolver, replica_host, sample_time, base_rtt_ms);
   // ...with measurement noise frozen for the epoch.
   const std::uint64_t h = hash_combine(
-      {config_.seed, stable_hash("cdn-measure"), resolver.value(),
+      {config_.seed, kMeasureTag, resolver.value(),
        replica_host.value(), static_cast<std::uint64_t>(epoch)});
   double u1 = hash_to_unit(h);
   const double u2 = hash_to_unit(hash_mix(h ^ 0xdeadbeefULL));

@@ -5,13 +5,16 @@
 // The estimates are imperfect: they refresh on an epoch (not continuously)
 // and carry multiplicative measurement noise. Both imperfections are
 // modelled as pure hash functions of (resolver, replica, epoch), keeping
-// the whole subsystem stateless and deterministic.
+// the whole subsystem stateless and deterministic. The only mutable state
+// is a thread-sharded count of the estimates computed (observability).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
+#include "common/sharded_counter.hpp"
 #include "common/time.hpp"
 #include "netsim/latency_model.hpp"
 
@@ -32,15 +35,31 @@ class MeasurementSystem {
                     MeasurementConfig config);
 
   /// The CDN's current latency estimate between a client resolver and a
-  /// replica host, in milliseconds.
+  /// replica host, in milliseconds. Equals the four-argument form called
+  /// with `oracle.base_rtt_ms(resolver, replica_host)`.
   [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
                                    SimTime t) const;
+
+  /// The same estimate for a caller that already holds the pair's static
+  /// RTT: `base_rtt_ms` must be the value the oracle's `base_rtt_ms`
+  /// returns for the pair.
+  [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
+                                   SimTime t, double base_rtt_ms) const;
+
+  /// Estimates computed so far, by either form: the work redirection
+  /// asks of the subsystem. Counted per thread and merged on read, like
+  /// the CDN authoritative's query count, so concurrent callers count
+  /// without sharing a cache line.
+  [[nodiscard]] std::size_t estimates_computed() const {
+    return estimates_.total();
+  }
 
   [[nodiscard]] const MeasurementConfig& config() const { return config_; }
 
  private:
   const netsim::LatencyOracle* oracle_;
   MeasurementConfig config_;
+  mutable ShardedCounter estimates_;
 };
 
 }  // namespace crp::cdn

@@ -1,8 +1,11 @@
 #include "cdn/redirection.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/thread_pool.hpp"
 #include "netsim/geo.hpp"
@@ -16,9 +19,9 @@ namespace {
 /// and inserts the results in resolver order. Since the computation is a
 /// pure per-resolver function, prewarmed content is exactly what a lazy
 /// fill would have produced.
-template <typename MakeFn>
+template <typename Entry, typename MakeFn>
 void prewarm_cache(
-    std::unordered_map<crp::HostId, std::vector<ReplicaId>>& cache,
+    std::unordered_map<crp::HostId, std::vector<Entry>>& cache,
     std::span<const crp::HostId> resolvers, crp::ThreadPool* pool,
     MakeFn make) {
   std::vector<crp::HostId> missing;
@@ -27,7 +30,7 @@ void prewarm_cache(
     if (!cache.contains(r)) missing.push_back(r);
   }
   if (missing.empty()) return;
-  std::vector<std::vector<ReplicaId>> lists(missing.size());
+  std::vector<std::vector<Entry>> lists(missing.size());
   const auto fill = [&](std::size_t i) { lists[i] = make(missing[i]); };
   if (pool != nullptr) {
     pool->parallel_for(0, missing.size(), fill);
@@ -40,10 +43,12 @@ void prewarm_cache(
   }
 }
 
-/// Nearest `pool` replicas (edge only) to `resolver` under `cost`.
-template <typename CostFn>
-std::vector<ReplicaId> nearest_replicas(const Deployment& deployment,
-                                        std::size_t pool, CostFn cost) {
+/// Nearest `pool` edge replicas under `cost`, nearest first, each turned
+/// into a list entry by `make(replica, cost)`. The list is reserved
+/// exactly: policies keep one per resolver.
+template <typename CostFn, typename MakeFn>
+auto nearest_replicas(const Deployment& deployment, std::size_t pool,
+                      CostFn cost, MakeFn make) {
   std::vector<std::pair<double, ReplicaId>> ranked;
   ranked.reserve(deployment.size());
   for (const ReplicaServer& r : deployment.replicas()) {
@@ -53,14 +58,48 @@ std::vector<ReplicaId> nearest_replicas(const Deployment& deployment,
   const std::size_t keep = std::min(pool, ranked.size());
   std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(keep),
                     ranked.end());
-  std::vector<ReplicaId> out;
+  std::vector<std::invoke_result_t<MakeFn, const ReplicaServer&, double>> out;
   out.reserve(keep);
-  for (std::size_t i = 0; i < keep; ++i) out.push_back(ranked[i].second);
+  for (std::size_t i = 0; i < keep; ++i) {
+    out.push_back(make(deployment.replica(ranked[i].second), ranked[i].first));
+  }
   return out;
 }
 
 std::int64_t epoch_index(SimTime t, Duration epoch) {
   return t.micros() / std::max<std::int64_t>(1, epoch.micros());
+}
+
+constexpr std::uint64_t kRedirectTag = stable_hash("redirect");
+
+std::atomic<std::uint64_t> g_next_policy_id{1};
+
+/// Per-thread estimate memo of the latency-driven policies (DESIGN.md §6).
+/// It holds the estimates of one (policy, resolver, now) key, one slot
+/// per candidate-list index, filled only when a select needs the slot.
+/// Thread-local like the oracle's pair cache, so a select after `prepare`
+/// still mutates no shared state.
+struct EstimateMemo {
+  static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();
+
+  std::uint64_t policy_id = 0;  // 0 = empty (policy ids start at 1)
+  HostId resolver;
+  SimTime now;
+  std::vector<double> estimates;
+
+  /// Switches to the key, emptying every slot unless it already holds it.
+  void bind(std::uint64_t id, HostId r, SimTime t, std::size_t candidates) {
+    if (id == policy_id && r == resolver && t == now) return;
+    policy_id = id;
+    resolver = r;
+    now = t;
+    estimates.assign(candidates, kUnset);
+  }
+};
+
+EstimateMemo& estimate_memo() {
+  thread_local EstimateMemo memo;
+  return memo;
 }
 
 }  // namespace
@@ -75,18 +114,32 @@ LatencyDrivenPolicy::LatencyDrivenPolicy(const netsim::LatencyOracle& oracle,
     : oracle_(&oracle),
       deployment_(&deployment),
       measurement_(&measurement),
-      config_(config) {}
+      config_(config),
+      policy_id_(g_next_policy_id.fetch_add(1, std::memory_order_relaxed)) {
+  // A rotation draws from at most `candidate_pool` ranks.
+  const std::size_t ranks =
+      std::min(config_.rotation_pool, config_.candidate_pool);
+  rotation_weights_.reserve(ranks);
+  for (std::size_t i = 0; i < ranks; ++i) {
+    rotation_weights_.push_back(
+        std::pow(1.0 + static_cast<double>(i), -config_.rank_exponent));
+  }
+}
 
-std::vector<ReplicaId> LatencyDrivenPolicy::nearest_for(
+std::vector<LatencyDrivenPolicy::Candidate> LatencyDrivenPolicy::nearest_for(
     HostId resolver) const {
   return nearest_replicas(
-      *deployment_, config_.candidate_pool, [&](const ReplicaServer& r) {
+      *deployment_, config_.candidate_pool,
+      [&](const ReplicaServer& r) {
         return oracle_->base_rtt_ms(resolver, r.host);
+      },
+      [](const ReplicaServer& r, double base_rtt_ms) {
+        return Candidate{r.id, r.host, base_rtt_ms};
       });
 }
 
-const std::vector<ReplicaId>& LatencyDrivenPolicy::candidates(
-    HostId resolver) {
+const std::vector<LatencyDrivenPolicy::Candidate>&
+LatencyDrivenPolicy::candidates(HostId resolver) {
   const auto it = candidate_cache_.find(resolver);
   if (it != candidate_cache_.end()) return it->second;
   return candidate_cache_.emplace(resolver, nearest_for(resolver))
@@ -105,20 +158,35 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   if (count <= 0) return {};
 
   // Candidates near this resolver that also serve this customer, ranked
-  // by the measurement subsystem's *current* estimate.
+  // by the measurement subsystem's *current* estimate. Only served and
+  // available candidates are estimated, each at most once per memo key.
+  const std::vector<Candidate>& near = candidates(resolver);
+  EstimateMemo& memo = estimate_memo();
+  memo.bind(policy_id_, resolver, now, near.size());
   std::vector<std::pair<double, ReplicaId>> ranked;
-  for (ReplicaId id : candidates(resolver)) {
-    if (!customer.serves(id)) continue;
-    if (health_ != nullptr && !health_->available(id, now)) continue;
-    ranked.emplace_back(
-        measurement_->estimate_ms(resolver, deployment_->replica(id).host,
-                                  now),
-        id);
+  ranked.reserve(near.size());
+  for (std::size_t i = 0; i < near.size(); ++i) {
+    const Candidate& c = near[i];
+    if (!customer.serves(c.id)) continue;
+    if (health_ != nullptr && !health_->available(c.id, now)) continue;
+    double& estimate = memo.estimates[i];
+    if (std::isnan(estimate)) {
+      estimate =
+          measurement_->estimate_ms(resolver, c.host, now, c.base_rtt_ms);
+    }
+    ranked.emplace_back(estimate, c.id);
   }
-  std::sort(ranked.begin(), ranked.end());
+  // Only the front (the coverage test) and the rotation pool are read.
+  // (estimate, id) is a strict total order over distinct candidates, so
+  // sorting just that prefix gives a full sort's prefix.
+  const std::size_t pool = std::min(config_.rotation_pool, ranked.size());
+  const std::size_t head =
+      std::min(std::max<std::size_t>(pool, 1), ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(head),
+                    ranked.end());
 
   const std::int64_t epoch = epoch_index(now, config_.rotation_epoch);
-  Rng rng{hash_combine({config_.seed, stable_hash("redirect"),
+  Rng rng{hash_combine({config_.seed, kRedirectTag,
                         resolver.value(),
                         static_cast<std::uint64_t>(customer.index),
                         static_cast<std::uint64_t>(epoch)})};
@@ -158,16 +226,11 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   // Rotation: draw `count` distinct replicas from the top of the ranking,
   // weighted toward the best. This is the load-balancing rotation that
   // turns redirections into frequency distributions (ratio maps).
-  const std::size_t pool = std::min(config_.rotation_pool, ranked.size());
-  std::vector<double> weights(pool);
-  for (std::size_t i = 0; i < pool; ++i) {
-    weights[i] =
-        std::pow(1.0 + static_cast<double>(i), -config_.rank_exponent);
-  }
+  std::vector<double> w(rotation_weights_.begin(),
+                        rotation_weights_.begin() + static_cast<long>(pool));
   std::vector<ReplicaId> out;
   const auto want =
       std::min<std::size_t>(static_cast<std::size_t>(count), pool);
-  std::vector<double> w = weights;
   for (std::size_t pick = 0; pick < want; ++pick) {
     const std::size_t idx = rng.weighted_index(w);
     out.push_back(ranked[idx].second);
@@ -183,9 +246,11 @@ GeoStaticPolicy::GeoStaticPolicy(const netsim::Topology& topo,
 std::vector<ReplicaId> GeoStaticPolicy::nearest_for(HostId resolver) const {
   const netsim::GeoPoint where = topo_->host(resolver).location;
   return nearest_replicas(
-      *deployment_, 32, [&](const ReplicaServer& r) {
+      *deployment_, 32,
+      [&](const ReplicaServer& r) {
         return netsim::great_circle_km(where, topo_->host(r.host).location);
-      });
+      },
+      [](const ReplicaServer& r, double /*km*/) { return r.id; });
 }
 
 void GeoStaticPolicy::prepare(std::span<const HostId> resolvers,

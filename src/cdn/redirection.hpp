@@ -49,6 +49,8 @@ class RedirectionPolicy {
   /// after which `select` for those resolvers never mutates shared state
   /// and may be called concurrently. Cached state is a pure per-resolver
   /// function, so prewarming never changes what `select` answers.
+  /// Per-thread state (the latency-driven estimate memo) is not shared
+  /// state: it needs no prewarming and is never visible to other threads.
   /// Default: no-op (stateless policies are already safe).
   virtual void prepare(std::span<const HostId> resolvers, ThreadPool* pool);
 
@@ -77,11 +79,28 @@ struct LatencyPolicyConfig {
 /// Latency-driven redirection with load-balancing rotation (the premise).
 class LatencyDrivenPolicy final : public RedirectionPolicy {
  public:
+  /// One entry of a resolver's candidate list: a nearby edge replica, its
+  /// host, and the pair's static RTT exactly as `base_rtt_ms(resolver,
+  /// host)` returns it (the ranking key the list was built by).
+  struct Candidate {
+    ReplicaId id;
+    HostId host;
+    double base_rtt_ms = 0.0;
+  };
+
   LatencyDrivenPolicy(const netsim::LatencyOracle& oracle,
                       const Deployment& deployment,
                       const MeasurementSystem& measurement,
                       LatencyPolicyConfig config = {});
 
+  /// Ranks the candidates near `resolver` that serve `customer` and are
+  /// available at `now` by the measurement subsystem's current estimate,
+  /// then draws `count` of the best `rotation_pool` with rank weights.
+  /// Estimates are read through a per-thread memo keyed by (this policy,
+  /// `resolver`, `now`), so consecutive selects for one resolver at one
+  /// instant — a probe's customers — compute each candidate's estimate
+  /// once. An estimate is a pure function of that key and the replica, so
+  /// the memo never changes an answer.
   [[nodiscard]] std::vector<ReplicaId> select(HostId resolver,
                                               const Customer& customer,
                                               SimTime now,
@@ -91,23 +110,30 @@ class LatencyDrivenPolicy final : public RedirectionPolicy {
     return "latency-driven";
   }
 
-  /// Nearest-replica candidate list for a resolver (computed once, then
+  /// The resolver's `candidate_pool` nearest edge replicas by static RTT,
+  /// nearest first, each with its host and base RTT (computed once, then
   /// cached). Exposed for tests.
-  [[nodiscard]] const std::vector<ReplicaId>& candidates(HostId resolver);
+  [[nodiscard]] const std::vector<Candidate>& candidates(HostId resolver);
 
   /// Attaches an availability tracker; unavailable replicas are never
   /// answered. `health` must outlive the policy (nullptr detaches).
   void set_health(const ReplicaHealth* health) { health_ = health; }
 
  private:
-  [[nodiscard]] std::vector<ReplicaId> nearest_for(HostId resolver) const;
+  [[nodiscard]] std::vector<Candidate> nearest_for(HostId resolver) const;
 
   const netsim::LatencyOracle* oracle_;
   const Deployment* deployment_;
   const MeasurementSystem* measurement_;
   const ReplicaHealth* health_ = nullptr;
   LatencyPolicyConfig config_;
-  std::unordered_map<HostId, std::vector<ReplicaId>> candidate_cache_;
+  /// Tags this policy's entries in the per-thread estimate memo; unique
+  /// per instance and never reused, so a policy can never read another
+  /// one's estimates (a destroyed policy's included).
+  std::uint64_t policy_id_;
+  /// weight(rank) for every rank a rotation can draw from, computed once.
+  std::vector<double> rotation_weights_;
+  std::unordered_map<HostId, std::vector<Candidate>> candidate_cache_;
 };
 
 /// Geographically closest replicas, never updated: redirection carries

@@ -137,13 +137,4 @@ std::size_t Rng::weighted_index(std::span<const double> weights) {
   return weights.size() - 1;
 }
 
-std::uint64_t stable_hash(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace crp

@@ -125,6 +125,15 @@ class Rng {
 };
 
 /// Stable 64-bit hash of a string (FNV-1a), for seeding from names.
-[[nodiscard]] std::uint64_t stable_hash(std::string_view s);
+/// `constexpr`, so a tag literal hashed on a hot path can be folded into
+/// a named constant at compile time.
+[[nodiscard]] constexpr std::uint64_t stable_hash(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
 
 }  // namespace crp

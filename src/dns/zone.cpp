@@ -1,5 +1,7 @@
 #include "dns/zone.hpp"
 
+#include <algorithm>
+
 namespace crp::dns {
 
 StaticZone::StaticZone(Name apex, HostId host)
@@ -56,20 +58,33 @@ void ZoneRegistry::register_zone(const Name& suffix,
   zones_[suffix] = server;
 }
 
+std::size_t ZoneRegistry::LabelsHash::operator()(
+    Labels labels) const noexcept {
+  // FNV-1a over the labels, each closed by a separator.
+  std::size_t h = 14695981039346656037ULL;
+  for (const std::string& label : labels) {
+    for (const char c : label) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    h ^= '.';
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+bool ZoneRegistry::LabelsEqual::operator()(Labels a, Labels b) const {
+  return std::ranges::equal(a, b);
+}
+
 AuthoritativeServer* ZoneRegistry::find(const Name& name) const {
-  // Try progressively shorter suffixes of `name` (most specific first).
-  const auto labels = name.labels();
+  // Try progressively shorter label suffixes of `name`, most specific
+  // first; the last, empty suffix is the root. Labels are stored parsed
+  // (lower-case, no dots), so matching them one by one finds exactly the
+  // zone that re-parsing each dotted suffix would.
+  const Labels labels = name.labels();
   for (std::size_t drop = 0; drop <= labels.size(); ++drop) {
-    Name candidate;
-    if (drop < labels.size()) {
-      std::string text;
-      for (std::size_t i = drop; i < labels.size(); ++i) {
-        if (!text.empty()) text += '.';
-        text += labels[i];
-      }
-      candidate = Name::parse(text);
-    }  // drop == labels.size(): root
-    const auto it = zones_.find(candidate);
+    const auto it = zones_.find(labels.subspan(drop));
     if (it != zones_.end()) return it->second;
   }
   return nullptr;

@@ -197,6 +197,7 @@ World::CounterBaseline World::counter_baseline() const {
     base.failed_probes += node->failed_lookups();
   }
   base.cdn_queries = cdn_queries_served();
+  base.cdn_estimates = measurement_->estimates_computed();
   const netsim::PairCacheStats pair = netsim::LatencyOracle::pair_cache_stats();
   base.pair_hits = pair.hits;
   base.pair_misses = pair.misses;
@@ -216,6 +217,7 @@ void World::finish_campaign_stats(const CounterBaseline& before,
   campaign_stats_.resolver_cache_hits = after.hits - before.hits;
   campaign_stats_.resolver_cache_misses = after.misses - before.misses;
   campaign_stats_.cdn_queries = after.cdn_queries - before.cdn_queries;
+  campaign_stats_.cdn_estimates = after.cdn_estimates - before.cdn_estimates;
   campaign_stats_.oracle_pair_hits = after.pair_hits - before.pair_hits;
   campaign_stats_.oracle_pair_misses = after.pair_misses - before.pair_misses;
   campaign_stats_.dns_retries = after.retries - before.retries;

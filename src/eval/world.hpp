@@ -68,6 +68,10 @@ struct CampaignStats {
   std::size_t resolver_cache_misses = 0;
   /// Queries that reached the CDN's authoritative (the load CRP imposes).
   std::size_t cdn_queries = 0;
+  /// Latency estimates the CDN's measurement subsystem computed to answer
+  /// them. A deterministic work count: the parallel campaign gives the
+  /// same value for every pool size.
+  std::size_t cdn_estimates = 0;
   /// Latency-oracle pair-cache traffic during the campaign.
   std::uint64_t oracle_pair_hits = 0;
   std::uint64_t oracle_pair_misses = 0;
@@ -296,6 +300,7 @@ class World {
     std::size_t hits = 0;
     std::size_t misses = 0;
     std::size_t cdn_queries = 0;
+    std::size_t cdn_estimates = 0;
     std::uint64_t pair_hits = 0;
     std::uint64_t pair_misses = 0;
     std::size_t retries = 0;

@@ -33,6 +33,12 @@ std::int64_t epoch_of(SimTime t, Duration epoch) {
   return t.micros() / std::max<std::int64_t>(1, epoch.micros());
 }
 
+// Tags of the per-query dynamics, hashed at compile time rather than on
+// every RTT evaluation.
+constexpr std::uint64_t kCongestionTag = stable_hash("congestion");
+constexpr std::uint64_t kRouteShiftTag = stable_hash("route-shift");
+constexpr std::uint64_t kJitterTag = stable_hash("jitter");
+
 // --- per-thread base-RTT pair cache -----------------------------------
 //
 // `base_rtt_ms` is the innermost call of every RTT evaluation (probing
@@ -182,7 +188,7 @@ double LatencyOracle::congestion_extra(HostId h, SimTime t) const {
   const Host& host = topo_->host(h);
   const std::int64_t epoch = epoch_of(t, config_.congestion_epoch);
   const std::uint64_t hash =
-      hash_combine({config_.seed, stable_hash("congestion"),
+      hash_combine({config_.seed, kCongestionTag,
                     host.pop.value(), static_cast<std::uint64_t>(epoch)});
   if (hash_to_unit(hash) >= config_.congestion_probability) return 0.0;
   const double severity = hash_to_unit(hash_mix(hash ^ 0x5555aaaaULL));
@@ -199,7 +205,7 @@ double LatencyOracle::route_shift_factor(HostId a, HostId b,
   const std::uint64_t hi = std::max(ha.pop.value(), hb.pop.value());
   const std::int64_t epoch = epoch_of(t, config_.route_shift_epoch);
   const std::uint64_t h =
-      hash_combine({config_.seed, stable_hash("route-shift"), lo, hi,
+      hash_combine({config_.seed, kRouteShiftTag, lo, hi,
                     static_cast<std::uint64_t>(epoch)});
   return std::exp(config_.route_shift_sigma * hash_normal(h));
 }
@@ -209,14 +215,18 @@ double LatencyOracle::jitter_factor(HostId a, HostId b, SimTime t) const {
   const auto [lo, hi] = ordered(a, b);
   const std::int64_t epoch = epoch_of(t, config_.jitter_epoch);
   const std::uint64_t h =
-      hash_combine({config_.seed, stable_hash("jitter"), lo, hi,
+      hash_combine({config_.seed, kJitterTag, lo, hi,
                     static_cast<std::uint64_t>(epoch)});
   return std::exp(config_.jitter_sigma * hash_normal(h));
 }
 
 double LatencyOracle::rtt_ms(HostId a, HostId b, SimTime t) const {
+  return rtt_ms(a, b, t, base_rtt_ms(a, b));
+}
+
+double LatencyOracle::rtt_ms(HostId a, HostId b, SimTime t,
+                             double base) const {
   if (a == b) return 0.0;
-  const double base = base_rtt_ms(a, b);
   const double congestion =
       1.0 + congestion_extra(a, t) + congestion_extra(b, t);
   return base * congestion * jitter_factor(a, b, t) *

@@ -72,8 +72,12 @@ struct LatencyConfig {
 
   /// Memoize `base_rtt_ms` in a bounded per-thread pair cache. The static
   /// RTT is time-independent and deterministic, so caching cannot change
-  /// any result; the flag exists only for A/B benchmarking
-  /// (`micro_campaign`) and cache-neutrality tests.
+  /// any result; the flag exists only for A/B runs and cache-neutrality
+  /// tests. Ground truth, King, Meridian, the coordinate baselines and the
+  /// resolvers' upstream RTTs read the cache. A probing campaign's
+  /// redirections do not: the CDN's candidate lists carry each pair's base
+  /// RTT (DESIGN.md §6), so on a campaign (`micro_campaign`) the flag
+  /// covers only the candidate-list prewarm and the DNS upstream RTTs.
   bool pair_cache = true;
 };
 
@@ -106,7 +110,15 @@ class LatencyOracle {
   [[nodiscard]] double base_rtt_ms(HostId a, HostId b) const;
 
   /// RTT at sim time `t`, including congestion and jitter, milliseconds.
+  /// Equals `rtt_ms(a, b, t, base_rtt_ms(a, b))`.
   [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t) const;
+
+  /// The same RTT for a caller that already holds the pair's static RTT:
+  /// `base` must be the value `base_rtt_ms(a, b)` returns. Skips the
+  /// pair-cache lookup, so a caller that keeps the base RTT beside the
+  /// pair (the CDN's candidate lists) pays only for the dynamics.
+  [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t,
+                              double base) const;
 
   [[nodiscard]] Duration base_rtt(HostId a, HostId b) const {
     return MillisF(base_rtt_ms(a, b));

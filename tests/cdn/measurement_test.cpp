@@ -66,6 +66,34 @@ TEST(MeasurementSystem, DeterministicAcrossInstances) {
                    other.estimate_ms(client, replica, t));
 }
 
+TEST(MeasurementSystem, BaseRttFormMatchesThreeArgumentForm) {
+  test::MiniWorld world{26};
+  netsim::LatencyConfig lat;
+  lat.seed = 9;
+  lat.route_shift_sigma = 0.3;
+  lat.congestion_probability = 0.5;
+  const netsim::LatencyOracle oracle{world.topo, lat};
+  const MeasurementSystem measurement{oracle, MeasurementConfig{}};
+  for (std::size_t c = 0; c < 10; ++c) {
+    const HostId client = world.clients[c];
+    for (const ReplicaServer& r : world.deployment.replicas()) {
+      for (int k = 0; k < 3; ++k) {
+        const SimTime t = SimTime::epoch() + Hours(13 * k) +
+                          Seconds(17 * static_cast<int>(c));
+        const double base = oracle.base_rtt_ms(client, r.host);
+        const std::size_t before = measurement.estimates_computed();
+        const double carried = measurement.estimate_ms(client, r.host, t, base);
+        const double looked_up = measurement.estimate_ms(client, r.host, t);
+        EXPECT_EQ(carried, looked_up);
+        EXPECT_EQ(measurement.estimates_computed() - before, 2u);
+        // The carried value is the one used (exact power-of-two scaling).
+        EXPECT_EQ(measurement.estimate_ms(client, r.host, t, 2.0 * base),
+                  2.0 * looked_up);
+      }
+    }
+  }
+}
+
 TEST(MeasurementSystem, NoiseScalesWithSigma) {
   test::MiniWorld world{25};
   MeasurementConfig noisy;

@@ -94,9 +94,12 @@ TEST_F(RedirectionTest, CandidateListSortedByProximity) {
   const auto& candidates = policy.candidates(world_.clients[0]);
   ASSERT_GT(candidates.size(), 10u);
   double prev = -1.0;
-  for (ReplicaId id : candidates) {
-    const double rtt = world_.oracle->base_rtt_ms(
-        world_.clients[0], world_.deployment.replica(id).host);
+  for (const LatencyDrivenPolicy::Candidate& c : candidates) {
+    EXPECT_EQ(c.host, world_.deployment.replica(c.id).host);
+    EXPECT_FALSE(world_.deployment.is_origin_fallback(c.id));
+    const double rtt = world_.oracle->base_rtt_ms(world_.clients[0], c.host);
+    // The carried base RTT is the oracle's value, bit for bit.
+    EXPECT_EQ(c.base_rtt_ms, rtt);
     EXPECT_GE(rtt, prev);
     prev = rtt;
   }

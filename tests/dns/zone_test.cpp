@@ -103,6 +103,41 @@ TEST(ZoneRegistry, ReRegisterReplaces) {
   EXPECT_EQ(registry.size(), 1u);
 }
 
+TEST(ZoneRegistry, NameEqualToZoneApex) {
+  StaticZone outer{Name::parse("com"), HostId{}};
+  StaticZone inner{Name::parse("example.com"), HostId{}};
+  ZoneRegistry registry;
+  registry.register_zone(Name::parse("com"), &outer);
+  registry.register_zone(Name::parse("example.com"), &inner);
+  EXPECT_EQ(registry.find(Name::parse("example.com")), &inner);
+  EXPECT_EQ(registry.find(Name::parse("Example.COM.")), &inner);
+  EXPECT_EQ(registry.find(Name::parse("com")), &outer);
+}
+
+TEST(ZoneRegistry, NameDeeperThanEveryZone) {
+  StaticZone cdn{Name::parse("g.cdnsim.net"), HostId{}};
+  StaticZone tld{Name::parse("net"), HostId{}};
+  ZoneRegistry registry;
+  registry.register_zone(Name::parse("g.cdnsim.net"), &cdn);
+  registry.register_zone(Name::parse("net"), &tld);
+  EXPECT_EQ(registry.find(Name::parse("a.b.c.d.c0.g.cdnsim.net")), &cdn);
+  EXPECT_EQ(registry.find(Name::parse("a.b.c.d.cdnsim.net")), &tld);
+}
+
+TEST(ZoneRegistry, MissReturnsNull) {
+  StaticZone zone{Name::parse("example.com"), HostId{}};
+  ZoneRegistry registry;
+  EXPECT_EQ(registry.find(Name::parse("www.example.com")), nullptr);
+  registry.register_zone(Name::parse("example.com"), &zone);
+  EXPECT_EQ(registry.find(Name::parse("example.org")), nullptr);
+  // A parent of the apex is not under it.
+  EXPECT_EQ(registry.find(Name::parse("com")), nullptr);
+  EXPECT_EQ(registry.find(Name::parse("")), nullptr);
+  // Suffixes match whole labels, not characters.
+  EXPECT_EQ(registry.find(Name::parse("wwwexample.com")), nullptr);
+  EXPECT_EQ(registry.find(Name::parse("example.com.au")), nullptr);
+}
+
 TEST(ZoneRegistry, RejectsNullServer) {
   ZoneRegistry registry;
   EXPECT_THROW(registry.register_zone(Name::parse("x.com"), nullptr),

@@ -127,6 +127,60 @@ TEST(CampaignStatsTest, FilledByParallelRun) {
   EXPECT_GT(stats.oracle_pair_hit_rate(), 0.0);
 }
 
+// A probe's customers share one estimate per nearby candidate, so a probe
+// costs the union of their served candidates, never more than the
+// candidate pool. Estimating per customer would cost the sum, about 1.6
+// pools per probe in this world.
+TEST(CampaignStatsTest, EstimatesAtMostOneCandidatePoolPerProbe) {
+  World world{small_config(PolicyKind::kLatencyDriven, 24)};
+  ASSERT_EQ(world.catalog().size(), 2u);
+  ThreadPool workers{4};
+  (void)world.run_probing_parallel(SimTime::epoch(),
+                                   SimTime::epoch() + Hours(2), Minutes(30),
+                                   &workers);
+  const CampaignStats& stats = world.campaign_stats();
+  ASSERT_GT(stats.probes_issued, 0u);
+  EXPECT_GT(stats.cdn_estimates, 0u);
+  EXPECT_LE(stats.cdn_estimates,
+            stats.probes_issued * world.config().policy.candidate_pool);
+
+  auto& policy = dynamic_cast<cdn::LatencyDrivenPolicy&>(world.policy());
+  std::size_t expected = 0;
+  for (HostId h : world.participants()) {
+    std::size_t served = 0;
+    for (const auto& candidate : policy.candidates(h)) {
+      for (const cdn::Customer& customer : world.catalog().customers()) {
+        if (customer.serves(candidate.id)) {
+          ++served;
+          break;
+        }
+      }
+    }
+    expected += served * world.crp_node(h).history().num_probes();
+  }
+  EXPECT_EQ(stats.cdn_estimates, expected);
+}
+
+TEST(CampaignStatsTest, EstimateCountIndependentOfPoolSize) {
+  const auto estimates = [](ThreadPool* pool, bool sequential) {
+    World world{small_config(PolicyKind::kLatencyDriven, 25)};
+    const SimTime start = SimTime::epoch();
+    const SimTime end = start + Hours(2);
+    if (sequential) {
+      (void)world.run_probing_sequential(start, end, Minutes(30));
+    } else {
+      (void)world.run_probing_parallel(start, end, Minutes(30), pool);
+    }
+    return world.campaign_stats().cdn_estimates;
+  };
+  ThreadPool workers{4};
+  ThreadPool inline_pool{0};
+  const std::size_t sequential = estimates(nullptr, true);
+  EXPECT_GT(sequential, 0u);
+  EXPECT_EQ(estimates(&workers, false), sequential);
+  EXPECT_EQ(estimates(&inline_pool, false), sequential);
+}
+
 TEST(CampaignStatsTest, FilledBySequentialRun) {
   World world{small_config(PolicyKind::kLatencyDriven, 23)};
   const std::size_t rounds = world.run_probing_sequential(

@@ -256,6 +256,37 @@ TEST_F(LatencyModelTest, RouteShiftReranksNeighbours) {
   EXPECT_GT(changed, 0);
 }
 
+TEST_F(LatencyModelTest, BaseRttFormMatchesThreeArgumentForm) {
+  LatencyConfig lat;
+  lat.seed = 77;
+  lat.route_shift_sigma = 0.3;
+  lat.congestion_probability = 0.5;
+  const LatencyOracle oracle{topo_, lat};
+  std::size_t congested = 0;
+  std::size_t shifted = 0;
+  for (std::size_t i = 0; i < 30; ++i) {
+    for (std::size_t j = 0; j < 30; ++j) {  // includes a == b
+      const HostId a = hosts_[i];
+      const HostId b = hosts_[j];
+      for (int k = 0; k < 4; ++k) {
+        const SimTime t = SimTime::epoch() + Hours(13 * k) +
+                          Minutes(7 * static_cast<int>(i));
+        const double base = oracle.base_rtt_ms(a, b);
+        EXPECT_EQ(oracle.rtt_ms(a, b, t, base), oracle.rtt_ms(a, b, t));
+        if (a == b) continue;
+        // The carried value is the one used: doubling it doubles the RTT
+        // exactly (scaling by two commutes with rounding).
+        EXPECT_EQ(oracle.rtt_ms(a, b, t, 2.0 * base),
+                  2.0 * oracle.rtt_ms(a, b, t));
+        if (oracle.congestion_extra(a, t) > 0.0) ++congested;
+        if (oracle.route_shift_factor(a, b, t) != 1.0) ++shifted;
+      }
+    }
+  }
+  EXPECT_GT(congested, 0u);
+  EXPECT_GT(shifted, 0u);
+}
+
 TEST_F(LatencyModelTest, PairCacheIsResultNeutral) {
   LatencyConfig uncached_config = oracle_->config();
   uncached_config.pair_cache = false;
