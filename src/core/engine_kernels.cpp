@@ -44,10 +44,10 @@ Scratch& scratch() {
 // Scratch for one tile of the batched kernel. The accumulator blocks are
 // SoA: acc(q, m) / inter(q, m) hold query q's partial sum against map m,
 // and qmask[m] records which queries of the tile touched map m (bit q).
-// Query-major layout on purpose: posting lists are walked in ascending
-// map order, so each query streams sequentially down its own 8-byte-
-// stride row — the same access pattern (and footprint per query) as the
-// scalar accumulator — instead of striding tile-width cache lines apart.
+// Query-major layout on purpose: each query scatters into its own
+// 8-byte-stride row — the same access pattern (and footprint per query)
+// as the scalar accumulator — instead of striding tile-width cache lines
+// apart.
 // Like the scalar Scratch, clearing is O(touched): the blocks hold stale
 // garbage between tiles by design — the qmask bit decides assign-vs-add
 // on first touch, so no O(maps x tile) zeroing happens per tile.
@@ -104,17 +104,15 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
                 Scratch& s) {
   s.begin(v.size());
   for (const auto& [id, q_ratio] : entries) {
-    const auto it = v.replica_slot->find(id);
-    if (it == v.replica_slot->end()) continue;
-    const ListView& list = v.lists[it->second];
-    if (list.live == 0) continue;
+    const std::uint32_t l = v.replicas->find(id);
+    if (l == ReplicaTable::kNoList) continue;
+    const ListView& list = v.lists[l];
     // Query entries arrive in increasing replica-id order, so each touched
     // map accumulates its shared replicas in exactly the order the
     // per-pair sorted merge visits them — scores stay bit-identical.
     switch (v.kind) {
       case SimilarityKind::kCosine:
         for (const Posting& p : list.postings()) {
-          if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -126,7 +124,6 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         break;
       case SimilarityKind::kJaccard:
         for (const Posting& p : list.postings()) {
-          if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -138,7 +135,6 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
         break;
       case SimilarityKind::kWeightedOverlap:
         for (const Posting& p : list.postings()) {
-          if (p.map == kDeadPosting) continue;
           const std::uint32_t m = p.map;
           if (s.mark[m] != s.epoch) {
             s.mark[m] = s.epoch;
@@ -218,15 +214,14 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
     const ReplicaId id = s.gathered[g].id;
     std::size_t g_end = g + 1;
     while (g_end < s.gathered.size() && s.gathered[g_end].id == id) ++g_end;
-    const auto it = v.replica_slot->find(id);
-    if (it == v.replica_slot->end() || v.lists[it->second].live == 0) {
+    const std::uint32_t l = v.replicas->find(id);
+    if (l == ReplicaTable::kNoList) {
       g = g_end;
       continue;
     }
-    const ListView& list = v.lists[it->second];
+    const ListView& list = v.lists[l];
     // For each gathered query holding this replica, walk the posting
-    // list once, streaming terms into that query's accumulator row (maps
-    // ascend along the list, so the row is written near-sequentially).
+    // list once, scattering terms into that query's accumulator row.
     // A query has at most one entry per replica, so per (query, map)
     // pair a group contributes exactly one term — entry order within the
     // group cannot reorder any pair's partial sums, and groups ascend by
@@ -242,7 +237,6 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
           for (const Posting& p : list.postings()) {
-            if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;
@@ -263,7 +257,6 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
           const auto inter_row = s.inter.row(e.q);
           auto& tq = s.touched_q[e.q];
           for (const Posting& p : list.postings()) {
-            if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;
@@ -283,7 +276,6 @@ void accumulate_tile(const CorpusView& v, std::span<const RowView> tile,
           const auto acc_row = s.acc.row(e.q);
           auto& tq = s.touched_q[e.q];
           for (const Posting& p : list.postings()) {
-            if (p.map == kDeadPosting) continue;
             const std::uint32_t m = p.map;
             if (s.mark[m] != s.epoch) {
               s.mark[m] = s.epoch;
@@ -499,83 +491,68 @@ std::size_t comparable_count(const CorpusView& v, const RowView& query) {
   return count;
 }
 
-std::size_t check_view(const CorpusView& v, std::size_t live_replicas,
-                       const std::string& owner) {
+void check_view(const CorpusView& v, std::size_t live_replicas,
+                const std::string& owner) {
   const auto fail = [&owner](const std::string& what) {
     throw std::logic_error(owner + " invariant: " + what);
   };
   if (v.norms.size() != v.size() || v.strongest.size() != v.size()) {
     fail("row tables disagree in length");
   }
-  if (v.replica_slot->size() != v.lists.size()) {
-    fail("replica index has " + std::to_string(v.replica_slot->size()) +
+  if (v.replicas->size() != v.lists.size()) {
+    fail("replica index has " + std::to_string(v.replicas->size()) +
          " replicas, list table " + std::to_string(v.lists.size()));
   }
-  for (const auto& [id, slot] : *v.replica_slot) {
-    if (slot >= v.lists.size()) fail("replica maps past the list table");
-  }
-  std::size_t lists_live = 0;
-  std::size_t live_postings = 0;
-  std::size_t dead_postings = 0;
-  for (std::size_t l = 0; l < v.lists.size(); ++l) {
-    std::size_t live = 0;
-    for (const Posting& p : v.lists[l].postings()) {
-      if (p.map == kDeadPosting) {
-        ++dead_postings;
-        continue;
-      }
-      ++live;
-      if (p.map >= v.size() || !v.rows[p.map].live) {
-        fail("list " + std::to_string(l) + " has a live posting for dead row " +
-             std::to_string(p.map));
-      }
+  // The replica each list indexes; every list is exactly one replica's.
+  std::vector<ReplicaId> replica_of(v.lists.size());
+  std::vector<bool> indexed(v.lists.size(), false);
+  v.replicas->for_each([&](ReplicaId id, std::uint32_t l) {
+    if (l >= v.lists.size() || indexed[l]) {
+      fail("replica " + std::to_string(id.value()) + " maps to list " +
+           std::to_string(l) + ", past the table or shared");
     }
-    if (live != v.lists[l].live) {
-      fail("list " + std::to_string(l) + " counts " +
-           std::to_string(v.lists[l].live) + " live postings, holds " +
-           std::to_string(live));
+    if (v.replicas->find(id) != l) {
+      fail("replica " + std::to_string(id.value()) + " is unreachable");
     }
-    if (live > 0) ++lists_live;
-    live_postings += live;
-  }
-  if (lists_live != live_replicas) fail("live replica count is off");
+    indexed[l] = true;
+    replica_of[l] = id;
+  });
 
+  // Live entries numbered row by row: row m's are [first[m], first[m+1]).
   std::size_t live_rows = 0;
-  std::size_t live_entries = 0;
+  std::vector<std::size_t> first(v.size() + 1, 0);
   for (std::size_t m = 0; m < v.size(); ++m) {
-    if (!v.rows[m].live) {
-      if (v.rows[m].len != 0) fail("dead row " + std::to_string(m) + " has entries");
-      continue;
+    if (v.rows[m].live) {
+      ++live_rows;
+    } else if (v.rows[m].len != 0) {
+      fail("dead row " + std::to_string(m) + " has entries");
     }
-    ++live_rows;
-    live_entries += v.rows[m].len;
-    for (const auto& [id, ratio] : v.row(m)) {
-      const auto it = v.replica_slot->find(id);
-      if (it == v.replica_slot->end()) {
-        fail("row " + std::to_string(m) + " names an unindexed replica");
-      }
-      std::size_t found = 0;
-      for (const Posting& p : v.lists[it->second].postings()) {
-        if (p.map != m) continue;
-        ++found;
-        if (p.ratio != ratio) {
-          fail("row " + std::to_string(m) + " posting ratio differs");
-        }
-      }
-      if (found != 1) {
-        fail("row " + std::to_string(m) + " entry has " +
-             std::to_string(found) + " live postings");
-      }
-    }
+    first[m + 1] = first[m] + v.rows[m].len;
   }
   if (live_rows != v.live_rows) fail("live row count is off");
-  // Each live entry owns one live posting, so equal totals leave no
-  // stray live posting.
-  if (live_entries != live_postings) {
-    fail(std::to_string(live_postings) + " live postings for " +
-         std::to_string(live_entries) + " live entries");
+
+  std::vector<bool> named(first.back(), false);
+  std::size_t lists_live = 0;
+  for (std::size_t l = 0; l < v.lists.size(); ++l) {
+    if (v.lists[l].size > 0) ++lists_live;
+    for (const Posting& p : v.lists[l].postings()) {
+      const auto at = [&] {
+        return "list " + std::to_string(l) + " posting for row " +
+               std::to_string(p.map) + " entry " + std::to_string(p.entry);
+      };
+      if (p.map >= v.size() || !v.rows[p.map].live) fail(at() + ": dead row");
+      if (p.entry >= v.rows[p.map].len) fail(at() + ": past the row's end");
+      const auto& [id, ratio] = v.row(p.map)[p.entry];
+      if (id != replica_of[l]) fail(at() + ": another replica's entry");
+      if (ratio != p.ratio) fail(at() + ": ratio differs");
+      if (named[first[p.map] + p.entry]) fail(at() + ": entry posted twice");
+      named[first[p.map] + p.entry] = true;
+    }
   }
-  return dead_postings;
+  if (lists_live != live_replicas) fail("live replica count is off");
+  if (std::find(named.begin(), named.end(), false) != named.end()) {
+    fail("a live entry has no posting");
+  }
 }
 
 void scores_batch(const CorpusView& v, std::span<const RowView> refs,

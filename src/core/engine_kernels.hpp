@@ -20,11 +20,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/flat_matrix.hpp"
 #include "core/ratio_map.hpp"
+#include "core/replica_table.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
 
@@ -62,22 +62,24 @@ struct Row {
   bool live = false;
 };
 
-/// One posting: a corpus row containing the replica, with its ratio.
-/// `map == kDeadPosting` marks a tombstone.
+/// One posting: a live corpus row containing the replica, the position
+/// of that replica's entry within the row, and its ratio. `entry` fills
+/// what would be padding (the struct stays 16 bytes); it locates the
+/// row entry whose back-link the writer repoints when it moves this
+/// posting, and the kernels never read it.
 struct Posting {
   std::uint32_t map = 0;
+  std::uint32_t entry = 0;
   double ratio = 0.0;
 };
-inline constexpr std::uint32_t kDeadPosting = 0xffffffffu;
 
 /// The kernels' handle on one replica's posting list: `size` postings at
-/// `items` (tombstones included), `live` of them not tombstoned. The
-/// mutable engine points it into its own growing lists, a snapshot into
-/// its frozen segments; a kernel cannot tell the two apart.
+/// `items`, every one of them live, in no particular order. The mutable
+/// engine points it into its own lists, a snapshot into its frozen
+/// segments; a kernel cannot tell the two apart.
 struct ListView {
   const Posting* items = nullptr;
   std::uint32_t size = 0;
-  std::uint32_t live = 0;
 
   [[nodiscard]] std::span<const Posting> postings() const {
     return {items, size};
@@ -91,7 +93,6 @@ using ChunkList = std::vector<std::shared_ptr<const EntryChunk>>;
 /// Frozen posting segment: the lists one freeze packed, back to back.
 using PostingSegment = std::vector<Posting>;
 using SegmentList = std::vector<std::shared_ptr<const PostingSegment>>;
-using ReplicaSlots = std::unordered_map<ReplicaId, std::uint32_t>;
 
 /// Borrowed, read-only view of a whole corpus — the row table, the
 /// inverted replica index and the liveness summary. Both owners build
@@ -104,7 +105,7 @@ struct CorpusView {
   std::span<const Row> rows;
   std::span<const double> norms;
   std::span<const double> strongest;
-  const ReplicaSlots* replica_slot = nullptr;
+  const ReplicaTable* replicas = nullptr;
   std::span<const ListView> lists;
   std::size_t live_rows = 0;
 
@@ -172,13 +173,13 @@ void pad_zero_rows(const CorpusView& v, std::vector<RankedCandidate>& out,
 
 /// Throws std::logic_error, prefixed with `owner`, on the first broken
 /// invariant of the row table and the list table as the kernels see
-/// them: every live row entry has exactly one live posting with the same
-/// ratio in its replica's list; list live counts are the non-tombstoned
-/// postings, and no live posting names a dead row; dead rows are empty;
-/// `v.live_rows` and `live_replicas` agree with the tables. Returns the
-/// tombstoned postings across all lists.
-std::size_t check_view(const CorpusView& v, std::size_t live_replicas,
-                       const std::string& owner);
+/// them: the replica index maps each replica to its own list; each
+/// posting names a live row's entry for the list's replica, with the
+/// same ratio, and each live entry is named exactly once; dead rows are
+/// empty; `v.live_rows` and `live_replicas` (the non-empty lists) agree
+/// with the tables. O(postings + entries).
+void check_view(const CorpusView& v, std::size_t live_replicas,
+                const std::string& owner);
 
 /// Whether [p, p + n) lies inside one of `blocks` (true for n == 0).
 template <typename T>

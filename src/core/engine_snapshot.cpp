@@ -27,7 +27,7 @@ void EngineSnapshot::check_invariants(const SimilarityEngine* source) const {
       fail("list " + std::to_string(l) + " lies outside the held segments");
     }
   }
-  (void)engine_detail::check_view(v, live_replicas_, owner);
+  engine_detail::check_view(v, live_replicas_, owner);
   if (source == nullptr) return;
 
   // Right after the freeze: the writer's rows and lists, item for item.
@@ -48,11 +48,11 @@ void EngineSnapshot::check_invariants(const SimilarityEngine* source) const {
   for (std::size_t l = 0; l < v.lists.size(); ++l) {
     const auto a = v.lists[l].postings();
     const auto b = w.lists[l].postings();
-    if (v.lists[l].live != w.lists[l].live ||
-        !std::equal(a.begin(), a.end(), b.begin(), b.end(),
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end(),
                     [](const engine_detail::Posting& x,
                        const engine_detail::Posting& y) {
-                      return x.map == y.map && x.ratio == y.ratio;
+                      return x.map == y.map && x.entry == y.entry &&
+                             x.ratio == y.ratio;
                     })) {
       fail("list " + std::to_string(l) + " differs from the source engine");
     }

@@ -92,8 +92,8 @@ class EngineSnapshot {
   /// Throws std::logic_error naming the first broken invariant:
   ///  * every row segment lies in an arena chunk the snapshot holds, and
   ///    every list view in a posting segment it holds;
-  ///  * list live counts, live rows and live replicas agree with the
-  ///    frozen tables, and each live row entry has one live posting;
+  ///  * each posting names a live row's entry for its list's replica,
+  ///    each live entry is named once, and live counts agree;
   ///  * given `source` — the engine right after it cut this snapshot —
   ///    every row and every frozen list equals the writer's, item for
   ///    item.
@@ -114,7 +114,7 @@ class EngineSnapshot {
 
   [[nodiscard]] engine_detail::CorpusView view() const {
     return engine_detail::CorpusView{kind_,   *rows_, *norms_, *strongest_,
-                                     replica_slot_.get(), *lists_,
+                                     replicas_.get(), *lists_,
                                      live_rows_};
   }
 
@@ -132,7 +132,7 @@ class EngineSnapshot {
   std::shared_ptr<const std::vector<double>> norms_;
   std::shared_ptr<const std::vector<double>> strongest_;
   std::shared_ptr<const engine_detail::ChunkList> chunks_;
-  std::shared_ptr<const engine_detail::ReplicaSlots> replica_slot_;
+  std::shared_ptr<const engine_detail::ReplicaTable> replicas_;
   std::shared_ptr<const std::vector<engine_detail::ListView>> lists_;
   std::shared_ptr<const engine_detail::SegmentList> segments_;
 };

@@ -2,17 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace crp::core {
 
 namespace {
 
-/// Sorts by replica, merges duplicates, drops non-positive, normalizes.
+/// Sorts by replica, merges duplicates, drops non-positive and infinite
+/// ratios, normalizes, and drops ratios that normalizing underflowed to 0.
 std::vector<RatioMap::Entry> canonicalize(
     std::vector<RatioMap::Entry> entries) {
   std::erase_if(entries, [](const RatioMap::Entry& e) {
-    return !(e.second > 0.0);
+    return !(e.second > 0.0 && std::isfinite(e.second));
   });
+  // Ratios near the largest double can sum to +inf, which would
+  // normalize every ratio to 0. Such inputs are first divided by their
+  // largest ratio, so they sum to at most their count; half the largest
+  // double leaves room for the merge's different summation order.
+  // Ordinary inputs skip this and keep exact arithmetic.
+  double total = 0.0;
+  double top = 0.0;
+  for (const auto& [id, ratio] : entries) {
+    total += ratio;
+    top = std::max(top, ratio);
+  }
+  if (!(total <= std::numeric_limits<double>::max() / 2)) {
+    for (auto& [id, ratio] : entries) ratio /= top;
+  }
   std::sort(entries.begin(), entries.end(),
             [](const RatioMap::Entry& a, const RatioMap::Entry& b) {
               return a.first < b.first;
@@ -28,11 +44,14 @@ std::vector<RatioMap::Entry> canonicalize(
   }
   entries.resize(out);
 
-  double total = 0.0;
+  total = 0.0;
   for (const auto& [id, ratio] : entries) total += ratio;
   if (total > 0.0) {
     for (auto& [id, ratio] : entries) ratio /= total;
   }
+  // A ratio that underflowed to 0 would list a replica `contains` denies.
+  std::erase_if(entries,
+                [](const RatioMap::Entry& e) { return e.second == 0.0; });
   return entries;
 }
 

@@ -34,7 +34,10 @@ class RatioMap {
       std::span<const std::pair<ReplicaId, std::uint64_t>> counts);
 
   /// Builds directly from (replica, ratio) pairs, normalizing the ratios.
-  /// Non-positive ratios are dropped; duplicates accumulate.
+  /// Non-positive and infinite ratios are dropped; duplicates accumulate.
+  /// Any finite positive input keeps the class invariant: ratios so large
+  /// that their sum overflows are scaled down first, and a ratio too
+  /// small to survive normalizing is dropped.
   static RatioMap from_ratios(std::span<const Entry> ratios);
 
   [[nodiscard]] bool empty() const { return entries_.empty(); }

@@ -14,18 +14,17 @@ namespace crp::core {
 
 using engine_detail::ChunkList;
 using engine_detail::EntryChunk;
-using engine_detail::kDeadPosting;
 using engine_detail::ListView;
 using engine_detail::Posting;
 using engine_detail::PostingSegment;
-using engine_detail::ReplicaSlots;
+using engine_detail::ReplicaTable;
 using engine_detail::Row;
 using engine_detail::SegmentList;
 
 SimilarityEngine::SimilarityEngine(SimilarityKind kind)
     : kind_(kind),
       chunks_(std::make_shared<const ChunkList>()),
-      replica_slot_(std::make_shared<ReplicaSlots>()) {}
+      replicas_(std::make_shared<ReplicaTable>()) {}
 
 SimilarityEngine::SimilarityEngine(std::span<const RatioMap> corpus,
                                    SimilarityKind kind)
@@ -60,16 +59,16 @@ const RatioMap::Entry* SimilarityEngine::append_entries(
 }
 
 std::uint32_t SimilarityEngine::list_of(ReplicaId id) {
-  if (const auto it = replica_slot_->find(id); it != replica_slot_->end()) {
-    return it->second;
+  if (const std::uint32_t l = replicas_->find(id); l != ReplicaTable::kNoList) {
+    return l;
   }
   // A snapshot may be reading this index: insert into a private copy.
-  if (replica_slot_frozen_) {
-    replica_slot_ = std::make_shared<ReplicaSlots>(*replica_slot_);
-    replica_slot_frozen_ = false;
+  if (replicas_frozen_) {
+    replicas_ = std::make_shared<ReplicaTable>(*replicas_);
+    replicas_frozen_ = false;
   }
   const auto list = static_cast<std::uint32_t>(lists_.size());
-  replica_slot_->emplace(id, list);
+  replicas_->insert(id, list);
   lists_.emplace_back();
   list_views_.emplace_back();
   return list;
@@ -93,38 +92,42 @@ void SimilarityEngine::write_row(std::size_t index, const RowView& source) {
   live_entries_ += src.size();
   rows_dirty_ = true;
 
-  for (const auto& [id, ratio] : src) {
-    const std::uint32_t l = list_of(id);
+  link_at_[index] = static_cast<std::uint32_t>(links_.size());
+  for (std::uint32_t e = 0; e < src.size(); ++e) {
+    const std::uint32_t l = list_of(src[e].first);
     std::vector<Posting>& items = lists_[l].items;
-    ListView& view = list_views_[l];
-    if (view.live == 0) ++live_replicas_;
-    items.push_back(Posting{static_cast<std::uint32_t>(index), ratio});
-    view = ListView{items.data(), static_cast<std::uint32_t>(items.size()),
-                    view.live + 1};
+    if (items.empty()) ++live_replicas_;
+    links_.push_back(static_cast<std::uint32_t>(items.size()));
+    items.push_back(
+        Posting{static_cast<std::uint32_t>(index), e, src[e].second});
+    list_views_[l] =
+        ListView{items.data(), static_cast<std::uint32_t>(items.size())};
     mark_dirty(l);
   }
 }
 
-void SimilarityEngine::tombstone_row(std::size_t index) {
-  const Row& r = rows_[index];
-  for (const auto& [id, ratio] : row(index)) {
-    const std::uint32_t l = replica_slot_->at(id);
-    for (Posting& p : lists_[l].items) {
-      // Tombstoned postings carry kDeadPosting, so this match finds the
-      // row's single live posting for the replica.
-      if (p.map == static_cast<std::uint32_t>(index)) {
-        p.map = kDeadPosting;
-        break;
-      }
-    }
-    if (--list_views_[l].live == 0) --live_replicas_;
+void SimilarityEngine::unlink_row(std::size_t index) {
+  const auto entries = row(index);
+  for (std::uint32_t e = 0; e < entries.size(); ++e) {
+    const std::uint32_t l = replicas_->find(entries[e].first);
+    std::vector<Posting>& items = lists_[l].items;
+    // Swap-remove: the list's last posting takes the freed place, and
+    // its entry's back-link follows it.
+    const std::uint32_t at = links_[link_at_[index] + e];
+    const Posting last = items.back();
+    items[at] = last;
+    links_[link_at_[last.map] + last.entry] = at;
+    items.pop_back();
+    list_views_[l] =
+        ListView{items.data(), static_cast<std::uint32_t>(items.size())};
+    if (items.empty()) --live_replicas_;
     mark_dirty(l);
     ++mstats_.postings_tombstoned;
   }
   // The orphaned segment's bytes stay where they are: snapshots cut
   // before this point still read them.
-  dead_entries_ += r.len;
-  live_entries_ -= r.len;
+  dead_entries_ += entries.size();
+  live_entries_ -= entries.size();
 }
 
 std::size_t SimilarityEngine::add_impl(const RowView& source) {
@@ -137,6 +140,7 @@ std::size_t SimilarityEngine::add_impl(const RowView& source) {
     rows_.emplace_back();
     norms_.push_back(0.0);
     strongest_.push_back(0.0);
+    link_at_.push_back(0);
   }
   write_row(index, source);
   ++live_rows_;
@@ -158,6 +162,8 @@ void SimilarityEngine::clear(SimilarityKind kind) {
   norms_.clear();
   strongest_.clear();
   free_rows_.clear();
+  links_.clear();
+  link_at_.clear();
   live_rows_ = 0;
   live_entries_ = 0;
   dead_entries_ = 0;
@@ -165,12 +171,12 @@ void SimilarityEngine::clear(SimilarityKind kind) {
   chunks_ = std::make_shared<const ChunkList>();
   tail_.reset();
   tail_fill_ = 0;
-  // Keep the replica map and the posting-list vectors — the whole point
+  // Keep the replica table and the posting-list vectors — the whole point
   // of clear() over a fresh engine is reusing them — but empty every
   // list. Every list dirties, so the next freeze releases every segment.
   for (std::uint32_t l = 0; l < lists_.size(); ++l) {
     lists_[l].items.clear();
-    list_views_[l] = ListView{lists_[l].items.data(), 0, 0};
+    list_views_[l] = ListView{lists_[l].items.data(), 0};
     mark_dirty(l);
   }
   live_replicas_ = 0;
@@ -180,7 +186,7 @@ void SimilarityEngine::clear(SimilarityKind kind) {
 
 void SimilarityEngine::update(std::size_t index, const RatioMap& map) {
   assert(index < rows_.size() && rows_[index].live);
-  tombstone_row(index);
+  unlink_row(index);
   write_row(index,
             RowView{map.entries(), map.norm(), map.strongest_mapping()});
   ++mstats_.updates;
@@ -189,7 +195,7 @@ void SimilarityEngine::update(std::size_t index, const RatioMap& map) {
 
 void SimilarityEngine::remove(std::size_t index) {
   assert(index < rows_.size() && rows_[index].live);
-  tombstone_row(index);
+  unlink_row(index);
   rows_[index] = Row{};
   norms_[index] = 0.0;
   strongest_[index] = 0.0;
@@ -209,29 +215,25 @@ void SimilarityEngine::maybe_compact() {
 
 void SimilarityEngine::compact() {
   if (dead_entries_ == 0) return;
-  // Repack live row segments in row order into a fresh arena; dead rows
-  // keep their slot (and their zero length), so no external index
-  // moves. `old` keeps the source chunks alive through the copy.
+  // Repack live row segments and their back-links in row order; dead
+  // rows keep their slot (and their zero length), so no row index or
+  // posting changes. `old` keeps the source chunks alive through the
+  // copy.
   const std::shared_ptr<const ChunkList> old =
       std::exchange(chunks_, std::make_shared<const ChunkList>());
   tail_.reset();
   tail_fill_ = 0;
-  for (Row& r : rows_) {
-    if (r.live) r.entries = append_entries({r.entries, r.len});
+  std::vector<std::uint32_t> links;
+  links.reserve(live_entries_);
+  for (std::size_t m = 0; m < rows_.size(); ++m) {
+    Row& r = rows_[m];
+    if (!r.live) continue;
+    r.entries = append_entries({r.entries, r.len});
+    const auto from = links_.begin() + link_at_[m];
+    link_at_[m] = static_cast<std::uint32_t>(links.size());
+    links.insert(links.end(), from, from + r.len);
   }
-
-  // Drop tombstoned postings, preserving the survivors' order. Every
-  // list dirties, so the next freeze repacks them all.
-  for (std::uint32_t l = 0; l < lists_.size(); ++l) {
-    std::vector<Posting>& items = lists_[l].items;
-    std::erase_if(items,
-                  [](const Posting& p) { return p.map == kDeadPosting; });
-    items.shrink_to_fit();
-    list_views_[l] = ListView{items.data(),
-                              static_cast<std::uint32_t>(items.size()),
-                              list_views_[l].live};
-    mark_dirty(l);
-  }
+  links_ = std::move(links);
   dead_entries_ = 0;
   ++mstats_.compactions;
   rows_dirty_ = true;
@@ -255,10 +257,10 @@ void SimilarityEngine::freeze_postings(EngineSnapshot& snap) {
   table->resize(lists_.size());
   for (const std::uint32_t l : dirty_lists_) retire_frozen(l, (*table)[l].size);
   // Repack rule — compaction's, one layer down: once superseded frozen
-  // postings reach the live ones, every list is packed afresh, which
-  // releases every older segment.
-  const std::size_t postings = live_entries_ + dead_entries_;
-  if (frozen_dead_ >= kCompactMinDeadEntries && frozen_dead_ >= postings) {
+  // postings reach the live ones (one per live entry), every list is
+  // packed afresh, which releases every older segment.
+  if (frozen_dead_ >= kCompactMinDeadEntries &&
+      frozen_dead_ >= live_entries_) {
     ++mstats_.repacks;
     for (std::uint32_t l = 0; l < lists_.size(); ++l) {
       retire_frozen(l, (*table)[l].size);
@@ -284,8 +286,7 @@ void SimilarityEngine::freeze_postings(EngineSnapshot& snap) {
       continue;
     }
     (*table)[l] = ListView{block->data() + block->size(),
-                           static_cast<std::uint32_t>(list.items.size()),
-                           list_views_[l].live};
+                           static_cast<std::uint32_t>(list.items.size())};
     block->insert(block->end(), list.items.begin(), list.items.end());
     list.segment = seg;
     ++segments_[seg].lists;
@@ -323,8 +324,8 @@ std::shared_ptr<const EngineSnapshot> SimilarityEngine::freeze(
     snap->strongest_ = std::make_shared<const std::vector<double>>(strongest_);
   }
   snap->chunks_ = chunks_;
-  snap->replica_slot_ = replica_slot_;
-  replica_slot_frozen_ = true;
+  snap->replicas_ = replicas_;
+  replicas_frozen_ = true;
   if (lists_clean) {
     snap->lists_ = frozen_->lists_;
     snap->segments_ = frozen_->segments_;
@@ -362,15 +363,24 @@ void SimilarityEngine::check_invariants() const {
     }
   }
 
-  const std::size_t dead = engine_detail::check_view(view(), live_replicas_,
-                                                     owner);
-  if (dead != dead_entries_) {
-    fail(std::to_string(dead) + " tombstones for " +
-         std::to_string(dead_entries_) + " dead entries");
+  // check_view pairs postings with live entries one to one; each
+  // entry's back-link must hold its posting's position.
+  engine_detail::check_view(view(), live_replicas_, owner);
+  for (std::size_t l = 0; l < lists_.size(); ++l) {
+    for (std::uint32_t at = 0; at < lists_[l].items.size(); ++at) {
+      const Posting& p = lists_[l].items[at];
+      const std::size_t link = link_at_[p.map] + std::size_t{p.entry};
+      if (link >= links_.size() || links_[link] != at) {
+        fail("list " + std::to_string(l) + " back-link is stale");
+      }
+    }
   }
   std::size_t live_entries = 0;
   for (const Row& r : rows_) live_entries += r.len;
   if (live_entries != live_entries_) fail("live entry total is off");
+  if (links_.size() != live_entries_ + dead_entries_) {
+    fail("back-link total is off");
+  }
   for (const std::uint32_t slot : free_rows_) {
     if (slot >= rows_.size() || rows_[slot].live) fail("free row is live");
   }

@@ -12,27 +12,29 @@
 //     contiguous segment of a fixed-size chunk, plus precomputed norms,
 //     entry counts and strongest mappings in flat per-row tables. Rows
 //     append into the tail chunk; a row never straddles two chunks.
-//   * Inverted replica index — for each replica, the posting list of
-//     (map index, ratio) pairs that contain it. A query walks only the
-//     postings of its own replicas, so maps sharing no replica with the
-//     query are never touched (they keep similarity 0 implicitly).
+//   * Inverted replica index — a flat table from each replica to its
+//     posting list of (map index, entry position, ratio) for the live
+//     maps that contain it. A query walks only the postings of its own
+//     replicas, so maps sharing no replica with the query are never
+//     touched (they keep similarity 0 implicitly).
 //   * Dense per-query accumulator — scatter-add over postings instead of
 //     per-pair merges. For each touched map the partial sums accumulate
 //     in increasing replica-id order — the same order as the sorted
 //     merge — so every score is bit-identical to `similarity()`.
 //
 // Incremental corpus maintenance (the PositionService's serving mode —
-// see DESIGN.md §6): `add`/`update`/`remove` mutate the corpus in place.
-// Updated and removed rows leave tombstones — orphaned segments in the
-// arena and dead postings (map index `kDeadPosting`) in the posting
-// lists — which queries skip. Once tombstones outnumber live entries the
-// engine compacts, repacking the live rows into a fresh arena and
-// dropping dead postings, without disturbing row indices (removed rows
-// keep their slot; `add` reuses freed slots). Scores over a mutated
-// engine are bit-identical to scores over a freshly built engine of the
-// live maps: per touched map, accumulation still follows increasing
-// replica-id order, and norms/sizes come from the same `RatioMap` the
-// fresh build would ingest.
+// see DESIGN.md §6): `add`/`update`/`remove` mutate the corpus in place,
+// in O(row entries). Lists hold live postings only: removal moves a
+// list's last posting into the freed place, found through a writer-only
+// back-link per row entry. Removed rows orphan their arena segments;
+// once orphans outnumber live entries the engine repacks the arena,
+// touching no posting list and no row index (removed rows keep their
+// slot; `add` reuses freed slots). Scores over a mutated engine are
+// bit-identical to scores over a freshly built engine of the live maps:
+// a row appears at most once per list, so per touched map accumulation
+// still follows increasing replica-id order whatever the posting order,
+// and norms/sizes come from the same `RatioMap` the fresh build would
+// ingest.
 //
 // Determinism contract (the repo's first parallel subsystem; later ones
 // follow the same conventions): all batch results are indexed by query
@@ -80,8 +82,8 @@ class SimilarityEngine {
     std::uint64_t adds = 0;
     std::uint64_t updates = 0;
     std::uint64_t removes = 0;
-    /// Postings (== corpus entries) turned into tombstones by
-    /// update/remove. Compaction reclaims them without resetting this.
+    /// Postings removed by update/remove, one per old row entry (the
+    /// name is kept for the counter's readers).
     std::uint64_t postings_tombstoned = 0;
     std::uint64_t compactions = 0;
     /// Postings copied into frozen segments by freeze(): the lists
@@ -91,8 +93,8 @@ class SimilarityEngine {
     std::uint64_t repacks = 0;
   };
 
-  /// Dead-entry floor below which automatic compaction never triggers
-  /// (tiny corpora churn freely without rewrite storms).
+  /// Orphaned-entry floor below which automatic compaction never
+  /// triggers (tiny corpora churn freely without rewrite storms).
   static constexpr std::size_t kCompactMinDeadEntries = 256;
   /// Entries per arena chunk (rows longer than this get a chunk of their
   /// own).
@@ -151,37 +153,38 @@ class SimilarityEngine {
   /// per replica — true of every RowView. Same slot-reuse contract as
   /// `add`.
   std::size_t add_row(const RowView& row);
-  /// Empties the engine (rows, entries, postings, free list, mutation
-  /// counters) and re-fixes the metric, keeping the replica index and
-  /// the posting-list allocations — the cheap way to reuse one engine
+  /// Empties the engine (rows, entries, postings, back-links, free list,
+  /// mutation counters) and re-fixes the metric, keeping the replica
+  /// index and every allocation — the cheap way to reuse one engine
   /// across unrelated corpora, which is what keeps the SMF center index
   /// nearly allocation-free across reclusterings. Rows restart in a
   /// fresh arena; snapshots keep the old chunks.
   void clear(SimilarityKind kind);
   /// Replaces the map at live row `index` (precondition: alive(index)).
-  /// The old row's entries and postings become tombstones.
+  /// The old row's postings are removed and its arena segment orphaned.
   void update(std::size_t index, const RatioMap& map);
   /// Removes the map at live row `index` (precondition: alive(index)).
   /// The slot survives — dense scores keep their positions — and scores
   /// against it are 0 from here on.
   void remove(std::size_t index);
-  /// Repacks the live rows into a fresh arena and drops the dead
-  /// postings, preserving every row index. Called automatically once
-  /// dead entries outnumber live ones (past `kCompactMinDeadEntries`);
-  /// callable explicitly after bulk churn. Snapshots keep the old chunks
-  /// alive for as long as they are held.
+  /// Repacks the live rows (and back-links) into a fresh arena,
+  /// preserving every row index; postings name (row, entry position), so
+  /// no list changes. Called automatically once orphaned entries
+  /// outnumber live ones (past `kCompactMinDeadEntries`); callable
+  /// explicitly after bulk churn. Snapshots keep the old chunks alive for
+  /// as long as they are held.
   void compact();
-  /// Tombstoned entries not yet reclaimed by compaction.
+  /// Orphaned arena entries not yet reclaimed by compaction.
   [[nodiscard]] std::size_t dead_entries() const { return dead_entries_; }
   [[nodiscard]] const MutationStats& mutation_stats() const {
     return mstats_;
   }
   /// Throws std::logic_error naming the first broken storage invariant:
-  ///  * each live row's entries each have exactly one live posting, with
-  ///    the same ratio, in their replica's list;
-  ///  * a list's live count equals its non-tombstoned postings;
-  ///  * the live-row, live-replica and live/dead entry totals agree with
-  ///    the rows and lists;
+  ///  * each posting names a live row's entry for its list's replica,
+  ///    with the same ratio, and each live entry is named exactly once;
+  ///  * each live entry's back-link points at that posting;
+  ///  * the live-row, live-replica and live/orphaned entry totals agree
+  ///    with the rows, lists and back-links;
   ///  * the kernels' list table matches the lists;
   ///  * each row's segment lies in a chunk the engine holds;
   ///  * the frozen-segment bookkeeping matches the newest snapshot.
@@ -372,7 +375,7 @@ class SimilarityEngine {
   [[nodiscard]] engine_detail::CorpusView view() const {
     return engine_detail::CorpusView{kind_,      rows_,
                                      norms_,     strongest_,
-                                     replica_slot_.get(), list_views_,
+                                     replicas_.get(), list_views_,
                                      live_rows_};
   }
 
@@ -388,12 +391,13 @@ class SimilarityEngine {
   std::uint32_t list_of(ReplicaId id);
   void mark_dirty(std::uint32_t list);
   /// Writes the view's entries as row `index`'s segment (at the arena's
-  /// tail) and appends its postings.
+  /// tail) and appends its postings and back-links.
   void write_row(std::size_t index, const RowView& source);
   /// Shared slot pick + bookkeeping behind add/add_row.
   std::size_t add_impl(const RowView& source);
-  /// Tombstones row `index`'s postings and orphans its entry segment.
-  void tombstone_row(std::size_t index);
+  /// Swap-removes row `index`'s postings and orphans its entry segment
+  /// and back-links.
+  void unlink_row(std::size_t index);
   void maybe_compact();
   /// Drops list `list`'s frozen copy (`size` postings) from its segment,
   /// releasing the segment once no list's frozen copy lives in it.
@@ -411,7 +415,7 @@ class SimilarityEngine {
   std::vector<std::uint32_t> free_rows_;  // dead slots, reused LIFO by add
   std::size_t live_rows_ = 0;
   std::size_t live_entries_ = 0;
-  std::size_t dead_entries_ = 0;
+  std::size_t dead_entries_ = 0;  // orphaned in the arena and in links_
 
   // Entry arena. `chunks_` lists every chunk a row may point into and is
   // replaced, never mutated, when a chunk opens, so snapshots share it
@@ -422,16 +426,23 @@ class SimilarityEngine {
   std::shared_ptr<engine_detail::EntryChunk> tail_;
   std::size_t tail_fill_ = 0;
 
-  // Inverted index: replica -> posting list. Lists keep insertion order;
-  // within one replica each live row appears at most once, so posting
-  // order never affects the per-map accumulation order (which follows
-  // the query's sorted entries). Once a freeze shares `replica_slot_`,
-  // it is copied before the next new replica is inserted.
-  std::shared_ptr<engine_detail::ReplicaSlots> replica_slot_;
-  bool replica_slot_frozen_ = false;
+  // Inverted index: replica -> posting list. A list holds one posting
+  // per live row containing the replica, in no particular order (removal
+  // swaps the last posting into the freed place); posting order never
+  // affects the per-map accumulation order, which follows the query's
+  // sorted entries. Once a freeze shares `replicas_`, it is copied
+  // before the next new replica is inserted.
+  std::shared_ptr<engine_detail::ReplicaTable> replicas_;
+  bool replicas_frozen_ = false;
   std::vector<ListState> lists_;
   std::vector<engine_detail::ListView> list_views_;
-  std::size_t live_replicas_ = 0;  // posting lists with live > 0
+  std::size_t live_replicas_ = 0;  // non-empty posting lists
+
+  // Writer-only back-links: entry e of row m has its posting at
+  // links_[link_at_[m] + e] in its list. Appended, orphaned and repacked
+  // along with the row's arena segment.
+  std::vector<std::uint32_t> links_;
+  std::vector<std::uint32_t> link_at_;  // per row slot
 
   MutationStats mstats_;
 

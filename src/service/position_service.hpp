@@ -16,13 +16,13 @@
 // Serving machinery: the service keeps one incrementally maintained
 // `core::SimilarityEngine` (DESIGN.md §6) as the source of truth for
 // similarity. publish/remove/expire mutate the engine in place
-// (add/update/remove with tombstones + compaction) instead of rebuilding
-// a corpus copy; `closest`/`closest_any` answer from one engine query
-// per request, and `ensure_clustering` feeds `smf_cluster` straight from
-// the engine without recopying a single map. Engine scores are
-// bit-identical to per-pair `similarity()` (the §6 determinism
-// contract), so query answers are byte-for-byte what the naive per-pair
-// implementation produced.
+// (add/update/remove with swap-removed postings + arena compaction)
+// instead of rebuilding a corpus copy; `closest`/`closest_any` answer
+// from one engine query per request, and `ensure_clustering` feeds
+// `smf_cluster` straight from the engine without recopying a single map.
+// Engine scores are bit-identical to per-pair `similarity()` (the §6
+// determinism contract), so query answers are byte-for-byte what the
+// naive per-pair implementation produced.
 //
 // Concurrent serving (DESIGN.md §8): the service stays single-writer —
 // publish/remove/expire and the cluster-cache queries mutate state and
@@ -171,8 +171,8 @@ struct TieredAnswer {
 ///    clustering_cache_hits / engine_rebuilds_avoided /
 ///    postings_tombstoned / compactions — written by the single writer
 ///    only; a racing stats() sees some prefix of the writer's bumps
-///    (e.g. a publish counted in reports_accepted whose tombstones are
-///    not yet in postings_tombstoned). Never torn, never decreasing.
+///    (e.g. a publish counted in reports_accepted whose removed postings
+///    are not yet in postings_tombstoned). Never torn, never decreasing.
 struct ServiceStats {
   std::uint64_t queries_served = 0;
   std::uint64_t reports_accepted = 0;
@@ -182,7 +182,8 @@ struct ServiceStats {
   /// Reclusterings that reused the incrementally maintained engine —
   /// each one is a from-scratch corpus copy + engine build avoided.
   std::uint64_t engine_rebuilds_avoided = 0;
-  /// Engine churn (mirrors SimilarityEngine::MutationStats).
+  /// Engine churn (mirrors SimilarityEngine::MutationStats):
+  /// postings removed by updates and removes, and arena compactions.
   std::uint64_t postings_tombstoned = 0;
   std::uint64_t compactions = 0;
   /// Similarity queries answered and the corpus maps they touched

@@ -57,8 +57,9 @@ TEST_P(BatchQueryOracleTest, BatchKernelsMatchScalarBitForBit) {
        {std::size_t{1}, std::size_t{13}, std::size_t{90}}) {
     auto corpus = random_corpus(rng, corpus_size, 32);
     SimilarityEngine engine{corpus, kind};
-    // Churn some rows so tombstoned postings and updated norms are part
-    // of the oracle, mirroring a live service corpus.
+    // Churn some rows so swap-removed (permuted) posting lists and
+    // updated norms are part of the oracle, mirroring a live service
+    // corpus.
     for (std::size_t i = 0; i < corpus_size; ++i) {
       const double roll = rng.uniform(0.0, 1.0);
       if (roll < 0.1) {

@@ -63,6 +63,44 @@ TEST(RatioMap, DropsNonPositiveEntries) {
   EXPECT_DOUBLE_EQ(m.ratio_of(ReplicaId{3}), 1.0);
 }
 
+// Finite positive ratios whose total overflows must still normalize to
+// strictly positive ratios summing to 1 — not to a map of zeros.
+TEST(RatioMap, OverflowingTotalStillNormalizes) {
+  const RatioMap m = map_of({{ReplicaId{1}, 1e308}, {ReplicaId{2}, 1e308}});
+  ASSERT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.ratio_of(ReplicaId{1}), 0.5);
+  EXPECT_EQ(m.ratio_of(ReplicaId{2}), 0.5);
+  EXPECT_GT(m.norm(), 0.0);
+
+  // Duplicates that overflow when merged.
+  const RatioMap d = map_of({{ReplicaId{1}, 1.5e308},
+                             {ReplicaId{1}, 1.5e308},
+                             {ReplicaId{2}, 1.5e308}});
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_NEAR(d.ratio_of(ReplicaId{1}), 2.0 / 3.0, 1e-15);
+  EXPECT_NEAR(d.ratio_of(ReplicaId{2}), 1.0 / 3.0, 1e-15);
+}
+
+// A ratio that normalizing underflows to 0 is dropped, so every listed
+// replica is one `contains` confirms.
+TEST(RatioMap, UnderflowedRatiosAreDropped) {
+  for (const double big : {1e308, 1e300}) {
+    const RatioMap m = map_of({{ReplicaId{1}, big}, {ReplicaId{2}, 1e-300}});
+    ASSERT_EQ(m.size(), 1u) << big;
+    EXPECT_EQ(m.entries()[0].first, ReplicaId{1});
+    EXPECT_EQ(m.ratio_of(ReplicaId{1}), 1.0);
+    EXPECT_FALSE(m.contains(ReplicaId{2}));
+    for (const auto& [id, ratio] : m.entries()) EXPECT_TRUE(m.contains(id));
+  }
+}
+
+TEST(RatioMap, InfiniteRatiosDropped) {
+  const RatioMap m =
+      map_of({{ReplicaId{1}, HUGE_VAL}, {ReplicaId{2}, 2.0}});
+  ASSERT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.ratio_of(ReplicaId{2}), 1.0);
+}
+
 TEST(RatioMap, ZeroCountsDropped) {
   const std::vector<std::pair<ReplicaId, std::uint64_t>> counts{
       {ReplicaId{1}, 0}, {ReplicaId{2}, 4}};

@@ -415,16 +415,17 @@ class MutationOracleTest
     : public ::testing::TestWithParam<SimilarityKind> {};
 
 // The incremental-maintenance contract: after any sequence of
-// add/update/remove (tombstones, slot reuse, compactions included), the
-// mutated engine scores bit-identically to a fresh engine built from the
-// surviving maps — and dead slots score exactly 0.
+// add/update/remove (swap-removed postings, slot reuse, compactions
+// included), the mutated engine — whose posting lists are permuted —
+// scores bit-identically to a fresh engine built from the surviving maps,
+// whose lists are in row order — and dead slots score exactly 0.
 TEST_P(MutationOracleTest, MutateVsRebuildOracle) {
   const SimilarityKind kind = GetParam();
   Rng rng{1234 + static_cast<std::uint64_t>(kind)};
 
   for (int trial = 0; trial < 6; ++trial) {
     SimilarityEngine engine{kind};
-    // Shadow corpus by slot; nullopt marks a tombstoned row.
+    // Shadow corpus by slot; nullopt marks a removed row.
     std::vector<std::optional<RatioMap>> slots;
 
     const auto fresh_map = [&rng] {
@@ -588,7 +589,7 @@ TEST(SimilarityEngineTest, RemoveTombstonesAndAddReusesSlotsLifo) {
   const auto scores = engine.scores(map_of({{ReplicaId{1}, 1.0}}));
   EXPECT_EQ(scores[1], 0.0);
   EXPECT_TRUE(engine.rank_all(map_of({{ReplicaId{1}, 1.0}})).size() == 2u);
-  // Freed slots come back most-recently-tombstoned first.
+  // Freed slots come back most-recently-removed first.
   EXPECT_EQ(engine.add(map_of({{ReplicaId{9}, 1.0}})), 3u);
   EXPECT_EQ(engine.add(map_of({{ReplicaId{10}, 1.0}})), 1u);
   EXPECT_EQ(engine.add(map_of({{ReplicaId{11}, 1.0}})), 4u);
@@ -664,8 +665,9 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     const auto corpus = random_corpus(rng, 40, 30);
     SimilarityEngine engine{kind};
     for (const auto& m : corpus) (void)engine.add(m);
-    // Churn before the freeze so the snapshot sees tombstones, reused
-    // slots and updated rows, not just a pristine build.
+    // Churn before the freeze so the snapshot sees permuted posting
+    // lists, orphaned arena entries, reused slots and updated rows, not
+    // just a pristine build.
     for (int m = 0; m < 12; ++m) {
       const auto slot =
           static_cast<std::size_t>(rng.uniform_int(0, engine.size() - 1));
@@ -730,7 +732,7 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     }
     EXPECT_EQ(snap->scores(probe), before);
     ASSERT_NO_THROW(snap->check_invariants());
-    // add() may reuse tombstoned slots, so compare live counts.
+    // add() may reuse removed slots, so compare live counts.
     EXPECT_NE(engine.live_size(), snap->live_size());
   }
 }
@@ -768,8 +770,9 @@ TEST(EngineSnapshotTest, RemoveOnlyChurnSharesEntryArray) {
   const auto s1 = engine.freeze(1);
   engine.remove(victim);
   const auto s2 = engine.freeze(2);
-  // A remove tombstones in place: row metadata and postings dirty, but
-  // the arena bytes are untouched — the chunks are shared.
+  // A remove swap-removes its postings and orphans its entries: row
+  // metadata and postings dirty, but the arena bytes are untouched —
+  // the chunks are shared.
   EXPECT_NE(s2->rows_identity(), s1->rows_identity());
   EXPECT_NE(s2->postings_identity(), s1->postings_identity());
   EXPECT_EQ(s2->entries_identity(), s1->entries_identity());
@@ -812,25 +815,38 @@ TEST(EngineSnapshotTest, FreezeCopiesOnlyTheListsAWriteTouched) {
     return engine.mutation_stats().postings_frozen;
   };
 
-  // Update {2, 3} -> {3, 6}: lists 2 (row 0, dead), 3 (dead, row 2,
-  // new) and 6 (new) — 2 + 3 + 1 postings, tombstones included. Lists 1,
-  // 4 and 5 stay shared.
+  // Update {2, 3} -> {3, 6}: lists 2 (row 0), 3 (row 2, new) and 6
+  // (new) — 1 + 2 + 1 postings, the removed ones gone. Lists 1, 4 and 5
+  // stay shared.
   std::uint64_t before = frozen();
   engine.update(row, map_of({{ReplicaId{3}, 0.5}, {ReplicaId{6}, 0.5}}));
   auto snap = engine.freeze(2);
-  EXPECT_EQ(frozen() - before, 6u);
-  ASSERT_NO_THROW(snap->check_invariants(&engine));
-
-  // Remove {3, 4}: lists 3 (now 3 postings) and 4 (1) only.
-  before = frozen();
-  engine.remove(other);
-  snap = engine.freeze(3);
   EXPECT_EQ(frozen() - before, 4u);
   ASSERT_NO_THROW(snap->check_invariants(&engine));
 
+  // Remove {3, 4}: lists 3 (now 1 posting) and 4 (empty) only.
+  before = frozen();
+  engine.remove(other);
+  snap = engine.freeze(3);
+  EXPECT_EQ(frozen() - before, 1u);
+  ASSERT_NO_THROW(snap->check_invariants(&engine));
+
+  // Compaction repacks only the arena: the next freeze copies no
+  // posting and shares the list table, while the rows point at fresh
+  // chunks.
+  before = frozen();
+  engine.compact();
+  EXPECT_EQ(engine.dead_entries(), 0u);
+  const auto compacted = engine.freeze(4);
+  EXPECT_EQ(frozen() - before, 0u);
+  EXPECT_EQ(compacted->postings_identity(), snap->postings_identity());
+  EXPECT_NE(compacted->entries_identity(), snap->entries_identity());
+  ASSERT_NO_THROW(compacted->check_invariants(&engine));
+  snap = compacted;
+
   // Nothing written: a re-freeze copies no posting.
   before = frozen();
-  const auto again = engine.freeze(4);
+  const auto again = engine.freeze(5);
   EXPECT_EQ(frozen() - before, 0u);
   EXPECT_EQ(again->postings_identity(), snap->postings_identity());
   EXPECT_EQ(engine.mutation_stats().repacks, 0u);

@@ -4,7 +4,9 @@
 // (similarity desc, id asc). The corpus is sparse — most maps draw from
 // a wide replica space — so many clients share a replica with fewer
 // than k others and the answer's tail is zero-score padding, and k runs
-// past the corpus size.
+// past the corpus size. Every member is republished several times
+// before the reads, so the engines' posting lists are permuted by
+// swap-removal and their arenas compacted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,14 +137,27 @@ void run_oracle(core::SimilarityKind metric, std::size_t shards,
   fc.service.staleness_bound = kStaleness;
   fc.service.stale_usable_bound = kStaleUsable;
   ShardedFrontend fe{fc};
-  const std::vector<Member> members = sparse_corpus(3100 + shards);
-  for (const Member& m : members) {
+  std::vector<Member> members = sparse_corpus(3100 + shards);
+  const auto publish = [&fe](const Member& m) {
     PositionReport r;
     r.node_id = m.id;
     r.when = m.when;
     r.map = m.map;
-    ASSERT_TRUE(fe.publish(std::move(r), m.when));
+    return fe.publish(std::move(r), m.when);
+  };
+  for (const Member& m : members) ASSERT_TRUE(publish(m));
+  // Eight updates per member at its original time: each removes the
+  // old map's postings (moving other rows' postings around) and orphans
+  // its arena entries, ~320 per shard at 4 shards, past the compaction
+  // floor. The reference ranks each member's last map.
+  Rng churn{4100 + shards};
+  for (int round = 0; round < 8; ++round) {
+    for (Member& m : members) {
+      m.map = sparse_map(churn);
+      ASSERT_TRUE(publish(m));
+    }
   }
+  EXPECT_GE(fe.stats().compactions, shards);
   for (const Member& m : members) {
     if (m.removed) {
       ASSERT_TRUE(fe.remove(m.id));

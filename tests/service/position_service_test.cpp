@@ -198,7 +198,7 @@ TEST_F(PositionServiceTest, StatsTrackServingAndEngineChurn) {
   EXPECT_EQ(stats.queries_served, 3u);
   EXPECT_EQ(stats.engine_rebuilds_avoided, 1u);
   EXPECT_EQ(stats.clustering_cache_hits, 1u);
-  // remove("d") tombstoned d's two postings in place.
+  // remove("d") removed d's two postings.
   EXPECT_EQ(stats.postings_tombstoned, 2u);
   // closest_any issued exactly one engine query, and only a/b/c share
   // replicas with a — the inverted index never touched d/e.

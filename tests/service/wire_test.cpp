@@ -107,6 +107,51 @@ TEST(Wire, DecodeNormalizesRatios) {
   EXPECT_NEAR(decoded->map.ratio_of(ReplicaId{2}), 2.0 / 3.0, 1e-12);
 }
 
+/// A frame for node "n" whose entries (replicas 1, 2, ...) carry
+/// `ratios` verbatim, unlike any frame `encode` writes from a RatioMap.
+std::string frame_with_ratios(const std::vector<double>& ratios) {
+  PositionReport report;
+  report.node_id = "n";
+  report.when = SimTime::epoch();
+  std::vector<core::RatioMap::Entry> entries;
+  for (std::uint32_t i = 0; i < ratios.size(); ++i) {
+    entries.emplace_back(ReplicaId{i + 1}, 1.0);
+  }
+  report.map = core::RatioMap::from_ratios(entries);
+  std::string bytes = *encode(report);
+  // Layout: 3 magic + 1 ver + 2 len + id + 8 ts + 4 count, then per
+  // entry 4 replica + 8 ratio.
+  const std::size_t first = 3 + 1 + 2 + report.node_id.size() + 8 + 4;
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    std::memcpy(bytes.data() + first + 12 * i + 4, &ratios[i],
+                sizeof(double));
+  }
+  return bytes;
+}
+
+// Finite positive ratios pass decode's check even when their total
+// overflows; the decoded map must still hold strictly positive ratios
+// summing to 1, not zeros.
+TEST(Wire, DecodeNormalizesOverflowingRatios) {
+  const auto decoded = decode(frame_with_ratios({1e308, 1e308}));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->map.size(), 2u);
+  EXPECT_EQ(decoded->map.ratio_of(ReplicaId{1}), 0.5);
+  EXPECT_EQ(decoded->map.ratio_of(ReplicaId{2}), 0.5);
+  EXPECT_GT(decoded->map.norm(), 0.0);
+}
+
+// A ratio that normalizes to 0 is dropped, so the map never lists a
+// replica that `contains` denies.
+TEST(Wire, DecodeDropsUnderflowedRatios) {
+  const auto decoded = decode(frame_with_ratios({1e308, 1e-300}));
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->map.size(), 1u);
+  EXPECT_TRUE(decoded->map.contains(ReplicaId{1}));
+  EXPECT_FALSE(decoded->map.contains(ReplicaId{2}));
+  EXPECT_EQ(decoded->map.ratio_of(ReplicaId{1}), 1.0);
+}
+
 TEST(Wire, RandomizedRoundTripSweep) {
   Rng rng{424242};
   for (int trial = 0; trial < 200; ++trial) {
