@@ -27,7 +27,6 @@ int main() {
   bench::Scale scale = bench::Scale::from_env();
   scale.campaign = Hours(24 * 14);
   scale.probe_interval = Minutes(10);
-  if (scale.dns_servers > 400) scale.dns_servers = 400;  // keep runtime sane
   bench::SelectionExperiment exp{kSeed, scale};
 
   const std::vector<std::pair<std::string, std::size_t>> intervals{

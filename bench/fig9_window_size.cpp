@@ -18,7 +18,6 @@ int main() {
   bench::Scale scale = bench::Scale::from_env();
   scale.campaign = Hours(72);  // enough history for "all" to diverge
   scale.probe_interval = Minutes(10);
-  if (scale.dns_servers > 400) scale.dns_servers = 400;
   bench::SelectionExperiment exp{kSeed, scale};
 
   const std::vector<std::pair<std::string, std::size_t>> windows{

@@ -4,10 +4,6 @@
 
 namespace crp::cdn {
 
-bool Customer::serves(ReplicaId id) const {
-  return std::binary_search(replica_subset.begin(), replica_subset.end(), id);
-}
-
 CustomerCatalog CustomerCatalog::build(const Deployment& deployment,
                                        const CustomerCatalogConfig& config) {
   CustomerCatalog catalog;
@@ -39,6 +35,10 @@ CustomerCatalog CustomerCatalog::build(const Deployment& deployment,
     c.replica_subset.reserve(indices.size());
     for (std::size_t idx : indices) c.replica_subset.push_back(edge[idx]);
     std::sort(c.replica_subset.begin(), c.replica_subset.end());
+    c.served_.assign(c.replica_subset.back().value() / 64 + 1, 0);
+    for (ReplicaId id : c.replica_subset) {
+      c.served_[id.value() / 64] |= std::uint64_t{1} << (id.value() % 64);
+    }
 
     catalog.customers_.push_back(std::move(c));
   }

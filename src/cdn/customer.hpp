@@ -30,8 +30,18 @@ struct Customer {
   /// A records returned per answer (Akamai classically returns two).
   int answer_count = 2;
 
-  /// O(log n) membership test against the sorted subset.
-  [[nodiscard]] bool serves(ReplicaId id) const;
+  /// O(1) membership test: one bit load from a bitmap over replica ids
+  /// that `CustomerCatalog::build` fills from `replica_subset`. Any id
+  /// past the bitmap (the invalid id included) answers false.
+  [[nodiscard]] bool serves(ReplicaId id) const {
+    const std::size_t word = id.value() / 64;
+    return word < served_.size() && ((served_[word] >> (id.value() % 64)) & 1U);
+  }
+
+ private:
+  friend class CustomerCatalog;
+  /// Bit `id` is set iff `replica_subset` holds `id`.
+  std::vector<std::uint64_t> served_;
 };
 
 struct CustomerCatalogConfig {

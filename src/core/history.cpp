@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace crp::core {
 
@@ -15,17 +14,39 @@ void RedirectionHistory::record(SimTime when,
   probe.when = when;
   probe.replicas.assign(replicas.begin(), replicas.end());
   probes_.push_back(std::move(probe));
+  add_counts(probes_.back().replicas, +1);
   if (max_probes_ != 0 && probes_.size() > max_probes_) {
+    add_counts(probes_.front().replicas, -1);
     probes_.pop_front();
   }
 }
 
+void RedirectionHistory::add_counts(std::span<const ReplicaId> replicas,
+                                    int delta) {
+  for (ReplicaId id : replicas) {
+    const auto it = std::lower_bound(
+        counts_.begin(), counts_.end(), id,
+        [](const auto& entry, ReplicaId target) {
+          return entry.first < target;
+        });
+    if (delta > 0) {
+      if (it != counts_.end() && it->first == id) {
+        ++it->second;
+      } else {
+        counts_.emplace(it, id, 1);
+      }
+    } else if (--it->second == 0) {
+      counts_.erase(it);
+    }
+  }
+}
+
 RatioMap RedirectionHistory::ratio_map(std::size_t window) const {
-  const std::size_t take = window == kAllProbes
-                               ? probes_.size()
-                               : std::min(window, probes_.size());
+  if (window == kAllProbes || window >= probes_.size()) {
+    return RatioMap::from_counts(counts_);
+  }
   std::unordered_map<ReplicaId, std::uint64_t> counts;
-  for (std::size_t i = probes_.size() - take; i < probes_.size(); ++i) {
+  for (std::size_t i = probes_.size() - window; i < probes_.size(); ++i) {
     for (ReplicaId id : probes_[i].replicas) ++counts[id];
   }
   std::vector<std::pair<ReplicaId, std::uint64_t>> flat{counts.begin(),
@@ -45,14 +66,6 @@ RatioMap RedirectionHistory::ratio_map_strided(std::size_t stride) const {
   std::vector<std::pair<ReplicaId, std::uint64_t>> flat{counts.begin(),
                                                         counts.end()};
   return RatioMap::from_counts(flat);
-}
-
-std::size_t RedirectionHistory::distinct_replicas() const {
-  std::unordered_set<ReplicaId> seen;
-  for (const RedirectionProbe& p : probes_) {
-    seen.insert(p.replicas.begin(), p.replicas.end());
-  }
-  return seen.size();
 }
 
 SimTime RedirectionHistory::first_probe_time() const {

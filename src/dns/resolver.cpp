@@ -1,6 +1,7 @@
 #include "dns/resolver.hpp"
 
 #include <algorithm>
+#include <optional>
 
 namespace crp::dns {
 
@@ -15,10 +16,13 @@ Ipv4 RecursiveResolver::address() const {
   return Ipv4{(std::uint32_t{10} << 24) | (host_.value() & 0x00ffffffu)};
 }
 
-void RecursiveResolver::cache_store(const Name& name, RecordType type,
-                                    std::vector<ResourceRecord> records,
-                                    Rcode rcode, SimTime now) {
-  if (config_.max_cache_entries == 0) return;
+const std::vector<ResourceRecord>& RecursiveResolver::cache_store(
+    const Name& name, RecordType type, std::vector<ResourceRecord> records,
+    Rcode rcode, SimTime now) {
+  if (config_.max_cache_entries == 0) {
+    uncached_ = std::move(records);
+    return uncached_;
+  }
   if (cache_.size() >= config_.max_cache_entries) {
     // Pressure valve: drop everything expired; if still full, evict the
     // soonest-to-expire quarter (they carry the least future value) so
@@ -53,21 +57,24 @@ void RecursiveResolver::cache_store(const Name& name, RecordType type,
   Duration min_ttl = Hours(24);
   for (const ResourceRecord& rr : records) min_ttl = std::min(min_ttl, rr.ttl);
   if (records.empty()) min_ttl = Seconds(30);  // negative-cache TTL
-  cache_[CacheKey{name, type}] =
-      CacheEntry{std::move(records), rcode, now + min_ttl};
+  // Insert only after the valve: it must never evict what it returns.
+  return cache_
+      .insert_or_assign(CacheKey{name, type},
+                        CacheEntry{std::move(records), rcode, now + min_ttl})
+      .first->second.records;
 }
 
-std::optional<std::vector<ResourceRecord>> RecursiveResolver::lookup(
+const std::vector<ResourceRecord>* RecursiveResolver::lookup(
     const Name& name, RecordType type, SimTime now, ResolveResult& result) {
-  const CacheKey key{name, type};
-  if (const auto it = cache_.find(key); it != cache_.end()) {
+  if (const auto it = cache_.find(CacheKeyRef{name, type});
+      it != cache_.end()) {
     if (it->second.expires > now) {
       ++cache_hits_;
       if (it->second.rcode != Rcode::kNoError) {
         result.rcode = it->second.rcode;
-        return std::nullopt;
+        return nullptr;
       }
-      return it->second.records;
+      return &it->second.records;
     }
     cache_.erase(it);
   }
@@ -77,7 +84,7 @@ std::optional<std::vector<ResourceRecord>> RecursiveResolver::lookup(
   if (server == nullptr) {
     result.rcode = Rcode::kServFail;
     cache_store(name, type, {}, Rcode::kServFail, now);
-    return std::nullopt;
+    return nullptr;
   }
 
   const HostId upstream = server->host();
@@ -105,21 +112,20 @@ std::optional<std::vector<ResourceRecord>> RecursiveResolver::lookup(
     }
     result.elapsed += config_.processing_overhead;
 
-    const Message reply =
-        server->resolve(Question{name, type}, address(), now);
+    Message reply = server->resolve(Question{name, type}, address(), now);
     if (reply.rcode != Rcode::kNoError) {
       result.rcode = reply.rcode;
       cache_store(name, type, {}, reply.rcode, now);
-      return std::nullopt;
+      return nullptr;
     }
-    cache_store(name, type, reply.answers, Rcode::kNoError, now);
-    return reply.answers;
+    return &cache_store(name, type, std::move(reply.answers),
+                        Rcode::kNoError, now);
   }
   // Every attempt lost: give up with SERVFAIL (uncached, see above).
   ++timeouts_;
   result.rcode = Rcode::kServFail;
   result.timed_out = true;
-  return std::nullopt;
+  return nullptr;
 }
 
 bool RecursiveResolver::attempt_lost(HostId upstream, SimTime now,
@@ -150,34 +156,38 @@ ResolveResult RecursiveResolver::resolve(const Name& name, SimTime now) {
     return result;
   }
 
-  Name current = name;
+  // The name being resolved: `name`, then the target of the CNAME last
+  // copied into `result.chain` (never a cache entry, which the next
+  // lookup may evict).
+  const Name* current = &name;
   for (int depth = 0; depth <= config_.max_chain; ++depth) {
-    auto records = lookup(current, RecordType::kA, now, result);
-    if (!records.has_value()) {
+    const std::vector<ResourceRecord>* records =
+        lookup(*current, RecordType::kA, now, result);
+    if (records == nullptr) {
       // rcode already set by lookup
       if (result.rcode == Rcode::kNoError) result.rcode = Rcode::kServFail;
       return result;
     }
 
     // Collect A answers; follow at most one CNAME per step.
-    std::optional<Name> next;
-    for (ResourceRecord& rr : *records) {
+    std::optional<std::size_t> cname;  // its index in `result.chain`
+    for (const ResourceRecord& rr : *records) {
       if (rr.type == RecordType::kA) {
         result.addresses.push_back(rr.address);
-        result.chain.push_back(std::move(rr));
-      } else if (rr.type == RecordType::kCname && !next.has_value()) {
-        next = rr.target;
-        result.chain.push_back(std::move(rr));
+        result.chain.push_back(rr);
+      } else if (rr.type == RecordType::kCname && !cname.has_value()) {
+        cname = result.chain.size();
+        result.chain.push_back(rr);
       }
     }
     if (!result.addresses.empty()) {
       return result;
     }
-    if (!next.has_value()) {
+    if (!cname.has_value()) {
       result.rcode = Rcode::kNxDomain;
       return result;
     }
-    current = std::move(*next);
+    current = &result.chain[*cname].target;
   }
   result.rcode = Rcode::kServFail;  // CNAME chain too long / loop
   return result;

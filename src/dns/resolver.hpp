@@ -5,11 +5,11 @@
 // the simulated clock, and accounts the latency of every upstream
 // round-trip via the latency oracle — so a King measurement through the
 // resolver sees realistic turnaround times, and a CRP probe sees the CDN's
-// 20-second TTLs expire between probes.
+// 20-second TTLs expire between probes. Lookups read cached answers in
+// place; `resolve` copies each record once, into its result.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -109,12 +109,27 @@ class RecursiveResolver {
   struct CacheKey {
     Name name;
     RecordType type;
-    friend bool operator==(const CacheKey&, const CacheKey&) = default;
   };
+  /// A key that borrows its name, so probing the cache copies nothing.
+  struct CacheKeyRef {
+    const Name& name;
+    RecordType type;
+  };
+  /// Hash and equality over owned and borrowed keys alike (transparent,
+  /// so `find` takes a CacheKeyRef).
   struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const noexcept {
+    using is_transparent = void;
+    template <typename Key>
+    std::size_t operator()(const Key& k) const noexcept {
       return std::hash<Name>{}(k.name) ^
              (static_cast<std::size_t>(k.type) * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+  struct CacheKeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return a.type == b.type && a.name == b.name;
     }
   };
   struct CacheEntry {
@@ -124,15 +139,20 @@ class RecursiveResolver {
   };
 
   /// Looks up (name, type), from cache or upstream. Appends the RTT cost
-  /// of any upstream query to `result.elapsed`.
-  std::optional<std::vector<ResourceRecord>> lookup(const Name& name,
-                                                    RecordType type,
-                                                    SimTime now,
-                                                    ResolveResult& result);
+  /// of any upstream query to `result.elapsed`. Returns the answer's
+  /// records, or nullptr on failure (with `result.rcode` set). The
+  /// records are borrowed, not copied: they live in the cache entry (or,
+  /// with caching off, in `uncached_`), so read them before the next
+  /// lookup, `cache_store` or `flush_cache`, any of which may free them.
+  const std::vector<ResourceRecord>* lookup(const Name& name, RecordType type,
+                                            SimTime now,
+                                            ResolveResult& result);
 
-  void cache_store(const Name& name, RecordType type,
-                   std::vector<ResourceRecord> records, Rcode rcode,
-                   SimTime now);
+  /// Stores an answer (after the eviction valve has made room) and
+  /// returns the stored records; same lifetime as `lookup`'s.
+  const std::vector<ResourceRecord>& cache_store(
+      const Name& name, RecordType type, std::vector<ResourceRecord> records,
+      Rcode rcode, SimTime now);
 
   /// Was upstream attempt `attempt` at `now` lost? Pure function of the
   /// armed plans — bit-identical for any replay order or thread count.
@@ -144,7 +164,9 @@ class RecursiveResolver {
   const netsim::LatencyOracle* oracle_;
   const sim::FaultPlan* faults_ = nullptr;
   ResolverConfig config_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
+  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash, CacheKeyEq> cache_;
+  /// The last answer when caching is off (`max_cache_entries == 0`).
+  std::vector<ResourceRecord> uncached_;
   std::size_t cache_hits_ = 0;
   std::size_t cache_misses_ = 0;
   std::size_t queries_sent_ = 0;

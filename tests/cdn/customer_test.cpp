@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "../test_util.hpp"
 
 namespace crp::cdn {
@@ -46,13 +49,27 @@ TEST(CustomerCatalog, DifferentCustomersGetDifferentSubsets) {
 }
 
 TEST(Customer, ServesBinarySearch) {
+  // `serves` reads a bitmap; for every customer it must answer what a
+  // binary search of the sorted subset answers, for every id up to 64
+  // past the largest replica id (fallbacks included), so a word or bit
+  // index that is off shows up.
   test::MiniWorld world{16};
-  const Customer& c = world.catalog.customer(0);
-  for (ReplicaId id : c.replica_subset) {
-    EXPECT_TRUE(c.serves(id));
+  std::uint32_t largest = 0;
+  for (const ReplicaServer& r : world.deployment.replicas()) {
+    largest = std::max(largest, r.id.value());
   }
-  for (ReplicaId fallback : world.deployment.fallbacks()) {
-    EXPECT_FALSE(c.serves(fallback));
+  ASSERT_GE(largest, 64u);  // the subsets span more than one word
+  for (const Customer& c : world.catalog.customers()) {
+    for (std::uint32_t v = 0; v <= largest + 64; ++v) {
+      const ReplicaId id{v};
+      EXPECT_EQ(c.serves(id), std::binary_search(c.replica_subset.begin(),
+                                                 c.replica_subset.end(), id))
+          << "customer " << c.index << ", replica " << v;
+    }
+    for (ReplicaId fallback : world.deployment.fallbacks()) {
+      EXPECT_FALSE(c.serves(fallback));
+    }
+    EXPECT_FALSE(c.serves(ReplicaId{}));
   }
 }
 

@@ -2,12 +2,13 @@
 //
 // `Reference` is a test-local copy of the plain redirection algorithm,
 // built from public APIs only: its own nearest-replica ranking by the
-// oracle's base RTT, one three-argument `estimate_ms` per served candidate
-// per call, a full sort, and rank weights recomputed with `std::pow` on
-// every call. The policy under test keeps base RTTs in its candidate
-// lists, reads estimates through a per-thread memo, sorts only the
-// rotation pool and precomputes its weights; every answer must still be
-// the reference's. The cases steer the memo through each kind of key
+// oracle's base RTT, its own served test (a binary search of the sorted
+// subset), one three-argument `estimate_ms` per served candidate per
+// call, a full sort, and rank weights recomputed with `std::pow` on every
+// call. The policy under test keeps base RTTs in its candidate lists,
+// tests service with the customer's bitmap, reads estimates through a
+// per-thread memo, sorts only the rotation pool and precomputes its
+// weights; every answer must still be the reference's. The cases steer the memo through each kind of key
 // change (customer order, repeated instants, interleaved resolvers and
 // policies), keep the health filter per call, reach the poorly-covered
 // fallback branches and every rotation-pool edge, and race selects on
@@ -39,6 +40,13 @@ struct ReferenceAnswer {
   double nearest_ms = std::numeric_limits<double>::quiet_NaN();
 };
 
+/// Whether `customer` serves `id`, by binary search of its sorted subset:
+/// independent of `Customer::serves`, which the policy under test uses.
+bool in_subset(const Customer& customer, ReplicaId id) {
+  return std::binary_search(customer.replica_subset.begin(),
+                            customer.replica_subset.end(), id);
+}
+
 struct Reference {
   const netsim::LatencyOracle& oracle;
   const Deployment& deployment;
@@ -66,7 +74,7 @@ struct Reference {
     if (count <= 0) return answer;
     std::vector<std::pair<double, ReplicaId>> ranked;
     for (ReplicaId id : nearest(resolver)) {
-      if (!customer.serves(id)) continue;
+      if (!in_subset(customer, id)) continue;
       if (health != nullptr && !health->available(id, now)) continue;
       ranked.emplace_back(
           measurement.estimate_ms(resolver, deployment.replica(id).host, now),
@@ -393,8 +401,10 @@ TEST_F(SelectReferenceOracle, MemoComputesEachEstimateOncePerKey) {
     std::size_t served_c0 = 0;
     std::size_t served_any = 0;
     for (const auto& candidate : policy.candidates(r)) {
-      if (c0.serves(candidate.id)) ++served_c0;
-      if (c0.serves(candidate.id) || c1.serves(candidate.id)) ++served_any;
+      if (in_subset(c0, candidate.id)) ++served_c0;
+      if (in_subset(c0, candidate.id) || in_subset(c1, candidate.id)) {
+        ++served_any;
+      }
     }
     ASSERT_LE(served_any, LatencyPolicyConfig{}.candidate_pool);
 
@@ -420,7 +430,9 @@ TEST_F(SelectReferenceOracle, MemoComputesEachEstimateOncePerKey) {
   for (HostId r : world_.clients) {
     std::size_t served_any = 0;
     for (const auto& candidate : fresh.candidates(r)) {
-      if (c0.serves(candidate.id) || c1.serves(candidate.id)) ++served_any;
+      if (in_subset(c0, candidate.id) || in_subset(c1, candidate.id)) {
+        ++served_any;
+      }
     }
     const std::size_t before = m.estimates_computed();
     for (SimTime t : instants()) {
@@ -432,8 +444,8 @@ TEST_F(SelectReferenceOracle, MemoComputesEachEstimateOncePerKey) {
     // The reference's own estimates count too: two selects per instant.
     std::size_t reference_estimates = 0;
     for (const auto& candidate : fresh.candidates(r)) {
-      reference_estimates += (c0.serves(candidate.id) ? 1 : 0) +
-                             (c1.serves(candidate.id) ? 1 : 0);
+      reference_estimates += (in_subset(c0, candidate.id) ? 1 : 0) +
+                             (in_subset(c1, candidate.id) ? 1 : 0);
     }
     EXPECT_EQ(m.estimates_computed() - before,
               served_any + reference_estimates * instants().size());

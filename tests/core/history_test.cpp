@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <optional>
+
+#include "common/rng.hpp"
+#include "core/node.hpp"
+#include "dns/resolver.hpp"
+
 namespace crp::core {
 namespace {
 
@@ -9,6 +18,56 @@ std::vector<ReplicaId> replicas(std::initializer_list<std::uint32_t> ids) {
   std::vector<ReplicaId> out;
   for (std::uint32_t id : ids) out.emplace_back(id);
   return out;
+}
+
+/// The ratio map of probes [first, num_probes()) by a plain recount:
+/// every occurrence counts, and each ratio is its count over the total
+/// (integer totals are exact in a double, so this is bit for bit what
+/// `RatioMap::from_counts` computes).
+std::vector<RatioMap::Entry> recount(const RedirectionHistory& h,
+                                     std::size_t first) {
+  std::map<ReplicaId, std::uint64_t> counts;
+  std::uint64_t total = 0;
+  for (std::size_t i = first; i < h.num_probes(); ++i) {
+    for (ReplicaId id : h.probe(i).replicas) {
+      ++counts[id];
+      ++total;
+    }
+  }
+  std::vector<RatioMap::Entry> out;
+  for (const auto& [id, count] : counts) {
+    out.emplace_back(id, static_cast<double>(count) /
+                             static_cast<double>(total));
+  }
+  return out;
+}
+
+void expect_same_map(const RatioMap& got,
+                     const std::vector<RatioMap::Entry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got.entries()[i].first, want[i].first);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.entries()[i].second),
+              std::bit_cast<std::uint64_t>(want[i].second));
+  }
+}
+
+/// Every whole-history map (the running-count path) and every shorter
+/// window (the scan) against the recount.
+void expect_matches_recount(const RedirectionHistory& h) {
+  const std::size_t n = h.num_probes();
+  const auto all = recount(h, 0);
+  for (std::size_t window : {kAllProbes, n, n + 3}) {
+    SCOPED_TRACE(window);
+    expect_same_map(h.ratio_map(window), all);
+  }
+  expect_same_map(h.ratio_map_strided(1), all);
+  EXPECT_EQ(h.distinct_replicas(), all.size());
+  for (std::size_t window : {1, 2, 5}) {
+    if (window >= n) continue;
+    SCOPED_TRACE(window);
+    expect_same_map(h.ratio_map(window), recount(h, n - window));
+  }
 }
 
 TEST(RedirectionHistory, StartsEmpty) {
@@ -156,6 +215,44 @@ TEST(RedirectionHistory, StridedRatioMapStableUnderBoundedChurn) {
   const RatioMap unbounded = full.ratio_map_strided(2);
   EXPECT_TRUE(unbounded.contains(ReplicaId{5}));
   EXPECT_TRUE(unbounded.contains(ReplicaId{3}));
+}
+
+TEST(RedirectionHistory, RunningCountsMatchRecount) {
+  // Seeded random probes of 1-4 replicas drawn from a small id range, so
+  // probes repeat replicas and often name one twice (`observe` passes its
+  // input through unchecked). They go both to a history directly, which
+  // is cleared midway, and through `CrpNode::observe`.
+  dns::ZoneRegistry zones;
+  dns::RecursiveResolver resolver{HostId{1}, zones, nullptr};
+  for (std::size_t max_probes : {0, 1, 7, 144}) {
+    SCOPED_TRACE(max_probes);
+    Rng rng{hash_combine({stable_hash("history-recount"), max_probes})};
+    RedirectionHistory h{max_probes};
+    CrpNodeConfig config;
+    config.max_history = max_probes;
+    CrpNode node{resolver,
+                 {dns::Name::parse("img.customer0.example")},
+                 [](Ipv4) { return std::optional<ReplicaId>{}; }, config};
+    constexpr int kSteps = 400;
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        h.clear();
+        EXPECT_EQ(h.distinct_replicas(), 0u);
+        expect_same_map(h.ratio_map(), {});
+      }
+      std::vector<ReplicaId> probe(
+          static_cast<std::size_t>(rng.uniform_int(1, 4)));
+      for (ReplicaId& id : probe) {
+        id = ReplicaId{static_cast<std::uint32_t>(rng.uniform_int(0, 11))};
+      }
+      const SimTime when{static_cast<std::int64_t>(step)};
+      h.record(when, probe);
+      node.observe(when, probe);
+      expect_matches_recount(h);
+      expect_matches_recount(node.history());
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

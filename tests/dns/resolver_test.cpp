@@ -236,6 +236,62 @@ TEST(ResolverCachePressure, FullCacheKeepsHotRecords) {
   EXPECT_EQ(resolver.cache_hits(), hits_before + 1);
 }
 
+TEST(ResolverChain, ThreeLinkChainSurvivesEveryCacheSize) {
+  // www.example.com CNAME alias.mid.net (1 h), which CNAMEs edge.cdn.net
+  // (5 min), which has an A record (20 s). Each cache size resolves it
+  // twice, 30 s apart: with caching off the answers live in one reused
+  // buffer, and a cache of 1 or 2 entries evicts links of the chain
+  // while it is being followed. The answers and counters must not care.
+  StaticZone site{Name::parse("example.com"), HostId{}};
+  site.add(ResourceRecord::cname(Name::parse("www.example.com"),
+                                 Name::parse("alias.mid.net"), Hours(1)));
+  StaticZone mid{Name::parse("mid.net"), HostId{}};
+  mid.add(ResourceRecord::cname(Name::parse("alias.mid.net"),
+                                Name::parse("edge.cdn.net"), Minutes(5)));
+  StaticZone cdn{Name::parse("cdn.net"), HostId{}};
+  cdn.add(ResourceRecord::a(Name::parse("edge.cdn.net"), Ipv4(10, 0, 0, 9),
+                            Seconds(20)));
+  ZoneRegistry registry;
+  registry.register_zone(Name::parse("example.com"), &site);
+  registry.register_zone(Name::parse("mid.net"), &mid);
+  registry.register_zone(Name::parse("cdn.net"), &cdn);
+
+  struct Case {
+    std::size_t max_cache_entries;
+    std::size_t hits;
+    std::size_t misses;
+    std::size_t queries_sent;
+  };
+  const std::size_t default_size = ResolverConfig{}.max_cache_entries;
+  for (const Case& c : {Case{0, 0, 6, 6}, Case{1, 0, 6, 6}, Case{2, 1, 5, 5},
+                        Case{default_size, 2, 4, 4}}) {
+    SCOPED_TRACE(c.max_cache_entries);
+    ResolverConfig config;
+    config.max_cache_entries = c.max_cache_entries;
+    RecursiveResolver resolver{HostId{1}, registry, nullptr, config};
+    for (const SimTime t : {SimTime::epoch(), SimTime::epoch() + Seconds(30)}) {
+      const ResolveResult result =
+          resolver.resolve(Name::parse("www.example.com"), t);
+      EXPECT_EQ(result.rcode, Rcode::kNoError);
+      EXPECT_EQ(result.addresses, std::vector<Ipv4>{Ipv4(10, 0, 0, 9)});
+      ASSERT_EQ(result.chain.size(), 3u);
+      EXPECT_EQ(result.chain[0].name, Name::parse("www.example.com"));
+      EXPECT_EQ(result.chain[0].type, RecordType::kCname);
+      EXPECT_EQ(result.chain[0].target, Name::parse("alias.mid.net"));
+      EXPECT_EQ(result.chain[1].name, Name::parse("alias.mid.net"));
+      EXPECT_EQ(result.chain[1].type, RecordType::kCname);
+      EXPECT_EQ(result.chain[1].target, Name::parse("edge.cdn.net"));
+      EXPECT_EQ(result.chain[2].name, Name::parse("edge.cdn.net"));
+      EXPECT_EQ(result.chain[2].type, RecordType::kA);
+      EXPECT_EQ(result.chain[2].address, Ipv4(10, 0, 0, 9));
+    }
+    EXPECT_EQ(resolver.cache_hits(), c.hits);
+    EXPECT_EQ(resolver.cache_misses(), c.misses);
+    EXPECT_EQ(resolver.queries_sent(), c.queries_sent);
+    EXPECT_LE(resolver.cache_size(), c.max_cache_entries);
+  }
+}
+
 class ResolverFaultTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kServerHost = 99;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Interleaved A/B runs of the repo benchmark between two checkouts.
 
-    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed S]
+    python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs N
+        [--seed S] [--traced-pairs T]
     python3 tools/ab_bench.py --selftest
 
 Each pair runs `python3 perfbench/run.py --workload W --seed S --seconds 10
@@ -23,8 +24,15 @@ for neither side), and a verdict:
   same        anything else.
 
 It also prints failed/attempted operations summed over each side's runs.
---selftest checks the verdict rule on canned results. Standard library
-only.
+
+--traced-pairs T then runs T more interleaved pairs with --trace 1 and
+prints, for every per-layer metric that BENCHMARK.json declares, both
+medians and the change/parent ratio, which shows in which layer a change
+in an end-to-end metric sits. Per-layer metrics are not gated, so that
+table has no verdict.
+
+--selftest checks the verdict rule and both tables on canned results.
+Standard library only.
 """
 import argparse
 import json
@@ -34,10 +42,10 @@ import sys
 from pathlib import Path
 
 
-def run_side(root, workload, seed):
+def run_side(root, workload, seed, trace=0):
     """One benchmark run in checkout `root`; returns its result dict or None."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", "10", "--trace", "0"]
+           "--seed", str(seed), "--seconds", "10", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -94,9 +102,7 @@ def report(spec, results, title):
              f"{'change median [Q1-Q3]':34} {'ratio':>7} {'wins':>7}  verdict"]
     for metric in spec["end_to_end"]:
         name = metric["name"]
-        pairs = [(metric_value(p, name), metric_value(c, name))
-                 for p, c in zip(results["parent"], results["change"])]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        pairs = pair_values(results, name)
         if not pairs:
             continue
         parent = [p for p, _ in pairs]
@@ -123,8 +129,53 @@ def report(spec, results, title):
     return lines
 
 
+def pair_values(results, name):
+    """(parent, change) values of metric `name`, one per pair that has both."""
+    pairs = [(metric_value(p, name), metric_value(c, name))
+             for p, c in zip(results["parent"], results["change"])]
+    return [(p, c) for p, c in pairs if p is not None and c is not None]
+
+
+def traced_report(spec, results, title):
+    """The per-layer table as lines: both medians and their ratio, no
+    verdict (per-layer metrics are not gated)."""
+    lines = [title,
+             f"{'metric':30} {'parent median':>14} {'change median':>14} "
+             f"{'ratio':>7}"]
+    for metric in spec.get("per_layer", []):
+        name = metric["name"]
+        pairs = pair_values(results, name)
+        if not pairs:
+            continue
+        p_med = statistics.median(p for p, _ in pairs)
+        c_med = statistics.median(c for _, c in pairs)
+        ratio = f"{c_med / p_med:6.2f}x" if p_med else "    n/a"
+        lines.append(f"{name:30} {p_med:>14.6g} {c_med:>14.6g} {ratio}")
+    return lines
+
+
+def run_pairs(sides, workload, seed, count, trace):
+    """`count` interleaved pairs; returns {"parent": [...], "change": [...]}
+    with one result (or None) per pair on each side."""
+    results = {"parent": [], "change": []}
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            pair[side] = run_side(sides[side], workload, seed, trace)
+            if pair[side] is None:
+                print(f"pair {i + 1}: {side} run produced no result",
+                      file=sys.stderr)
+        for side in sides:
+            results[side].append(pair[side])
+        kind = "traced pair" if trace else "pair"
+        print(f"{kind} {i + 1}/{count} done ({order[0]} first)",
+              file=sys.stderr, flush=True)
+    return results
+
+
 def selftest():
-    """Checks the verdict rule, and the table built on it, on canned runs."""
+    """Checks the verdict rule and both tables on canned runs."""
     flat = [10.0, 10.2, 9.9, 10.1, 10.0, 9.8, 10.3, 10.0, 10.1, 9.9]
     noisy = [1, 20, 2, 18, 3, 16, 4, 14, 5, 12]  # median 8.5, IQR 12.25
     cases = [
@@ -174,8 +225,32 @@ def selftest():
                     "result)":
         failures += 1
         print(f"FAIL: totals line {table[-1]!r}")
-    print(f"selftest: {len(cases) + 3 - failures}/{len(cases) + 3} checks "
-          f"passed")
+
+    # Traced table: medians and ratio per declared per-layer metric, in
+    # BENCHMARK.json order, with no verdict; undeclared metrics are left
+    # out, and so is a declared one no run reported.
+    spec["per_layer"] = [{"name": "eval.campaign_s", "better": "lower"},
+                         {"name": "eval.probes", "better": "higher"},
+                         {"name": "core.ratio_map_s", "better": "lower"}]
+
+    def traced(campaign_s):
+        return {"failed": 0, "attempted": 10,
+                "metrics": {"eval.campaign_s": {"value": campaign_s,
+                                                "unit": "s"},
+                            "eval.probes": {"value": 7440, "unit": "count"},
+                            "trace.spans": {"value": 9, "unit": "count"}}}
+    results = {"parent": [traced(0.08), traced(0.09), traced(0.1)],
+               "change": [traced(0.06), traced(0.072), traced(0.07)]}
+    want = ["eval.campaign_s                          0.09           0.07"
+            "   0.78x",
+            "eval.probes                              7440           7440"
+            "   1.00x"]
+    got = traced_report(spec, results, "# canned traced")[2:]
+    if got != want:
+        failures += 1
+        print(f"FAIL: traced table {got!r}, want {want!r}")
+    checks = len(cases) + 4
+    print(f"selftest: {checks - failures}/{checks} checks passed")
     return 1 if failures else 0
 
 
@@ -186,6 +261,7 @@ def main():
     parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--traced-pairs", type=int, default=0)
     parser.add_argument("--selftest", action="store_true")
     opts = parser.parse_args()
     if opts.selftest:
@@ -196,23 +272,17 @@ def main():
 
     spec = json.loads((opts.change / "BENCHMARK.json").read_text())
     sides = {"parent": opts.parent, "change": opts.change}
-    results = {"parent": [], "change": []}
-    for i in range(opts.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
-        for side in order:
-            pair[side] = run_side(sides[side], opts.workload, opts.seed)
-            if pair[side] is None:
-                print(f"pair {i + 1}: {side} run produced no result",
-                      file=sys.stderr)
-        for side in sides:
-            results[side].append(pair[side])
-        print(f"pair {i + 1}/{opts.pairs} done ({order[0]} first)",
-              file=sys.stderr, flush=True)
+    results = run_pairs(sides, opts.workload, opts.seed, opts.pairs, 0)
+    traced = run_pairs(sides, opts.workload, opts.seed, opts.traced_pairs, 1)
 
-    title = (f"# {opts.workload} seed {opts.seed}, {opts.pairs} interleaved "
-             f"pairs")
-    print("\n".join(report(spec, results, title)))
+    if opts.pairs:
+        title = (f"# {opts.workload} seed {opts.seed}, {opts.pairs} "
+                 f"interleaved pairs")
+        print("\n".join(report(spec, results, title)))
+    if opts.traced_pairs:
+        title = (f"# {opts.workload} seed {opts.seed}, {opts.traced_pairs} "
+                 f"interleaved traced pairs (per-layer, not gated)")
+        print("\n".join(traced_report(spec, traced, title)))
     return 0
 
 
