@@ -45,15 +45,15 @@ int main(int argc, char** argv) {
 
   TextTable stats;
   stats.header({"metric", "meridian", "crp-top1", "crp-top5"});
-  const auto add_row = [&](const char* label, auto getter) {
+  const auto add_stat = [&](const char* label, auto getter) {
     stats.row({label, fmt(getter(summarize(meridian_err))),
                fmt(getter(summarize(top1_err))),
                fmt(getter(summarize(top5_err)))});
   };
-  add_row("median error (ms)", [](const Summary& s) { return s.median; });
-  add_row("mean error (ms)", [](const Summary& s) { return s.mean; });
-  add_row("p90 error (ms)", [](const Summary& s) { return s.p90; });
-  add_row("max error (ms)", [](const Summary& s) { return s.max; });
+  add_stat("median error (ms)", [](const Summary& s) { return s.median; });
+  add_stat("mean error (ms)", [](const Summary& s) { return s.mean; });
+  add_stat("p90 error (ms)", [](const Summary& s) { return s.p90; });
+  add_stat("max error (ms)", [](const Summary& s) { return s.max; });
   std::cout << "\n" << stats.render();
 
   // The paper notes most errors are small; quantify "small".

@@ -1,19 +1,15 @@
-// Batched query execution: single-query loops vs the tiled batch path,
-// at three corpus sizes.
+// Batched serving: element-wise loops vs the service's batch entry
+// points, at three corpus sizes.
 //
 // Measures, per corpus:
-//   * engine dense scoring   — scores_of per row vs scores_of_batch,
-//   * engine top-k           — top_k per query vs topk_batch,
 //   * service ingest         — publish_encoded loop vs publish_batch,
 //   * service closest        — closest_any loop vs closest_batch
 // and, because speed means nothing if the answers drift, cross-checks
-// every batched result bit-for-bit against its scalar twin (exit 1 on
-// any mismatch — DESIGN.md §6). A tile-width sweep at the largest corpus
-// shows where the amortization saturates. Feeds the
-// BENCH_batch_query.json snapshot; target: batched closest_any ≥2x the
-// per-query loop at the largest corpus. Both sides rank touched rows
-// only (DESIGN.md §8), so the batch's edge is running clients in
-// parallel on the pool.
+// every batched result bit-for-bit against its element-wise twin (exit 1
+// on any mismatch — DESIGN.md §6). Feeds the BENCH_batch_query.json
+// snapshot; target: batched closest_any ≥2x the per-query loop at the
+// largest corpus. Both sides rank touched rows only (DESIGN.md §8), so
+// the batch's edge is running clients in parallel on the pool.
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
 #include <chrono>
@@ -134,77 +130,12 @@ int main() {
     // The query batch: B clients spread evenly across the corpus.
     const std::size_t batch = std::min<std::size_t>(256, n);
     std::vector<std::string> clients;
-    std::vector<std::size_t> rows;
-    std::vector<core::RatioMap> queries;
     for (std::size_t j = 0; j < batch; ++j) {
-      const std::size_t i = j * n / batch;
-      clients.push_back(ids[i]);
-      rows.push_back(i);
-      queries.push_back(maps[i]);
+      clients.push_back(ids[j * n / batch]);
     }
     const std::size_t reps = std::max<std::size_t>(1, 1024 / batch);
-    constexpr std::size_t kTopK = 5;
-
-    // Engine dense scoring: per-row loop vs one tiled batch. The loop
-    // fills the same batch-sized score block the batched call returns —
-    // both sides produce the identical artifact.
-    FlatMatrix<double> loop_block(batch, engine.size());
-    start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      for (std::size_t j = 0; j < rows.size(); ++j) {
-        engine.scores_of(rows[j], loop_block.row(j));
-      }
-    }
-    const double scores_loop_wall = seconds_since(start);
-    FlatMatrix<double> block;
-    start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      engine.scores_of_batch(rows, block);
-    }
-    const double scores_batch_wall = seconds_since(start);
-    if (!(block == loop_block)) {
-      std::printf("  scores MISMATCH: scores_of_batch vs scores_of\n");
-      ok = false;
-    }
     const double q = static_cast<double>(reps * batch);
-    std::printf("  %-26s %9.0f q/s  wall %7.3f s\n", "engine scores (loop)",
-                q / scores_loop_wall, scores_loop_wall);
-    std::printf("  %-26s %9.0f q/s  wall %7.3f s  speedup %5.2fx\n",
-                "engine scores_batch", q / scores_batch_wall,
-                scores_batch_wall, scores_loop_wall / scores_batch_wall);
-
-    // Engine top-k: per-query loop vs one tiled batch.
-    start = std::chrono::steady_clock::now();
-    std::vector<std::vector<core::RankedCandidate>> topk_loop(queries.size());
-    for (std::size_t r = 0; r < reps; ++r) {
-      for (std::size_t j = 0; j < queries.size(); ++j) {
-        topk_loop[j] = engine.top_k(queries[j], kTopK);
-      }
-    }
-    const double topk_loop_wall = seconds_since(start);
-    std::vector<std::vector<core::RankedCandidate>> topk_batched;
-    start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) {
-      topk_batched = engine.topk_batch(queries, kTopK);
-    }
-    const double topk_batch_wall = seconds_since(start);
-    for (std::size_t j = 0; j < queries.size(); ++j) {
-      const auto& a = topk_loop[j];
-      const auto& b = topk_batched[j];
-      bool same = a.size() == b.size();
-      for (std::size_t i = 0; same && i < a.size(); ++i) {
-        same = a[i].index == b[i].index && a[i].similarity == b[i].similarity;
-      }
-      if (!same) {
-        std::printf("  topk MISMATCH: topk_batch query %zu\n", j);
-        ok = false;
-      }
-    }
-    std::printf("  %-26s %9.0f q/s  wall %7.3f s\n", "engine top_k (loop)",
-                q / topk_loop_wall, topk_loop_wall);
-    std::printf("  %-26s %9.0f q/s  wall %7.3f s  speedup %5.2fx\n",
-                "engine topk_batch", q / topk_batch_wall, topk_batch_wall,
-                topk_loop_wall / topk_batch_wall);
+    constexpr std::size_t kTopK = 5;
 
     // Service closest: the acceptance metric — per-query closest_any
     // loop vs closest_batch.
@@ -234,27 +165,6 @@ int main() {
     std::printf("  %-26s %9.0f q/s  wall %7.3f s  speedup %5.2fx\n",
                 "closest_batch", q / closest_batch_wall, closest_batch_wall,
                 closest_loop_wall / closest_batch_wall);
-
-    // Tile-width sweep (largest corpus only): where the per-tile
-    // amortization saturates. Every width must agree bit-for-bit.
-    if (n == sweep.back()) {
-      for (const std::size_t tile : {std::size_t{1}, std::size_t{8},
-                                     std::size_t{32}, std::size_t{64}}) {
-        FlatMatrix<double> tiled;
-        start = std::chrono::steady_clock::now();
-        for (std::size_t r = 0; r < reps; ++r) {
-          engine.scores_of_batch(rows, tiled, nullptr, nullptr, tile);
-        }
-        const double wall = seconds_since(start);
-        if (!(tiled == block)) {
-          std::printf("  tile MISMATCH: tile %zu\n", tile);
-          ok = false;
-        }
-        std::printf("  %-26s %9.0f q/s  wall %7.3f s\n",
-                    ("scores_batch tile " + std::to_string(tile)).c_str(),
-                    q / wall, wall);
-      }
-    }
   }
 
   if (!ok) {

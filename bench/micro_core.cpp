@@ -222,29 +222,18 @@ void BM_EngineTopK(benchmark::State& state) {
   const auto maps = engine_corpus(static_cast<std::size_t>(state.range(0)));
   const core::SimilarityEngine engine{maps};
   ThreadPool pool{static_cast<std::size_t>(state.range(1))};
+  std::vector<std::vector<core::RankedCandidate>> top(engine.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.all_top_k(kEngineTopK, &pool));
+    pool.parallel_for(0, engine.size(), [&](std::size_t i) {
+      top[i] = engine.top_k(engine.row_view(i), kEngineTopK);
+    });
+    benchmark::DoNotOptimize(top.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(maps.size()));
 }
 BENCHMARK(BM_EngineTopK)
-    ->Args({256, 1})->Args({256, 4})->Args({256, 8})
-    ->Args({1024, 1})->Args({1024, 4})->Args({1024, 8})
-    ->Args({4096, 1})->Args({4096, 4})->Args({4096, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EngineAllPairs(benchmark::State& state) {
-  const auto maps = engine_corpus(static_cast<std::size_t>(state.range(0)));
-  const core::SimilarityEngine engine{maps};
-  ThreadPool pool{static_cast<std::size_t>(state.range(1))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.pairwise_similarities(&pool));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(maps.size()));
-}
-BENCHMARK(BM_EngineAllPairs)
     ->Args({256, 1})->Args({256, 4})->Args({256, 8})
     ->Args({1024, 1})->Args({1024, 4})->Args({1024, 8})
     ->Args({4096, 1})->Args({4096, 4})->Args({4096, 8})

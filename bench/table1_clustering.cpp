@@ -21,8 +21,8 @@ int main() {
   table.header({"technique", "# nodes clustered", "% nodes clustered",
                 "# of clusters", "[mean, median, max] cluster size"});
 
-  const auto add_row = [&table, &exp](const std::string& label,
-                                      const core::Clustering& clustering) {
+  const auto add_result = [&table, &exp](const std::string& label,
+                                         const core::Clustering& clustering) {
     const auto stats =
         core::clustering_stats(clustering, exp.nodes.size());
     std::string sizes = "[";
@@ -34,10 +34,10 @@ int main() {
   };
 
   for (double t : {0.01, 0.1, 0.5}) {
-    add_row("CRP (t=" + fmt(t, t < 0.1 ? 2 : 1) + ")",
-            exp.crp_clustering(t));
+    add_result("CRP (t=" + fmt(t, t < 0.1 ? 2 : 1) + ")",
+               exp.crp_clustering(t));
   }
-  add_row("ASN", exp.asn_clustering());
+  add_result("ASN", exp.asn_clustering());
 
   std::cout << "\n" << table.render();
   std::cout <<

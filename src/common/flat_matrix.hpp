@@ -1,12 +1,9 @@
 // Row-major dense matrix in one contiguous allocation.
 //
-// The batch similarity paths (`pairwise_similarities`, `scores_many`)
-// used to hand back `vector<vector<double>>` — n separate heap blocks,
-// each a cache miss away from its neighbours, allocated inside the
-// parallel region. `FlatMatrix` replaces that with a single row-major
-// buffer sized up front: one allocation for the whole result, rows
-// addressable as contiguous spans so per-row writers (the thread-pool
-// bodies) still write only through their own slot.
+// One row-major buffer sized up front instead of `vector<vector<T>>`'s
+// n separate heap blocks: rows are addressable as contiguous spans, so
+// per-row writers (thread-pool bodies, such as SMF's pass-2 score tiles)
+// each write only through their own slot.
 #pragma once
 
 #include <cstddef>

@@ -33,13 +33,10 @@ std::size_t Clustering::nodes_clustered() const {
 namespace {
 
 /// Dense SMF given a per-node similarity source. `node_scores(node, sims)`
-/// fills `sims` with the node's similarity to every other node; the rest
-/// of the algorithm is shared between the dense-engine and reference
-/// paths, which guarantees their outputs can differ only if the scores
-/// do (and the engine's scores are bit-identical to similarity()'s).
-/// The center-indexed SmfClusterer below is a separate implementation of
-/// the same algorithm — deliberately, so the randomized oracle test
-/// compares genuinely independent code paths.
+/// fills `sims` with the node's similarity to every other node. The
+/// center-indexed SmfClusterer below is a separate implementation of the
+/// same algorithm — deliberately, so the randomized oracle test compares
+/// genuinely independent code paths.
 template <typename StrengthFn, typename ScoresFn>
 Clustering smf_cluster_impl(std::size_t n, const SmfConfig& config,
                             const StrengthFn& strength,
@@ -178,7 +175,7 @@ Clustering SmfClusterer::run(const SimilarityEngine& source,
       cluster.members.push_back(node);
       out.clusters.push_back(std::move(cluster));
       out.assignment[node] = out.clusters.size() - 1;
-      const std::size_t row = centers_.add_row(source.row_view(node));
+      const std::size_t row = centers_.add(source.row_view(node));
       assert(row == out.clusters.size() - 1);
       (void)row;
     }
@@ -204,7 +201,7 @@ Clustering SmfClusterer::run(const SimilarityEngine& source,
     if (s_count > 1) {
       singles_.clear(config.metric);
       for (const std::size_t ci : singles) {
-        (void)singles_.add_row(source.row_view(out.clusters[ci].center));
+        (void)singles_.add(source.row_view(out.clusters[ci].center));
       }
 
       constexpr std::size_t kTileRows = 128;
@@ -260,20 +257,6 @@ Clustering smf_cluster(const SimilarityEngine& engine, const SmfConfig& config,
                        ThreadPool* pool) {
   SmfClusterer clusterer;
   return clusterer.run(engine, config, pool);
-}
-
-Clustering smf_cluster_dense(const SimilarityEngine& engine,
-                             const SmfConfig& config) {
-  if (engine.kind() != config.metric) {
-    throw std::invalid_argument{
-        "smf_cluster: engine metric disagrees with config.metric"};
-  }
-  return smf_cluster_impl(
-      engine.size(), config,
-      [&engine](std::size_t i) { return engine.strongest_mapping(i); },
-      [&engine](std::size_t node, std::vector<double>& sims) {
-        engine.scores_of(node, sims);
-      });
 }
 
 Clustering smf_cluster(std::span<const RatioMap> maps,

@@ -13,16 +13,17 @@
 //
 // Two scoring strategies implement the same algorithm (DESIGN.md §6):
 //
-//   * Dense (`smf_cluster_dense`, `smf_cluster_reference`): each node is
-//     scored against the *whole corpus* and the argmax reads only the
-//     current centers' slots — O(n) score work per node, O(n²) total.
+//   * Reference (`smf_cluster_reference`): each node is scored against
+//     the *whole corpus* with per-pair similarity() and the argmax reads
+//     only the current centers' slots — O(n) merges per node, O(n²)
+//     total.
 //   * Center-indexed (`SmfClusterer`, the default `smf_cluster`): a
 //     small mutable SimilarityEngine holds only the founded centers
 //     (mirrored verbatim via RowView), and each node is scored against
 //     *it* — O(node postings × centers) per node. The second pass gets
 //     the same treatment with a singleton-center index. Both argmaxes
-//     range over exactly the centers, so the outputs are bit-identical
-//     by construction.
+//     range over exactly the centers and engine scores are bit-identical
+//     to similarity(), so the outputs are bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -122,13 +123,6 @@ class SmfClusterer {
 [[nodiscard]] Clustering smf_cluster(const SimilarityEngine& engine,
                                      const SmfConfig& config = {},
                                      ThreadPool* pool = nullptr);
-
-/// The pre-center-index engine path: every node is scored densely against
-/// the whole corpus (`scores_of`), argmax reads the center slots. Kept as
-/// the measured baseline for bench/micro_clustering and as a second
-/// equivalence oracle; output is bit-identical to `smf_cluster`'s.
-[[nodiscard]] Clustering smf_cluster_dense(const SimilarityEngine& engine,
-                                           const SmfConfig& config = {});
 
 /// Reference implementation with per-pair similarity() calls, kept for
 /// equivalence testing (its output is bit-identical to smf_cluster's)

@@ -22,32 +22,42 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_matrix.hpp"
 #include "core/ratio_map.hpp"
 #include "core/replica_table.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
 
-namespace crp {
-class ThreadPool;
-}
-
 namespace crp::core {
 
-/// Borrowed view of one corpus row: its arena entry segment (sorted by
-/// replica id) plus its precomputed norm and strongest mapping. A view
-/// of engine A's row can be replayed into engine B (`add_row`) or used
-/// as a query (`scores`/`best_match`) with bit-identical results —
-/// nothing is renormalized, so not a single bit of the ratios or the
-/// norm changes in transit. This is how the center-indexed SMF mirrors
-/// corpus rows into its small center engine, and how every query shape
-/// (RatioMap, corpus row, foreign row) funnels into one kernel. Views
-/// into a mutable engine are invalidated by any mutation of it; views
-/// into an EngineSnapshot stay valid as long as the snapshot is held.
+/// Borrowed view of one corpus row or query map: its entries (sorted by
+/// replica id, at most one per replica) plus its norm and strongest
+/// mapping. Every query takes one, and `SimilarityEngine::add` ingests
+/// one. A view of engine A's row can be replayed into engine B or used as
+/// a query with bit-identical results — nothing is renormalized, so not
+/// a single bit of the ratios or the norm changes in transit. This is how
+/// the center-indexed SMF mirrors corpus rows into its small center
+/// engine, and how every query shape (RatioMap, corpus row, foreign row)
+/// funnels into one kernel. Views into a mutable engine are invalidated
+/// by any mutation of it; views into an EngineSnapshot stay valid as long
+/// as the snapshot is held.
 struct RowView {
   std::span<const RatioMap::Entry> entries;
   double norm = 0.0;
   double strongest = 0.0;
+
+  RowView() = default;
+  RowView(std::span<const RatioMap::Entry> entries, double norm,
+          double strongest)
+      : entries(entries), norm(norm), strongest(strongest) {}
+  /// Implicit, so a query or an `add` takes a RatioMap as it is. Carries
+  /// the map's own norm and strongest mapping — the values a corpus row
+  /// built from it stores. The view borrows the map's entries and must
+  /// not outlive the map: passing a temporary map to a call is fine,
+  /// keeping a view of one is not.
+  RowView(const RatioMap& map)
+      : entries(map.entries()),
+        norm(map.norm()),
+        strongest(map.strongest_mapping()) {}
 };
 
 namespace engine_detail {
@@ -118,17 +128,10 @@ struct CorpusView {
   }
 };
 
-/// Wraps a RatioMap as a query. The strongest mapping is irrelevant to
-/// scoring, so it is not computed.
-[[nodiscard]] inline RowView as_query(const RatioMap& map) {
-  return RowView{map.entries(), map.norm(), 0.0};
-}
-
-// --- scalar kernels ---
+// --- query kernels ---
 // All take the query as a RowView; `query.entries.size()` doubles as the
-// query size (RatioMap::size() is its entry count). Each is bit-identical
-// to the corresponding pre-extraction SimilarityEngine member function —
-// the bodies moved verbatim, with member reads rewritten to view reads.
+// query size (RatioMap::size() is its entry count). Every score is
+// bit-identical to `similarity()` of the query and the row.
 
 /// Dense scores for every corpus row, 0 for dead/untouched rows.
 void dense_scores(const CorpusView& v, const RowView& query,
@@ -156,19 +159,6 @@ void touched_scores(const CorpusView& v, const RowView& query,
 void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
                 std::vector<RankedCandidate>& out);
 
-/// All live rows ranked, best first (stable descending sort).
-[[nodiscard]] std::vector<RankedCandidate> rank_all(const CorpusView& v,
-                                                    const RowView& query);
-
-/// Rows with strictly positive similarity to the query.
-[[nodiscard]] std::size_t comparable_count(const CorpusView& v,
-                                           const RowView& query);
-
-/// Appends zero-similarity live rows in row order until `out` reaches
-/// `want` entries, skipping indices already ranked in `out`.
-void pad_zero_rows(const CorpusView& v, std::vector<RankedCandidate>& out,
-                   std::size_t want);
-
 // --- invariant checking (shared by both owners' check_invariants) ---
 
 /// Throws std::logic_error, prefixed with `owner`, on the first broken
@@ -193,27 +183,6 @@ template <typename T>
   }
   return false;
 }
-
-// --- batched kernels (tiled, parallel across tiles, deterministic) ---
-
-/// Default / maximum tile width for the batched kernels. The kernel
-/// tracks which queries of a tile touched each map in one std::uint64_t
-/// bitmask, so a tile holds at most 64 queries; tile requests are
-/// clamped to [1, kMaxQueryTile].
-inline constexpr std::size_t kQueryTile = 32;
-inline constexpr std::size_t kMaxQueryTile = 64;
-
-/// Dense scores for a batch of queries into `out` (must be pre-assigned
-/// to refs.size() x v.size(), zero-filled). Row `i` is bit-identical to
-/// `dense_scores(v, refs[i])`.
-void scores_batch(const CorpusView& v, std::span<const RowView> refs,
-                  FlatMatrix<double>& out, ThreadPool* pool,
-                  std::uint64_t* maps_touched, std::size_t tile);
-
-/// Batched top-k, result `i` bit-identical to scalar top_k of refs[i].
-[[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-    const CorpusView& v, std::span<const RowView> refs, std::size_t k,
-    ThreadPool* pool, std::uint64_t* maps_touched, std::size_t tile);
 
 }  // namespace engine_detail
 }  // namespace crp::core

@@ -38,8 +38,6 @@ class SimilarityEngine;
 
 class EngineSnapshot {
  public:
-  using RowView = core::RowView;
-
   /// Row-slot count (dead slots included), the length of dense score
   /// vectors — mirrors SimilarityEngine::size() at the freeze.
   [[nodiscard]] std::size_t size() const { return rows_->size(); }
@@ -67,12 +65,8 @@ class EngineSnapshot {
   // --- queries: each bit-identical to its SimilarityEngine namesake at
   // --- the frozen epoch (same kernels, same bytes) ---
 
-  [[nodiscard]] std::vector<double> scores(const RatioMap& query) const;
-  void scores(const RatioMap& query, std::span<double> out,
+  void scores(const RowView& query, std::span<double> out,
               std::size_t* touched_maps = nullptr) const;
-  [[nodiscard]] std::vector<double> scores_of(std::size_t index) const;
-  void scores_of(std::size_t index, std::span<double> out,
-                 std::size_t* touched_maps = nullptr) const;
   /// Subset read with a raw row view (possibly another shard's) as the
   /// query — the scatter/gather candidate-list path.
   void scores_subset(const RowView& query,
@@ -83,11 +77,8 @@ class EngineSnapshot {
                       std::vector<RankedCandidate>& out) const;
   [[nodiscard]] std::optional<RankedCandidate> best_match(
       const RowView& query, std::size_t* touched_maps = nullptr) const;
-  [[nodiscard]] std::vector<RankedCandidate> rank_all(
-      const RatioMap& query) const;
-  [[nodiscard]] std::vector<RankedCandidate> top_k(const RatioMap& query,
+  [[nodiscard]] std::vector<RankedCandidate> top_k(const RowView& query,
                                                    std::size_t k) const;
-  [[nodiscard]] std::size_t comparable_count(const RatioMap& query) const;
 
   /// Throws std::logic_error naming the first broken invariant:
   ///  * every row segment lies in an arena chunk the snapshot holds, and

@@ -22,11 +22,6 @@ std::vector<RankedCandidate> rank_candidates(
   return ranked;
 }
 
-std::vector<RankedCandidate> rank_candidates(const RatioMap& client,
-                                             const SimilarityEngine& corpus) {
-  return corpus.rank_all(client);
-}
-
 std::vector<RankedCandidate> select_top_k(const RatioMap& client,
                                           std::span<const RatioMap> candidates,
                                           std::size_t k,
@@ -34,12 +29,6 @@ std::vector<RankedCandidate> select_top_k(const RatioMap& client,
   auto ranked = rank_candidates(client, candidates, kind);
   if (ranked.size() > k) ranked.resize(k);
   return ranked;
-}
-
-std::vector<RankedCandidate> select_top_k(const RatioMap& client,
-                                          const SimilarityEngine& corpus,
-                                          std::size_t k) {
-  return corpus.top_k(client, k);
 }
 
 std::optional<std::size_t> select_closest(const RatioMap& client,
@@ -60,9 +49,9 @@ std::optional<std::size_t> select_closest(const RatioMap& client,
 
 std::optional<std::size_t> select_closest(const RatioMap& client,
                                           const SimilarityEngine& corpus) {
-  if (corpus.empty()) return std::nullopt;
-  const auto top = corpus.top_k(client, 1);
-  return top.front().index;
+  const auto best = corpus.best_match(client);
+  if (!best.has_value()) return std::nullopt;
+  return best->index;
 }
 
 std::size_t comparable_count(const RatioMap& client,
@@ -77,7 +66,13 @@ std::size_t comparable_count(const RatioMap& client,
 
 std::size_t comparable_count(const RatioMap& client,
                              const SimilarityEngine& corpus) {
-  return corpus.comparable_count(client);
+  std::vector<RankedCandidate> touched;
+  corpus.touched_scores(client, touched);
+  std::size_t count = 0;
+  for (const RankedCandidate& t : touched) {
+    if (t.similarity > 0.0) ++count;
+  }
+  return count;
 }
 
 }  // namespace crp::core

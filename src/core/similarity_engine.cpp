@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/thread_pool.hpp"
 #include "core/engine_snapshot.hpp"
 
 namespace crp::core {
@@ -130,7 +129,7 @@ void SimilarityEngine::unlink_row(std::size_t index) {
   live_entries_ -= entries.size();
 }
 
-std::size_t SimilarityEngine::add_impl(const RowView& source) {
+std::size_t SimilarityEngine::add(const RowView& row) {
   std::size_t index;
   if (!free_rows_.empty()) {
     index = free_rows_.back();
@@ -142,18 +141,10 @@ std::size_t SimilarityEngine::add_impl(const RowView& source) {
     strongest_.push_back(0.0);
     link_at_.push_back(0);
   }
-  write_row(index, source);
+  write_row(index, row);
   ++live_rows_;
   ++mstats_.adds;
   return index;
-}
-
-std::size_t SimilarityEngine::add(const RatioMap& map) {
-  return add_impl(RowView{map.entries(), map.norm(), map.strongest_mapping()});
-}
-
-std::size_t SimilarityEngine::add_row(const RowView& row) {
-  return add_impl(row);
 }
 
 void SimilarityEngine::clear(SimilarityKind kind) {
@@ -184,11 +175,10 @@ void SimilarityEngine::clear(SimilarityKind kind) {
   rows_dirty_ = true;
 }
 
-void SimilarityEngine::update(std::size_t index, const RatioMap& map) {
+void SimilarityEngine::update(std::size_t index, const RowView& row) {
   assert(index < rows_.size() && rows_[index].live);
   unlink_row(index);
-  write_row(index,
-            RowView{map.entries(), map.norm(), map.strongest_mapping()});
+  write_row(index, row);
   ++mstats_.updates;
   maybe_compact();
 }
@@ -421,52 +411,20 @@ void SimilarityEngine::check_invariants() const {
   if (held != current + frozen_dead_) fail("frozen dead weight is off");
 }
 
-// --- query forwarding: every public query runs the shared kernels over
-// --- this engine's CorpusView (bit-identity with EngineSnapshot by
+// --- query forwarding: every query runs the shared kernels over this
+// --- engine's CorpusView (bit-identity with EngineSnapshot by
 // --- construction — same code, same storage bytes).
-
-void SimilarityEngine::scores(const RatioMap& query, std::span<double> out,
-                              std::size_t* touched_maps) const {
-  engine_detail::dense_scores(view(), engine_detail::as_query(query), out,
-                              touched_maps);
-}
-
-std::vector<double> SimilarityEngine::scores(const RatioMap& query) const {
-  std::vector<double> out(size());
-  scores(query, out);
-  return out;
-}
-
-void SimilarityEngine::scores_of(std::size_t index, std::span<double> out,
-                                 std::size_t* touched_maps) const {
-  engine_detail::dense_scores(view(), row_view(index), out, touched_maps);
-}
-
-std::vector<double> SimilarityEngine::scores_of(std::size_t index) const {
-  std::vector<double> out(size());
-  scores_of(index, out);
-  return out;
-}
 
 void SimilarityEngine::scores(const RowView& query, std::span<double> out,
                               std::size_t* touched_maps) const {
   engine_detail::dense_scores(view(), query, out, touched_maps);
 }
 
-void SimilarityEngine::scores_subset(const RatioMap& query,
+void SimilarityEngine::scores_subset(const RowView& query,
                                      std::span<const std::size_t> subset,
                                      std::span<double> out,
                                      std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), engine_detail::as_query(query), subset,
-                               out, touched_maps);
-}
-
-void SimilarityEngine::scores_of_subset(std::size_t index,
-                                        std::span<const std::size_t> subset,
-                                        std::span<double> out,
-                                        std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), row_view(index), subset, out,
-                               touched_maps);
+  engine_detail::subset_scores(view(), query, subset, out, touched_maps);
 }
 
 void SimilarityEngine::touched_scores(
@@ -479,86 +437,10 @@ std::optional<RankedCandidate> SimilarityEngine::best_match(
   return engine_detail::best_match(view(), query, touched_maps);
 }
 
-std::vector<RankedCandidate> SimilarityEngine::rank_all(
-    const RatioMap& query) const {
-  return engine_detail::rank_all(view(), engine_detail::as_query(query));
-}
-
-std::vector<RankedCandidate> SimilarityEngine::top_k(const RatioMap& query,
+std::vector<RankedCandidate> SimilarityEngine::top_k(const RowView& query,
                                                      std::size_t k) const {
   std::vector<RankedCandidate> out;
-  engine_detail::top_k_into(view(), engine_detail::as_query(query), k, out);
-  return out;
-}
-
-std::size_t SimilarityEngine::comparable_count(const RatioMap& query) const {
-  return engine_detail::comparable_count(view(),
-                                         engine_detail::as_query(query));
-}
-
-FlatMatrix<double> SimilarityEngine::scores_batch(
-    std::span<const RatioMap> queries, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  FlatMatrix<double> out(queries.size(), size());  // zero-initialised
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-  return out;
-}
-
-void SimilarityEngine::scores_of_batch(std::span<const std::size_t> rows,
-                                       FlatMatrix<double>& out,
-                                       ThreadPool* pool,
-                                       std::uint64_t* maps_touched,
-                                       std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(rows.size());
-  for (const std::size_t index : rows) refs.push_back(row_view(index));
-  out.assign(rows.size(), size(), 0.0);
-  engine_detail::scores_batch(view(), refs, out, pool, maps_touched, tile);
-}
-
-std::vector<std::vector<RankedCandidate>> SimilarityEngine::topk_batch(
-    std::span<const RatioMap> queries, std::size_t k, ThreadPool* pool,
-    std::uint64_t* maps_touched, std::size_t tile) const {
-  std::vector<RowView> refs;
-  refs.reserve(queries.size());
-  for (const RatioMap& q : queries) refs.push_back(engine_detail::as_query(q));
-  return engine_detail::topk_batch(view(), refs, k, pool, maps_touched, tile);
-}
-
-std::vector<std::vector<RankedCandidate>> SimilarityEngine::all_top_k(
-    std::size_t k, ThreadPool* pool) const {
-  std::vector<std::vector<RankedCandidate>> out(size());
-  const engine_detail::CorpusView v = view();
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, size(), [this, v, k, &out](std::size_t i) {
-    engine_detail::top_k_into(v, row_view(i), k, out[i]);
-  });
-  return out;
-}
-
-FlatMatrix<double> SimilarityEngine::scores_many(
-    std::span<const RatioMap> queries, ThreadPool* pool) const {
-  FlatMatrix<double> out(queries.size(), size());
-  const engine_detail::CorpusView v = view();
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, queries.size(), [v, queries, &out](std::size_t i) {
-    engine_detail::dense_scores(v, engine_detail::as_query(queries[i]),
-                                out.row(i), nullptr);
-  });
-  return out;
-}
-
-FlatMatrix<double> SimilarityEngine::pairwise_similarities(
-    ThreadPool* pool) const {
-  FlatMatrix<double> out(size(), size());
-  const engine_detail::CorpusView v = view();
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, size(), [this, v, &out](std::size_t i) {
-    engine_detail::dense_scores(v, row_view(i), out.row(i), nullptr);
-  });
+  engine_detail::top_k_into(view(), query, k, out);
   return out;
 }
 

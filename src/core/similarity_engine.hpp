@@ -36,12 +36,14 @@
 // and norms/sizes come from the same `RatioMap` the fresh build would
 // ingest.
 //
-// Determinism contract (the repo's first parallel subsystem; later ones
-// follow the same conventions): all batch results are indexed by query
-// position and each slot is computed independently, so results are
-// bit-identical regardless of the thread pool's size, including the
-// inline (0-thread) pool. Mutations are not thread-safe; quiesce queries
-// before calling add/update/remove/compact.
+// Queries: five entry points, each taking the query as a `RowView` — a
+// RatioMap converts implicitly, a corpus row comes from `row_view` — and
+// each answering from one pass over the query's posting lists: dense
+// `scores`, `scores_subset`, `touched_scores`, `best_match` and `top_k`.
+// A query reads only its own thread_local scratch, so callers run many at
+// once with a `parallel_for` whose slots are indexed by query, and the
+// results are bit-identical for any pool size. Mutations are not
+// thread-safe; quiesce queries before calling add/update/remove/compact.
 //
 // Concurrent serving (DESIGN.md §8): `freeze()` produces an immutable
 // `EngineSnapshot` sharing this engine's query kernels, its arena chunks
@@ -58,15 +60,10 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_matrix.hpp"
 #include "core/engine_kernels.hpp"
 #include "core/ratio_map.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
-
-namespace crp {
-class ThreadPool;
-}
 
 namespace crp::core {
 
@@ -74,9 +71,6 @@ class EngineSnapshot;
 
 class SimilarityEngine {
  public:
-  /// The query/row view type (see engine_kernels.hpp). Kept as a member
-  /// alias for source compatibility with pre-snapshot callers.
-  using RowView = core::RowView;
   /// Mutation counters (monotonic over the engine's lifetime).
   struct MutationStats {
     std::uint64_t adds = 0;
@@ -143,16 +137,14 @@ class SimilarityEngine {
 
   // --- incremental corpus maintenance ---
 
-  /// Adds a map and returns its row index. Freed slots (from `remove`)
-  /// are reused before new ones are appended, so `size()` stays bounded
-  /// by the high-water mark of live rows.
-  std::size_t add(const RatioMap& map);
-  /// Adds a preformed row (typically another engine's `row_view`)
-  /// verbatim: no renormalization, the stored norm/strongest are the
-  /// view's. Entries must be sorted by replica id with at most one entry
-  /// per replica — true of every RowView. Same slot-reuse contract as
-  /// `add`.
-  std::size_t add_row(const RowView& row);
+  /// Adds a row and returns its row index. The row's entries, norm and
+  /// strongest mapping are stored verbatim — a RatioMap brings its own,
+  /// another engine's `row_view` the ones that engine stored — so nothing
+  /// is renormalized. Entries must be sorted by replica id with at most
+  /// one entry per replica, as every RatioMap and RowView is. Freed slots
+  /// (from `remove`) are reused before new ones are appended, so `size()`
+  /// stays bounded by the high-water mark of live rows.
+  std::size_t add(const RowView& row);
   /// Empties the engine (rows, entries, postings, back-links, free list,
   /// mutation counters) and re-fixes the metric, keeping the replica
   /// index and every allocation — the cheap way to reuse one engine
@@ -160,9 +152,10 @@ class SimilarityEngine {
   /// nearly allocation-free across reclusterings. Rows restart in a
   /// fresh arena; snapshots keep the old chunks.
   void clear(SimilarityKind kind);
-  /// Replaces the map at live row `index` (precondition: alive(index)).
-  /// The old row's postings are removed and its arena segment orphaned.
-  void update(std::size_t index, const RatioMap& map);
+  /// Replaces the row at live row `index` (precondition: alive(index)),
+  /// stored as `add` stores it. The old row's postings are removed and
+  /// its arena segment orphaned.
+  void update(std::size_t index, const RowView& row);
   /// Removes the map at live row `index` (precondition: alive(index)).
   /// The slot survives — dense scores keep their positions — and scores
   /// against it are 0 from here on.
@@ -214,28 +207,14 @@ class SimilarityEngine {
   [[nodiscard]] std::shared_ptr<const EngineSnapshot> freeze(
       std::uint64_t epoch);
 
-  // --- single-query paths ---
+  // --- queries ---
 
   /// Similarity of `query` to every corpus row, indexed by row position
-  /// (0 for dead rows). Bit-identical to calling
-  /// `similarity(kind, query, map)` per live map. If `touched_maps` is
-  /// non-null it receives the number of corpus maps sharing at least one
-  /// replica with the query — the work the inverted index actually did.
-  [[nodiscard]] std::vector<double> scores(const RatioMap& query) const;
-  void scores(const RatioMap& query, std::span<double> out,
-              std::size_t* touched_maps = nullptr) const;
-
-  /// Same, with corpus row `index` as the query (no RatioMap needed; uses
-  /// the stored row). scores_of(i)[i] is the self-similarity (1 for any
-  /// non-empty live map under all three metrics). A dead row scores 0
-  /// against everything.
-  [[nodiscard]] std::vector<double> scores_of(std::size_t index) const;
-  void scores_of(std::size_t index, std::span<double> out,
-                 std::size_t* touched_maps = nullptr) const;
-
-  /// Same, with a raw row view (possibly another engine's) as the query.
-  /// Bit-identical to `scores` over the RatioMap the view was built
-  /// from: the entries, their order and the norm are the originals.
+  /// (0 for dead rows); `out.size()` must be `size()`. Bit-identical to
+  /// calling `similarity(kind, query, map)` per live map. If
+  /// `touched_maps` is non-null it receives the number of corpus maps
+  /// sharing at least one replica with the query — the work the
+  /// inverted index actually did.
   void scores(const RowView& query, std::span<double> out,
               std::size_t* touched_maps = nullptr) const;
 
@@ -245,15 +224,10 @@ class SimilarityEngine {
   /// materializing — or zero-filling — an engine-sized vector. Cost is
   /// O(query postings + subset). Duplicate or unordered subset indices
   /// are fine.
-  void scores_subset(const RatioMap& query,
+  void scores_subset(const RowView& query,
                      std::span<const std::size_t> subset,
                      std::span<double> out,
                      std::size_t* touched_maps = nullptr) const;
-  /// Same, with corpus row `index` as the query.
-  void scores_of_subset(std::size_t index,
-                        std::span<const std::size_t> subset,
-                        std::span<double> out,
-                        std::size_t* touched_maps = nullptr) const;
 
   /// (row, score) for every corpus row sharing a replica with `query`:
   /// the rows the dense `scores` writes, bit-identical, in first-touch
@@ -272,85 +246,14 @@ class SimilarityEngine {
   [[nodiscard]] std::optional<RankedCandidate> best_match(
       const RowView& query, std::size_t* touched_maps = nullptr) const;
 
-  /// All *live* corpus maps ranked by similarity to `query`, best first,
-  /// ties and zero-similarity maps in row order — the same contract (and
-  /// bit-identical result) as `rank_candidates` over the live maps.
-  [[nodiscard]] std::vector<RankedCandidate> rank_all(
-      const RatioMap& query) const;
-
-  /// Top-k of `rank_all` without materializing the full ranking: only
-  /// maps sharing a replica with the query are scored and sorted;
-  /// zero-similarity live maps pad the tail in row order if k exceeds
-  /// the number of comparable maps. Dead rows are never returned.
-  [[nodiscard]] std::vector<RankedCandidate> top_k(const RatioMap& query,
+  /// The k best *live* rows by (similarity desc, row asc), without
+  /// scoring or sorting the rows the query shares no replica with:
+  /// zero-similarity live rows pad the tail in row order when k exceeds
+  /// the comparable ones. `top_k(query, live_size())` is the full
+  /// ranking — the same contract, bit for bit, as `rank_candidates` over
+  /// the live maps. Dead rows are never returned.
+  [[nodiscard]] std::vector<RankedCandidate> top_k(const RowView& query,
                                                    std::size_t k) const;
-
-  /// Number of corpus maps with strictly positive similarity to `query`.
-  /// Fast path: counts touched postings, computes no scores.
-  [[nodiscard]] std::size_t comparable_count(const RatioMap& query) const;
-
-  // --- batch paths (parallel across queries, deterministic) ---
-
-  /// Default / maximum tile width for the batched query kernel
-  /// (`scores_batch` / `topk_batch`). The kernel tracks which queries of
-  /// a tile touched each map in one std::uint64_t bitmask, so a tile
-  /// holds at most 64 queries; tile requests are clamped to
-  /// [1, kMaxQueryTile].
-  static constexpr std::size_t kQueryTile = engine_detail::kQueryTile;
-  static constexpr std::size_t kMaxQueryTile = engine_detail::kMaxQueryTile;
-
-  /// Dense scores for a batch of external queries, row `i` of the result
-  /// bit-identical to `scores(queries[i])`. Unlike `scores_many` (one
-  /// full scalar query per task), queries are processed in *tiles* of
-  /// `tile`: each replica posting list touched by anyone in the tile is
-  /// traversed once, scatter-adding into a tile-wide accumulator block
-  /// (SoA via FlatMatrix), so posting-list traversal, replica-slot
-  /// lookups and scratch setup are paid once per tile instead of once
-  /// per query. Tiles run in parallel on `pool` (default
-  /// `ThreadPool::shared()`); each tile writes only its own result rows,
-  /// so output is bit-identical for any pool size including the inline
-  /// pool. If `maps_touched` is non-null it receives the summed
-  /// per-query touched counts — the same totals the scalar queries
-  /// would report.
-  [[nodiscard]] FlatMatrix<double> scores_batch(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr,
-      std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = kQueryTile) const;
-
-  /// Same tiled kernel with corpus rows as the queries: row `i` of `out`
-  /// is bit-identical to `scores_of(rows[i])`. `out` is reshaped to
-  /// rows.size() x size(). Dead rows query as empty maps (all zeros).
-  void scores_of_batch(std::span<const std::size_t> rows,
-                       FlatMatrix<double>& out, ThreadPool* pool = nullptr,
-                       std::uint64_t* maps_touched = nullptr,
-                       std::size_t tile = kQueryTile) const;
-
-  /// Batched `top_k`: result `i` is bit-identical to
-  /// `top_k(queries[i], k)` — same scores, same (similarity desc, index
-  /// asc) order, same zero-similarity padding. Rankings come from a
-  /// bounded top-k heap over the tile's touched maps, never a full sort.
-  [[nodiscard]] std::vector<std::vector<RankedCandidate>> topk_batch(
-      std::span<const RatioMap> queries, std::size_t k,
-      ThreadPool* pool = nullptr, std::uint64_t* maps_touched = nullptr,
-      std::size_t tile = kQueryTile) const;
-
-  /// top_k for every corpus row as the query, indexed by row position.
-  /// `pool` defaults to `ThreadPool::shared()`.
-  [[nodiscard]] std::vector<std::vector<RankedCandidate>> all_top_k(
-      std::size_t k, ThreadPool* pool = nullptr) const;
-
-  /// Dense scores for a batch of external queries, row `i` of the
-  /// result being `scores(queries[i])`. One row-major allocation for
-  /// the whole batch; parallel across queries (each writes its own
-  /// row), bit-identical for any pool size.
-  [[nodiscard]] FlatMatrix<double> scores_many(
-      std::span<const RatioMap> queries, ThreadPool* pool = nullptr) const;
-
-  /// Full similarity matrix, `result(i, j) = similarity(map_i, map_j)`,
-  /// in one row-major allocation. Symmetric; diagonal is the
-  /// self-similarity; dead rows/columns are 0.
-  [[nodiscard]] FlatMatrix<double> pairwise_similarities(
-      ThreadPool* pool = nullptr) const;
 
  private:
   friend class EngineSnapshot;  // check_invariants compares with its source
@@ -393,8 +296,6 @@ class SimilarityEngine {
   /// Writes the view's entries as row `index`'s segment (at the arena's
   /// tail) and appends its postings and back-links.
   void write_row(std::size_t index, const RowView& source);
-  /// Shared slot pick + bookkeeping behind add/add_row.
-  std::size_t add_impl(const RowView& source);
   /// Swap-removes row `index`'s postings and orphans its entry segment
   /// and back-links.
   void unlink_row(std::size_t index);

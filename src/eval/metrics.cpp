@@ -18,18 +18,14 @@ std::vector<SelectionOutcome> evaluate_crp_selection(
   }
   if (top_k == 0) top_k = 1;
 
-  // One engine over the candidate corpus serves every client's query via
-  // the tiled multi-query kernel: every client of a tile shares one pass
-  // over the candidate posting lists. Rankings are bit-identical to
-  // per-client `select_top_k` (DESIGN.md §6 "Batched query execution"),
-  // and outcomes are per-client slots, so the result stays
-  // thread-count independent.
+  // One engine over the candidate corpus serves every client's query.
+  // Rankings are bit-identical to per-client `select_top_k`, and outcomes
+  // are per-client slots, so the result stays thread-count independent.
   const core::SimilarityEngine engine{candidate_maps, kind};
-  const auto ranked_all = engine.topk_batch(client_maps, top_k);
   std::vector<SelectionOutcome> outcomes(client_maps.size());
   ThreadPool::shared().parallel_for(
       0, client_maps.size(), [&](std::size_t c) {
-        const auto& ranked = ranked_all[c];
+        const auto ranked = engine.top_k(client_maps[c], top_k);
         SelectionOutcome outcome;
         outcome.client = c;
         outcome.selected = ranked.empty() ? 0 : ranked.front().index;

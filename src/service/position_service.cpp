@@ -321,7 +321,8 @@ std::vector<RankedNode> PositionService::rank_candidates(
   // ranking matches the naive loop byte for byte.
   std::vector<double> scores(slots.size());
   std::size_t touched = 0;
-  engine_.scores_of_subset(client_slot, slots, scores, &touched);
+  engine_.scores_subset(engine_.row_view(client_slot), slots, scores,
+                        &touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
   return serving_detail::rank_vetted<RankedNode>(vetted, scores, client_slot,
@@ -355,8 +356,8 @@ std::vector<RankedNode> PositionService::top_k(const core::RatioMap& query,
   // The query is external — no corpus row to exclude, and pairwise
   // similarity depends only on the query and the candidate's own row,
   // so shards of a partitioned corpus score it bit-identically.
-  return rank_any(core::engine_detail::as_query(query), ServingSnapshot::npos,
-                  /*stale_band=*/false, k, now);
+  return rank_any(query, ServingSnapshot::npos, /*stale_band=*/false, k,
+                  now);
 }
 
 TieredAnswer PositionService::tiered_query(

@@ -157,8 +157,7 @@ std::vector<RankedNode> ServingSnapshot::partial_closest(
 
 std::vector<RankedNode> ServingSnapshot::partial_top_k(
     const core::RatioMap& query, std::size_t k, SimTime now) const {
-  return partial_closest_any(core::engine_detail::as_query(query), npos,
-                             /*stale_band=*/false, k, now);
+  return partial_closest_any(query, npos, /*stale_band=*/false, k, now);
 }
 
 std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(

@@ -182,10 +182,10 @@ TEST(SmfClustering, RandomSeedingStillValidPartition) {
   EXPECT_EQ(total, maps.size());
 }
 
-// Satellite oracle: the center-indexed path (SmfClusterer / smf_cluster),
-// the dense-engine path (smf_cluster_dense) and the span overload must be
-// byte-for-byte identical to the per-pair reference across corpus sizes,
-// seedings, second-pass settings, metrics and thread counts.
+// Satellite oracle: the center-indexed path (SmfClusterer / smf_cluster)
+// and the span overload must be byte-for-byte identical to the per-pair
+// reference across corpus sizes, seedings, second-pass settings, metrics
+// and thread counts.
 TEST(SmfClustering, CenterIndexedMatchesReferenceAcrossConfigs) {
   Rng rng{0xC1u};
   ThreadPool pool1{1};
@@ -220,8 +220,6 @@ TEST(SmfClustering, CenterIndexedMatchesReferenceAcrossConfigs) {
               " second_pass=" + std::to_string(second_pass);
 
           const Clustering expected = smf_cluster_reference(maps, config);
-          expect_identical(smf_cluster_dense(engine, config), expected,
-                           label + " [dense]");
           expect_identical(smf_cluster(maps, config), expected,
                            label + " [span]");
           // Shared pool (0 workers at ThreadPool{0}? use default shared),
@@ -244,8 +242,6 @@ TEST(SmfClustering, CenterIndexedMatchesReferenceAcrossConfigs) {
 TEST(SmfClustering, DenseAndIndexedRejectMetricMismatch) {
   const SimilarityEngine engine{two_groups(), SimilarityKind::kJaccard};
   SmfConfig config;  // metric defaults to cosine
-  EXPECT_THROW((void)smf_cluster_dense(engine, config),
-               std::invalid_argument);
   SmfClusterer clusterer;
   EXPECT_THROW((void)clusterer.run(engine, config), std::invalid_argument);
 }

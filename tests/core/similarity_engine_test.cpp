@@ -8,6 +8,7 @@
 #include <bit>
 #include <deque>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/clustering.hpp"
 #include "core/selection.hpp"
 #include "core/similarity.hpp"
@@ -54,6 +54,15 @@ std::vector<RatioMap> random_corpus(Rng& rng, std::size_t n,
   return maps;
 }
 
+/// The dense `scores` read of `query` against every row of `corpus` (an
+/// engine or a snapshot), as a fresh vector.
+template <typename Corpus>
+std::vector<double> dense_scores(const Corpus& corpus, const RowView& query) {
+  std::vector<double> out(corpus.size());
+  corpus.scores(query, out);
+  return out;
+}
+
 class EngineEquivalenceTest
     : public ::testing::TestWithParam<SimilarityKind> {};
 
@@ -69,7 +78,7 @@ TEST_P(EngineEquivalenceTest, ScoresMatchNaiveSimilarityBitForBit) {
     auto queries = random_corpus(rng, 8, 40);
     queries.emplace_back();
     for (const RatioMap& query : queries) {
-      const auto got = engine.scores(query);
+      const auto got = dense_scores(engine, query);
       ASSERT_EQ(got.size(), corpus.size());
       for (std::size_t i = 0; i < corpus.size(); ++i) {
         // Bit-identical, not approximately equal: the engine accumulates
@@ -79,9 +88,11 @@ TEST_P(EngineEquivalenceTest, ScoresMatchNaiveSimilarityBitForBit) {
       }
     }
 
-    // Corpus maps as queries, via the CSR row (no RatioMap rebuild).
+    // Corpus maps as queries, via the stored row (no RatioMap rebuild).
     for (std::size_t q = 0; q < corpus.size(); ++q) {
-      EXPECT_EQ(engine.scores_of(q), engine.scores(corpus[q])) << q;
+      EXPECT_EQ(dense_scores(engine, engine.row_view(q)),
+                dense_scores(engine, corpus[q]))
+          << q;
     }
   }
 }
@@ -95,7 +106,7 @@ TEST_P(EngineEquivalenceTest, RankTopKAndCountsMatchSpanSelection) {
     const auto queries = random_corpus(rng, 6, 30);
     for (const RatioMap& query : queries) {
       const auto naive = rank_candidates(query, corpus, kind);
-      const auto ranked = engine.rank_all(query);
+      const auto ranked = engine.top_k(query, engine.live_size());
       ASSERT_EQ(ranked.size(), naive.size());
       for (std::size_t i = 0; i < naive.size(); ++i) {
         EXPECT_EQ(ranked[i].index, naive[i].index);
@@ -110,8 +121,35 @@ TEST_P(EngineEquivalenceTest, RankTopKAndCountsMatchSpanSelection) {
           EXPECT_EQ(top[i].similarity, naive[i].similarity);
         }
       }
-      EXPECT_EQ(engine.comparable_count(query),
-                comparable_count(query, corpus));
+      EXPECT_EQ(comparable_count(query, engine),
+                comparable_count(query, corpus, kind));
+    }
+  }
+}
+
+TEST_P(EngineEquivalenceTest, SingleQueryTopKMatchesFullSortWithTies) {
+  // Heavily tied corpus: duplicated maps make equal similarities common,
+  // so the bounded heap's (similarity desc, index asc) tie-break is
+  // actually exercised against the per-pair stable sort.
+  const SimilarityKind kind = GetParam();
+  std::vector<RatioMap> corpus;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (std::uint32_t base = 0; base < 5; ++base) {
+      corpus.push_back(
+          map_of({{ReplicaId{base}, 0.5}, {ReplicaId{base + 1}, 0.5}}));
+    }
+  }
+  const SimilarityEngine engine{corpus, kind};
+  const auto query = map_of({{ReplicaId{1}, 0.6}, {ReplicaId{3}, 0.4}});
+
+  const auto ranked = rank_candidates(query, corpus, kind);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7},
+                              std::size_t{20}, std::size_t{50}}) {
+    const auto top = engine.top_k(query, k);
+    ASSERT_EQ(top.size(), std::min(k, ranked.size()));
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].index, ranked[i].index) << "k=" << k << " i=" << i;
+      EXPECT_EQ(top[i].similarity, ranked[i].similarity);
     }
   }
 }
@@ -133,11 +171,10 @@ TEST(SimilarityEngineTest, EmptyCorpus) {
   EXPECT_TRUE(engine.empty());
   EXPECT_EQ(engine.distinct_replicas(), 0u);
   const RatioMap query = map_of({{ReplicaId{1}, 1.0}});
-  EXPECT_TRUE(engine.scores(query).empty());
+  EXPECT_TRUE(dense_scores(engine, query).empty());
   EXPECT_TRUE(engine.top_k(query, 3).empty());
-  EXPECT_EQ(engine.comparable_count(query), 0u);
-  EXPECT_TRUE(engine.all_top_k(2).empty());
-  EXPECT_TRUE(engine.pairwise_similarities().empty());
+  EXPECT_EQ(engine.best_match(query), std::nullopt);
+  EXPECT_EQ(comparable_count(query, engine), 0u);
 }
 
 TEST(SimilarityEngineTest, StrongestMappingAndReplicaAccounting) {
@@ -153,6 +190,47 @@ TEST(SimilarityEngineTest, StrongestMappingAndReplicaAccounting) {
   EXPECT_DOUBLE_EQ(engine.strongest_mapping(2), 0.0);
 }
 
+// A row written from a RatioMap — by add, update, or add of another
+// engine's row view — stores the map's own norm and strongest mapping,
+// bit for bit, and scores as similarity() does.
+TEST(SimilarityEngineTest, RowsWrittenFromAMapCarryItsNormAndStrongest) {
+  Rng rng{8080};
+  for (const SimilarityKind kind :
+       {SimilarityKind::kCosine, SimilarityKind::kJaccard,
+        SimilarityKind::kWeightedOverlap}) {
+    const auto maps = random_corpus(rng, 12, 20);
+    SimilarityEngine engine{kind};
+    SimilarityEngine other{kind};
+    std::vector<RatioMap> stored;  // the map each row of `engine` holds
+    const auto expect_row = [&](std::size_t row, const RatioMap& map) {
+      EXPECT_EQ(engine.strongest_mapping(row), map.strongest_mapping())
+          << "row " << row;
+      EXPECT_EQ(engine.row_view(row).norm, map.norm()) << "row " << row;
+      const auto scores = dense_scores(engine, maps[0]);
+      for (std::size_t i = 0; i < stored.size(); ++i) {
+        EXPECT_EQ(scores[i], similarity(kind, maps[0], stored[i]))
+            << "row " << i;
+      }
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+      stored.push_back(maps[i]);
+      ASSERT_EQ(engine.add(maps[i]), i);
+      expect_row(i, maps[i]);
+    }
+    for (std::size_t i = 0; i < 4; ++i) {
+      stored[i] = maps[4 + i];
+      engine.update(i, maps[4 + i]);
+      expect_row(i, maps[4 + i]);
+    }
+    for (std::size_t j = 0; j < 4; ++j) (void)other.add(maps[8 + j]);
+    for (std::size_t j = 0; j < 4; ++j) {
+      stored.push_back(maps[8 + j]);
+      ASSERT_EQ(engine.add(other.row_view(j)), 4 + j);
+      expect_row(4 + j, maps[8 + j]);
+    }
+  }
+}
+
 TEST(SimilarityEngineTest, SelectionOverloadsMatchSpanForms) {
   Rng rng{5150};
   const auto corpus = random_corpus(rng, 40, 24);
@@ -162,7 +240,7 @@ TEST(SimilarityEngineTest, SelectionOverloadsMatchSpanForms) {
     EXPECT_EQ(select_closest(query, engine), select_closest(query, corpus));
     EXPECT_EQ(comparable_count(query, engine),
               comparable_count(query, corpus));
-    const auto a = select_top_k(query, engine, 5);
+    const auto a = engine.top_k(query, 5);
     const auto b = select_top_k(query, corpus, 5);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -174,47 +252,51 @@ TEST(SimilarityEngineTest, SelectionOverloadsMatchSpanForms) {
   EXPECT_EQ(select_closest(queries.front(), empty_engine), std::nullopt);
 }
 
-TEST(SimilarityEngineTest, BatchResultsIndependentOfThreadCount) {
-  Rng rng{31337};
-  const auto corpus = random_corpus(rng, 80, 32);
-  const SimilarityEngine engine{corpus};
+// An engine whose every row was removed still has row slots; it answers
+// like an empty corpus, on both owners.
+TEST(SimilarityEngineTest, AllRemovedEngineAnswersNothing) {
+  SimilarityEngine engine{SimilarityKind::kCosine};
+  const RatioMap query = map_of({{ReplicaId{1}, 0.5}, {ReplicaId{2}, 0.5}});
+  (void)engine.add(map_of({{ReplicaId{1}, 1.0}}));
+  (void)engine.add(query);
+  engine.remove(0);
+  engine.remove(1);
+  ASSERT_EQ(engine.size(), 2u);
+  ASSERT_EQ(engine.live_size(), 0u);
 
-  ThreadPool inline_pool{0};
-  const auto topk_ref = engine.all_top_k(4, &inline_pool);
-  const auto pairs_ref = engine.pairwise_similarities(&inline_pool);
-  ASSERT_EQ(topk_ref.size(), corpus.size());
-  ASSERT_EQ(pairs_ref.rows(), corpus.size());
-  ASSERT_EQ(pairs_ref.cols(), corpus.size());
-
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                              std::size_t{8}}) {
-    ThreadPool pool{threads};
-    const auto topk = engine.all_top_k(4, &pool);
-    ASSERT_EQ(topk.size(), topk_ref.size()) << threads;
-    for (std::size_t q = 0; q < topk.size(); ++q) {
-      ASSERT_EQ(topk[q].size(), topk_ref[q].size());
-      for (std::size_t i = 0; i < topk[q].size(); ++i) {
-        EXPECT_EQ(topk[q][i].index, topk_ref[q][i].index);
-        EXPECT_EQ(topk[q][i].similarity, topk_ref[q][i].similarity);
-      }
-    }
-    EXPECT_EQ(engine.pairwise_similarities(&pool), pairs_ref) << threads;
-  }
+  EXPECT_EQ(select_closest(query, engine), std::nullopt);
+  EXPECT_EQ(comparable_count(query, engine), 0u);
+  const auto snap = engine.freeze(1);
+  EXPECT_EQ(engine.best_match(query), std::nullopt);
+  EXPECT_EQ(snap->best_match(query), std::nullopt);
+  EXPECT_TRUE(engine.top_k(query, 3).empty());
+  EXPECT_TRUE(snap->top_k(query, 3).empty());
 }
 
-TEST(SimilarityEngineTest, PairwiseMatrixMatchesNaiveAndIsSymmetric) {
-  Rng rng{2718};
-  const auto corpus = random_corpus(rng, 30, 20);
-  const SimilarityEngine engine{corpus, SimilarityKind::kCosine};
-  ThreadPool inline_pool{0};
-  const auto matrix = engine.pairwise_similarities(&inline_pool);
+// select_closest over an engine with removed rows (row 0 among them) is
+// the span form over the live maps, mapped back to row indices — and a
+// client sharing no replica gets the first live row, not row 0.
+TEST(SimilarityEngineTest, SelectClosestSkipsRemovedRows) {
+  Rng rng{6061};
+  const auto corpus = random_corpus(rng, 30, 24);
+  SimilarityEngine engine{corpus};
+  for (const std::size_t row : {0, 1, 7, 12, 29}) engine.remove(row);
+  std::vector<RatioMap> live;
+  std::vector<std::size_t> row_of;  // live position -> row index
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    for (std::size_t j = 0; j < corpus.size(); ++j) {
-      EXPECT_EQ(matrix(i, j),
-                similarity(SimilarityKind::kCosine, corpus[i], corpus[j]));
-      EXPECT_EQ(matrix(i, j), matrix(j, i));
-    }
+    if (!engine.alive(i)) continue;
+    live.push_back(corpus[i]);
+    row_of.push_back(i);
   }
+
+  auto queries = random_corpus(rng, 10, 24);
+  queries.push_back(map_of({{ReplicaId{1000}, 1.0}}));  // shares nothing
+  for (const RatioMap& query : queries) {
+    const auto want = select_closest(query, live);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(select_closest(query, engine), row_of[*want]);
+  }
+  EXPECT_EQ(select_closest(queries.back(), engine), 2u);
 }
 
 class SubsetAndRowViewTest
@@ -246,8 +328,8 @@ TEST_P(SubsetAndRowViewTest, SubsetScoresMatchDenseReads) {
   }
   // Corpus row as query.
   for (const std::size_t row : {std::size_t{0}, std::size_t{8}}) {
-    engine.scores_of(row, dense);
-    engine.scores_of_subset(row, subset, got);
+    engine.scores(engine.row_view(row), dense);
+    engine.scores_subset(engine.row_view(row), subset, got);
     for (std::size_t i = 0; i < subset.size(); ++i) {
       EXPECT_EQ(got[i], dense[subset[i]]) << "row " << row << " pos " << i;
     }
@@ -268,7 +350,7 @@ TEST_P(SubsetAndRowViewTest, TouchedScoresAreTheDenseTouchedRows) {
   for (const RatioMap& query : random_corpus(rng, 12, 60)) {
     std::size_t dense_touched = 0;
     engine.scores(query, dense, &dense_touched);
-    engine.touched_scores(engine_detail::as_query(query), touched);
+    engine.touched_scores(query, touched);
     EXPECT_EQ(touched.size(), dense_touched);
     std::vector<char> seen(engine.size(), 0);
     for (const RankedCandidate& t : touched) {
@@ -292,14 +374,14 @@ TEST_P(SubsetAndRowViewTest, RowViewsMirrorBitIdentically) {
   const auto corpus = random_corpus(rng, 40, 25);
   const SimilarityEngine source{corpus, kind};
 
-  // Mirror a subset of source rows into a second engine via add_row and
+  // Mirror a subset of source rows into a second engine via add and
   // query it with row views: everything must match a from-scratch engine
   // of the same maps, bit for bit.
   const std::vector<std::size_t> picks{0, 3, 7, 11, 19, 22, 39};
   SimilarityEngine mirror{kind};
   std::vector<RatioMap> picked;
   for (const std::size_t p : picks) {
-    EXPECT_EQ(mirror.add_row(source.row_view(p)), picked.size());
+    EXPECT_EQ(mirror.add(source.row_view(p)), picked.size());
     picked.push_back(corpus[p]);
   }
   const SimilarityEngine rebuilt{picked, kind};
@@ -366,25 +448,6 @@ TEST(SimilarityEngineTest, BestMatchOnEmptyEngineIsNullopt) {
   EXPECT_EQ(empty.best_match(source.row_view(0)), std::nullopt);
 }
 
-TEST(SimilarityEngineTest, ScoresManyMatchesPerQueryAcrossPools) {
-  Rng rng{86};
-  const auto corpus = random_corpus(rng, 60, 32);
-  const auto queries = random_corpus(rng, 25, 32);
-  const SimilarityEngine engine{corpus};
-
-  FlatMatrix<double> expected(queries.size(), engine.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    engine.scores(queries[q], expected.row(q));
-  }
-  ThreadPool inline_pool{0};
-  EXPECT_EQ(engine.scores_many(queries, &inline_pool), expected);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ThreadPool pool{threads};
-    EXPECT_EQ(engine.scores_many(queries, &pool), expected) << threads;
-  }
-  EXPECT_EQ(engine.scores_many(queries), expected);  // shared pool
-}
-
 TEST(SimilarityEngineTest, SmfClusterMatchesReferenceImplementation) {
   Rng rng{909};
   for (int trial = 0; trial < 8; ++trial) {
@@ -411,6 +474,64 @@ TEST(SimilarityEngineTest, SmfClusterMatchesReferenceImplementation) {
   }
 }
 
+/// Checks every query entry point of `corpus` (an engine or a snapshot)
+/// against per-pair similarity() over `rows`, its maps by row index
+/// (nullopt for a removed row). `query` is the map `view` was made from.
+/// Dense, subset and touched scores must equal similarity() bit for bit
+/// (0 for dead rows); through row index <-> live position, top_k (the
+/// full ranking, its top 5 and an oversized k) must equal
+/// rank_candidates over the live maps, and best_match select_closest.
+template <typename Corpus>
+void expect_naive_answers(const Corpus& corpus,
+                          const std::vector<std::optional<RatioMap>>& rows,
+                          const RowView& view, const RatioMap& query,
+                          SimilarityKind kind) {
+  std::vector<RatioMap> live;
+  std::vector<std::size_t> row_of;  // live position -> row index
+  std::vector<double> want(rows.size(), 0.0);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (!rows[r].has_value()) continue;
+    live.push_back(*rows[r]);
+    row_of.push_back(r);
+    want[r] = similarity(kind, query, *rows[r]);
+  }
+  ASSERT_EQ(corpus.size(), rows.size());
+  ASSERT_EQ(corpus.live_size(), live.size());
+
+  EXPECT_EQ(dense_scores(corpus, view), want);
+  std::vector<std::size_t> every_row(rows.size());
+  std::iota(every_row.begin(), every_row.end(), std::size_t{0});
+  std::vector<double> subset(rows.size());
+  corpus.scores_subset(view, every_row, subset);
+  EXPECT_EQ(subset, want);
+  std::vector<RankedCandidate> touched;
+  corpus.touched_scores(view, touched);
+  std::vector<double> from_touched(rows.size(), 0.0);
+  for (const RankedCandidate& t : touched) {
+    ASSERT_LT(t.index, rows.size());
+    EXPECT_TRUE(rows[t.index].has_value()) << "dead row " << t.index;
+    from_touched[t.index] = t.similarity;
+  }
+  EXPECT_EQ(from_touched, want);
+
+  const auto ranked = rank_candidates(query, live, kind);
+  for (const std::size_t k : {live.size(), std::size_t{5}, live.size() + 3}) {
+    const auto top = corpus.top_k(view, k);
+    ASSERT_EQ(top.size(), std::min(k, live.size())) << "k=" << k;
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].index, row_of[ranked[i].index]) << "k=" << k;
+      EXPECT_EQ(top[i].similarity, ranked[i].similarity) << "k=" << k;
+    }
+  }
+  const auto best = corpus.best_match(view);
+  const auto closest = select_closest(query, live, kind);
+  ASSERT_EQ(best.has_value(), closest.has_value());
+  if (best.has_value()) {
+    EXPECT_EQ(best->index, row_of[*closest]);
+    EXPECT_EQ(best->similarity, want[best->index]);
+  }
+}
+
 class MutationOracleTest
     : public ::testing::TestWithParam<SimilarityKind> {};
 
@@ -418,7 +539,8 @@ class MutationOracleTest
 // add/update/remove (swap-removed postings, slot reuse, compactions
 // included), the mutated engine — whose posting lists are permuted —
 // scores bit-identically to a fresh engine built from the surviving maps,
-// whose lists are in row order — and dead slots score exactly 0.
+// whose lists are in row order, and answers every query as per-pair
+// similarity() over the live maps does — dead slots score exactly 0.
 TEST_P(MutationOracleTest, MutateVsRebuildOracle) {
   const SimilarityKind kind = GetParam();
   Rng rng{1234 + static_cast<std::uint64_t>(kind)};
@@ -502,47 +624,24 @@ TEST_P(MutationOracleTest, MutateVsRebuildOracle) {
       }
     }
     for (const RatioMap& query : queries) {
-      const auto got = engine.scores(query);
-      const auto want = rebuilt.scores(query);
-      ASSERT_EQ(got.size(), slots.size());
+      const auto got = dense_scores(engine, query);
+      const auto want = dense_scores(rebuilt, query);
       for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s].has_value()) {
-          EXPECT_EQ(got[s], 0.0) << "dead slot " << s << " scored";
-        } else {
-          // Bit-identical to the rebuilt engine AND to per-pair
-          // similarity() — EXPECT_EQ on doubles is the contract.
+        if (slots[s].has_value()) {
           EXPECT_EQ(got[s], want[fresh_of_slot[s]]) << s;
-          EXPECT_EQ(got[s], similarity(kind, query, *slots[s])) << s;
         }
       }
-
-      EXPECT_EQ(engine.comparable_count(query),
-                rebuilt.comparable_count(query));
-
-      const auto ranked = engine.rank_all(query);
-      const auto ranked_want = rebuilt.rank_all(query);
-      ASSERT_EQ(ranked.size(), ranked_want.size());
-      for (std::size_t i = 0; i < ranked.size(); ++i) {
-        EXPECT_EQ(fresh_of_slot[ranked[i].index], ranked_want[i].index);
-        EXPECT_EQ(ranked[i].similarity, ranked_want[i].similarity);
-      }
-
-      for (std::size_t k : {std::size_t{1}, std::size_t{5},
-                            live_maps.size() + 3}) {
-        const auto top = engine.top_k(query, k);
-        const auto top_want = rebuilt.top_k(query, k);
-        ASSERT_EQ(top.size(), top_want.size());
-        for (std::size_t i = 0; i < top.size(); ++i) {
-          EXPECT_EQ(fresh_of_slot[top[i].index], top_want[i].index);
-          EXPECT_EQ(top[i].similarity, top_want[i].similarity);
-        }
-      }
+      expect_naive_answers(engine, slots, query, query, kind);
+      EXPECT_EQ(comparable_count(query, engine),
+                comparable_count(query, live_maps, kind));
     }
 
-    // scores_of on live rows matches scores(map) on the same engine.
+    // A live row's own view queries as its map does.
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s].has_value()) {
-        EXPECT_EQ(engine.scores_of(s), engine.scores(*slots[s])) << s;
+        EXPECT_EQ(dense_scores(engine, engine.row_view(s)),
+                  dense_scores(engine, *slots[s]))
+            << s;
       }
     }
   }
@@ -567,7 +666,7 @@ TEST(SimilarityEngineTest, EmptyMutableEngineStartsFromNothing) {
   EXPECT_EQ(engine.add(map_of({{ReplicaId{1}, 1.0}})), 0u);
   EXPECT_EQ(engine.size(), 1u);
   EXPECT_EQ(engine.live_size(), 1u);
-  const auto scores = engine.scores(map_of({{ReplicaId{1}, 1.0}}));
+  const auto scores = dense_scores(engine, map_of({{ReplicaId{1}, 1.0}}));
   ASSERT_EQ(scores.size(), 1u);
   EXPECT_DOUBLE_EQ(scores[0], 1.0);
 }
@@ -586,9 +685,9 @@ TEST(SimilarityEngineTest, RemoveTombstonesAndAddReusesSlotsLifo) {
   EXPECT_EQ(engine.mutation_stats().removes, 2u);
   EXPECT_EQ(engine.mutation_stats().postings_tombstoned, 2u);
   // Dead rows score zero and are absent from rankings.
-  const auto scores = engine.scores(map_of({{ReplicaId{1}, 1.0}}));
+  const auto scores = dense_scores(engine, map_of({{ReplicaId{1}, 1.0}}));
   EXPECT_EQ(scores[1], 0.0);
-  EXPECT_TRUE(engine.rank_all(map_of({{ReplicaId{1}, 1.0}})).size() == 2u);
+  EXPECT_EQ(engine.top_k(map_of({{ReplicaId{1}, 1.0}}), 4).size(), 2u);
   // Freed slots come back most-recently-removed first.
   EXPECT_EQ(engine.add(map_of({{ReplicaId{9}, 1.0}})), 3u);
   EXPECT_EQ(engine.add(map_of({{ReplicaId{10}, 1.0}})), 1u);
@@ -637,12 +736,12 @@ TEST(SimilarityEngineTest, CompactionTriggersAndPreservesScores) {
   for (const auto& s : slots) live.push_back(*s);
   const SimilarityEngine rebuilt{live, SimilarityKind::kCosine};
   const auto query = big_map();
-  EXPECT_EQ(engine.scores(query), rebuilt.scores(query));
+  EXPECT_EQ(dense_scores(engine, query), dense_scores(rebuilt, query));
 
   // An explicit compact() is idempotent and keeps indices stable.
   engine.compact();
   EXPECT_EQ(engine.dead_entries(), 0u);
-  EXPECT_EQ(engine.scores(query), rebuilt.scores(query));
+  EXPECT_EQ(dense_scores(engine, query), dense_scores(rebuilt, query));
 }
 
 TEST(SimilarityEngineTest, SmfClusterRejectsMetricMismatch) {
@@ -665,6 +764,8 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     const auto corpus = random_corpus(rng, 40, 30);
     SimilarityEngine engine{kind};
     for (const auto& m : corpus) (void)engine.add(m);
+    // The engine's maps by row, nullopt once removed: the naive mirror.
+    std::vector<std::optional<RatioMap>> rows(corpus.begin(), corpus.end());
     // Churn before the freeze so the snapshot sees permuted posting
     // lists, orphaned arena entries, reused slots and updated rows, not
     // just a pristine build.
@@ -673,8 +774,10 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
           static_cast<std::size_t>(rng.uniform_int(0, engine.size() - 1));
       if (!engine.alive(slot)) continue;
       if (rng.uniform(0.0, 1.0) < 0.5) {
-        engine.update(slot, random_corpus(rng, 1, 30)[0]);
+        rows[slot] = random_corpus(rng, 1, 30)[0];
+        engine.update(slot, *rows[slot]);
       } else {
+        rows[slot].reset();
         engine.remove(slot);
       }
       ASSERT_NO_THROW(engine.check_invariants());
@@ -690,47 +793,49 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     EXPECT_EQ(snap->distinct_replicas(), engine.distinct_replicas());
     EXPECT_EQ(snap->kind(), engine.kind());
 
-    // Every query kind, bit for bit, dead rows included.
+    // Every entry point, bit for bit against the engine that shares its
+    // kernels and against per-pair similarity() over the mirror, dead
+    // rows included; external maps and the live rows' own views as
+    // queries.
     const auto queries = random_corpus(rng, 6, 30);
-    for (const auto& q : queries) {
-      EXPECT_EQ(engine.scores(q), snap->scores(q));
-      EXPECT_EQ(engine.rank_all(q), snap->rank_all(q));
-      EXPECT_EQ(engine.top_k(q, 5), snap->top_k(q, 5));
-      EXPECT_EQ(engine.comparable_count(q), snap->comparable_count(q));
-    }
-    std::vector<std::size_t> live_slots;
+    std::vector<std::size_t> every_row(engine.size());
+    std::iota(every_row.begin(), every_row.end(), std::size_t{0});
+    const auto expect_same = [&](const RowView& in_engine,
+                                 const RowView& in_snap,
+                                 const RatioMap& map) {
+      EXPECT_EQ(dense_scores(engine, in_engine), dense_scores(*snap, in_snap));
+      std::vector<double> sub_engine(every_row.size());
+      std::vector<double> sub_snap(every_row.size());
+      engine.scores_subset(in_engine, every_row, sub_engine);
+      snap->scores_subset(in_snap, every_row, sub_snap);
+      EXPECT_EQ(sub_engine, sub_snap);
+      std::vector<RankedCandidate> want;
+      std::vector<RankedCandidate> got;
+      engine.touched_scores(in_engine, want);
+      snap->touched_scores(in_snap, got);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(engine.best_match(in_engine), snap->best_match(in_snap));
+      EXPECT_EQ(engine.top_k(in_engine, 5), snap->top_k(in_snap, 5));
+      expect_naive_answers(*snap, rows, in_snap, map, kind);
+    };
+    for (const auto& q : queries) expect_same(q, q, q);
     for (std::size_t i = 0; i < engine.size(); ++i) {
       EXPECT_EQ(snap->alive(i), engine.alive(i));
       EXPECT_EQ(snap->strongest_mapping(i), engine.strongest_mapping(i));
-      if (engine.alive(i)) live_slots.push_back(i);
-      EXPECT_EQ(engine.scores_of(i), snap->scores_of(i));
-    }
-    for (const std::size_t slot : live_slots) {
-      std::vector<RankedCandidate> want;
-      std::vector<RankedCandidate> got;
-      engine.touched_scores(engine.row_view(slot), want);
-      snap->touched_scores(snap->row_view(slot), got);
-      EXPECT_EQ(got, want);
-    }
-    if (!live_slots.empty()) {
-      std::vector<double> sub_engine(live_slots.size());
-      std::vector<double> sub_snap(live_slots.size());
-      engine.scores_of_subset(live_slots[0], live_slots, sub_engine);
-      snap->scores_subset(snap->row_view(live_slots[0]), live_slots,
-                          sub_snap);
-      EXPECT_EQ(sub_engine, sub_snap);
-      EXPECT_EQ(engine.best_match(engine.row_view(live_slots[0])),
-                snap->best_match(snap->row_view(live_slots[0])));
+      if (rows[i].has_value()) {
+        SCOPED_TRACE(::testing::Message() << "row " << i << " as the query");
+        expect_same(engine.row_view(i), snap->row_view(i), *rows[i]);
+      }
     }
 
     // The snapshot is immutable: post-freeze churn must not leak in.
     const auto probe = queries[0];
-    const auto before = snap->scores(probe);
+    const auto before = dense_scores(*snap, probe);
     for (int m = 0; m < 6; ++m) {
       (void)engine.add(random_corpus(rng, 1, 30)[0]);
       ASSERT_NO_THROW(engine.check_invariants());
     }
-    EXPECT_EQ(snap->scores(probe), before);
+    EXPECT_EQ(dense_scores(*snap, probe), before);
     ASSERT_NO_THROW(snap->check_invariants());
     // add() may reuse removed slots, so compare live counts.
     EXPECT_NE(engine.live_size(), snap->live_size());
@@ -789,12 +894,12 @@ TEST(EngineSnapshotTest, RemoveOnlyChurnSharesEntryArray) {
   // Compaction repacks into a fresh arena; the held snapshots keep the
   // old chunks and still answer as frozen.
   const auto probe = map_of({{ReplicaId{2}, 0.5}, {ReplicaId{3}, 0.5}});
-  const auto s1_scores = s1->scores(probe);
+  const auto s1_scores = dense_scores(*s1, probe);
   engine.compact();
   const auto s4 = engine.freeze(4);
   EXPECT_NE(s4->entries_identity(), s3->entries_identity());
-  EXPECT_EQ(s1->scores(probe), s1_scores);
-  EXPECT_EQ(s4->scores(probe), engine.scores(probe));
+  EXPECT_EQ(dense_scores(*s1, probe), s1_scores);
+  EXPECT_EQ(dense_scores(*s4, probe), dense_scores(engine, probe));
   ASSERT_NO_THROW(s4->check_invariants(&engine));
   ASSERT_NO_THROW(s1->check_invariants());
 }
@@ -876,17 +981,16 @@ std::vector<std::uint64_t> answer_bits(const Corpus& corpus,
     if (best.has_value()) ranked(*best);
   }
   for (const RatioMap& q : queries) {
-    const RowView view{q.entries(), q.norm(), q.strongest_mapping()};
-    for (const double score : corpus.scores(q)) {
+    for (const double score : dense_scores(corpus, q)) {
       bits.push_back(std::bit_cast<std::uint64_t>(score));
     }
-    corpus.touched_scores(view, touched);
+    corpus.touched_scores(q, touched);
     bits.push_back(touched.size());
     for (const RankedCandidate& rc : touched) ranked(rc);
     const auto top = corpus.top_k(q, 5);
     bits.push_back(top.size());
     for (const RankedCandidate& rc : top) ranked(rc);
-    const auto best = corpus.best_match(view);
+    const auto best = corpus.best_match(q);
     bits.push_back(best.has_value() ? 1 : 0);
     if (best.has_value()) ranked(*best);
   }

@@ -107,9 +107,9 @@ TEST_F(ProbeWindowTest, WindowOrderingIsSane) {
 }
 
 TEST_F(ProbeWindowTest, AllProbesComparableToWindowed) {
-  const double rank_all = mean_rank_with_window(core::kAllProbes);
+  const double rank_whole = mean_rank_with_window(core::kAllProbes);
   const double rank10 = mean_rank_with_window(10);
-  EXPECT_LT(std::abs(rank_all - rank10), 4.0);
+  EXPECT_LT(std::abs(rank_whole - rank10), 4.0);
 }
 
 // Redirection-policy ablation: CRP's accuracy must collapse under a
