@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "common/top_k.hpp"
 
@@ -22,6 +23,8 @@ struct Scratch {
   std::vector<std::uint64_t> mark;
   std::uint64_t epoch = 0;
   std::vector<std::uint32_t> touched;
+  // The query's non-empty posting lists, each with the query's ratio.
+  std::vector<std::pair<ListView, double>> lists;
 
   void begin(std::size_t n) {
     if (mark.size() < n) {
@@ -31,6 +34,7 @@ struct Scratch {
     }
     ++epoch;
     touched.clear();
+    lists.clear();
   }
 };
 
@@ -39,6 +43,8 @@ Scratch& scratch() {
   return s;
 }
 
+constexpr std::uint32_t kPostingsPerLine = 64 / sizeof(Posting);
+
 /// Scatter-adds `entries` (sorted by replica id) over the posting lists.
 /// Afterwards `scratch.touched` lists every corpus map sharing a replica
 /// with the query, with per-map partial sums in `scratch.acc` /
@@ -46,11 +52,21 @@ Scratch& scratch() {
 void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
                 Scratch& s) {
   s.begin(v.size());
+  // First pass: resolve every entry's list and start loading its first
+  // two cache lines, so the scatter below does not stall on one list
+  // head after another. Both addresses stay inside the list.
   for (const auto& [id, q_ratio] : entries) {
     const std::uint32_t l = v.replicas->find(id);
-    if (l == ReplicaTable::kNoList) continue;
+    if (l == ReplicaTable::kNoList || v.lists[l].size == 0) continue;
     const ListView& list = v.lists[l];
-    // Query entries arrive in increasing replica-id order, so each touched
+    __builtin_prefetch(list.items);
+    if (list.size > kPostingsPerLine) {
+      __builtin_prefetch(list.items + kPostingsPerLine);
+    }
+    s.lists.emplace_back(list, q_ratio);
+  }
+  for (const auto& [list, q_ratio] : s.lists) {
+    // Lists keep the query's increasing replica-id order, so each touched
     // map accumulates its shared replicas in exactly the order the
     // per-pair sorted merge visits them — scores stay bit-identical.
     switch (v.kind) {

@@ -286,14 +286,14 @@ std::vector<RankedNode> PositionService::rank_any(const core::RowView& query,
                                                   bool stale_band,
                                                   std::size_t k,
                                                   SimTime now) const {
-  std::vector<core::RankedCandidate> touched;
+  auto& touched = serving_detail::touched_buffer();
   engine_.touched_scores(query, touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched.size());
   // No id-sorted index here: a short answer pads through the heap.
-  return serving_detail::rank_touched<RankedNode>(
+  return serving_detail::materialize<RankedNode>(serving_detail::rank_touched(
       touched, slots_, nullptr, exclude, k,
-      [&](std::size_t slot) { return usable_at(slot, stale_band, now); });
+      [&](std::size_t slot) { return usable_at(slot, stale_band, now); }));
 }
 
 std::vector<Vetted> PositionService::vet(
@@ -325,8 +325,8 @@ std::vector<RankedNode> PositionService::rank_candidates(
                         &touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
-  return serving_detail::rank_vetted<RankedNode>(vetted, scores, client_slot,
-                                                 k);
+  return serving_detail::materialize<RankedNode>(
+      serving_detail::rank_vetted(vetted, scores, client_slot, k));
 }
 
 std::vector<RankedNode> PositionService::closest(

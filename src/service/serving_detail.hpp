@@ -39,7 +39,8 @@ struct Vetted {
 };
 
 /// Heap entry for the closest paths: a borrowed node id plus its score.
-/// Ranking borrows ids and copies only the k winners into RankedNodes.
+/// Every ranker and every sharded partial holds these; only
+/// `materialize` copies ids, once per answer.
 struct ScoredRef {
   const std::string* id = nullptr;
   double sim = 0.0;
@@ -59,16 +60,25 @@ inline bool better_ref(const ScoredRef& a, const ScoredRef& b) {
 
 using RefHeap = BoundedTopK<ScoredRef, decltype(&better_ref)>;
 
-/// Copies the k kept winners into owned RankedNodes (templated only so
+/// Copies ranked refs into owned RankedNodes: the one place an answer's
+/// ids are built, once per answer, after every merge (templated only so
 /// this header needn't depend on position_service.hpp).
 template <typename RankedNodeT>
-std::vector<RankedNodeT> materialize(std::vector<ScoredRef> kept) {
+std::vector<RankedNodeT> materialize(std::span<const ScoredRef> kept) {
   std::vector<RankedNodeT> ranked;
   ranked.reserve(kept.size());
   for (const ScoredRef& r : kept) {
     ranked.push_back(RankedNodeT{*r.id, r.sim});
   }
   return ranked;
+}
+
+/// The calling thread's touched list for an any-shaped read (the engine
+/// overwrites it on every read), so repeated reads allocate none. Hold
+/// it only until the thread's next read.
+inline std::vector<core::RankedCandidate>& touched_buffer() {
+  static thread_local std::vector<core::RankedCandidate> touched;
+  return touched;
 }
 
 /// Ranks an any-shaped read — every usable node except slot `exclude` —
@@ -81,11 +91,18 @@ std::vector<RankedNodeT> materialize(std::vector<ScoredRef> kept) {
 /// ranking every usable row by its dense score, at O(touched log k)
 /// whenever k rows share a replica with the query.
 ///
+/// The bar: once the heap is full, a row scoring below its worst cannot
+/// enter whatever its id (better_ref orders by score first), so it is
+/// skipped before its slot record is read. A row that ties the worst
+/// still goes through `usable` and the full comparison. A heap that ends
+/// short of k never skipped a row.
+///
 /// `by_id` lists the occupied slots in id order, so padding stops at
 /// the k-th row; without it (nullptr) padding offers every occupied
-/// slot to the heap, which keeps the smallest ids.
-template <typename RankedNodeT, typename Usable>
-std::vector<RankedNodeT> rank_touched(
+/// slot to the heap, which keeps the smallest ids. The refs borrow ids
+/// from `slots`.
+template <typename Usable>
+std::vector<ScoredRef> rank_touched(
     std::span<const core::RankedCandidate> touched,
     std::span<const SlotRec> slots, const std::vector<std::uint32_t>* by_id,
     std::size_t exclude, std::size_t k, const Usable& usable) {
@@ -94,7 +111,11 @@ std::vector<RankedNodeT> rank_touched(
   };
   RefHeap heap(k, &better_ref);
   for (const core::RankedCandidate& t : touched) {
-    if (t.similarity > 0.0 && ranked(t.index)) {
+    if (t.similarity <= 0.0 ||
+        (heap.full() && t.similarity < heap.worst().sim)) {
+      continue;
+    }
+    if (ranked(t.index)) {
       heap.offer(ScoredRef{&slots[t.index].id, t.similarity});
     }
   }
@@ -122,22 +143,22 @@ std::vector<RankedNodeT> rank_touched(
       for (std::size_t slot = 0; slot < slots.size(); ++slot) pad(slot);
     }
   }
-  return materialize<RankedNodeT>(heap.take_sorted());
+  return heap.take_sorted();
 }
 
 /// Ranks a vetted candidate list from its subset scores (`scores[i]`
 /// belongs to `vetted[i]`), skipping slot `exclude` — the client itself.
-template <typename RankedNodeT>
-std::vector<RankedNodeT> rank_vetted(std::span<const Vetted> vetted,
-                                     std::span<const double> scores,
-                                     std::size_t exclude, std::size_t k) {
+/// The refs borrow the vetted ids.
+inline std::vector<ScoredRef> rank_vetted(std::span<const Vetted> vetted,
+                                          std::span<const double> scores,
+                                          std::size_t exclude, std::size_t k) {
   RefHeap heap(k, &better_ref);
   for (std::size_t i = 0; i < vetted.size(); ++i) {
     if (vetted[i].slot != exclude) {
       heap.offer(ScoredRef{vetted[i].id, scores[i]});
     }
   }
-  return materialize<RankedNodeT>(heap.take_sorted());
+  return heap.take_sorted();
 }
 
 /// The engine slots of a vetted list, in list order — the subset a

@@ -8,6 +8,8 @@
 
 namespace crp::service {
 
+using serving_detail::materialize;
+
 std::size_t ServingSnapshot::find(const std::string& node_id) const {
   const std::vector<std::uint32_t>& index = *by_id_;
   const std::vector<SlotRec>& slots = *slots_;
@@ -40,8 +42,9 @@ std::vector<RankedNode> ServingSnapshot::closest(
   if (client_slot == npos || !live_at(client_slot, now)) return {};
   const std::vector<Vetted> vetted =
       vet_candidates(candidates, /*stale_band=*/false, now);
-  return rank_candidates(engine_->row_view(client_slot), client_slot, vetted,
-                         serving_detail::slots_of(vetted), k);
+  return materialize<RankedNode>(
+      rank_candidates(engine_->row_view(client_slot), client_slot, vetted,
+                      serving_detail::slots_of(vetted), k));
 }
 
 std::vector<RankedNode> ServingSnapshot::closest_any(
@@ -49,8 +52,9 @@ std::vector<RankedNode> ServingSnapshot::closest_any(
   counters_->queries_served.add();
   const std::size_t client_slot = find(client);
   if (client_slot == npos || !live_at(client_slot, now)) return {};
-  return partial_closest_any(engine_->row_view(client_slot), client_slot,
-                             /*stale_band=*/false, k, now);
+  return materialize<RankedNode>(
+      partial_closest_any(engine_->row_view(client_slot), client_slot,
+                          /*stale_band=*/false, k, now));
 }
 
 TieredAnswer ServingSnapshot::closest_any_tiered(const std::string& client,
@@ -85,11 +89,12 @@ TieredAnswer ServingSnapshot::closest_tiered_impl(
 
   const core::RowView row = engine_->row_view(client_slot);
   if (any) {
-    out.ranked = partial_closest_any(row, client_slot, !fresh, k, now);
+    out.ranked = materialize<RankedNode>(
+        partial_closest_any(row, client_slot, !fresh, k, now));
   } else {
     const std::vector<Vetted> vetted = vet_candidates(candidates, !fresh, now);
-    out.ranked = rank_candidates(row, client_slot, vetted,
-                                 serving_detail::slots_of(vetted), k);
+    out.ranked = materialize<RankedNode>(rank_candidates(
+        row, client_slot, vetted, serving_detail::slots_of(vetted), k));
   }
   if (out.ranked.empty()) {
     out.tier = AnswerTier::kRefused;
@@ -107,7 +112,8 @@ std::vector<RankedNode> ServingSnapshot::top_k(const core::RatioMap& query,
                                                std::size_t k,
                                                SimTime now) const {
   counters_->queries_served.add();
-  return partial_top_k(query, k, now);
+  return materialize<RankedNode>(
+      partial_closest_any(query, npos, /*stale_band=*/false, k, now));
 }
 
 std::optional<ServingSnapshot::Resident> ServingSnapshot::resident(
@@ -135,19 +141,19 @@ std::vector<ServingSnapshot::Vetted> ServingSnapshot::vet_candidates(
   return vetted;
 }
 
-std::vector<RankedNode> ServingSnapshot::partial_closest_any(
+std::vector<ServingSnapshot::ScoredRef> ServingSnapshot::partial_closest_any(
     const core::RowView& client, std::size_t exclude_slot, bool stale_band,
     std::size_t k, SimTime now) const {
-  std::vector<core::RankedCandidate> touched;
+  auto& touched = serving_detail::touched_buffer();
   engine_->touched_scores(client, touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched.size());
-  return serving_detail::rank_touched<RankedNode>(
+  return serving_detail::rank_touched(
       touched, *slots_, by_id_.get(), exclude_slot, k,
       [&](std::size_t slot) { return usable_at(slot, stale_band, now); });
 }
 
-std::vector<RankedNode> ServingSnapshot::partial_closest(
+std::vector<ServingSnapshot::ScoredRef> ServingSnapshot::partial_closest(
     const core::RowView& client, std::size_t exclude_slot,
     std::span<const Vetted> candidates, std::size_t k) const {
   if (candidates.empty()) return {};
@@ -155,17 +161,13 @@ std::vector<RankedNode> ServingSnapshot::partial_closest(
                          serving_detail::slots_of(candidates), k);
 }
 
-std::vector<RankedNode> ServingSnapshot::partial_top_k(
-    const core::RatioMap& query, std::size_t k, SimTime now) const {
-  return partial_closest_any(query, npos, /*stale_band=*/false, k, now);
-}
-
-std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
-    std::span<const ExternalClient> clients, std::size_t self_shard,
-    std::size_t k, SimTime now) const {
+std::vector<std::vector<ServingSnapshot::ScoredRef>>
+ServingSnapshot::partial_closest_batch(std::span<const ExternalClient> clients,
+                                       std::size_t self_shard, std::size_t k,
+                                       SimTime now) const {
   // Partial reads never widen to the stale band: the batch path, like
   // the unsharded one, serves fresh clients only.
-  std::vector<std::vector<RankedNode>> out(clients.size());
+  std::vector<std::vector<ScoredRef>> out(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
     const std::size_t exclude =
         clients[i].owner == self_shard ? clients[i].slot : npos;
@@ -175,10 +177,12 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
   return out;
 }
 
-std::vector<std::vector<RankedNode>> ServingSnapshot::partial_closest_batch(
-    std::span<const ExternalClient> clients, std::size_t self_shard,
-    std::span<const Vetted> candidates, std::size_t k) const {
-  std::vector<std::vector<RankedNode>> out(clients.size());
+std::vector<std::vector<ServingSnapshot::ScoredRef>>
+ServingSnapshot::partial_closest_batch(std::span<const ExternalClient> clients,
+                                       std::size_t self_shard,
+                                       std::span<const Vetted> candidates,
+                                       std::size_t k) const {
+  std::vector<std::vector<ScoredRef>> out(clients.size());
   if (candidates.empty()) return out;
   const std::vector<std::size_t> slots = serving_detail::slots_of(candidates);
   for (std::size_t i = 0; i < clients.size(); ++i) {
@@ -237,7 +241,7 @@ void ServingSnapshot::count_outcome(AnswerTier tier) const {
   }
 }
 
-std::vector<RankedNode> ServingSnapshot::rank_candidates(
+std::vector<ServingSnapshot::ScoredRef> ServingSnapshot::rank_candidates(
     const core::RowView& client, std::size_t exclude_slot,
     std::span<const Vetted> candidates, std::span<const std::size_t> slots,
     std::size_t k) const {
@@ -246,8 +250,7 @@ std::vector<RankedNode> ServingSnapshot::rank_candidates(
   engine_->scores_subset(client, slots, scores, &touched);
   counters_->similarity_queries.add();
   counters_->maps_touched.add(touched);
-  return serving_detail::rank_vetted<RankedNode>(candidates, scores,
-                                                 exclude_slot, k);
+  return serving_detail::rank_vetted(candidates, scores, exclude_slot, k);
 }
 
 std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
@@ -259,8 +262,8 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
   p.parallel_for(0, clients.size(), [&](std::size_t i) {
     const std::size_t slot = find(clients[i]);
     if (slot == npos || !live_at(slot, now)) return;
-    out[i] = partial_closest_any(engine_->row_view(slot), slot,
-                                 /*stale_band=*/false, k, now);
+    out[i] = materialize<RankedNode>(partial_closest_any(
+        engine_->row_view(slot), slot, /*stale_band=*/false, k, now));
   });
   return out;
 }
@@ -280,7 +283,8 @@ std::vector<std::vector<RankedNode>> ServingSnapshot::closest_batch(
   p.parallel_for(0, clients.size(), [&](std::size_t i) {
     const std::size_t slot = find(clients[i]);
     if (slot == npos || !live_at(slot, now)) return;
-    out[i] = rank_candidates(engine_->row_view(slot), slot, vetted, slots, k);
+    out[i] = materialize<RankedNode>(
+        rank_candidates(engine_->row_view(slot), slot, vetted, slots, k));
   });
   return out;
 }

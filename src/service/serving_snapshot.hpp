@@ -112,6 +112,12 @@ class ServingSnapshot {
   // the two rows involved, so each partial score is bit-identical to
   // what one unsharded engine would have produced — which makes the
   // merged answer bit-identical to the unsharded service's.
+  //
+  // Partials are borrowed refs (score + pointer to an id), best first;
+  // the caller builds ids once, for the merged answer. An any-shaped
+  // partial borrows its ids from this snapshot's slot table, a
+  // candidate-list partial from the caller's candidate span: the refs
+  // stay valid while the caller holds this snapshot and that span.
 
   /// A node resident in this shard snapshot: its engine slot, its
   /// frozen corpus row (valid while the snapshot is held), and its
@@ -128,6 +134,7 @@ class ServingSnapshot {
   /// One candidate surviving this shard's vetting: the caller's id
   /// string (borrowed) plus its local engine slot.
   using Vetted = serving_detail::Vetted;
+  using ScoredRef = serving_detail::ScoredRef;
   /// Vets a candidate list against this shard: kept iff resident here
   /// and usable at `now` (live, or stale-usable when `stale_band` — the
   /// degraded tier's widened candidate band). Caller order preserved.
@@ -144,18 +151,15 @@ class ServingSnapshot {
   /// external client row, at most k kept. Only the rows sharing a
   /// replica with the client are scored and ranked; zero-score rows pad
   /// a short answer (serving_detail::rank_touched), so the partial still
-  /// holds this shard's exact k best.
-  [[nodiscard]] std::vector<RankedNode> partial_closest_any(
+  /// holds this shard's exact k best. `client` may be any row — a node
+  /// resident elsewhere, or an external query map (top_k, exclude npos).
+  [[nodiscard]] std::vector<ScoredRef> partial_closest_any(
       const core::RowView& client, std::size_t exclude_slot,
       bool stale_band, std::size_t k, SimTime now) const;
   /// Candidate-list form over a pre-vetted subset (see vet_candidates).
-  [[nodiscard]] std::vector<RankedNode> partial_closest(
+  [[nodiscard]] std::vector<ScoredRef> partial_closest(
       const core::RowView& client, std::size_t exclude_slot,
       std::span<const Vetted> candidates, std::size_t k) const;
-  /// Partial top_k: resident live nodes ranked against an external
-  /// query map (no exclusion — the query is not a node).
-  [[nodiscard]] std::vector<RankedNode> partial_top_k(
-      const core::RatioMap& query, std::size_t k, SimTime now) const;
 
   /// One client of a cross-shard batch: its frozen row plus where it
   /// lives, so each shard can exclude it iff it owns it.
@@ -167,11 +171,11 @@ class ServingSnapshot {
   /// partial_closest_any for every client of a cross-shard batch, in
   /// order. `self_shard` is this snapshot's shard index (for owner-only
   /// exclusion). Result i pairs with clients[i].
-  [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
+  [[nodiscard]] std::vector<std::vector<ScoredRef>> partial_closest_batch(
       std::span<const ExternalClient> clients, std::size_t self_shard,
       std::size_t k, SimTime now) const;
   /// Candidate-list form over a pre-vetted subset.
-  [[nodiscard]] std::vector<std::vector<RankedNode>> partial_closest_batch(
+  [[nodiscard]] std::vector<std::vector<ScoredRef>> partial_closest_batch(
       std::span<const ExternalClient> clients, std::size_t self_shard,
       std::span<const Vetted> candidates, std::size_t k) const;
 
@@ -236,7 +240,7 @@ class ServingSnapshot {
   /// stats accounting, ranked minus `exclude_slot` — every
   /// candidate-list read ends here. Runs the engine read even for an
   /// empty list, as the unsharded service does.
-  [[nodiscard]] std::vector<RankedNode> rank_candidates(
+  [[nodiscard]] std::vector<ScoredRef> rank_candidates(
       const core::RowView& client, std::size_t exclude_slot,
       std::span<const Vetted> candidates, std::span<const std::size_t> slots,
       std::size_t k) const;

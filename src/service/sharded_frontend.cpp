@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "common/top_k.hpp"
 #include "service/serving_detail.hpp"
 #include "service/wire.hpp"
 #include "sim/fault_plan.hpp"
@@ -29,32 +28,19 @@ const char* to_string(ShardHealth health) {
 
 namespace {
 
-/// Merges per-shard top-k partials into the global top-k. Correctness
-/// rests on the total order: any node in the global top-k beats all but
-/// fewer than k others, so in particular fewer than k within its own
-/// shard — it is in its shard's partial. The merge therefore never
-/// misses a winner, and the order makes the result offer-order- (hence
-/// shard-count-) independent.
-std::vector<RankedNode> merge_partials(
-    std::span<const std::vector<RankedNode>> partials, std::size_t k) {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const std::vector<RankedNode>& partial : partials) {
-    for (const RankedNode& node : partial) {
-      heap.offer(ScoredRef{&node.node_id, node.similarity});
-    }
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
-/// Batch form: merges client j's partials across every shard.
-std::vector<RankedNode> merge_client(
-    std::span<const std::vector<std::vector<RankedNode>>> partials,
-    std::size_t j, std::size_t k) {
-  BoundedTopK<ScoredRef, decltype(&better_ref)> heap(k, &better_ref);
-  for (const auto& shard_partials : partials) {
-    for (const RankedNode& node : shard_partials[j]) {
-      heap.offer(ScoredRef{&node.node_id, node.similarity});
-    }
+/// Merges n per-shard partials (`partial(s)` is shard s's refs) into
+/// the global top k, and builds its ids once. Correctness rests on the
+/// total order: any node in the global top-k beats all but fewer than k
+/// others, so in particular fewer than k within its own shard — it is
+/// in its shard's partial. The merge therefore never misses a winner,
+/// and the order makes the result offer-order- (hence shard-count-)
+/// independent.
+template <typename PartialOf>
+std::vector<RankedNode> merge_partials(std::size_t n, std::size_t k,
+                                       const PartialOf& partial) {
+  serving_detail::RefHeap heap(k, &better_ref);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (const ScoredRef& ref : partial(s)) heap.offer(ref);
   }
   return serving_detail::materialize<RankedNode>(heap.take_sorted());
 }
@@ -534,182 +520,122 @@ std::vector<std::string> ShardedFrontend::View::live_nodes(
   return merged;
 }
 
-std::vector<RankedNode> ShardedFrontend::View::closest_any(
-    const std::string& client, std::size_t k, SimTime now,
+std::vector<RankedNode> ShardedFrontend::View::scatter(
+    const ServingSnapshot::ExternalClient& client, Candidates candidates,
+    std::span<const Band> bands, std::size_t k, SimTime now,
     ThreadPool* pool) const {
   const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest_any(client, k, now);
+  std::vector<std::vector<ScoredRef>> partials(n);
+  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
+  p.parallel_for(0, n, [&](std::size_t s) {
+    if (bands[s] == Band::kSkip) return;
+    const bool stale_band = bands[s] == Band::kStale;
+    const std::size_t exclude =
+        s == client.owner ? client.slot : ServingSnapshot::npos;
+    if (!candidates) {
+      partials[s] = snaps_[s]->partial_closest_any(client.row, exclude,
+                                                   stale_band, k, now);
+      return;
+    }
+    const auto vetted =
+        snaps_[s]->vet_candidates(*candidates, stale_band, now);
+    partials[s] = snaps_[s]->partial_closest(client.row, exclude, vetted, k);
+  });
+  return merge_partials(n, k, [&](std::size_t s) -> const auto& {
+    return partials[s];
+  });
+}
+
+std::vector<RankedNode> ShardedFrontend::View::plain_query(
+    const std::string& client, Candidates candidates, std::size_t k,
+    SimTime now, ThreadPool* pool) const {
+  if (snaps_.size() == 1) {
+    return candidates ? snaps_[0]->closest(client, *candidates, k, now)
+                      : snaps_[0]->closest_any(client, k, now);
+  }
   const std::size_t owner = shard_of(client);
   snaps_[owner]->count_queries();
   const auto res = snaps_[owner]->resident(client, now);
   if (!res.has_value() || !res->live) return {};
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_closest_any(
-        res->row, s == owner ? res->slot : ServingSnapshot::npos,
-        /*stale_band=*/false, k, now);
-  });
-  return merge_partials(partials, k);
+  const std::vector<Band> live(snaps_.size(), Band::kLive);
+  return scatter({res->row, owner, res->slot}, candidates, live, k, now,
+                 pool);
+}
+
+std::vector<RankedNode> ShardedFrontend::View::closest_any(
+    const std::string& client, std::size_t k, SimTime now,
+    ThreadPool* pool) const {
+  return plain_query(client, std::nullopt, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest(client, candidates, k, now);
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value() || !res->live) return {};
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const auto vetted =
-        snaps_[s]->vet_candidates(candidates, /*stale_band=*/false, now);
-    partials[s] = snaps_[s]->partial_closest(
-        res->row, s == owner ? res->slot : ServingSnapshot::npos, vetted, k);
-  });
-  return merge_partials(partials, k);
+  return plain_query(client, candidates, k, now, pool);
 }
 
-TieredAnswer ShardedFrontend::View::tiered_query(
-    const std::string& client, std::span<const std::string> candidates,
-    bool any, std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) {
-    return any ? snaps_[0]->closest_any_tiered(client, k, now)
-               : snaps_[0]->closest_tiered(client, candidates, k, now);
-  }
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  TieredAnswer out;
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value()) {
-    out.reason = DegradedReason::kUnknownClient;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool fresh = res->live;
-  if (!fresh && !res->stale_usable) {
-    out.reason = DegradedReason::kClientExpired;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  const bool stale_band = !fresh;
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const std::size_t exclude =
-        s == owner ? res->slot : ServingSnapshot::npos;
-    if (any) {
-      partials[s] = snaps_[s]->partial_closest_any(res->row, exclude,
-                                                   stale_band, k, now);
-    } else {
-      const auto vetted =
-          snaps_[s]->vet_candidates(candidates, stale_band, now);
-      partials[s] =
-          snaps_[s]->partial_closest(res->row, exclude, vetted, k);
-    }
-  });
-  out.ranked = merge_partials(partials, k);
-  if (out.ranked.empty()) {
-    out.tier = AnswerTier::kRefused;
-    out.reason = DegradedReason::kNoUsableCandidates;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
-  out.tier = fresh ? AnswerTier::kFresh : AnswerTier::kStale;
-  out.reason = fresh ? DegradedReason::kNone : DegradedReason::kStaleClient;
-  snaps_[owner]->count_outcome(out.tier);
-  return out;
-}
-
-TieredAnswer ShardedFrontend::View::closest_any_tiered(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return tiered_query(client, {}, /*any=*/true, k, now, pool);
-}
-
-TieredAnswer ShardedFrontend::View::closest_tiered(
-    const std::string& client, std::span<const std::string> candidates,
+GatheredAnswer ShardedFrontend::View::tiered_query(
+    const std::string& client, Candidates candidates, bool gathered,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return tiered_query(client, candidates, /*any=*/false, k, now, pool);
-}
-
-GatheredAnswer ShardedFrontend::View::gathered_query(
-    const std::string& client, std::span<const std::string> candidates,
-    bool any, std::size_t k, SimTime now, ThreadPool* pool) const {
   const std::size_t n = snaps_.size();
+  if (n == 1 && !gathered) {
+    return {candidates ? snaps_[0]->closest_tiered(client, *candidates, k, now)
+                       : snaps_[0]->closest_any_tiered(client, k, now),
+            {}};
+  }
   GatheredAnswer out;
-  out.completeness = completeness(now);
-  std::vector<char> missing(n, 0);
-  for (const std::size_t s : out.completeness.missing_shards) {
-    missing[s] = 1;
+  TieredAnswer& tiered = out.tiered;
+  std::vector<Band> bands(n, Band::kLive);
+  if (gathered) {
+    // A stale-fallback shard widens to the stale band (its capture is
+    // old; its stale-but-usable reports are the whole point of serving
+    // it); a missing shard sits the read out.
+    out.completeness = completeness(now);
+    for (std::size_t s = 0; s < n; ++s) {
+      if (out.completeness.stale_shards[s]) bands[s] = Band::kStale;
+    }
+    for (const std::size_t s : out.completeness.missing_shards) {
+      bands[s] = Band::kSkip;
+    }
   }
   const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  if (missing[owner] != 0) {
-    // Nothing left that knows the client: its shard is down and the
-    // fallback aged out. Typed refusal, not an empty vector — the
-    // caller can tell "retry after recovery" from "node gone".
-    out.tiered.reason = DegradedReason::kShardUnavailable;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
+  const ServingSnapshot& home = *snaps_[owner];
+  home.count_queries();
+  const auto refuse = [&](DegradedReason reason) {
+    tiered.reason = reason;
+    home.count_outcome(AnswerTier::kRefused);
     return out;
+  };
+  // Nothing left that knows the client: its shard is down and the
+  // fallback aged out. Typed refusal, not an empty vector — the caller
+  // can tell "retry after recovery" from "node gone".
+  if (bands[owner] == Band::kSkip) {
+    return refuse(DegradedReason::kShardUnavailable);
   }
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value()) {
-    out.tiered.reason = DegradedReason::kUnknownClient;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
-  }
+  const auto res = home.resident(client, now);
+  if (!res.has_value()) return refuse(DegradedReason::kUnknownClient);
   const bool fresh = res->live;
   if (!fresh && !res->stale_usable) {
-    out.tiered.reason = DegradedReason::kClientExpired;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
+    return refuse(DegradedReason::kClientExpired);
   }
-  // Scatter over the answering shards. A stale-fallback shard widens to
-  // the stale band (its capture is old; its stale-but-usable reports
-  // are the whole point of serving it); missing shards contribute
-  // nothing. On an all-healthy view this is tiered_query verbatim.
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    if (missing[s] != 0) return;
-    const bool stale_band = !fresh || out.completeness.stale_shards[s];
-    const std::size_t exclude =
-        s == owner ? res->slot : ServingSnapshot::npos;
-    if (any) {
-      partials[s] = snaps_[s]->partial_closest_any(res->row, exclude,
-                                                   stale_band, k, now);
-    } else {
-      const auto vetted =
-          snaps_[s]->vet_candidates(candidates, stale_band, now);
-      partials[s] = snaps_[s]->partial_closest(res->row, exclude, vetted, k);
-    }
-  });
-  out.tiered.ranked = merge_partials(partials, k);
-  if (out.tiered.ranked.empty()) {
-    out.tiered.tier = AnswerTier::kRefused;
-    out.tiered.reason = DegradedReason::kNoUsableCandidates;
-    snaps_[owner]->count_outcome(AnswerTier::kRefused);
-    return out;
+  // A stale client widens every answering shard to the stale band.
+  for (Band& band : bands) {
+    if (!fresh && band == Band::kLive) band = Band::kStale;
   }
-  const bool used_stale_shard = out.completeness.any_stale();
-  if (!fresh) {
-    out.tiered.tier = AnswerTier::kStale;
-    out.tiered.reason = DegradedReason::kStaleClient;
-  } else if (used_stale_shard) {
-    out.tiered.tier = AnswerTier::kStale;
-    out.tiered.reason = DegradedReason::kStaleShard;
-  } else {
-    out.tiered.tier = AnswerTier::kFresh;
-    out.tiered.reason = DegradedReason::kNone;
+  tiered.ranked =
+      scatter({res->row, owner, res->slot}, candidates, bands, k, now, pool);
+  if (tiered.ranked.empty()) {
+    return refuse(DegradedReason::kNoUsableCandidates);
   }
-  snaps_[owner]->count_outcome(out.tiered.tier);
+  const bool stale_shard = out.completeness.any_stale();
+  tiered.tier =
+      fresh && !stale_shard ? AnswerTier::kFresh : AnswerTier::kStale;
+  tiered.reason = !fresh       ? DegradedReason::kStaleClient
+                  : stale_shard ? DegradedReason::kStaleShard
+                                : DegradedReason::kNone;
+  home.count_outcome(tiered.tier);
   if (counters_ != nullptr) {
-    if (used_stale_shard) {
+    if (stale_shard) {
       counters_->degraded_answers.fetch_add(1, std::memory_order_relaxed);
     }
     if (!out.completeness.complete()) {
@@ -719,40 +645,54 @@ GatheredAnswer ShardedFrontend::View::gathered_query(
   return out;
 }
 
+TieredAnswer ShardedFrontend::View::closest_any_tiered(
+    const std::string& client, std::size_t k, SimTime now,
+    ThreadPool* pool) const {
+  return tiered_query(client, std::nullopt, /*gathered=*/false, k, now, pool)
+      .tiered;
+}
+
+TieredAnswer ShardedFrontend::View::closest_tiered(
+    const std::string& client, std::span<const std::string> candidates,
+    std::size_t k, SimTime now, ThreadPool* pool) const {
+  return tiered_query(client, candidates, /*gathered=*/false, k, now, pool)
+      .tiered;
+}
+
 GatheredAnswer ShardedFrontend::View::closest_any_gathered(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return gathered_query(client, {}, /*any=*/true, k, now, pool);
+  return tiered_query(client, std::nullopt, /*gathered=*/true, k, now, pool);
 }
 
 GatheredAnswer ShardedFrontend::View::closest_gathered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return gathered_query(client, candidates, /*any=*/false, k, now, pool);
+  return tiered_query(client, candidates, /*gathered=*/true, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::top_k(
     const core::RatioMap& query, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->top_k(query, k, now);
-  // The query owns no corpus row, so there is no owning shard; the
-  // query itself counts on shard 0 (the partials' similarity work
-  // counts on the shard that did it, as everywhere).
+  if (snaps_.size() == 1) return snaps_[0]->top_k(query, k, now);
+  // The query owns no corpus row, so there is no owning shard and no
+  // slot to exclude; the query itself counts on shard 0 (the partials'
+  // similarity work counts on the shard that did it, as everywhere).
   snaps_[0]->count_queries();
-  std::vector<std::vector<RankedNode>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_top_k(query, k, now);
-  });
-  return merge_partials(partials, k);
+  const std::vector<Band> live(snaps_.size(), Band::kLive);
+  return scatter({query, 0, ServingSnapshot::npos}, std::nullopt, live, k,
+                 now, pool);
 }
 
-std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
-    std::span<const std::string> clients, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
+std::vector<std::vector<RankedNode>> ShardedFrontend::View::batch_query(
+    std::span<const std::string> clients, Candidates candidates,
+    std::size_t k, SimTime now, ThreadPool* pool) const {
   const std::size_t n = snaps_.size();
-  if (n == 1) return snaps_[0]->closest_batch(clients, k, now, pool);
+  if (n == 1) {
+    return candidates
+               ? snaps_[0]->closest_batch(clients, *candidates, k, now, pool)
+               : snaps_[0]->closest_batch(clients, k, now, pool);
+  }
   std::vector<std::vector<RankedNode>> out(clients.size());
   std::vector<std::uint64_t> counts(n, 0);
   std::vector<ServingSnapshot::ExternalClient> ext;
@@ -776,55 +716,36 @@ std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
   // partition (parallelism = shard count, the deployment's real
   // topology — one process per shard); gather: per-client merges fan
   // out over the same pool.
-  std::vector<std::vector<std::vector<RankedNode>>> partials(n);
+  std::vector<std::vector<std::vector<ScoredRef>>> partials(n);
   ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
   p.parallel_for(0, n, [&](std::size_t s) {
-    partials[s] = snaps_[s]->partial_closest_batch(ext, s, k, now);
+    if (!candidates) {
+      partials[s] = snaps_[s]->partial_closest_batch(ext, s, k, now);
+      return;
+    }
+    const auto vetted =
+        snaps_[s]->vet_candidates(*candidates, /*stale_band=*/false, now);
+    partials[s] = snaps_[s]->partial_closest_batch(ext, s, vetted, k);
   });
   p.parallel_for(0, ext.size(), [&](std::size_t j) {
-    out[result_at[j]] = merge_client(partials, j, k);
+    out[result_at[j]] = merge_partials(n, k, [&](std::size_t s) -> const auto& {
+      return partials[s][j];
+    });
   });
   return out;
+}
+
+std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
+    std::span<const std::string> clients, std::size_t k, SimTime now,
+    ThreadPool* pool) const {
+  return batch_query(clients, std::nullopt, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     std::span<const std::string> clients,
     std::span<const std::string> candidates, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) {
-    return snaps_[0]->closest_batch(clients, candidates, k, now, pool);
-  }
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  std::vector<std::uint64_t> counts(n, 0);
-  std::vector<ServingSnapshot::ExternalClient> ext;
-  std::vector<std::size_t> result_at;
-  ext.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t owner = shard_of(clients[i]);
-    ++counts[owner];
-    const auto res = snaps_[owner]->resident(clients[i], now);
-    if (!res.has_value() || !res->live) continue;
-    ext.push_back(
-        ServingSnapshot::ExternalClient{res->row, owner, res->slot});
-    result_at.push_back(i);
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (counts[s] != 0) snaps_[s]->count_queries(counts[s]);
-  }
-  if (ext.empty()) return out;
-  std::vector<std::vector<std::vector<RankedNode>>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    const auto vetted =
-        snaps_[s]->vet_candidates(candidates, /*stale_band=*/false, now);
-    partials[s] = snaps_[s]->partial_closest_batch(ext, s, vetted, k);
-  });
-  p.parallel_for(0, ext.size(), [&](std::size_t j) {
-    out[result_at[j]] = merge_client(partials, j, k);
-  });
-  return out;
+  return batch_query(clients, candidates, k, now, pool);
 }
 
 // --- frontend convenience wrappers (one View capture each) ---

@@ -24,7 +24,11 @@
 //     serving_detail's (similarity desc, id asc) total order. Under a
 //     total order the global top-k is a subset of the union of per-shard
 //     top-k's, so the merged answer is bit-identical to a single
-//     unsharded PositionService over the same corpus.
+//     unsharded PositionService over the same corpus. Partials are
+//     borrowed refs into the View's snapshots (or the caller's
+//     candidates); the merge builds the k winners' ids once. Every
+//     scattered read runs through one private core that takes a band
+//     per shard: live, stale (stale-usable nodes too) or skipped.
 //
 // Epoch vector: View::epochs() is the membership epoch each shard's
 // snapshot froze. Callers pin a View to answer several queries from one
@@ -268,14 +272,35 @@ class ShardedFrontend {
     friend class ShardedFrontend;
     View() = default;
 
-    /// Shared core of the tiered queries (`any` = every known node).
-    [[nodiscard]] TieredAnswer tiered_query(
-        const std::string& client, std::span<const std::string> candidates,
-        bool any, std::size_t k, SimTime now, ThreadPool* pool) const;
-    /// Shared core of the gathered queries.
-    [[nodiscard]] GatheredAnswer gathered_query(
-        const std::string& client, std::span<const std::string> candidates,
-        bool any, std::size_t k, SimTime now, ThreadPool* pool) const;
+    /// How one shard takes part in a scattered read: it ranks its live
+    /// nodes, widens to its stale-usable ones too, or sits the read out.
+    enum class Band : std::uint8_t { kLive, kStale, kSkip };
+    /// A candidate list, or nullopt for an any-shaped read.
+    using Candidates = std::optional<std::span<const std::string>>;
+
+    /// The one scatter core: ranks `client` on every shard not kSkip,
+    /// over `candidates` (nullopt: every node), the owner excluding the
+    /// client's slot; merges the shards' refs, which borrow from this
+    /// View's snapshots and `candidates`, and builds k ids once.
+    [[nodiscard]] std::vector<RankedNode> scatter(
+        const ServingSnapshot::ExternalClient& client, Candidates candidates,
+        std::span<const Band> bands, std::size_t k, SimTime now,
+        ThreadPool* pool) const;
+    /// Shared body of closest and closest_any.
+    [[nodiscard]] std::vector<RankedNode> plain_query(
+        const std::string& client, Candidates candidates, std::size_t k,
+        SimTime now, ThreadPool* pool) const;
+    /// Shared body of the tiered and gathered queries. Only `gathered`
+    /// honours shard health (stale fallback shards widen to the stale
+    /// band, missing ones are skipped), fills the completeness and
+    /// scatters at one shard too.
+    [[nodiscard]] GatheredAnswer tiered_query(
+        const std::string& client, Candidates candidates, bool gathered,
+        std::size_t k, SimTime now, ThreadPool* pool) const;
+    /// Shared body of the two closest_batch forms.
+    [[nodiscard]] std::vector<std::vector<RankedNode>> batch_query(
+        std::span<const std::string> clients, Candidates candidates,
+        std::size_t k, SimTime now, ThreadPool* pool) const;
 
     std::vector<std::shared_ptr<const ServingSnapshot>> snaps_;
     std::vector<std::uint64_t> epochs_;

@@ -10,6 +10,7 @@
 // pool sizes and runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -392,6 +393,85 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
   EXPECT_EQ(refused.tiered.tier, AnswerTier::kRefused);
   EXPECT_EQ(refused.tiered.reason, DegradedReason::kShardUnavailable);
   EXPECT_TRUE(refused.tiered.ranked.empty());
+}
+
+// A stale fallback shard answers a gathered read from its stale band:
+// its nodes, too old to be live but inside the usable bound, rank
+// beside the healthy shards' live ones.
+TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
+  ServiceConfig cfg;
+  cfg.stale_usable_bound = Hours(12);
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  fc.service = cfg;
+  ShardedFrontend fe{fc};
+  Rng rng{43};
+  std::vector<std::string> ids;
+  std::vector<core::RatioMap> maps;  // each node's latest report
+  for (int i = 0; i < 24; ++i) {
+    ids.push_back("sb-" + std::to_string(i));
+    maps.push_back(random_map(rng));
+    ASSERT_TRUE(fe.publish(report_of(ids.back(), maps.back(), kT0), kT0));
+  }
+  const std::size_t crashed = 1;
+  sim::FaultPlan plan{67};
+  const SimTime crash_at = kT0 + Minutes(10);
+  plan.add({.kind = sim::FaultKind::kShardCrash,
+            .start = crash_at,
+            .end = crash_at + Minutes(1),
+            .probability = 1.0,
+            .entity = crashed});
+  fe.set_fault_plan(&plan);
+  fe.tick(crash_at);
+
+  // Seven hours on, the crashed shard's fallback (cut at kT0) is inside
+  // the 12h usable bound, so it answers, flagged stale; its nodes are
+  // past the 6h staleness bound: stale-usable, not live. The healthy
+  // shards re-report, so their nodes and the client are live.
+  const SimTime later = kT0 + Hours(7);
+  std::size_t client = ids.size();
+  std::size_t on_crashed = 0;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (fe.shard_of(ids[i]) == crashed) {
+      ++on_crashed;
+      continue;
+    }
+    maps[i] = random_map(rng);
+    ASSERT_TRUE(fe.publish(report_of(ids[i], maps[i], later), later));
+    client = i;
+  }
+  ASSERT_GT(on_crashed, 0u);
+  ASSERT_LT(client, ids.size());
+
+  // The naive ranking over the usable set: every other node, the
+  // crashed shard's included, by (similarity desc, id asc).
+  std::vector<RankedNode> want;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i == client) continue;
+    want.push_back(RankedNode{
+        ids[i], core::similarity(cfg.metric, maps[client], maps[i])});
+  }
+  std::sort(want.begin(), want.end(),
+            [](const RankedNode& a, const RankedNode& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.node_id < b.node_id;
+            });
+
+  const std::size_t k = ids.size();
+  for (const GatheredAnswer& got :
+       {fe.closest_any_gathered(ids[client], k, later),
+        fe.closest_gathered(ids[client], ids, k, later)}) {
+    EXPECT_EQ(got.tiered.tier, AnswerTier::kStale);
+    EXPECT_EQ(got.tiered.reason, DegradedReason::kStaleShard);
+    EXPECT_TRUE(got.completeness.complete());
+    for (std::size_t s = 0; s < fe.shard_count(); ++s) {
+      EXPECT_EQ(got.completeness.stale_shards[s], s == crashed)
+          << "shard " << s;
+    }
+    expect_same_ranked(got.tiered.ranked, want);
+  }
 }
 
 // ---------------------------------------------------------------------

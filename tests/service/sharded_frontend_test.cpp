@@ -217,6 +217,84 @@ TEST(ShardedOracle, BitIdenticalAcrossPoolSizes) {
   }
 }
 
+void expect_refused_no_candidates(const TieredAnswer& answer) {
+  EXPECT_EQ(answer.tier, AnswerTier::kRefused);
+  EXPECT_EQ(answer.reason, DegradedReason::kNoUsableCandidates);
+  EXPECT_TRUE(answer.ranked.empty());
+}
+
+void expect_empty_rows(const std::vector<std::vector<RankedNode>>& rows,
+                       std::size_t clients) {
+  EXPECT_EQ(rows.size(), clients);
+  for (const auto& row : rows) EXPECT_TRUE(row.empty());
+}
+
+// k = 0 keeps nothing on every surface: the plain and batch forms
+// answer empty, and the tiered and gathered forms refuse with
+// kNoUsableCandidates and count the refusal. The rankers' bar must not
+// read a heap that keeps nothing (the clients share replicas with many
+// rows, so every read offers touched rows to a k = 0 heap).
+TEST(ShardedOracle, ZeroKAnswersEmptyOnEverySurface) {
+  const ServiceConfig cfg = oracle_config(core::SimilarityKind::kCosine);
+  const SimTime now = SimTime::epoch() + Hours(7);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    PositionService svc{cfg};
+    ShardedFrontendConfig fc;
+    fc.shards = shards;
+    fc.service = cfg;
+    ShardedFrontend fe{fc};
+    const TwinCorpus corpus{svc, fe, 9300 + shards};
+    const auto snap = svc.publish_snapshot(now);
+    const auto view = fe.view();
+    ThreadPool pool{2};
+    const auto& cands = corpus.candidates;
+    const std::uint64_t svc_refused = svc.stats().refused_queries;
+    const std::uint64_t fe_refused = fe.stats().refused_queries;
+    // A fresh client and a stale-usable one (reported 6h33m earlier).
+    const std::vector<std::string> clients = {corpus.ids[59], corpus.ids[3]};
+    for (const std::string& c : clients) {
+      SCOPED_TRACE("client " + c);
+      EXPECT_TRUE(svc.closest_any(c, 0, now).empty());
+      EXPECT_TRUE(svc.closest(c, cands, 0, now).empty());
+      EXPECT_TRUE(snap->closest_any(c, 0, now).empty());
+      EXPECT_TRUE(snap->closest(c, cands, 0, now).empty());
+      EXPECT_TRUE(view.closest_any(c, 0, now, &pool).empty());
+      EXPECT_TRUE(view.closest(c, cands, 0, now, &pool).empty());
+      expect_refused_no_candidates(svc.closest_any_tiered(c, 0, now));
+      expect_refused_no_candidates(svc.closest_tiered(c, cands, 0, now));
+      expect_refused_no_candidates(snap->closest_any_tiered(c, 0, now));
+      expect_refused_no_candidates(snap->closest_tiered(c, cands, 0, now));
+      expect_refused_no_candidates(
+          view.closest_any_tiered(c, 0, now, &pool));
+      expect_refused_no_candidates(
+          view.closest_tiered(c, cands, 0, now, &pool));
+      expect_refused_no_candidates(
+          view.closest_any_gathered(c, 0, now, &pool).tiered);
+      expect_refused_no_candidates(
+          view.closest_gathered(c, cands, 0, now, &pool).tiered);
+    }
+    // The snapshot bumps the service's own counters: two tiered forms
+    // on each, per client; the view's four forms count on the frontend.
+    EXPECT_EQ(svc.stats().refused_queries, svc_refused + 4 * clients.size());
+    EXPECT_EQ(fe.stats().refused_queries, fe_refused + 4 * clients.size());
+    for (const auto& q : corpus.query_maps) {
+      EXPECT_TRUE(svc.top_k(q, 0, now).empty());
+      EXPECT_TRUE(snap->top_k(q, 0, now).empty());
+      EXPECT_TRUE(view.top_k(q, 0, now, &pool).empty());
+    }
+    const std::size_t n = corpus.clients.size();
+    expect_empty_rows(svc.closest_batch(corpus.clients, 0, now), n);
+    expect_empty_rows(svc.closest_batch(corpus.clients, cands, 0, now), n);
+    expect_empty_rows(snap->closest_batch(corpus.clients, 0, now, &pool), n);
+    expect_empty_rows(
+        snap->closest_batch(corpus.clients, cands, 0, now, &pool), n);
+    expect_empty_rows(view.closest_batch(corpus.clients, 0, now, &pool), n);
+    expect_empty_rows(
+        view.closest_batch(corpus.clients, cands, 0, now, &pool), n);
+  }
+}
+
 TEST(ShardedOracle, PublishBatchMatchesUnshardedWithMalformedBytes) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
     PositionService svc;
@@ -413,6 +491,74 @@ TEST(ShardedFrontendTest, StatsAggregateMatchesUnshardedAttribution) {
   EXPECT_EQ(resum.maps_touched, fs.maps_touched);
 }
 
+// A pinned View's answers borrow ids from its own snapshots and the
+// caller's candidates until the one merge builds them. Removing every
+// node and churning until each shard's engine compacts must leave the
+// View answering with the same ids and bits (ASan checks the borrows).
+TEST(ShardedFrontendTest, PinnedViewUnchangedByLaterWrites) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    ShardedFrontendConfig fc;
+    fc.shards = shards;
+    ShardedFrontend fe{fc};
+    Rng rng{5150 + shards};
+    const SimTime t0 = SimTime::epoch();
+    std::vector<std::string> ids;
+    for (int i = 0; i < 40; ++i) {
+      ids.push_back("p-" + std::to_string(i));
+      ASSERT_TRUE(fe.publish(report_of(ids.back(), random_map(rng), t0), t0));
+    }
+    const std::vector<std::string> candidates(ids.begin(), ids.begin() + 25);
+    const core::RatioMap query = random_map(rng);
+    ThreadPool pool{2};
+    const auto view = fe.view();
+    const auto capture = [&] {
+      std::vector<std::vector<RankedNode>> answers;
+      for (const std::string& c : {ids[0], ids[7], ids[31]}) {
+        answers.push_back(view.closest_any_gathered(c, 5, t0, &pool)
+                              .tiered.ranked);
+        answers.push_back(view.closest_gathered(c, candidates, 5, t0, &pool)
+                              .tiered.ranked);
+      }
+      for (auto& row : view.closest_batch(ids, 6, t0, &pool)) {
+        answers.push_back(std::move(row));
+      }
+      for (auto& row : view.closest_batch(ids, candidates, 6, t0, &pool)) {
+        answers.push_back(std::move(row));
+      }
+      answers.push_back(view.top_k(query, 8, t0, &pool));
+      return answers;
+    };
+    const auto before = capture();
+
+    for (const std::string& id : ids) ASSERT_TRUE(fe.remove(id));
+    const std::vector<ServiceStats> start = fe.shard_stats();
+    const auto all_compacted = [&] {
+      const std::vector<ServiceStats> now_stats = fe.shard_stats();
+      for (std::size_t s = 0; s < shards; ++s) {
+        if (now_stats[s].compactions == start[s].compactions) return false;
+      }
+      return true;
+    };
+    // Re-reporting a few new ids orphans each old row segment, until
+    // the orphans pass the engine's compaction threshold on every shard.
+    SimTime t = t0;
+    for (int round = 0; !all_compacted(); ++round) {
+      ASSERT_LT(round, 20000) << "a shard never compacted";
+      t = t + Seconds(1);
+      const std::string id = "w-" + std::to_string(round % 16);
+      (void)fe.publish(report_of(id, random_map(rng), t), t);
+    }
+
+    const auto after = capture();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "answer " << i);
+      expect_same_ranked(after[i], before[i]);
+    }
+  }
+}
+
 TEST(ShardedFrontendTest, InspectionRoutesToOwningShard) {
   ShardedFrontendConfig fc;
   fc.shards = 3;
@@ -574,6 +720,9 @@ TEST(ShardedConcurrent, ViewsStayCoherentUnderWriterChurn) {
     t = t + Seconds(1);
     const auto i = static_cast<std::size_t>(
         churn.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+    // A drifted map each time, so every write moves a row the readers'
+    // pinned snapshots still borrow from.
+    maps[i] = random_map(churn);
     (void)fe.publish(report_of(ids[i], maps[i], t), t);
     if (round % 11 == 0) {
       (void)fe.remove(ids[static_cast<std::size_t>(churn.uniform_int(
