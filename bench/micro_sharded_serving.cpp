@@ -10,19 +10,21 @@
 //     for bit (exit 1 on mismatch — the scatter/gather merge is supposed
 //     to be invisible, not approximately right).
 //   * batch throughput sweep — closest_batch over every client, driven
-//     through a ThreadPool sized to the shard count (the deployment's
-//     parallelism: one task per shard). On this single-core CI host the
-//     shard tasks cannot run concurrently, so the sweep measures the
-//     scatter machinery's overhead; multi-core hosts are where the
-//     rows separate. Per-shard similarity work is also reported — each
-//     scattered query pays one partial read per shard by design.
-//   * 1-shard baseline — the same batch through the PR-8 snapshot path
-//     (svc.snapshot()->closest_batch) vs a 1-shard frontend, which
-//     delegates to exactly that path. The acceptance bar is "no
-//     regression at 1 shard" on this host.
+//     through a ThreadPool sized to the shard count (a batch runs its
+//     clients on the pool, each scattering over the shards inline). On
+//     a single-core host the sweep measures the scatter machinery's
+//     overhead; multi-core hosts are where the rows separate. Per-shard
+//     similarity work is also reported — each scattered query pays one
+//     partial read per shard by design.
+//   * 1-shard baseline — the same batch through the snapshot
+//     (svc.snapshot()->closest_batch) and through a 1-shard frontend,
+//     which run the same serving core over the same frozen tables,
+//     alternating rep by rep. The acceptance bar is "no regression at
+//     1 shard" on this host.
 //
 // Feeds the BENCH_sharded_serving.json snapshot.
 // CRP_BENCH_SCALE=tiny|small shrinks corpora for CI smoke runs.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -189,8 +191,8 @@ int main() {
   }
 
   // --- phase 2: batch throughput sweep over shard counts ---
-  // One scatter task per shard, pool sized to match — the deployment's
-  // real parallelism. q/s counts clients answered per second.
+  // Pool sized to the shard count; q/s counts clients answered per
+  // second.
   std::printf("  closest_batch sweep (%zu clients x %zu reps):\n", n,
               scale.reps);
   double one_shard_wall = 0.0;
@@ -224,28 +226,46 @@ int main() {
   }
 
   // --- phase 3: 1-shard frontend vs the direct snapshot path ---
-  // A 1-shard View delegates verbatim to its single snapshot, so this
-  // measures the frontend's routing overhead. No-regression bar.
+  // Both sides run the one serving core over the same shard's frozen
+  // tables, so the ratio is the frontend's own overhead. The sides
+  // alternate rep by rep (each leads every other rep) and the median of
+  // the per-rep ratios is printed: timing one side after the other
+  // measures the host's drift between the two runs, not overhead.
   {
     ThreadPool pool{1};
-    const auto start_direct = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < scale.reps; ++rep) {
-      (void)snap->closest_batch(ids, 5, t0, &pool);
-    }
-    const double direct_wall = seconds_since(start_direct);
     const auto view = frontends[0]->view();
-    const auto start_front = std::chrono::steady_clock::now();
-    for (std::size_t rep = 0; rep < scale.reps; ++rep) {
-      (void)view.closest_batch(ids, 5, t0, &pool);
+    const std::size_t reps = 4 * scale.reps;
+    std::vector<double> ratios;
+    double direct_wall = 0.0;
+    double front_wall = 0.0;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      double direct = 0.0;
+      double front = 0.0;
+      for (int side = 0; side < 2; ++side) {
+        const bool direct_side = (side == 0) == (rep % 2 == 0);
+        const auto start = std::chrono::steady_clock::now();
+        if (direct_side) {
+          (void)snap->closest_batch(ids, 5, t0, &pool);
+          direct = seconds_since(start);
+        } else {
+          (void)view.closest_batch(ids, 5, t0, &pool);
+          front = seconds_since(start);
+        }
+      }
+      direct_wall += direct;
+      front_wall += front;
+      ratios.push_back(direct / front);
     }
-    const double front_wall = seconds_since(start_front);
+    std::sort(ratios.begin(), ratios.end());
+    const double median = ratios.size() % 2 == 1
+                              ? ratios[ratios.size() / 2]
+                              : 0.5 * (ratios[ratios.size() / 2 - 1] +
+                                       ratios[ratios.size() / 2]);
+    const double clients = static_cast<double>(reps) * static_cast<double>(n);
     std::printf("  1-shard overhead: snapshot %9.0f clients/s, frontend "
-                "%9.0f clients/s (ratio %.3f)\n",
-                static_cast<double>(scale.reps) * static_cast<double>(n) /
-                    direct_wall,
-                static_cast<double>(scale.reps) * static_cast<double>(n) /
-                    front_wall,
-                direct_wall / front_wall);
+                "%9.0f clients/s (median per-rep ratio %.3f over %zu "
+                "alternating reps)\n",
+                clients / direct_wall, clients / front_wall, median, reps);
   }
 
   if (!ok) {

@@ -90,6 +90,14 @@ class EngineSnapshot {
   ///    item.
   void check_invariants(const SimilarityEngine* source = nullptr) const;
 
+  /// The kernels' borrowed view of the frozen storage, also lent to the
+  /// serving core. Valid while the snapshot is held.
+  [[nodiscard]] engine_detail::CorpusView view() const {
+    return engine_detail::CorpusView{kind_,   *rows_, *norms_, *strongest_,
+                                     replicas_.get(), *lists_,
+                                     live_rows_};
+  }
+
   // --- storage-identity probes (tests of structural sharing only) ---
 
   [[nodiscard]] const void* rows_identity() const { return rows_.get(); }
@@ -102,12 +110,6 @@ class EngineSnapshot {
  private:
   friend class SimilarityEngine;  // the only producer
   EngineSnapshot() = default;
-
-  [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,   *rows_, *norms_, *strongest_,
-                                     replicas_.get(), *lists_,
-                                     live_rows_};
-  }
 
   SimilarityKind kind_ = SimilarityKind::kCosine;
   std::uint64_t epoch_ = 0;

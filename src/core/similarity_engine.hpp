@@ -183,6 +183,16 @@ class SimilarityEngine {
   ///  * the frozen-segment bookkeeping matches the newest snapshot.
   void check_invariants() const;
 
+  /// The kernels' borrowed view of this engine's storage, also lent to
+  /// the serving core (service/serving_detail.hpp). Valid until the next
+  /// mutation.
+  [[nodiscard]] engine_detail::CorpusView view() const {
+    return engine_detail::CorpusView{kind_,      rows_,
+                                     norms_,     strongest_,
+                                     replicas_.get(), list_views_,
+                                     live_rows_};
+  }
+
   // --- freezing (the concurrent read path, DESIGN.md §8) ---
 
   /// Returns an immutable snapshot of the live corpus, tagged with the
@@ -272,15 +282,6 @@ class SimilarityEngine {
     std::uint32_t lists = 0;
   };
   static constexpr std::uint32_t kNoSegment = 0xffffffffu;
-
-  /// The kernels' borrowed view of this engine's storage. Valid until
-  /// the next mutation; never escapes a single query call.
-  [[nodiscard]] engine_detail::CorpusView view() const {
-    return engine_detail::CorpusView{kind_,      rows_,
-                                     norms_,     strongest_,
-                                     replicas_.get(), list_views_,
-                                     live_rows_};
-  }
 
   [[nodiscard]] std::span<const RatioMap::Entry> row(std::size_t index) const {
     return {rows_[index].entries, rows_[index].len};

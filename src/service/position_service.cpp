@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "service/serving_snapshot.hpp"
 
 namespace crp::service {
 
 using serving_detail::SlotRec;
-using serving_detail::Vetted;
 
 const char* to_string(AnswerTier tier) {
   switch (tier) {
@@ -81,29 +80,15 @@ PositionService::PositionService(ServiceConfig config)
   config_.clustering.metric = config_.metric;
 }
 
-bool PositionService::is_live(SimTime when, SimTime now) const {
-  return now - when <= config_.staleness_bound;
-}
-
-std::size_t PositionService::live_slot(const std::string& node_id,
-                                       SimTime now) const {
-  const auto it = slot_of_.find(node_id);
-  if (it == slot_of_.end() || !is_live(slots_[it->second].when, now)) {
-    return ServingSnapshot::npos;
-  }
-  return it->second;
-}
-
-bool PositionService::is_stale_usable(SimTime when, SimTime now) const {
-  return config_.stale_usable_bound > config_.staleness_bound &&
-         now - when > config_.staleness_bound &&
-         now - when <= config_.stale_usable_bound;
-}
-
 Duration PositionService::usable_bound() const {
   return config_.stale_usable_bound > config_.staleness_bound
              ? config_.stale_usable_bound
              : config_.staleness_bound;
+}
+
+serving_detail::TableView PositionService::tables() const {
+  return {engine_.view(), slots_, *by_id_, config_.staleness_bound,
+          config_.stale_usable_bound, counters_.get(), clustering_.get()};
 }
 
 void PositionService::sync_engine_stats() {
@@ -120,7 +105,8 @@ void PositionService::sync_engine_stats() {
 bool PositionService::publish_impl(PositionReport report, SimTime now) {
   if (now > write_now_) write_now_ = now;
   if (report.node_id.empty() || report.map.empty() ||
-      !is_live(report.when, now) || report.when > now) {
+      !serving_detail::within(report.when, now, config_.staleness_bound) ||
+      report.when > now) {
     reports_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -271,191 +257,6 @@ std::optional<PositionReport> PositionService::report_of(
   return it->second;
 }
 
-std::vector<std::string> PositionService::live_nodes(SimTime now) const {
-  std::vector<std::string> nodes;
-  nodes.reserve(reports_.size());
-  for (const auto& [id, report] : reports_) {
-    if (is_live(report.when, now)) nodes.push_back(id);
-  }
-  std::sort(nodes.begin(), nodes.end());
-  return nodes;
-}
-
-std::vector<RankedNode> PositionService::rank_any(const core::RowView& query,
-                                                  std::size_t exclude,
-                                                  bool stale_band,
-                                                  std::size_t k,
-                                                  SimTime now) const {
-  auto& touched = serving_detail::touched_buffer();
-  engine_.touched_scores(query, touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched.size());
-  // No id-sorted index here: a short answer pads through the heap.
-  return serving_detail::materialize<RankedNode>(serving_detail::rank_touched(
-      touched, slots_, nullptr, exclude, k,
-      [&](std::size_t slot) { return usable_at(slot, stale_band, now); }));
-}
-
-std::vector<Vetted> PositionService::vet(
-    std::span<const std::string> candidates, bool stale_band,
-    SimTime now) const {
-  std::vector<Vetted> vetted;
-  vetted.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const auto it = slot_of_.find(candidate);
-    if (it == slot_of_.end() || !usable_at(it->second, stale_band, now)) {
-      continue;
-    }
-    vetted.push_back(Vetted{&candidate, it->second});
-  }
-  return vetted;
-}
-
-std::vector<RankedNode> PositionService::rank_candidates(
-    std::size_t client_slot, std::span<const Vetted> vetted,
-    std::span<const std::size_t> slots, std::size_t k) const {
-  // One subset engine query scores exactly the vetted slots —
-  // O(client postings + candidates), no engine-sized vector to fill or
-  // zero. Subset reads are bit-identical to the dense scores at those
-  // slots, which are bit-identical to per-pair similarity(), so the
-  // ranking matches the naive loop byte for byte.
-  std::vector<double> scores(slots.size());
-  std::size_t touched = 0;
-  engine_.scores_subset(engine_.row_view(client_slot), slots, scores,
-                        &touched);
-  counters_->similarity_queries.add();
-  counters_->maps_touched.add(touched);
-  return serving_detail::materialize<RankedNode>(
-      serving_detail::rank_vetted(vetted, scores, client_slot, k));
-}
-
-std::vector<RankedNode> PositionService::closest(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  const std::size_t client_slot = live_slot(client, now);
-  if (client_slot == ServingSnapshot::npos) return {};
-  const std::vector<Vetted> vetted = vet(candidates, /*stale_band=*/false, now);
-  return rank_candidates(client_slot, vetted, serving_detail::slots_of(vetted),
-                         k);
-}
-
-std::vector<RankedNode> PositionService::closest_any(
-    const std::string& client, std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  const std::size_t client_slot = live_slot(client, now);
-  if (client_slot == ServingSnapshot::npos) return {};
-  return rank_any(engine_.row_view(client_slot), client_slot,
-                  /*stale_band=*/false, k, now);
-}
-
-std::vector<RankedNode> PositionService::top_k(const core::RatioMap& query,
-                                               std::size_t k,
-                                               SimTime now) const {
-  counters_->queries_served.add();
-  // The query is external — no corpus row to exclude, and pairwise
-  // similarity depends only on the query and the candidate's own row,
-  // so shards of a partitioned corpus score it bit-identically.
-  return rank_any(query, ServingSnapshot::npos, /*stale_band=*/false, k,
-                  now);
-}
-
-TieredAnswer PositionService::tiered_query(
-    const std::string& client, std::span<const std::string> candidates,
-    bool any, std::size_t k, SimTime now) const {
-  counters_->queries_served.add();
-  TieredAnswer out;
-  const auto client_it = slot_of_.find(client);
-  if (client_it == slot_of_.end()) {
-    out.reason = DegradedReason::kUnknownClient;
-    counters_->refused_queries.add();
-    return out;
-  }
-  const std::size_t client_slot = client_it->second;
-  const SimTime when = slots_[client_slot].when;
-  const bool fresh = is_live(when, now);
-  if (!fresh && !is_stale_usable(when, now)) {
-    out.reason = DegradedReason::kClientExpired;
-    counters_->refused_queries.add();
-    return out;
-  }
-
-  // Fresh tier ranks exactly what the plain queries rank (live
-  // candidates); the stale tier widens the candidate band to
-  // stale-but-usable reports — a degraded client deserves whatever
-  // usable information the corpus still holds.
-  if (any) {
-    out.ranked = rank_any(engine_.row_view(client_slot), client_slot,
-                          /*stale_band=*/!fresh, k, now);
-  } else {
-    const std::vector<Vetted> vetted = vet(candidates, !fresh, now);
-    out.ranked = rank_candidates(client_slot, vetted,
-                                 serving_detail::slots_of(vetted), k);
-  }
-  if (out.ranked.empty()) {
-    // Nothing usable to rank against: refuse explicitly rather than
-    // hand back an empty vector indistinguishable from "client gone".
-    out.tier = AnswerTier::kRefused;
-    out.reason = DegradedReason::kNoUsableCandidates;
-    counters_->refused_queries.add();
-    return out;
-  }
-  out.tier = fresh ? AnswerTier::kFresh : AnswerTier::kStale;
-  out.reason = fresh ? DegradedReason::kNone : DegradedReason::kStaleClient;
-  (fresh ? counters_->fresh_answers : counters_->stale_answers).add();
-  return out;
-}
-
-TieredAnswer PositionService::closest_any_tiered(const std::string& client,
-                                                 std::size_t k,
-                                                 SimTime now) const {
-  return tiered_query(client, {}, /*any=*/true, k, now);
-}
-
-TieredAnswer PositionService::closest_tiered(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now) const {
-  return tiered_query(client, candidates, /*any=*/false, k, now);
-}
-
-std::vector<std::vector<RankedNode>> PositionService::closest_batch(
-    std::span<const std::string> clients, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  counters_->queries_served.add(clients.size());
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  // Unknown/stale clients keep {} results, exactly like their scalar
-  // queries; each live one is an independent touched-only read.
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, clients.size(), [&](std::size_t i) {
-    const std::size_t slot = live_slot(clients[i], now);
-    if (slot == ServingSnapshot::npos) return;
-    out[i] = rank_any(engine_.row_view(slot), slot, /*stale_band=*/false, k,
-                      now);
-  });
-  return out;
-}
-
-std::vector<std::vector<RankedNode>> PositionService::closest_batch(
-    std::span<const std::string> clients,
-    std::span<const std::string> candidates, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  counters_->queries_served.add(clients.size());
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  // The candidate set is vetted once for the batch; per client only the
-  // client itself (matched by slot) is additionally skipped, as in the
-  // scalar path. The engine query also runs when no candidate survived
-  // vetting, so the touched accounting matches the scalar loop's.
-  const std::vector<Vetted> vetted = vet(candidates, /*stale_band=*/false, now);
-  const std::vector<std::size_t> slots = serving_detail::slots_of(vetted);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, clients.size(), [&](std::size_t i) {
-    const std::size_t slot = live_slot(clients[i], now);
-    if (slot == ServingSnapshot::npos) return;
-    out[i] = rank_candidates(slot, vetted, slots, k);
-  });
-  return out;
-}
-
 void PositionService::ensure_clustering(SimTime now) {
   const bool fresh = clustered_epoch_ == membership_epoch_ &&
                      clustered_at_ >= SimTime::epoch() &&
@@ -489,89 +290,24 @@ void PositionService::ensure_clustering(SimTime now) {
 
 std::vector<std::string> PositionService::same_cluster(
     const std::string& node_id, SimTime now) {
-  counters_->queries_served.add();
-  const std::size_t slot = live_slot(node_id, now);
-  if (slot == ServingSnapshot::npos) return {};
-  ensure_clustering(now);
-  const auto& cluster =
-      clustering_->clusters[clustering_->assignment[slot]];
-  std::vector<std::string> out;
-  for (std::size_t member : cluster.members) {
-    if (member == slot) continue;
-    const SlotRec& rec = slots_[member];
-    // Tombstoned slots and members whose reports went stale since the
-    // clustering was cached are filtered here, at answer time.
-    if (rec.id.empty() || !is_live(rec.when, now)) continue;
-    out.push_back(rec.id);
+  // Only a live client's answer needs the clustering.
+  if (tables().live_slot(node_id, now) != serving_detail::TableView::npos) {
+    ensure_clustering(now);
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return serving_detail::same_cluster(tables(), node_id, now);
 }
 
 std::unordered_map<std::string, std::size_t>
 PositionService::cluster_assignment(SimTime now) {
-  counters_->queries_served.add();
   ensure_clustering(now);
-  std::unordered_map<std::string, std::size_t> out;
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    const SlotRec& rec = slots_[slot];
-    if (rec.id.empty() || !is_live(rec.when, now)) continue;
-    out[rec.id] = clustering_->assignment[slot];
-  }
-  return out;
+  return serving_detail::cluster_assignment(tables(), now);
 }
 
 std::vector<std::string> PositionService::diverse_set(std::size_t n,
                                                       SimTime now,
                                                       std::uint64_t seed) {
-  counters_->queries_served.add();
   ensure_clustering(now);
-
-  // One live representative per cluster, preferring clusters with more
-  // live members (their centers are corroborated positions), in random
-  // order. Clusters with no live member contribute nothing.
-  struct Candidate {
-    std::string id;
-    std::size_t live_members = 0;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(clustering_->clusters.size());
-  for (const auto& cluster : clustering_->clusters) {
-    Candidate c;
-    bool center_live = false;
-    std::string smallest;
-    for (std::size_t member : cluster.members) {
-      const SlotRec& rec = slots_[member];
-      if (rec.id.empty() || !is_live(rec.when, now)) continue;
-      ++c.live_members;
-      if (member == cluster.center) center_live = true;
-      if (smallest.empty() || rec.id < smallest) smallest = rec.id;
-    }
-    if (c.live_members == 0) continue;
-    // Prefer the center; if it went stale, the lexicographically
-    // smallest live member stands in for it.
-    c.id = center_live ? slots_[cluster.center].id : smallest;
-    candidates.push_back(std::move(c));
-  }
-
-  std::vector<std::size_t> cluster_order(candidates.size());
-  for (std::size_t i = 0; i < cluster_order.size(); ++i) {
-    cluster_order[i] = i;
-  }
-  Rng rng{hash_combine({seed, stable_hash("diverse-set")})};
-  rng.shuffle(cluster_order);
-  std::stable_sort(cluster_order.begin(), cluster_order.end(),
-                   [&candidates](std::size_t a, std::size_t b) {
-                     return candidates[a].live_members >
-                            candidates[b].live_members;
-                   });
-
-  std::vector<std::string> out;
-  for (std::size_t ci : cluster_order) {
-    if (out.size() == n) break;
-    out.push_back(candidates[ci].id);
-  }
-  return out;
+  return serving_detail::diverse_set(tables(), n, now, seed);
 }
 
 std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
@@ -579,7 +315,6 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
   if (now > write_now_) write_now_ = now;
   const std::shared_ptr<const ServingSnapshot> prev = snapshot_.load();
   auto snap = std::shared_ptr<ServingSnapshot>(new ServingSnapshot());
-  snap->config_ = config_;
   snap->membership_epoch_ = membership_epoch_;
   snap->frozen_at_ = now;
   snap->engine_ = engine_.freeze(membership_epoch_);
@@ -607,6 +342,9 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     snap->clustering_ = clustering_;
   }
   snap->counters_ = counters_;
+  snap->tables_ = {snap->engine_->view(), *snap->slots_, *snap->by_id_,
+                   config_.staleness_bound, config_.stale_usable_bound,
+                   counters_.get(), snap->clustering_.get()};
   snapshot_epoch_ = membership_epoch_;
   snapshot_at_ = now;
   std::shared_ptr<const ServingSnapshot> published = std::move(snap);
@@ -650,7 +388,7 @@ std::size_t PositionService::expire(SimTime now) {
   const Duration bound = usable_bound();
   std::vector<std::string> stale;
   for (const auto& [id, report] : reports_) {
-    if (now - report.when > bound) stale.push_back(id);
+    if (!serving_detail::within(report.when, now, bound)) stale.push_back(id);
   }
   std::size_t dropped = 0;
   for (const std::string& id : stale) {
@@ -658,6 +396,31 @@ std::size_t PositionService::expire(SimTime now) {
   }
   maybe_publish_snapshot(now);
   return dropped;
+}
+
+void PositionService::check_invariants() const {
+  serving_detail::check_tables(tables(), "PositionService");
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("PositionService invariant: " + what);
+  };
+  std::size_t occupied = 0;
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    const SlotRec& rec = slots_[slot];
+    if (rec.id.empty()) continue;
+    ++occupied;
+    const auto it = slot_of_.find(rec.id);
+    if (it == slot_of_.end() || it->second != slot) {
+      fail("slot_of does not map " + rec.id + " to its slot");
+    }
+    const auto report = reports_.find(rec.id);
+    if (report == reports_.end() || report->second.when != rec.when) {
+      fail("reports disagree with the slot of " + rec.id);
+    }
+  }
+  if (slot_of_.size() != occupied || reports_.size() != occupied) {
+    fail("slot_of or reports hold an id no slot holds");
+  }
+  engine_.check_invariants();
 }
 
 ServiceStats PositionService::stats() const {

@@ -29,11 +29,13 @@
 // must come from one thread at a time — but it can *publish snapshots*:
 // immutable `ServingSnapshot` objects any number of reader threads
 // query lock-free, cut at configurable epoch/age boundaries
-// (`SnapshotConfig`) and republished through a `SnapshotHandle`.
-// Snapshot answers are bit-identical to the mutable service's answers
-// at the snapshot's membership epoch.
+// (`SnapshotConfig`) and republished through a `SnapshotHandle`. The
+// service reads its live tables and a snapshot its frozen ones through
+// one serving core (service/serving_detail.hpp), so snapshot answers are
+// bit-identical to the service's at the snapshot's membership epoch.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -243,7 +245,103 @@ struct ServingCounters {
   ShardedCounter refused_queries;
 };
 
-class PositionService {
+/// The read surface PositionService and ServingSnapshot share. Every
+/// query is one call into the serving core (service/serving_detail.hpp)
+/// over the owner's one table (`Owner::tables()`: the service's live
+/// tables, a snapshot's frozen ones), so the two answer alike by
+/// construction. Reads are const and safe to run concurrently while no
+/// write runs.
+template <typename Owner>
+class TableReads {
+ public:
+  /// Nodes with non-stale reports at `now`, in lexicographic order.
+  /// The sortedness is a contract, not an implementation detail:
+  /// GossipMesh::coverage binary-searches the result (and asserts the
+  /// order). Keep it sorted.
+  [[nodiscard]] std::vector<std::string> live_nodes(SimTime now) const {
+    return serving_detail::live_nodes(table(), now);
+  }
+
+  // --- §IV.A closest-node selection ---
+  /// Ranks `candidates` (live, known) by similarity to `client`, best
+  /// first, at most k entries. Unknown/stale candidates are skipped;
+  /// unknown client yields empty.
+  [[nodiscard]] std::vector<RankedNode> closest(
+      const std::string& client, std::span<const std::string> candidates,
+      std::size_t k, SimTime now) const {
+    return serving_detail::closest(table(), client, candidates, k, now,
+                                   nullptr);
+  }
+  /// Same, but over every live node except the client.
+  [[nodiscard]] std::vector<RankedNode> closest_any(
+      const std::string& client, std::size_t k, SimTime now) const {
+    return serving_detail::closest(table(), client, std::nullopt, k, now,
+                                   nullptr);
+  }
+  /// Ranks every live node by similarity to an external query map (a
+  /// position that never published — e.g. a prospective node probing
+  /// where it would land), best first, at most k entries. Same
+  /// (similarity desc, id asc) total order as the closest paths.
+  [[nodiscard]] std::vector<RankedNode> top_k(const core::RatioMap& query,
+                                              std::size_t k,
+                                              SimTime now) const {
+    return serving_detail::top_k(table(), query, k, now, nullptr);
+  }
+
+  // --- degraded-mode serving (DESIGN.md §7) ---
+  /// `closest_any` with explicit staleness tiers: a fresh client ranks
+  /// live candidates (identical content to `closest_any`); a client in
+  /// the stale-but-usable band ranks candidates usable at that band and
+  /// the answer is marked kStale; otherwise the query *refuses* with a
+  /// typed reason instead of silently returning empty. With the stale
+  /// tier disabled (default config) only kFresh/kRefused occur.
+  [[nodiscard]] TieredAnswer closest_any_tiered(const std::string& client,
+                                                std::size_t k,
+                                                SimTime now) const {
+    return serving_detail::closest_tiered(table(), client, std::nullopt, {},
+                                          k, now, nullptr);
+  }
+  /// Candidate-list variant of `closest_any_tiered`; the fresh tier
+  /// ranks exactly what `closest` would.
+  [[nodiscard]] TieredAnswer closest_tiered(
+      const std::string& client, std::span<const std::string> candidates,
+      std::size_t k, SimTime now) const {
+    return serving_detail::closest_tiered(table(), client, candidates, {}, k,
+                                          now, nullptr);
+  }
+
+  // --- batched serving (DESIGN.md §6 "Batched query execution") ---
+  /// `closest_any` for a whole batch of clients: result `i` is
+  /// bit-identical to `closest_any(clients[i], k, now)`, with the same
+  /// counter totals. Clients run in parallel on `pool` (default
+  /// `ThreadPool::shared()`), each one touched-only engine read of its
+  /// own corpus row, so a client costs O(rows sharing a replica with
+  /// it), not O(corpus).
+  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
+      std::span<const std::string> clients, std::size_t k, SimTime now,
+      ThreadPool* pool = nullptr) const {
+    return serving_detail::closest_batch(table(), clients, std::nullopt, k,
+                                         now, pool);
+  }
+  /// Candidate-list variant: result `i` is bit-identical to
+  /// `closest(clients[i], candidates, k, now)`. The candidate set is
+  /// vetted (known + live) once for the batch; each client then scores
+  /// only the vetted slots.
+  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
+      std::span<const std::string> clients,
+      std::span<const std::string> candidates, std::size_t k, SimTime now,
+      ThreadPool* pool = nullptr) const {
+    return serving_detail::closest_batch(table(), clients, candidates, k, now,
+                                         pool);
+  }
+
+ private:
+  [[nodiscard]] std::array<serving_detail::TableView, 1> table() const {
+    return {static_cast<const Owner&>(*this).tables()};
+  }
+};
+
+class PositionService : public TableReads<PositionService> {
  public:
   explicit PositionService(ServiceConfig config = {});
 
@@ -286,64 +384,6 @@ class PositionService {
   [[nodiscard]] std::optional<PositionReport> report_of(
       const std::string& node_id) const;
   [[nodiscard]] std::size_t size() const { return reports_.size(); }
-  /// Nodes with non-stale reports at `now`, in lexicographic order.
-  /// The sortedness is a contract, not an implementation detail:
-  /// GossipMesh::coverage binary-searches the result (and asserts the
-  /// order). Keep it sorted.
-  [[nodiscard]] std::vector<std::string> live_nodes(SimTime now) const;
-
-  // --- §IV.A closest-node selection ---
-  /// Ranks `candidates` (live, known) by similarity to `client`, best
-  /// first, at most k entries. Unknown/stale candidates are skipped;
-  /// unknown client yields empty.
-  [[nodiscard]] std::vector<RankedNode> closest(
-      const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now) const;
-  /// Same, but over every live node except the client.
-  [[nodiscard]] std::vector<RankedNode> closest_any(
-      const std::string& client, std::size_t k, SimTime now) const;
-  /// Ranks every live node by similarity to an external query map (a
-  /// position that never published — e.g. a prospective node probing
-  /// where it would land), best first, at most k entries. Same
-  /// (similarity desc, id asc) total order as the closest paths.
-  [[nodiscard]] std::vector<RankedNode> top_k(const core::RatioMap& query,
-                                              std::size_t k,
-                                              SimTime now) const;
-
-  // --- degraded-mode serving (DESIGN.md §7) ---
-  /// `closest_any` with explicit staleness tiers: a fresh client ranks
-  /// live candidates (identical content to `closest_any`); a client in
-  /// the stale-but-usable band ranks candidates usable at that band and
-  /// the answer is marked kStale; otherwise the query *refuses* with a
-  /// typed reason instead of silently returning empty. With the stale
-  /// tier disabled (default config) only kFresh/kRefused occur.
-  [[nodiscard]] TieredAnswer closest_any_tiered(const std::string& client,
-                                                std::size_t k,
-                                                SimTime now) const;
-  /// Candidate-list variant of `closest_any_tiered`; the fresh tier
-  /// ranks exactly what `closest` would.
-  [[nodiscard]] TieredAnswer closest_tiered(
-      const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now) const;
-
-  // --- batched serving (DESIGN.md §6 "Batched query execution") ---
-  /// `closest_any` for a whole batch of clients: result `i` is
-  /// bit-identical to `closest_any(clients[i], k, now)`, with the same
-  /// counter totals. Clients run in parallel on `pool` (default
-  /// `ThreadPool::shared()`), each one touched-only engine read of its
-  /// own corpus row, so a client costs O(rows sharing a replica with
-  /// it), not O(corpus).
-  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-      std::span<const std::string> clients, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  /// Candidate-list variant: result `i` is bit-identical to
-  /// `closest(clients[i], candidates, k, now)`. The candidate set is
-  /// vetted (known + live) once for the batch; each client then scores
-  /// only the vetted slots.
-  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-      std::span<const std::string> clients,
-      std::span<const std::string> candidates, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
 
   // --- §IV.B clustering queries ---
   /// Query 1: live nodes in the same cluster as `node_id` (excluding
@@ -410,8 +450,19 @@ class PositionService {
   /// The engine slots currently backing the corpus (live + tombstoned);
   /// exposed for tests and capacity monitoring.
   [[nodiscard]] std::size_t engine_slots() const { return engine_.size(); }
+  /// Throws std::logic_error naming the first broken invariant: the node
+  /// table's (serving_detail::check_tables: slot table, sorted index,
+  /// engine liveness); `slot_of_` mapping exactly the occupied ids to
+  /// their slots; `reports_` holding exactly those ids, stamped as their
+  /// slots are; and the engine's own (SimilarityEngine::check_invariants).
+  void check_invariants() const;
 
  private:
+  friend class TableReads<PositionService>;
+
+  /// The live tables, borrowed by the serving core (one shard); valid
+  /// until the next write.
+  [[nodiscard]] serving_detail::TableView tables() const;
   /// publish() minus the snapshot hook — the shared core publish,
   /// publish_encoded and publish_batch apply per report.
   bool publish_impl(PositionReport report, SimTime now);
@@ -422,55 +473,14 @@ class PositionService {
   /// Copies the engine's MutationStats into the atomic mirrors stats()
   /// reads (writer-side, after any engine mutation).
   void sync_engine_stats();
-  /// Is a report stamped `when` within the staleness bound at `now`?
-  [[nodiscard]] bool is_live(SimTime when, SimTime now) const;
-  /// Is a report stamped `when` in the stale-but-usable band (older
-  /// than the staleness bound, within the stale tier)? Always false
-  /// when the stale tier is disabled.
-  [[nodiscard]] bool is_stale_usable(SimTime when, SimTime now) const;
-  /// Occupied `slot` is live, or stale-usable when `stale_band` widens
-  /// the candidate band.
-  [[nodiscard]] bool usable_at(std::size_t slot, bool stale_band,
-                               SimTime now) const {
-    return is_live(slots_[slot].when, now) ||
-           (stale_band && is_stale_usable(slots_[slot].when, now));
-  }
-  /// Engine slot of `node_id` if it is known and live at `now`, else
-  /// ServingSnapshot::npos.
-  [[nodiscard]] std::size_t live_slot(const std::string& node_id,
-                                      SimTime now) const;
   /// Age bound past which a report is useless even for degraded
   /// serving (= staleness_bound unless the stale tier extends it).
   [[nodiscard]] Duration usable_bound() const;
-  /// Shared core of the tiered queries: `candidates` empty means "every
-  /// known node" (the closest_any form).
-  [[nodiscard]] TieredAnswer tiered_query(
-      const std::string& client, std::span<const std::string> candidates,
-      bool any, std::size_t k, SimTime now) const;
   /// Erases one node from the report map, the engine, and the slot maps.
   /// Returns whether the node was known. The membership epoch is bumped
   /// only on an actual drop — an unknown id is a no-op and must not
   /// invalidate the cached clustering.
   bool drop_node(const std::string& node_id);
-  /// Every any-shaped read: one touched-only engine read of `query`,
-  /// with stats accounting, ranked over the usable nodes minus slot
-  /// `exclude` (serving_detail::rank_touched).
-  [[nodiscard]] std::vector<RankedNode> rank_any(const core::RowView& query,
-                                                 std::size_t exclude,
-                                                 bool stale_band,
-                                                 std::size_t k,
-                                                 SimTime now) const;
-  /// The known candidates usable at `now`, in caller order. The client
-  /// is not removed here; rank_candidates skips it by slot.
-  [[nodiscard]] std::vector<serving_detail::Vetted> vet(
-      std::span<const std::string> candidates, bool stale_band,
-      SimTime now) const;
-  /// Every candidate-list read: one subset engine read of
-  /// `client_slot`'s row over the vetted `slots`, with stats
-  /// accounting, ranked minus the client itself.
-  [[nodiscard]] std::vector<RankedNode> rank_candidates(
-      std::size_t client_slot, std::span<const serving_detail::Vetted> vetted,
-      std::span<const std::size_t> slots, std::size_t k) const;
   /// Where `node_id` sits (or would sit) in by_id_, for an insert or an
   /// erase: by_id_ is copied first if a snapshot shares it.
   [[nodiscard]] std::vector<std::uint32_t>::iterator index_at(
@@ -485,14 +495,14 @@ class PositionService {
 
   // The similarity corpus. slots_[slot] is the node occupying an engine
   // row and its report time ({} for tombstoned rows) — the table a
-  // snapshot freezes; slot_of_ is the inverse.
+  // snapshot freezes; slot_of_ is the writer's inverse.
   core::SimilarityEngine engine_;
   std::unordered_map<std::string, std::size_t> slot_of_;
   std::vector<serving_detail::SlotRec> slots_;
-  // Occupied slots sorted by node id — the index a snapshot's find()
-  // binary-searches. Kept sorted by insert/erase at lower_bound as nodes
-  // join and leave; once a snapshot shares it, the next join or leave
-  // edits a copy (index_at).
+  // Occupied slots sorted by node id — the index every read's find()
+  // binary-searches, here and in snapshots. Kept sorted by insert/erase
+  // at lower_bound as nodes join and leave; once a snapshot shares it,
+  // the next join or leave edits a copy (index_at).
   std::shared_ptr<std::vector<std::uint32_t>> by_id_ =
       std::make_shared<std::vector<std::uint32_t>>();
   bool by_id_frozen_ = false;

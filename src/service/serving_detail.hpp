@@ -1,25 +1,39 @@
-// Ranking helpers shared by PositionService and ServingSnapshot.
+// The one serving read path (DESIGN.md §8, §9).
 //
-// Both owners rank candidates through the exact same comparator and
-// materialization code — included from one header so the mutable path
-// and the snapshot read path cannot drift apart (the serving-level
-// analogue of core/engine_kernels.hpp). Internal: not part of the
-// service API.
+// PositionService, ServingSnapshot and ShardedFrontend::View answer
+// every read (plain, tiered, gathered, top_k, batch and cluster queries)
+// through the functions here, over N >= 1 borrowed shard tables: the
+// service lends one `TableView` over its live tables, a snapshot one over
+// its frozen tables, a View one per captured snapshot. No owner ranks,
+// vets, tiers or batches anything itself, so an answer cannot depend on
+// which owner lent the tables (the serving-level analogue of
+// core/engine_kernels.hpp). Internal: not part of the service API.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
-#include "common/top_k.hpp"
-#include "core/selection.hpp"
+#include "core/engine_kernels.hpp"
+
+namespace crp {
+class ThreadPool;
+}
+
+namespace crp::core {
+struct Clustering;
+}
 
 namespace crp::service {
 
 struct RankedNode;
+struct TieredAnswer;
+struct ServingCounters;
 
 namespace serving_detail {
 
@@ -31,144 +45,121 @@ struct SlotRec {
   SimTime when = SimTime{-1};
 };
 
-/// One candidate surviving a candidate-list read's vetting: the
-/// caller's id string (borrowed) plus its engine slot.
-struct Vetted {
-  const std::string* id = nullptr;
-  std::size_t slot = 0;
+/// Whether a report stamped `when` is at most `bound` old at `now`. The
+/// one age test of the service: it compares `when` with `now - bound`
+/// rather than computing an age, so a stamp from the far past is old
+/// instead of wrapping to a negative age.
+[[nodiscard]] constexpr bool within(SimTime when, SimTime now,
+                                    Duration bound) {
+  return when >= now - bound;
+}
+
+/// One shard's serving tables, borrowed: the engine's corpus view, the
+/// slot table, the occupied slots sorted by id, the two age bounds, the
+/// shared counters and the attached clustering (nullptr: none). Each
+/// owner builds one in O(1); it stays valid as long as the owner's tables
+/// do (until the service's next write; while a snapshot is held).
+struct TableView {
+  static constexpr std::size_t npos = ~std::size_t{0};
+
+  core::engine_detail::CorpusView corpus;
+  std::span<const SlotRec> slots;
+  std::span<const std::uint32_t> by_id;
+  Duration staleness_bound{0};
+  Duration stale_usable_bound{0};
+  ServingCounters* counters = nullptr;
+  const core::Clustering* clustering = nullptr;
+
+  /// Slot of `id` (binary search over `by_id`), or npos.
+  [[nodiscard]] std::size_t find(const std::string& id) const;
+  /// Slot of `id` if it is known and live at `now`, else npos.
+  [[nodiscard]] std::size_t live_slot(const std::string& id,
+                                      SimTime now) const;
+  [[nodiscard]] bool live(std::size_t slot, SimTime now) const {
+    return within(slots[slot].when, now, staleness_bound);
+  }
+  /// Older than the staleness bound, within an enabled stale tier.
+  [[nodiscard]] bool stale_usable(std::size_t slot, SimTime now) const {
+    return stale_usable_bound > staleness_bound && !live(slot, now) &&
+           within(slots[slot].when, now, stale_usable_bound);
+  }
+  /// Live, or stale-usable when `stale_band` widens the band.
+  [[nodiscard]] bool usable(std::size_t slot, bool stale_band,
+                            SimTime now) const {
+    return live(slot, now) || (stale_band && stale_usable(slot, now));
+  }
 };
 
-/// Heap entry for the closest paths: a borrowed node id plus its score.
-/// Every ranker and every sharded partial holds these; only
-/// `materialize` copies ids, once per answer.
-struct ScoredRef {
-  const std::string* id = nullptr;
-  double sim = 0.0;
-};
+/// The shards a read runs over, in shard order.
+using Tables = std::span<const TableView>;
+/// How one shard takes part in a read: it ranks its live nodes, widens
+/// to its stale-usable ones too, or sits the read out.
+enum class Band : std::uint8_t { kLive, kStale, kSkip };
+/// A candidate list, or nullopt for an any-shaped read.
+using Candidates = std::optional<std::span<const std::string>>;
 
-/// The (similarity desc, node_id asc) total order every closest path
-/// ranks by. Total ⇒ the bounded heap's output is identical to the
-/// stable-sort-then-truncate baseline (duplicate candidates compare
-/// equal both ways and are interchangeable copies) — and independent of
-/// offer order, which is why the snapshot path may iterate its sorted
-/// node table where the mutable path iterates its slot table and
-/// still answer byte-for-byte identically.
-inline bool better_ref(const ScoredRef& a, const ScoredRef& b) {
-  if (a.sim != b.sim) return a.sim > b.sim;
-  return *a.id < *b.id;
-}
+/// Owning shard of `id`: stable_hash(id) % shards (0 for one shard).
+[[nodiscard]] std::size_t shard_index(std::string_view id,
+                                      std::size_t shards);
 
-using RefHeap = BoundedTopK<ScoredRef, decltype(&better_ref)>;
+// --- reads over N >= 1 shards, each bit-identical to one unsharded
+// --- service over the union corpus. A single read runs its shards on
+// --- `pool` (nullptr: the shared pool), a batch its clients; a one-shard
+// --- single read runs inline and touches no pool. The client's owning
+// --- shard counts the query and its tier; each shard counts the
+// --- similarity reads it runs (an empty vetted list runs none).
 
-/// Copies ranked refs into owned RankedNodes: the one place an answer's
-/// ids are built, once per answer, after every merge (templated only so
-/// this header needn't depend on position_service.hpp).
-template <typename RankedNodeT>
-std::vector<RankedNodeT> materialize(std::span<const ScoredRef> kept) {
-  std::vector<RankedNodeT> ranked;
-  ranked.reserve(kept.size());
-  for (const ScoredRef& r : kept) {
-    ranked.push_back(RankedNodeT{*r.id, r.sim});
-  }
-  return ranked;
-}
+/// closest (a candidate list) or closest_any (nullopt): a live client
+/// ranked against the live nodes, itself excluded.
+[[nodiscard]] std::vector<RankedNode> closest(Tables tables,
+                                              const std::string& client,
+                                              Candidates candidates,
+                                              std::size_t k, SimTime now,
+                                              ThreadPool* pool);
+/// The tiered queries. `health` (empty: every shard kLive) is each
+/// shard's band before the client's tier widens it: a gathered read
+/// marks a stale-fallback shard kStale, which tints the answer
+/// kStaleShard, and a missing one kSkip, which refuses the client it
+/// owns with kShardUnavailable.
+[[nodiscard]] TieredAnswer closest_tiered(Tables tables,
+                                          const std::string& client,
+                                          Candidates candidates,
+                                          std::span<const Band> health,
+                                          std::size_t k, SimTime now,
+                                          ThreadPool* pool);
+/// Every live node ranked against a query map that owns no row.
+[[nodiscard]] std::vector<RankedNode> top_k(Tables tables,
+                                            const core::RowView& query,
+                                            std::size_t k, SimTime now,
+                                            ThreadPool* pool);
+/// `closest` for every client, fresh clients only (others get {}).
+[[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
+    Tables tables, std::span<const std::string> clients,
+    Candidates candidates, std::size_t k, SimTime now, ThreadPool* pool);
+/// Live nodes, in lexicographic order.
+[[nodiscard]] std::vector<std::string> live_nodes(Tables tables,
+                                                  SimTime now);
 
-/// The calling thread's touched list for an any-shaped read (the engine
-/// overwrites it on every read), so repeated reads allocate none. Hold
-/// it only until the thread's next read.
-inline std::vector<core::RankedCandidate>& touched_buffer() {
-  static thread_local std::vector<core::RankedCandidate> touched;
-  return touched;
-}
+// --- cluster queries over one shard's attached clustering; they answer
+// --- empty without one and filter liveness at answer time ---
 
-/// Ranks an any-shaped read — every usable node except slot `exclude` —
-/// from the engine's touched list alone (`touched_scores`). A row that
-/// shares no replica with the query scores exactly 0, and no score is
-/// negative, so the usable touched rows scoring > 0 rank ahead of every
-/// other usable row. The heap therefore sees only those; if fewer than
-/// k survive, every one of them is kept and the rest of the answer is
-/// the zero-score usable rows in id order. That is bit-identical to
-/// ranking every usable row by its dense score, at O(touched log k)
-/// whenever k rows share a replica with the query.
-///
-/// The bar: once the heap is full, a row scoring below its worst cannot
-/// enter whatever its id (better_ref orders by score first), so it is
-/// skipped before its slot record is read. A row that ties the worst
-/// still goes through `usable` and the full comparison. A heap that ends
-/// short of k never skipped a row.
-///
-/// `by_id` lists the occupied slots in id order, so padding stops at
-/// the k-th row; without it (nullptr) padding offers every occupied
-/// slot to the heap, which keeps the smallest ids. The refs borrow ids
-/// from `slots`.
-template <typename Usable>
-std::vector<ScoredRef> rank_touched(
-    std::span<const core::RankedCandidate> touched,
-    std::span<const SlotRec> slots, const std::vector<std::uint32_t>* by_id,
-    std::size_t exclude, std::size_t k, const Usable& usable) {
-  const auto ranked = [&](std::size_t slot) {
-    return slot != exclude && usable(slot);
-  };
-  RefHeap heap(k, &better_ref);
-  for (const core::RankedCandidate& t : touched) {
-    if (t.similarity <= 0.0 ||
-        (heap.full() && t.similarity < heap.worst().sim)) {
-      continue;
-    }
-    if (ranked(t.index)) {
-      heap.offer(ScoredRef{&slots[t.index].id, t.similarity});
-    }
-  }
-  if (heap.size() < k) {
-    std::vector<std::size_t> positive;
-    for (const core::RankedCandidate& t : touched) {
-      if (t.similarity > 0.0 && ranked(t.index)) positive.push_back(t.index);
-    }
-    std::sort(positive.begin(), positive.end());
-    const auto pad = [&](std::size_t slot) {
-      if (slots[slot].id.empty() || !ranked(slot) ||
-          std::binary_search(positive.begin(), positive.end(), slot)) {
-        return;
-      }
-      heap.offer(ScoredRef{&slots[slot].id, 0.0});
-    };
-    if (by_id != nullptr) {
-      // Ascending ids: once the heap is full, every later zero row
-      // ranks behind everything in it.
-      for (const std::uint32_t slot : *by_id) {
-        if (heap.size() == k) break;
-        pad(slot);
-      }
-    } else {
-      for (std::size_t slot = 0; slot < slots.size(); ++slot) pad(slot);
-    }
-  }
-  return heap.take_sorted();
-}
+[[nodiscard]] std::vector<std::string> same_cluster(const TableView& t,
+                                                    const std::string& id,
+                                                    SimTime now);
+[[nodiscard]] std::unordered_map<std::string, std::size_t>
+cluster_assignment(const TableView& t, SimTime now);
+[[nodiscard]] std::vector<std::string> diverse_set(const TableView& t,
+                                                   std::size_t n,
+                                                   SimTime now,
+                                                   std::uint64_t seed);
 
-/// Ranks a vetted candidate list from its subset scores (`scores[i]`
-/// belongs to `vetted[i]`), skipping slot `exclude` — the client itself.
-/// The refs borrow the vetted ids.
-inline std::vector<ScoredRef> rank_vetted(std::span<const Vetted> vetted,
-                                          std::span<const double> scores,
-                                          std::size_t exclude, std::size_t k) {
-  RefHeap heap(k, &better_ref);
-  for (std::size_t i = 0; i < vetted.size(); ++i) {
-    if (vetted[i].slot != exclude) {
-      heap.offer(ScoredRef{vetted[i].id, scores[i]});
-    }
-  }
-  return heap.take_sorted();
-}
-
-/// The engine slots of a vetted list, in list order — the subset a
-/// candidate-list read scores.
-inline std::vector<std::size_t> slots_of(std::span<const Vetted> vetted) {
-  std::vector<std::size_t> slots;
-  slots.reserve(vetted.size());
-  for (const Vetted& v : vetted) slots.push_back(v.slot);
-  return slots;
-}
+/// Throws std::logic_error, prefixed with `owner`, naming the first
+/// broken invariant of the node table that find() and the zero-score
+/// padding rely on: `by_id` strictly increasing by id; every slot it
+/// lists has an id, and every occupied slot is listed exactly once; the
+/// slot table as long as the engine; an id exactly where the engine row
+/// is alive.
+void check_tables(const TableView& t, const std::string& owner);
 
 }  // namespace serving_detail
 }  // namespace crp::service

@@ -1,18 +1,13 @@
 #include "service/sharded_frontend.hpp"
 
 #include <algorithm>
-#include <iterator>
 
-#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "service/serving_detail.hpp"
 #include "service/wire.hpp"
 #include "sim/fault_plan.hpp"
 
 namespace crp::service {
-
-using serving_detail::ScoredRef;
-using serving_detail::better_ref;
 
 const char* to_string(ShardHealth health) {
   switch (health) {
@@ -25,27 +20,6 @@ const char* to_string(ShardHealth health) {
   }
   return "?";
 }
-
-namespace {
-
-/// Merges n per-shard partials (`partial(s)` is shard s's refs) into
-/// the global top k, and builds its ids once. Correctness rests on the
-/// total order: any node in the global top-k beats all but fewer than k
-/// others, so in particular fewer than k within its own shard — it is
-/// in its shard's partial. The merge therefore never misses a winner,
-/// and the order makes the result offer-order- (hence shard-count-)
-/// independent.
-template <typename PartialOf>
-std::vector<RankedNode> merge_partials(std::size_t n, std::size_t k,
-                                       const PartialOf& partial) {
-  serving_detail::RefHeap heap(k, &better_ref);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (const ScoredRef& ref : partial(s)) heap.offer(ref);
-  }
-  return serving_detail::materialize<RankedNode>(heap.take_sorted());
-}
-
-}  // namespace
 
 ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
     : config_(std::move(config)) {
@@ -72,8 +46,7 @@ ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
 
 std::size_t ShardedFrontend::shard_index(std::string_view node_id,
                                          std::size_t shard_count) {
-  if (shard_count <= 1) return 0;
-  return static_cast<std::size_t>(stable_hash(node_id) % shard_count);
+  return serving_detail::shard_index(node_id, shard_count);
 }
 
 // --- fault machinery (inert while plan_ == nullptr) ---
@@ -441,6 +414,7 @@ ShardedFrontend::View ShardedFrontend::view() const {
   v.snaps_.reserve(shards_.size());
   v.epochs_.reserve(shards_.size());
   v.health_.reserve(shards_.size());
+  v.tables_.reserve(shards_.size());
   v.usable_bound_ =
       std::max(config_.service.staleness_bound,
                config_.service.stale_usable_bound);
@@ -462,6 +436,7 @@ ShardedFrontend::View ShardedFrontend::view() const {
     }
     if (snap == nullptr) snap = shards_[s]->snapshot();
     v.epochs_.push_back(snap->membership_epoch());
+    v.tables_.push_back(snap->tables());
     v.snaps_.push_back(std::move(snap));
     v.health_.push_back(h);
   }
@@ -499,143 +474,55 @@ std::size_t ShardedFrontend::View::size() const {
 
 std::vector<std::string> ShardedFrontend::View::live_nodes(
     SimTime now) const {
-  // Disjoint partitions, each already sorted per the live_nodes
-  // contract — pairwise merges keep the union sorted.
-  std::vector<std::string> merged;
-  for (const auto& snap : snaps_) {
-    std::vector<std::string> part = snap->live_nodes(now);
-    if (merged.empty()) {
-      merged = std::move(part);
-      continue;
-    }
-    std::vector<std::string> next;
-    next.reserve(merged.size() + part.size());
-    std::merge(std::make_move_iterator(merged.begin()),
-               std::make_move_iterator(merged.end()),
-               std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()),
-               std::back_inserter(next));
-    merged = std::move(next);
-  }
-  return merged;
-}
-
-std::vector<RankedNode> ShardedFrontend::View::scatter(
-    const ServingSnapshot::ExternalClient& client, Candidates candidates,
-    std::span<const Band> bands, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  std::vector<std::vector<ScoredRef>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    if (bands[s] == Band::kSkip) return;
-    const bool stale_band = bands[s] == Band::kStale;
-    const std::size_t exclude =
-        s == client.owner ? client.slot : ServingSnapshot::npos;
-    if (!candidates) {
-      partials[s] = snaps_[s]->partial_closest_any(client.row, exclude,
-                                                   stale_band, k, now);
-      return;
-    }
-    const auto vetted =
-        snaps_[s]->vet_candidates(*candidates, stale_band, now);
-    partials[s] = snaps_[s]->partial_closest(client.row, exclude, vetted, k);
-  });
-  return merge_partials(n, k, [&](std::size_t s) -> const auto& {
-    return partials[s];
-  });
-}
-
-std::vector<RankedNode> ShardedFrontend::View::plain_query(
-    const std::string& client, Candidates candidates, std::size_t k,
-    SimTime now, ThreadPool* pool) const {
-  if (snaps_.size() == 1) {
-    return candidates ? snaps_[0]->closest(client, *candidates, k, now)
-                      : snaps_[0]->closest_any(client, k, now);
-  }
-  const std::size_t owner = shard_of(client);
-  snaps_[owner]->count_queries();
-  const auto res = snaps_[owner]->resident(client, now);
-  if (!res.has_value() || !res->live) return {};
-  const std::vector<Band> live(snaps_.size(), Band::kLive);
-  return scatter({res->row, owner, res->slot}, candidates, live, k, now,
-                 pool);
+  return serving_detail::live_nodes(tables_, now);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::closest_any(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return plain_query(client, std::nullopt, k, now, pool);
+  return serving_detail::closest(tables_, client, std::nullopt, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::closest(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return plain_query(client, candidates, k, now, pool);
+  return serving_detail::closest(tables_, client, candidates, k, now, pool);
 }
 
-GatheredAnswer ShardedFrontend::View::tiered_query(
-    const std::string& client, Candidates candidates, bool gathered,
+TieredAnswer ShardedFrontend::View::closest_any_tiered(
+    const std::string& client, std::size_t k, SimTime now,
+    ThreadPool* pool) const {
+  return serving_detail::closest_tiered(tables_, client, std::nullopt, {}, k,
+                                        now, pool);
+}
+
+TieredAnswer ShardedFrontend::View::closest_tiered(
+    const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1 && !gathered) {
-    return {candidates ? snaps_[0]->closest_tiered(client, *candidates, k, now)
-                       : snaps_[0]->closest_any_tiered(client, k, now),
-            {}};
-  }
+  return serving_detail::closest_tiered(tables_, client, candidates, {}, k,
+                                        now, pool);
+}
+
+GatheredAnswer ShardedFrontend::View::gathered(
+    const std::string& client, serving_detail::Candidates candidates,
+    std::size_t k, SimTime now, ThreadPool* pool) const {
+  using serving_detail::Band;
   GatheredAnswer out;
-  TieredAnswer& tiered = out.tiered;
-  std::vector<Band> bands(n, Band::kLive);
-  if (gathered) {
-    // A stale-fallback shard widens to the stale band (its capture is
-    // old; its stale-but-usable reports are the whole point of serving
-    // it); a missing shard sits the read out.
-    out.completeness = completeness(now);
-    for (std::size_t s = 0; s < n; ++s) {
-      if (out.completeness.stale_shards[s]) bands[s] = Band::kStale;
-    }
-    for (const std::size_t s : out.completeness.missing_shards) {
-      bands[s] = Band::kSkip;
-    }
+  out.completeness = completeness(now);
+  // A stale-fallback shard widens to the stale band (its capture is old;
+  // its stale-but-usable reports are the whole point of serving it); a
+  // missing shard sits the read out.
+  std::vector<Band> health(tables_.size(), Band::kLive);
+  for (std::size_t s = 0; s < health.size(); ++s) {
+    if (out.completeness.stale_shards[s]) health[s] = Band::kStale;
   }
-  const std::size_t owner = shard_of(client);
-  const ServingSnapshot& home = *snaps_[owner];
-  home.count_queries();
-  const auto refuse = [&](DegradedReason reason) {
-    tiered.reason = reason;
-    home.count_outcome(AnswerTier::kRefused);
-    return out;
-  };
-  // Nothing left that knows the client: its shard is down and the
-  // fallback aged out. Typed refusal, not an empty vector — the caller
-  // can tell "retry after recovery" from "node gone".
-  if (bands[owner] == Band::kSkip) {
-    return refuse(DegradedReason::kShardUnavailable);
+  for (const std::size_t s : out.completeness.missing_shards) {
+    health[s] = Band::kSkip;
   }
-  const auto res = home.resident(client, now);
-  if (!res.has_value()) return refuse(DegradedReason::kUnknownClient);
-  const bool fresh = res->live;
-  if (!fresh && !res->stale_usable) {
-    return refuse(DegradedReason::kClientExpired);
-  }
-  // A stale client widens every answering shard to the stale band.
-  for (Band& band : bands) {
-    if (!fresh && band == Band::kLive) band = Band::kStale;
-  }
-  tiered.ranked =
-      scatter({res->row, owner, res->slot}, candidates, bands, k, now, pool);
-  if (tiered.ranked.empty()) {
-    return refuse(DegradedReason::kNoUsableCandidates);
-  }
-  const bool stale_shard = out.completeness.any_stale();
-  tiered.tier =
-      fresh && !stale_shard ? AnswerTier::kFresh : AnswerTier::kStale;
-  tiered.reason = !fresh       ? DegradedReason::kStaleClient
-                  : stale_shard ? DegradedReason::kStaleShard
-                                : DegradedReason::kNone;
-  home.count_outcome(tiered.tier);
-  if (counters_ != nullptr) {
-    if (stale_shard) {
+  out.tiered = serving_detail::closest_tiered(tables_, client, candidates,
+                                              health, k, now, pool);
+  if (out.tiered.answered() && counters_ != nullptr) {
+    if (out.completeness.any_stale()) {
       counters_->degraded_answers.fetch_add(1, std::memory_order_relaxed);
     }
     if (!out.completeness.complete()) {
@@ -645,107 +532,37 @@ GatheredAnswer ShardedFrontend::View::tiered_query(
   return out;
 }
 
-TieredAnswer ShardedFrontend::View::closest_any_tiered(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return tiered_query(client, std::nullopt, /*gathered=*/false, k, now, pool)
-      .tiered;
-}
-
-TieredAnswer ShardedFrontend::View::closest_tiered(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return tiered_query(client, candidates, /*gathered=*/false, k, now, pool)
-      .tiered;
-}
-
 GatheredAnswer ShardedFrontend::View::closest_any_gathered(
     const std::string& client, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return tiered_query(client, std::nullopt, /*gathered=*/true, k, now, pool);
+  return gathered(client, std::nullopt, k, now, pool);
 }
 
 GatheredAnswer ShardedFrontend::View::closest_gathered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
-  return tiered_query(client, candidates, /*gathered=*/true, k, now, pool);
+  return gathered(client, candidates, k, now, pool);
 }
 
 std::vector<RankedNode> ShardedFrontend::View::top_k(
     const core::RatioMap& query, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  if (snaps_.size() == 1) return snaps_[0]->top_k(query, k, now);
-  // The query owns no corpus row, so there is no owning shard and no
-  // slot to exclude; the query itself counts on shard 0 (the partials'
-  // similarity work counts on the shard that did it, as everywhere).
-  snaps_[0]->count_queries();
-  const std::vector<Band> live(snaps_.size(), Band::kLive);
-  return scatter({query, 0, ServingSnapshot::npos}, std::nullopt, live, k,
-                 now, pool);
-}
-
-std::vector<std::vector<RankedNode>> ShardedFrontend::View::batch_query(
-    std::span<const std::string> clients, Candidates candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  const std::size_t n = snaps_.size();
-  if (n == 1) {
-    return candidates
-               ? snaps_[0]->closest_batch(clients, *candidates, k, now, pool)
-               : snaps_[0]->closest_batch(clients, k, now, pool);
-  }
-  std::vector<std::vector<RankedNode>> out(clients.size());
-  std::vector<std::uint64_t> counts(n, 0);
-  std::vector<ServingSnapshot::ExternalClient> ext;
-  std::vector<std::size_t> result_at;
-  ext.reserve(clients.size());
-  result_at.reserve(clients.size());
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    const std::size_t owner = shard_of(clients[i]);
-    ++counts[owner];
-    const auto res = snaps_[owner]->resident(clients[i], now);
-    if (!res.has_value() || !res->live) continue;
-    ext.push_back(
-        ServingSnapshot::ExternalClient{res->row, owner, res->slot});
-    result_at.push_back(i);
-  }
-  for (std::size_t s = 0; s < n; ++s) {
-    if (counts[s] != 0) snaps_[s]->count_queries(counts[s]);
-  }
-  if (ext.empty()) return out;
-  // Scatter: one task per shard ranks every eligible client against its
-  // partition (parallelism = shard count, the deployment's real
-  // topology — one process per shard); gather: per-client merges fan
-  // out over the same pool.
-  std::vector<std::vector<std::vector<ScoredRef>>> partials(n);
-  ThreadPool& p = pool != nullptr ? *pool : ThreadPool::shared();
-  p.parallel_for(0, n, [&](std::size_t s) {
-    if (!candidates) {
-      partials[s] = snaps_[s]->partial_closest_batch(ext, s, k, now);
-      return;
-    }
-    const auto vetted =
-        snaps_[s]->vet_candidates(*candidates, /*stale_band=*/false, now);
-    partials[s] = snaps_[s]->partial_closest_batch(ext, s, vetted, k);
-  });
-  p.parallel_for(0, ext.size(), [&](std::size_t j) {
-    out[result_at[j]] = merge_partials(n, k, [&](std::size_t s) -> const auto& {
-      return partials[s][j];
-    });
-  });
-  return out;
+  return serving_detail::top_k(tables_, query, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     std::span<const std::string> clients, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return batch_query(clients, std::nullopt, k, now, pool);
+  return serving_detail::closest_batch(tables_, clients, std::nullopt, k, now,
+                                       pool);
 }
 
 std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
     std::span<const std::string> clients,
     std::span<const std::string> candidates, std::size_t k, SimTime now,
     ThreadPool* pool) const {
-  return batch_query(clients, candidates, k, now, pool);
+  return serving_detail::closest_batch(tables_, clients, candidates, k, now,
+                                       pool);
 }
 
 // --- frontend convenience wrappers (one View capture each) ---

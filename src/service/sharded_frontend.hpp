@@ -16,19 +16,17 @@
 //   * Reads scatter/gather: a View acquires every shard's published
 //     snapshot — in shard order, recording each snapshot's membership
 //     epoch into a cross-shard epoch vector — then answers from exactly
-//     those snapshots. The client's frozen corpus row comes from its
-//     owning shard; every shard scores that row against its own
-//     partition (bit-identical to one unsharded engine, because row
-//     queries renormalize nothing and pairwise similarity sees only the
-//     two rows involved); per-shard top-k partials merge under
-//     serving_detail's (similarity desc, id asc) total order. Under a
-//     total order the global top-k is a subset of the union of per-shard
-//     top-k's, so the merged answer is bit-identical to a single
-//     unsharded PositionService over the same corpus. Partials are
-//     borrowed refs into the View's snapshots (or the caller's
-//     candidates); the merge builds the k winners' ids once. Every
-//     scattered read runs through one private core that takes a band
-//     per shard: live, stale (stale-usable nodes too) or skipped.
+//     those snapshots, through the serving core every owner shares
+//     (service/serving_detail.hpp) over one borrowed table per shard.
+//     The client's frozen corpus row comes from its owning shard; every
+//     shard scores that row against its own partition (bit-identical to
+//     one unsharded engine, because row queries renormalize nothing and
+//     pairwise similarity sees only the two rows involved); per-shard
+//     top-k partials merge under the core's (similarity desc, id asc)
+//     total order. Under a total order the global top-k is a subset of
+//     the union of per-shard top-k's, so the merged answer is
+//     bit-identical to a single unsharded PositionService over the same
+//     corpus.
 //
 // Epoch vector: View::epochs() is the membership epoch each shard's
 // snapshot froze. Callers pin a View to answer several queries from one
@@ -98,8 +96,8 @@ struct ShardBreakerConfig {
 };
 
 struct ShardedFrontendConfig {
-  /// Shard count; clamped to at least 1. 1 is the degenerate frontend —
-  /// same answers, no scatter.
+  /// Shard count; clamped to at least 1. Every count answers alike: one
+  /// serving core serves N >= 1 shards, and one shard reads inline.
   std::size_t shards = 4;
   /// Per-shard service configuration. When `service.snapshots.enabled`
   /// is false (the default) the front-end forces snapshots on with
@@ -220,8 +218,9 @@ class ShardedFrontend {
 
     // --- scattered queries: each bit-identical to the PositionService
     // --- method of the same name over the union corpus at this view's
-    // --- epochs. `pool` drives the per-shard scatter (nullptr = the
-    // --- shared pool); results are pool-size-independent.
+    // --- epochs. `pool` runs a single read's shards and a batch's
+    // --- clients (nullptr = the shared pool; a one-shard single read
+    // --- runs inline); results are pool-size-independent.
     [[nodiscard]] std::vector<RankedNode> closest(
         const std::string& client, std::span<const std::string> candidates,
         std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
@@ -272,37 +271,16 @@ class ShardedFrontend {
     friend class ShardedFrontend;
     View() = default;
 
-    /// How one shard takes part in a scattered read: it ranks its live
-    /// nodes, widens to its stale-usable ones too, or sits the read out.
-    enum class Band : std::uint8_t { kLive, kStale, kSkip };
-    /// A candidate list, or nullopt for an any-shaped read.
-    using Candidates = std::optional<std::span<const std::string>>;
-
-    /// The one scatter core: ranks `client` on every shard not kSkip,
-    /// over `candidates` (nullopt: every node), the owner excluding the
-    /// client's slot; merges the shards' refs, which borrow from this
-    /// View's snapshots and `candidates`, and builds k ids once.
-    [[nodiscard]] std::vector<RankedNode> scatter(
-        const ServingSnapshot::ExternalClient& client, Candidates candidates,
-        std::span<const Band> bands, std::size_t k, SimTime now,
-        ThreadPool* pool) const;
-    /// Shared body of closest and closest_any.
-    [[nodiscard]] std::vector<RankedNode> plain_query(
-        const std::string& client, Candidates candidates, std::size_t k,
-        SimTime now, ThreadPool* pool) const;
-    /// Shared body of the tiered and gathered queries. Only `gathered`
-    /// honours shard health (stale fallback shards widen to the stale
-    /// band, missing ones are skipped), fills the completeness and
-    /// scatters at one shard too.
-    [[nodiscard]] GatheredAnswer tiered_query(
-        const std::string& client, Candidates candidates, bool gathered,
-        std::size_t k, SimTime now, ThreadPool* pool) const;
-    /// Shared body of the two closest_batch forms.
-    [[nodiscard]] std::vector<std::vector<RankedNode>> batch_query(
-        std::span<const std::string> clients, Candidates candidates,
-        std::size_t k, SimTime now, ThreadPool* pool) const;
+    /// Shared body of the gathered queries: the tiered read with each
+    /// shard's health band, plus the completeness it was gathered under.
+    [[nodiscard]] GatheredAnswer gathered(const std::string& client,
+                                          serving_detail::Candidates candidates,
+                                          std::size_t k, SimTime now,
+                                          ThreadPool* pool) const;
 
     std::vector<std::shared_ptr<const ServingSnapshot>> snaps_;
+    /// Each captured snapshot's tables, lent to the serving core.
+    std::vector<serving_detail::TableView> tables_;
     std::vector<std::uint64_t> epochs_;
     /// ShardHealth per shard at capture (uint8_t to stay vector-packed).
     std::vector<std::uint8_t> health_;

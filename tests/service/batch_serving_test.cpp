@@ -145,7 +145,8 @@ TEST_F(BatchServingTest, BatchAndLoopAccountIdentically) {
   EXPECT_EQ(a.maps_touched, b.maps_touched);
 
   // Candidate variant accounts like the scalar loop too, including the
-  // all-vetted-away case (scalar closest still runs the engine query).
+  // all-vetted-away case: an empty vetted list runs no engine read,
+  // scalar or batched (the rule every shard partial follows).
   std::vector<std::string> no_candidates{"unknown", "old"};
   const std::vector<std::string> empty_candidates;
   for (const std::string& c : clients) {

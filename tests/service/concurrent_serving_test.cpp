@@ -87,25 +87,31 @@ TEST_P(SnapshotOracleTest, SnapshotMatchesMutableServiceBitForBit) {
 
     // Random membership: publishes spread over six hours (some updates
     // clobbering earlier reports), then a few removals — so the frozen
-    // corpus carries tombstoned slots and mixed-age reports. Every write
-    // is followed by a freeze whose node table must hold its invariants.
+    // corpus carries tombstoned slots and mixed-age reports. After every
+    // write the service's tables hold their invariants, its epoch has not
+    // gone back, and a freeze's node table holds its invariants too.
     const SimTime t0 = SimTime::epoch();
     std::vector<std::string> ids;
     for (int i = 0; i < 48; ++i) {
       ids.push_back(node_name(100 + i));
     }
+    std::uint64_t epoch = service.membership_epoch();
+    const auto check_write = [&](SimTime now) {
+      EXPECT_NO_THROW(service.check_invariants());
+      EXPECT_GE(service.membership_epoch(), epoch);
+      epoch = service.membership_epoch();
+      EXPECT_NO_THROW(service.publish_snapshot(now)->check_invariants());
+    };
     for (int round = 0; round < 64; ++round) {
       const std::string& id = ids[rng.uniform_int(0, ids.size() - 1)];
       const SimTime when =
           t0 + Minutes(static_cast<std::int64_t>(rng.uniform_int(0, 360)));
       (void)service.publish(random_report(rng, id, when), when + Minutes(1));
-      EXPECT_NO_THROW(
-          service.publish_snapshot(when + Minutes(1))->check_invariants());
+      check_write(when + Minutes(1));
     }
     for (int drops = 0; drops < 4; ++drops) {
       (void)service.remove(ids[rng.uniform_int(0, ids.size() - 1)]);
-      EXPECT_NO_THROW(
-          service.publish_snapshot(t0 + Hours(6))->check_invariants());
+      check_write(t0 + Hours(6));
     }
 
     const SimTime frozen = t0 + Hours(6);

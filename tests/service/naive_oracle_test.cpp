@@ -1,22 +1,28 @@
-// Oracle for the touched-only read path: every any-shaped read through
-// the sharded front-end must equal a naive ranking that scores each
-// usable node with per-pair core::similarity() and sorts by
-// (similarity desc, id asc). The corpus is sparse — most maps draw from
-// a wide replica space — so many clients share a replica with fewer
-// than k others and the answer's tail is zero-score padding, and k runs
-// past the corpus size. Every member is republished several times
-// before the reads, so the engines' posting lists are permuted by
-// swap-removal and their arenas compacted.
+// Oracle for the serving read path: every read through the sharded
+// front-end, the unsharded service and its snapshot must equal a naive
+// ranking that scores each usable node with per-pair core::similarity()
+// and sorts by (similarity desc, id asc). The corpus is sparse — most
+// maps draw from a wide replica space — so many clients share a replica
+// with fewer than k others and an any-shaped answer's tail is zero-score
+// padding, and k runs past the corpus size. Candidate lists mix live,
+// stale-usable, expired, removed and unknown ids, duplicates and the
+// client itself. Every member is republished several times before the
+// reads, so the engines' posting lists are permuted by swap-removal and
+// their arenas compacted; the writer's tables are checked after every
+// write.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/similarity.hpp"
+#include "service/serving_snapshot.hpp"
 #include "service/sharded_frontend.hpp"
 
 namespace crp::service {
@@ -72,19 +78,23 @@ bool stale_usable(const Member& m) {
   return !live(m) && kNow - m.when <= kStaleUsable;
 }
 
-/// The reference: per-pair similarity() over every usable member but
-/// `self`, stable-sorted by (similarity desc, id asc), cut to k.
+bool usable(const Member& m, bool stale_band) {
+  return !m.removed && (live(m) || (stale_band && stale_usable(m)));
+}
+
+/// The reference: per-pair similarity() over `pool` (every usable member
+/// in it but `self`, each entry as often as it is listed),
+/// stable-sorted by (similarity desc, id asc), cut to k.
 std::vector<RankedNode> naive_rank(core::SimilarityKind metric,
                                    const core::RatioMap& query,
-                                   const std::vector<Member>& members,
+                                   const std::vector<const Member*>& pool,
                                    const std::string& self, bool stale_band,
                                    std::size_t k) {
   std::vector<RankedNode> ranked;
-  for (const Member& m : members) {
-    if (m.removed || m.id == self) continue;
-    if (!live(m) && !(stale_band && stale_usable(m))) continue;
+  for (const Member* m : pool) {
+    if (m->id == self || !usable(*m, stale_band)) continue;
     ranked.push_back(
-        RankedNode{m.id, core::similarity(metric, query, m.map)});
+        RankedNode{m->id, core::similarity(metric, query, m->map)});
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const RankedNode& a, const RankedNode& b) {
@@ -106,18 +116,23 @@ void expect_ranked(const std::vector<RankedNode>& got,
   }
 }
 
-/// What a tiered query must answer for `m`: refused when expired or
-/// when nothing is usable, else the naive ranking of its usable band.
+/// What a tiered query must answer for `m` over `pool`: refused when
+/// removed, expired or when nothing is usable, else the naive ranking of
+/// its usable band.
 void expect_tiered(const TieredAnswer& got, core::SimilarityKind metric,
-                   const Member& m, const std::vector<Member>& members,
+                   const Member& m, const std::vector<const Member*>& pool,
                    std::size_t k) {
+  if (m.removed) {
+    EXPECT_EQ(got.reason, DegradedReason::kUnknownClient);
+    EXPECT_TRUE(got.ranked.empty());
+    return;
+  }
   if (!live(m) && !stale_usable(m)) {
     EXPECT_EQ(got.reason, DegradedReason::kClientExpired);
     EXPECT_TRUE(got.ranked.empty());
     return;
   }
-  const auto want =
-      naive_rank(metric, m.map, members, m.id, !live(m), k);
+  const auto want = naive_rank(metric, m.map, pool, m.id, !live(m), k);
   expect_ranked(got.ranked, want);
   if (want.empty()) {
     EXPECT_EQ(got.reason, DegradedReason::kNoUsableCandidates);
@@ -126,95 +141,293 @@ void expect_tiered(const TieredAnswer& got, core::SimilarityKind metric,
   }
 }
 
-void run_oracle(core::SimilarityKind metric, std::size_t shards,
-                std::size_t workers) {
-  SCOPED_TRACE(::testing::Message()
-               << "metric=" << static_cast<int>(metric)
-               << " shards=" << shards << " workers=" << workers);
-  ShardedFrontendConfig fc;
-  fc.shards = shards;
-  fc.service.metric = metric;
-  fc.service.staleness_bound = kStaleness;
-  fc.service.stale_usable_bound = kStaleUsable;
-  ShardedFrontend fe{fc};
-  std::vector<Member> members = sparse_corpus(3100 + shards);
-  const auto publish = [&fe](const Member& m) {
-    PositionReport r;
-    r.node_id = m.id;
-    r.when = m.when;
-    r.map = m.map;
-    return fe.publish(std::move(r), m.when);
-  };
-  for (const Member& m : members) ASSERT_TRUE(publish(m));
-  // Eight updates per member at its original time: each removes the
-  // old map's postings (moving other rows' postings around) and orphans
-  // its arena entries, ~320 per shard at 4 shards, past the compaction
-  // floor. The reference ranks each member's last map.
-  Rng churn{4100 + shards};
+/// What a plain query must answer for `m` over `pool`: the naive live
+/// ranking for a live client, else nothing.
+std::vector<RankedNode> plain_answer(core::SimilarityKind metric,
+                                     const Member& m,
+                                     const std::vector<const Member*>& pool,
+                                     std::size_t k) {
+  if (m.removed || !live(m)) return {};
+  return naive_rank(metric, m.map, pool, m.id, false, k);
+}
+
+/// The oracle's corpus: the members with their final maps, every member
+/// as a reference pool, and candidate lists as the caller's ids plus the
+/// members those name.
+struct Fixture {
+  core::SimilarityKind metric = core::SimilarityKind::kCosine;
+  std::vector<Member> members;
+  std::vector<const Member*> everyone;
+  std::vector<std::string> clients;  // every member, plus one unknown
+  std::vector<std::vector<std::string>> lists;
+  std::vector<std::vector<const Member*>> list_pools;
+};
+
+/// Publishes `seed`'s sparse corpus through `publish(member)`, churns
+/// every map eight times at its original time — each update
+/// removes the old map's postings (moving other rows' postings around)
+/// and orphans its arena entries, ~320 per shard at 4 shards, past the
+/// compaction floor — then removes the members marked removed through
+/// `remove`. `check` runs after every write.
+template <typename Publish, typename Remove, typename Check>
+void build_fixture(Fixture& f, std::uint64_t seed, const Publish& publish,
+                   const Remove& remove, const Check& check) {
+  f.members = sparse_corpus(3100 + seed);
+  for (const Member& m : f.members) {
+    ASSERT_TRUE(publish(m)) << m.id;
+    check(m.id);
+  }
+  Rng churn{4100 + seed};
   for (int round = 0; round < 8; ++round) {
-    for (Member& m : members) {
+    for (Member& m : f.members) {
       m.map = sparse_map(churn);
-      ASSERT_TRUE(publish(m));
+      ASSERT_TRUE(publish(m)) << m.id;
+      check(m.id);
     }
   }
-  EXPECT_GE(fe.stats().compactions, shards);
-  for (const Member& m : members) {
+  for (const Member& m : f.members) {
     if (m.removed) {
-      ASSERT_TRUE(fe.remove(m.id));
+      ASSERT_TRUE(remove(m.id)) << m.id;
+      check(m.id);
     }
   }
-  ThreadPool pool{workers};
-  const auto view = fe.view();
-
-  std::vector<std::string> clients;
-  for (const Member& m : members) clients.push_back(m.id);
-  clients.push_back("never-published");
-
-  Rng rng{77};
-  for (const std::size_t k :
-       {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{200}}) {
-    SCOPED_TRACE(::testing::Message() << "k=" << k);
-    for (const Member& m : members) {
-      SCOPED_TRACE("client " + m.id);
-      const auto gathered = view.closest_any_gathered(m.id, k, kNow, &pool);
-      const auto tiered = view.closest_any_tiered(m.id, k, kNow, &pool);
-      if (m.removed) {
-        EXPECT_EQ(gathered.tiered.reason, DegradedReason::kUnknownClient);
-        EXPECT_EQ(tiered.reason, DegradedReason::kUnknownClient);
-        continue;
-      }
-      expect_tiered(gathered.tiered, metric, m, members, k);
-      expect_tiered(tiered, metric, m, members, k);
+  std::unordered_map<std::string, const Member*> by_id;
+  for (const Member& m : f.members) {
+    f.everyone.push_back(&m);
+    f.clients.push_back(m.id);
+    by_id.emplace(m.id, &m);
+  }
+  f.clients.push_back("never-published");
+  // An empty list; a random mix with duplicates (every band, removed ids
+  // among them) plus unknown ids; and every member, so each client finds
+  // itself, with a few listed twice.
+  Rng pick{5100 + seed};
+  f.lists.emplace_back();
+  f.lists.emplace_back();
+  for (int i = 0; i < 30; ++i) {
+    f.lists.back().push_back(
+        f.members[pick.uniform_int(0, f.members.size() - 1)].id);
+  }
+  f.lists.back().push_back("never-published");
+  f.lists.back().push_back("");
+  f.lists.push_back(f.clients);
+  for (std::size_t i = 0; i < f.members.size(); i += 9) {
+    f.lists.back().push_back(f.members[i].id);
+  }
+  for (const auto& list : f.lists) {
+    f.list_pools.emplace_back();
+    for (const std::string& id : list) {
+      const auto it = by_id.find(id);
+      if (it != by_id.end()) f.list_pools.back().push_back(it->second);
     }
-
-    const auto query = sparse_map(rng);
-    expect_ranked(view.top_k(query, k, kNow, &pool),
-                  naive_rank(metric, query, members, "", false, k));
-
-    const auto batch = view.closest_batch(clients, k, kNow, &pool);
-    ASSERT_EQ(batch.size(), clients.size());
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      const Member& m = members[i];
-      SCOPED_TRACE("batch client " + m.id);
-      if (m.removed || !live(m)) {
-        EXPECT_TRUE(batch[i].empty());
-        continue;
-      }
-      expect_ranked(batch[i],
-                    naive_rank(metric, m.map, members, m.id, false, k));
-    }
-    EXPECT_TRUE(batch.back().empty());
   }
 }
 
+constexpr std::size_t kKs[] = {1, 3, 7, 200};
+
+/// Every read of one surface (a View with its pool bound, a service or a
+/// snapshot) against the naive ranking: the any-shaped reads
+/// (`candidates` false) or the candidate-list reads.
+template <typename Reads>
+void check_reads(const Reads& reads, const Fixture& f, bool candidates,
+                 ThreadPool* pool) {
+  Rng rng{77};
+  for (const std::size_t k : kKs) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k);
+    if (!candidates) {
+      for (const Member& m : f.members) {
+        SCOPED_TRACE("client " + m.id);
+        expect_tiered(reads.closest_any_tiered(m.id, k, kNow), f.metric, m,
+                      f.everyone, k);
+        expect_ranked(reads.closest_any(m.id, k, kNow),
+                      plain_answer(f.metric, m, f.everyone, k));
+      }
+      const auto query = sparse_map(rng);
+      expect_ranked(reads.top_k(query, k, kNow),
+                    naive_rank(f.metric, query, f.everyone, "", false, k));
+      const auto batch = reads.closest_batch(f.clients, k, kNow, pool);
+      ASSERT_EQ(batch.size(), f.clients.size());
+      for (std::size_t i = 0; i < f.members.size(); ++i) {
+        SCOPED_TRACE("batch client " + f.members[i].id);
+        expect_ranked(batch[i],
+                      plain_answer(f.metric, f.members[i], f.everyone, k));
+      }
+      EXPECT_TRUE(batch.back().empty());
+      continue;
+    }
+    for (std::size_t l = 0; l < f.lists.size(); ++l) {
+      SCOPED_TRACE(::testing::Message() << "candidate list " << l);
+      const std::vector<std::string>& list = f.lists[l];
+      const std::vector<const Member*>& pool_l = f.list_pools[l];
+      for (const Member& m : f.members) {
+        SCOPED_TRACE("client " + m.id);
+        expect_tiered(reads.closest_tiered(m.id, list, k, kNow), f.metric,
+                      m, pool_l, k);
+        expect_ranked(reads.closest(m.id, list, k, kNow),
+                      plain_answer(f.metric, m, pool_l, k));
+      }
+      const auto batch = reads.closest_batch(f.clients, list, k, kNow, pool);
+      ASSERT_EQ(batch.size(), f.clients.size());
+      for (std::size_t i = 0; i < f.members.size(); ++i) {
+        SCOPED_TRACE("batch client " + f.members[i].id);
+        expect_ranked(batch[i],
+                      plain_answer(f.metric, f.members[i], pool_l, k));
+      }
+      EXPECT_TRUE(batch.back().empty());
+    }
+  }
+}
+
+/// A View's reads with its pool bound, shaped like the service's.
+struct PooledView {
+  const ShardedFrontend::View& view;
+  ThreadPool* pool;
+
+  TieredAnswer closest_any_tiered(const std::string& c, std::size_t k,
+                                  SimTime now) const {
+    return view.closest_any_tiered(c, k, now, pool);
+  }
+  TieredAnswer closest_tiered(const std::string& c,
+                              std::span<const std::string> list,
+                              std::size_t k, SimTime now) const {
+    return view.closest_tiered(c, list, k, now, pool);
+  }
+  std::vector<RankedNode> closest_any(const std::string& c, std::size_t k,
+                                      SimTime now) const {
+    return view.closest_any(c, k, now, pool);
+  }
+  std::vector<RankedNode> closest(const std::string& c,
+                                  std::span<const std::string> list,
+                                  std::size_t k, SimTime now) const {
+    return view.closest(c, list, k, now, pool);
+  }
+  std::vector<RankedNode> top_k(const core::RatioMap& q, std::size_t k,
+                                SimTime now) const {
+    return view.top_k(q, k, now, pool);
+  }
+  template <typename... Args>
+  auto closest_batch(Args&&... args) const {
+    return view.closest_batch(std::forward<Args>(args)...);
+  }
+};
+
+ServiceConfig oracle_config(core::SimilarityKind metric) {
+  ServiceConfig config;
+  config.metric = metric;
+  config.staleness_bound = kStaleness;
+  config.stale_usable_bound = kStaleUsable;
+  return config;
+}
+
+PositionReport report_of(const Member& m) {
+  PositionReport r;
+  r.node_id = m.id;
+  r.when = m.when;
+  r.map = m.map;
+  return r;
+}
+
+/// The sharded front-end over the oracle corpus; every write is checked
+/// on its owning shard, whose membership epoch must never go back.
+void run_sharded(core::SimilarityKind metric, std::size_t shards,
+                 bool candidates) {
+  ShardedFrontendConfig fc;
+  fc.shards = shards;
+  fc.service = oracle_config(metric);
+  ShardedFrontend fe{fc};
+  std::vector<std::uint64_t> epochs(shards, 0);
+  Fixture f;
+  f.metric = metric;
+  build_fixture(
+      f, shards,
+      [&fe](const Member& m) { return fe.publish(report_of(m), m.when); },
+      [&fe](const std::string& id) { return fe.remove(id); },
+      [&](const std::string& id) {
+        const std::size_t s = fe.shard_of(id);
+        ASSERT_NO_THROW(fe.shard(s).check_invariants()) << id;
+        ASSERT_GE(fe.shard(s).membership_epoch(), epochs[s]) << id;
+        epochs[s] = fe.shard(s).membership_epoch();
+      });
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_GE(fe.stats().compactions, shards);
+  const auto view = fe.view();
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "metric=" << static_cast<int>(metric)
+                 << " shards=" << shards << " workers=" << workers);
+    ThreadPool pool{workers};
+    check_reads(PooledView{view, &pool}, f, candidates, &pool);
+    // An all-healthy gathered read is its tiered twin.
+    for (const std::size_t k : kKs) {
+      for (const Member& m : f.members) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " client " << m.id);
+        if (!candidates) {
+          expect_tiered(view.closest_any_gathered(m.id, k, kNow, &pool).tiered,
+                        metric, m, f.everyone, k);
+          continue;
+        }
+        for (std::size_t l = 0; l < f.lists.size(); ++l) {
+          expect_tiered(
+              view.closest_gathered(m.id, f.lists[l], k, kNow, &pool).tiered,
+              metric, m, f.list_pools[l], k);
+        }
+      }
+    }
+  }
+}
+
+constexpr core::SimilarityKind kMetrics[] = {
+    core::SimilarityKind::kCosine, core::SimilarityKind::kJaccard,
+    core::SimilarityKind::kWeightedOverlap};
+constexpr std::size_t kShardCounts[] = {1, 2, 4};
+
 TEST(TouchedReadOracle, AnyShapedReadsMatchNaivePerPairSimilarity) {
-  for (const core::SimilarityKind metric :
-       {core::SimilarityKind::kCosine, core::SimilarityKind::kJaccard,
-        core::SimilarityKind::kWeightedOverlap}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
-        run_oracle(metric, shards, workers);
+  for (const core::SimilarityKind metric : kMetrics) {
+    for (const std::size_t shards : kShardCounts) {
+      run_sharded(metric, shards, /*candidates=*/false);
+    }
+  }
+}
+
+TEST(TouchedReadOracle, CandidateListReadsMatchNaivePerPairSimilarity) {
+  for (const core::SimilarityKind metric : kMetrics) {
+    for (const std::size_t shards : kShardCounts) {
+      run_sharded(metric, shards, /*candidates=*/true);
+    }
+  }
+}
+
+// The unsharded service reads its live tables and its snapshot the
+// frozen ones; both go through the same core as the View, and both are
+// checked against the naive ranking directly.
+TEST(TouchedReadOracle, ServiceAndSnapshotMatchNaivePerPairSimilarity) {
+  for (const core::SimilarityKind metric : kMetrics) {
+    PositionService service{oracle_config(metric)};
+    std::uint64_t epoch = 0;
+    Fixture f;
+    f.metric = metric;
+    build_fixture(
+        f, 0,
+        [&service](const Member& m) {
+          return service.publish(report_of(m), m.when);
+        },
+        [&service](const std::string& id) { return service.remove(id); },
+        [&](const std::string& id) {
+          ASSERT_NO_THROW(service.check_invariants()) << id;
+          ASSERT_GE(service.membership_epoch(), epoch) << id;
+          epoch = service.membership_epoch();
+        });
+    if (HasFatalFailure()) return;
+    const auto snapshot = service.publish_snapshot(kNow);
+    ASSERT_NO_THROW(snapshot->check_invariants());
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "metric=" << static_cast<int>(metric)
+                   << " workers=" << workers);
+      ThreadPool pool{workers};
+      for (const bool candidates : {false, true}) {
+        check_reads(service, f, candidates, &pool);
+        check_reads(*snapshot, f, candidates, &pool);
       }
     }
   }

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "core/similarity.hpp"
+#include "service/sharded_frontend.hpp"
 
 namespace crp::service {
 namespace {
@@ -316,6 +319,56 @@ TEST(PositionServiceContracts, LiveNodesStaysSortedUnderChurn) {
   }
 }
 
+// A wire frame stamped in the far past is stale on arrival on every
+// write path. Ages are compared as `when >= now - bound`; computed as
+// `now - when` they wrapped negative for INT64_MIN, so such a report was
+// accepted and never expired (and the subtraction overflowed).
+TEST(PositionServiceContracts, FarPastWireReportsAreRejected) {
+  const ServiceConfig config;  // staleness_bound 6h, no stale tier
+  const SimTime now = SimTime::epoch() + Hours(1);
+  const SimTime later = now + Hours(24 * 365);
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const SimTime stamps[] = {SimTime{min}, SimTime{min + 1},
+                            now - config.staleness_bound - Micros(1)};
+  std::vector<std::string> frames;
+  std::vector<std::string> ids;
+  for (const SimTime when : stamps) {
+    std::string id = "far-";
+    id += std::to_string(ids.size());
+    frames.push_back(*encode(report(id, {{ReplicaId{1}, 1.0}}, when)));
+    ids.push_back(std::move(id));
+  }
+  const auto expect_none_live = [&](const std::vector<std::string>& live) {
+    for (const std::string& id : ids) {
+      EXPECT_EQ(std::count(live.begin(), live.end(), id), 0) << id;
+    }
+  };
+
+  PositionService one_by_one{config};
+  for (const std::string& frame : frames) {
+    EXPECT_FALSE(one_by_one.publish_encoded(frame, now));
+  }
+  PositionService batched{config};
+  EXPECT_EQ(batched.publish_batch(frames, now), 0u);
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  fc.service = config;
+  ShardedFrontend sharded{fc};
+  EXPECT_EQ(sharded.publish_batch(frames, now), 0u);
+
+  for (PositionService* service : {&one_by_one, &batched}) {
+    EXPECT_EQ(service->reports_rejected(), frames.size());
+    EXPECT_EQ(service->size(), 0u);
+    expect_none_live(service->live_nodes(now));
+    expect_none_live(service->live_nodes(later));
+    EXPECT_EQ(service->expire(later), 0u);
+  }
+  EXPECT_EQ(sharded.stats().reports_rejected, frames.size());
+  EXPECT_EQ(sharded.size(), 0u);
+  expect_none_live(sharded.live_nodes(now));
+  expect_none_live(sharded.live_nodes(later));
+}
+
 TEST(PositionServiceTiers, FreshStaleAndRefusedTiers) {
   ServiceConfig config;
   config.staleness_bound = Hours(1);
@@ -502,6 +555,7 @@ TEST(PositionServiceEquivalence, ClosestMatchesNaivePerPairReference) {
     return ranked;
   };
 
+  std::uint64_t epoch = service.membership_epoch();
   for (int step = 0; step < 300; ++step) {
     now = now + Minutes(1);
     const std::string id =
@@ -519,6 +573,9 @@ TEST(PositionServiceEquivalence, ClosestMatchesNaivePerPairReference) {
         return now - kv.second.when > config.staleness_bound;
       });
     }
+    ASSERT_NO_THROW(service.check_invariants()) << "step " << step;
+    ASSERT_GE(service.membership_epoch(), epoch) << "step " << step;
+    epoch = service.membership_epoch();
 
     if (step % 10 != 9 || shadow.empty()) continue;
 
