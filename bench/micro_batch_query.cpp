@@ -6,10 +6,10 @@
 //   * service closest        — closest_any loop vs closest_batch
 // and, because speed means nothing if the answers drift, cross-checks
 // every batched result bit-for-bit against its element-wise twin (exit 1
-// on any mismatch — DESIGN.md §6). Feeds the BENCH_batch_query.json
-// snapshot; target: batched closest_any ≥2x the per-query loop at the
-// largest corpus. Both sides rank touched rows only (DESIGN.md §8), so
-// the batch's edge is running clients in parallel on the pool.
+// on any mismatch — DESIGN.md §6). Target: batched closest_any ≥2x the
+// per-query loop at the largest corpus. Both sides rank touched rows
+// only (DESIGN.md §8), so the batch's edge is running clients in
+// parallel on the pool.
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
 #include <chrono>

@@ -9,8 +9,9 @@
 // baseline (DESIGN.md §6). Estimates per probe are a deterministic work
 // count: a probe's customers share one estimate per nearby candidate, so
 // it never exceeds the policy's candidate pool, for any thread count.
-// Feeds the BENCH_probing.json snapshot; target: the parallel path ≥4x
-// sequential on 8 worker threads (on multi-core hosts).
+// Target: the parallel path ≥4x sequential on 8 worker threads (on
+// multi-core hosts). tools/check_counters.py gates the tiny run's digests
+// and estimates per probe.
 //
 // The pair-cache toggle does not reach redirection: candidate lists carry
 // each candidate's base RTT, so `select` never reads the cache. On a

@@ -8,7 +8,7 @@
 // because speed means nothing if the answers drift, cross-checks the
 // clustering against the per-pair reference (corpora of up to 4,000
 // nodes) and the parallel qualities against the sequential ones
-// (DESIGN.md §6). Feeds the BENCH_clustering.json snapshot.
+// (DESIGN.md §6).
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
 #include <chrono>
@@ -38,9 +38,9 @@ std::vector<std::size_t> corpus_sweep() {
   return {1000, 4000, 10000};
 }
 
-// The service-shaped corpus micro_service uses: ~16 entries per map over
-// a 2000-replica id space, so posting lists are long enough that dense
-// scoring really does touch most of the corpus per query.
+// A service-shaped corpus: ~16 entries per map over a 2000-replica id
+// space, so posting lists are long enough that dense scoring really does
+// touch most of the corpus per query.
 std::vector<core::RatioMap> make_corpus(std::size_t n) {
   Rng rng{hash_combine({71, n})};
   constexpr std::uint32_t kIdSpace = 2000;

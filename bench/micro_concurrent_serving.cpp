@@ -24,7 +24,6 @@
 //     reported (freeze() shares clean components, so paced republishes
 //     are cheap).
 //
-// Feeds the BENCH_concurrent_serving.json snapshot.
 // CRP_BENCH_SCALE=tiny|small shrinks corpora for CI smoke runs.
 #include <chrono>
 #include <cstdint>

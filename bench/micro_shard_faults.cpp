@@ -16,7 +16,6 @@
 //   - determinism: every rate's answer digest must be bit-identical
 //     across thread pools {0, 1, 4} — fault draws are pure hashes.
 //
-// Feeds the BENCH_shard_faults.json snapshot.
 // CRP_BENCH_SCALE=tiny|small shrinks the world for CI smoke runs.
 #include <cstdint>
 #include <cstdio>

@@ -1,7 +1,7 @@
 // Sharded serving: the ShardedFrontend scatter/gather path vs one
 // unsharded PositionService over the same corpus (DESIGN.md §9).
 //
-// Three phases:
+// Two phases:
 //   * digest equality — a fixed query workload (live_nodes, closest_any,
 //     closest, both tiered queries, top_k, both closest_batch overloads)
 //     runs once through an unsharded service and once through a
@@ -9,20 +9,14 @@
 //     folds into an FNV-1a digest and all five digests must match bit
 //     for bit (exit 1 on mismatch — the scatter/gather merge is supposed
 //     to be invisible, not approximately right).
-//   * batch throughput sweep — closest_batch over every client, driven
-//     through a ThreadPool sized to the shard count (a batch runs its
-//     clients on the pool, each scattering over the shards inline). On
-//     a single-core host the sweep measures the scatter machinery's
-//     overhead; multi-core hosts are where the rows separate. Per-shard
-//     similarity work is also reported — each scattered query pays one
-//     partial read per shard by design.
-//   * 1-shard baseline — the same batch through the snapshot
-//     (svc.snapshot()->closest_batch) and through a 1-shard frontend,
-//     which run the same serving core over the same frozen tables,
-//     alternating rep by rep. The acceptance bar is "no regression at
-//     1 shard" on this host.
+//   * 1-shard baseline — closest_batch over every client through the
+//     snapshot (svc.snapshot()->closest_batch) and through a 1-shard
+//     frontend, which run the same serving core over the same frozen
+//     tables, alternating rep by rep. The acceptance bar is "no
+//     regression at 1 shard" on this host.
+// Throughput across shard counts is perfbench's to measure (serve_read
+// runs 4 shards end to end).
 //
-// Feeds the BENCH_sharded_serving.json snapshot.
 // CRP_BENCH_SCALE=tiny|small shrinks corpora for CI smoke runs.
 #include <algorithm>
 #include <chrono>
@@ -190,42 +184,7 @@ int main() {
     frontends.push_back(std::move(fe));
   }
 
-  // --- phase 2: batch throughput sweep over shard counts ---
-  // Pool sized to the shard count; q/s counts clients answered per
-  // second.
-  std::printf("  closest_batch sweep (%zu clients x %zu reps):\n", n,
-              scale.reps);
-  double one_shard_wall = 0.0;
-  for (std::size_t f = 0; f < frontends.size(); ++f) {
-    const std::size_t shards = shard_counts[f];
-    ThreadPool pool{shards};
-    const auto view = frontends[f]->view();
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t answered = 0;
-    for (std::size_t rep = 0; rep < scale.reps; ++rep) {
-      const auto rows = view.closest_batch(ids, 5, t0, &pool);
-      for (const auto& row : rows) answered += row.empty() ? 0 : 1;
-    }
-    const double wall = seconds_since(start);
-    if (shards == 1) one_shard_wall = wall;
-    const auto stats = frontends[f]->stats();
-    std::printf("    %zu shard(s): %9.0f clients/s  (%.2fx vs 1 shard; "
-                "%llu sim queries, %.1f maps/query)\n",
-                shards,
-                static_cast<double>(scale.reps) * static_cast<double>(n) /
-                    wall,
-                one_shard_wall / wall,
-                static_cast<unsigned long long>(stats.similarity_queries),
-                static_cast<double>(stats.maps_touched) /
-                    static_cast<double>(stats.similarity_queries));
-    if (answered != scale.reps * n) {
-      std::printf("    answer-count MISMATCH at %zu shards: %zu/%zu\n",
-                  shards, answered, scale.reps * n);
-      ok = false;
-    }
-  }
-
-  // --- phase 3: 1-shard frontend vs the direct snapshot path ---
+  // --- phase 2: 1-shard frontend vs the direct snapshot path ---
   // Both sides run the one serving core over the same shard's frozen
   // tables, so the ratio is the frontend's own overhead. The sides
   // alternate rep by rep (each leads every other rep) and the median of

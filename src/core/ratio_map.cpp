@@ -1,6 +1,7 @@
 #include "core/ratio_map.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -72,6 +73,16 @@ RatioMap RatioMap::from_counts(
 RatioMap RatioMap::from_ratios(std::span<const Entry> ratios) {
   RatioMap map;
   map.entries_ = canonicalize({ratios.begin(), ratios.end()});
+  return map;
+}
+
+RatioMap RatioMap::from_canonical(std::span<const Entry> entries) {
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return !(a.first < b.first);
+                            }) == entries.end());
+  RatioMap map;
+  map.entries_.assign(entries.begin(), entries.end());
   return map;
 }
 

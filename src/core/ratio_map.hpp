@@ -40,6 +40,13 @@ class RatioMap {
   /// small to survive normalizing is dropped.
   static RatioMap from_ratios(std::span<const Entry> ratios);
 
+  /// Copies entries that already hold the class invariant, verbatim:
+  /// nothing is renormalized, so entries taken from a map (or from an
+  /// engine row that stored one) rebuild that map bit for bit.
+  /// Precondition: sorted by replica id, one entry per replica, each
+  /// ratio positive, the ratios summing to 1 — as a RatioMap stores them.
+  static RatioMap from_canonical(std::span<const Entry> entries);
+
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::span<const Entry> entries() const { return entries_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "service/serving_snapshot.hpp"
@@ -10,38 +9,6 @@
 namespace crp::service {
 
 using serving_detail::SlotRec;
-
-const char* to_string(AnswerTier tier) {
-  switch (tier) {
-    case AnswerTier::kFresh:
-      return "fresh";
-    case AnswerTier::kStale:
-      return "stale";
-    case AnswerTier::kRefused:
-      return "refused";
-  }
-  return "?";
-}
-
-const char* to_string(DegradedReason reason) {
-  switch (reason) {
-    case DegradedReason::kNone:
-      return "none";
-    case DegradedReason::kUnknownClient:
-      return "unknown-client";
-    case DegradedReason::kClientExpired:
-      return "client-expired";
-    case DegradedReason::kStaleClient:
-      return "stale-client";
-    case DegradedReason::kNoUsableCandidates:
-      return "no-usable-candidates";
-    case DegradedReason::kStaleShard:
-      return "stale-shard";
-    case DegradedReason::kShardUnavailable:
-      return "shard-unavailable";
-  }
-  return "?";
-}
 
 ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
   queries_served += other.queries_served;
@@ -110,30 +77,26 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
     reports_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const auto it = reports_.find(report.node_id);
-  if (it != reports_.end() && it->second.when > report.when) {
-    // out-of-order delivery of an older report
-    reports_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  if (it != reports_.end()) {
-    const std::size_t slot = slot_of_.at(report.node_id);
-    engine_.update(slot, report.map);
-    slots_[slot].when = report.when;
-    it->second = std::move(report);
+  const IndexHit hit = search(report.node_id);
+  if (hit.slot != serving_detail::TableView::npos) {
+    if (slots_[hit.slot].when > report.when) {
+      // out-of-order delivery of an older report
+      reports_rejected_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    engine_.update(hit.slot, report.map);
+    slots_[hit.slot].when = report.when;
   } else {
     const std::size_t slot = engine_.add(report.map);
-    slot_of_.emplace(report.node_id, slot);
-    // index_at may swap by_id_ for a copy, so it runs first.
-    const auto at = index_at(report.node_id);
-    by_id_->insert(at, static_cast<std::uint32_t>(slot));
-    SlotRec rec{report.node_id, report.when};
+    std::vector<std::uint32_t>& index = writable_index();
+    index.insert(index.begin() + static_cast<std::ptrdiff_t>(hit.at),
+                 static_cast<std::uint32_t>(slot));
+    SlotRec rec{std::move(report.node_id), report.when};
     if (slot == slots_.size()) {
       slots_.push_back(std::move(rec));
     } else {
       slots_[slot] = std::move(rec);  // reused tombstoned slot
     }
-    reports_.emplace(report.node_id, std::move(report));
   }
   sync_engine_stats();
   reports_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -156,16 +119,26 @@ bool PositionService::publish_encoded(std::string_view bytes, SimTime now) {
   return publish(std::move(*report), now);
 }
 
-std::vector<std::uint32_t>::iterator PositionService::index_at(
-    const std::string& node_id) {
+PositionService::IndexHit PositionService::search(
+    const std::string& node_id) const {
+  const auto it =
+      std::lower_bound(by_id_->begin(), by_id_->end(), node_id,
+                       [this](std::uint32_t slot, const std::string& id) {
+                         return slots_[slot].id < id;
+                       });
+  IndexHit hit;
+  hit.at = static_cast<std::size_t>(it - by_id_->begin());
+  if (it != by_id_->end() && slots_[*it].id == node_id) hit.slot = *it;
+  return hit;
+}
+
+std::vector<std::uint32_t>& PositionService::writable_index() {
+  // A copy keeps every position, so a searched offset stays valid.
   if (by_id_frozen_) {
     by_id_ = std::make_shared<std::vector<std::uint32_t>>(*by_id_);
     by_id_frozen_ = false;
   }
-  return std::lower_bound(by_id_->begin(), by_id_->end(), node_id,
-                          [this](std::uint32_t slot, const std::string& id) {
-                            return slots_[slot].id < id;
-                          });
+  return *by_id_;
 }
 
 std::size_t PositionService::publish_batch(std::span<const std::string> batch,
@@ -195,16 +168,14 @@ std::size_t PositionService::publish_batch(std::span<const std::string> batch,
 }
 
 bool PositionService::drop_node(const std::string& node_id) {
-  const auto it = slot_of_.find(node_id);
+  const IndexHit hit = search(node_id);
   // Unknown id: membership is unchanged, so the cached clustering stays
   // valid — bumping the epoch here would force a needless recluster.
-  if (it == slot_of_.end()) return false;
-  const auto at = index_at(node_id);
-  by_id_->erase(at);
-  engine_.remove(it->second);
-  slots_[it->second] = SlotRec{};
-  slot_of_.erase(it);
-  reports_.erase(node_id);
+  if (hit.slot == serving_detail::TableView::npos) return false;
+  std::vector<std::uint32_t>& index = writable_index();
+  index.erase(index.begin() + static_cast<std::ptrdiff_t>(hit.at));
+  engine_.remove(hit.slot);
+  slots_[hit.slot] = SlotRec{};
   sync_engine_stats();
   ++membership_epoch_;
   return true;
@@ -217,8 +188,6 @@ void PositionService::reset(SimTime now) {
   const auto& engine = engine_.mutation_stats();
   tombstoned_base_ += engine.postings_tombstoned;
   compactions_base_ += engine.compactions;
-  reports_.clear();
-  slot_of_.clear();
   slots_.clear();
   by_id_ = std::make_shared<std::vector<std::uint32_t>>();
   by_id_frozen_ = false;
@@ -245,16 +214,20 @@ bool PositionService::remove(const std::string& node_id) {
 
 std::optional<core::RatioMap> PositionService::map_of(
     const std::string& node_id) const {
-  const auto it = reports_.find(node_id);
-  if (it == reports_.end()) return std::nullopt;
-  return it->second.map;
+  auto report = report_of(node_id);
+  if (!report.has_value()) return std::nullopt;
+  return std::move(report->map);
 }
 
 std::optional<PositionReport> PositionService::report_of(
     const std::string& node_id) const {
-  const auto it = reports_.find(node_id);
-  if (it == reports_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t slot = search(node_id).slot;
+  if (slot == serving_detail::TableView::npos) return std::nullopt;
+  // The row holds the accepted map's entries verbatim (the engine
+  // renormalizes nothing), and the slot its id and stamp.
+  return PositionReport{
+      slots_[slot].id, slots_[slot].when,
+      core::RatioMap::from_canonical(engine_.row_view(slot).entries)};
 }
 
 void PositionService::ensure_clustering(SimTime now) {
@@ -387,8 +360,10 @@ std::size_t PositionService::expire(SimTime now) {
   // collapses to staleness_bound when the tier is off.
   const Duration bound = usable_bound();
   std::vector<std::string> stale;
-  for (const auto& [id, report] : reports_) {
-    if (!serving_detail::within(report.when, now, bound)) stale.push_back(id);
+  for (const SlotRec& rec : slots_) {
+    if (!rec.id.empty() && !serving_detail::within(rec.when, now, bound)) {
+      stale.push_back(rec.id);
+    }
   }
   std::size_t dropped = 0;
   for (const std::string& id : stale) {
@@ -400,26 +375,6 @@ std::size_t PositionService::expire(SimTime now) {
 
 void PositionService::check_invariants() const {
   serving_detail::check_tables(tables(), "PositionService");
-  const auto fail = [](const std::string& what) {
-    throw std::logic_error("PositionService invariant: " + what);
-  };
-  std::size_t occupied = 0;
-  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-    const SlotRec& rec = slots_[slot];
-    if (rec.id.empty()) continue;
-    ++occupied;
-    const auto it = slot_of_.find(rec.id);
-    if (it == slot_of_.end() || it->second != slot) {
-      fail("slot_of does not map " + rec.id + " to its slot");
-    }
-    const auto report = reports_.find(rec.id);
-    if (report == reports_.end() || report->second.when != rec.when) {
-      fail("reports disagree with the slot of " + rec.id);
-    }
-  }
-  if (slot_of_.size() != occupied || reports_.size() != occupied) {
-    fail("slot_of or reports hold an id no slot holds");
-  }
   engine_.check_invariants();
 }
 

@@ -139,9 +139,6 @@ enum class DegradedReason : std::uint8_t {
                        // usable fallback — nothing knows the client
 };
 
-[[nodiscard]] const char* to_string(AnswerTier tier);
-[[nodiscard]] const char* to_string(DegradedReason reason);
-
 /// Result of a tiered closest query: the ranking plus an explicit
 /// account of how degraded the answer is.
 struct TieredAnswer {
@@ -364,7 +361,7 @@ class PositionService : public TableReads<PositionService> {
   /// actually dropped).
   bool remove(const std::string& node_id);
   /// Crash support for the fault-tolerant serving tier (DESIGN.md §9):
-  /// drops every report, the engine corpus, the slot maps and the
+  /// drops every report (the engine corpus and the slot table) and the
   /// cached clustering — what a process losing its in-memory state
   /// loses — then bumps the membership epoch once (monotonic, never
   /// rewound, so epoch vectors and lag arithmetic stay valid across
@@ -380,10 +377,12 @@ class PositionService : public TableReads<PositionService> {
   [[nodiscard]] std::optional<core::RatioMap> map_of(
       const std::string& node_id) const;
   /// Full stored report including its original timestamp (what gossip
-  /// forwards — provenance must survive multi-hop distribution).
+  /// forwards — provenance must survive multi-hop distribution). Rebuilt
+  /// from the node's engine row and slot, it equals the accepted report
+  /// bit for bit.
   [[nodiscard]] std::optional<PositionReport> report_of(
       const std::string& node_id) const;
-  [[nodiscard]] std::size_t size() const { return reports_.size(); }
+  [[nodiscard]] std::size_t size() const { return by_id_->size(); }
 
   // --- §IV.B clustering queries ---
   /// Query 1: live nodes in the same cluster as `node_id` (excluding
@@ -452,13 +451,14 @@ class PositionService : public TableReads<PositionService> {
   [[nodiscard]] std::size_t engine_slots() const { return engine_.size(); }
   /// Throws std::logic_error naming the first broken invariant: the node
   /// table's (serving_detail::check_tables: slot table, sorted index,
-  /// engine liveness); `slot_of_` mapping exactly the occupied ids to
-  /// their slots; `reports_` holding exactly those ids, stamped as their
-  /// slots are; and the engine's own (SimilarityEngine::check_invariants).
+  /// engine liveness) and the engine's own
+  /// (SimilarityEngine::check_invariants). The two are the service's
+  /// only per-node record, so nothing else can disagree with them.
   void check_invariants() const;
 
  private:
   friend class TableReads<PositionService>;
+  friend class ShardedFrontend;  // check_invariants reads the slot table
 
   /// The live tables, borrowed by the serving core (one shard); valid
   /// until the next write.
@@ -476,33 +476,39 @@ class PositionService : public TableReads<PositionService> {
   /// Age bound past which a report is useless even for degraded
   /// serving (= staleness_bound unless the stale tier extends it).
   [[nodiscard]] Duration usable_bound() const;
-  /// Erases one node from the report map, the engine, and the slot maps.
+  /// Erases one node from the engine, the slot table and by_id_.
   /// Returns whether the node was known. The membership epoch is bumped
   /// only on an actual drop — an unknown id is a no-op and must not
   /// invalidate the cached clustering.
   bool drop_node(const std::string& node_id);
-  /// Where `node_id` sits (or would sit) in by_id_, for an insert or an
-  /// erase: by_id_ is copied first if a snapshot shares it.
-  [[nodiscard]] std::vector<std::uint32_t>::iterator index_at(
-      const std::string& node_id);
+  /// One binary search of by_id_: where `node_id` sits there (or where a
+  /// join inserts it), and its slot (npos if it is unknown).
+  struct IndexHit {
+    std::size_t at = 0;
+    std::size_t slot = serving_detail::TableView::npos;
+  };
+  [[nodiscard]] IndexHit search(const std::string& node_id) const;
+  /// by_id_ for a join or a leave: copied first if a snapshot shares it.
+  /// Updates never edit it.
+  [[nodiscard]] std::vector<std::uint32_t>& writable_index();
   /// Recomputes the cached clustering if membership changed or the cache
   /// aged out. The clustering covers every engine row (stale-but-known
   /// nodes included); answers filter liveness afterwards.
   void ensure_clustering(SimTime now);
 
   ServiceConfig config_;
-  std::unordered_map<std::string, PositionReport> reports_;
 
-  // The similarity corpus. slots_[slot] is the node occupying an engine
-  // row and its report time ({} for tombstoned rows) — the table a
-  // snapshot freezes; slot_of_ is the writer's inverse.
+  // A node's only record: its engine row (the accepted map's entries,
+  // verbatim) and slots_[slot], its id and report time ({} for
+  // tombstoned rows) — the table a snapshot freezes. report_of rebuilds
+  // the accepted report from the two.
   core::SimilarityEngine engine_;
-  std::unordered_map<std::string, std::size_t> slot_of_;
   std::vector<serving_detail::SlotRec> slots_;
-  // Occupied slots sorted by node id — the index every read's find()
-  // binary-searches, here and in snapshots. Kept sorted by insert/erase
-  // at lower_bound as nodes join and leave; once a snapshot shares it,
-  // the next join or leave edits a copy (index_at).
+  // Occupied slots sorted by node id — the index every read's find() and
+  // every write's search() binary-search, here and in snapshots. Kept
+  // sorted by insert/erase at the searched position as nodes join and
+  // leave; once a snapshot shares it, the next join or leave edits a
+  // copy (writable_index).
   std::shared_ptr<std::vector<std::uint32_t>> by_id_ =
       std::make_shared<std::vector<std::uint32_t>>();
   bool by_id_frozen_ = false;

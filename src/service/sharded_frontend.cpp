@@ -1,6 +1,7 @@
 #include "service/sharded_frontend.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "service/serving_detail.hpp"
@@ -8,18 +9,6 @@
 #include "sim/fault_plan.hpp"
 
 namespace crp::service {
-
-const char* to_string(ShardHealth health) {
-  switch (health) {
-    case ShardHealth::kClosed:
-      return "closed";
-    case ShardHealth::kOpen:
-      return "open";
-    case ShardHealth::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
 
 ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
     : config_(std::move(config)) {
@@ -246,6 +235,30 @@ FrontendHealthStats ShardedFrontend::health_stats() const {
   s.partial_answers =
       health_counters_->partial_answers.load(std::memory_order_relaxed);
   return s;
+}
+
+void ShardedFrontend::check_invariants() const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("ShardedFrontend invariant: " + what);
+  };
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->check_invariants();
+    for (const serving_detail::SlotRec& rec : shards_[s]->slots_) {
+      if (!rec.id.empty() && shard_of(rec.id) != s) {
+        fail(rec.id + " sits on shard " + std::to_string(s) +
+             " but is owned by shard " + std::to_string(shard_of(rec.id)));
+      }
+    }
+    if (runtime_[s]->needs_recovery && shard_health(s) != ShardHealth::kOpen) {
+      fail("shard " + std::to_string(s) +
+           " needs recovery but its breaker is not open");
+    }
+  }
+  const FrontendHealthStats hs = health_stats();
+  if (hs.breaker_closes > hs.breaker_opens ||
+      hs.breaker_half_opens > hs.breaker_opens) {
+    fail("breaker closes or half-opens outnumber its opens");
+  }
 }
 
 // --- writes ---

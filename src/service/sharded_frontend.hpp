@@ -119,8 +119,6 @@ enum class ShardHealth : std::uint8_t {
   kHalfOpen = 2,
 };
 
-[[nodiscard]] const char* to_string(ShardHealth health);
-
 /// Per-shard completeness of a gathered answer: which shards actually
 /// contributed, and on what terms. The reader's contract: `complete()`
 /// and no stale flags = the answer is exactly the healthy frontend's;
@@ -421,6 +419,12 @@ class ShardedFrontend {
                             ThreadPool* pool = nullptr);
   /// Cumulative fault-handling counters. Safe from any thread.
   [[nodiscard]] FrontendHealthStats health_stats() const;
+  /// Throws std::logic_error naming the first broken invariant: each
+  /// shard's own (PositionService::check_invariants); every id in shard
+  /// s's slot table owned by s (shard_index); a shard still needing
+  /// recovery has an open breaker; breaker closes and half-opens never
+  /// outnumber opens. Writer-side.
+  void check_invariants() const;
 
   // --- stats ---
   /// Aggregate over all shards (field-wise sum; epoch-lag fields take

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/similarity.hpp"
@@ -367,6 +370,154 @@ TEST(PositionServiceContracts, FarPastWireReportsAreRejected) {
   EXPECT_EQ(sharded.size(), 0u);
   expect_none_live(sharded.live_nodes(now));
   expect_none_live(sharded.live_nodes(later));
+}
+
+/// 16-entry maps that renormalizing again would change: their ratios do
+/// not sum to exactly 1, so only a verbatim copy keeps their bits.
+std::vector<core::RatioMap> renormalization_sensitive_maps(Rng& rng,
+                                                           std::size_t n) {
+  std::vector<core::RatioMap> maps;
+  while (maps.size() < n) {
+    std::vector<core::RatioMap::Entry> entries;
+    for (std::uint32_t r = 0; r < 16; ++r) {
+      entries.emplace_back(ReplicaId{r * 7 + static_cast<std::uint32_t>(
+                                                 rng.uniform_int(0, 6))},
+                           rng.uniform(0.01, 1.0));
+    }
+    core::RatioMap map = core::RatioMap::from_ratios(entries);
+    if (core::RatioMap::from_ratios(map.entries()) != map) {
+      maps.push_back(std::move(map));
+    }
+  }
+  return maps;
+}
+
+std::size_t engine_slots(const PositionService& service) {
+  return service.engine_slots();
+}
+std::size_t engine_slots(const ShardedFrontend& fe) {
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < fe.shard_count(); ++s) {
+    total += fe.shard(s).engine_slots();
+  }
+  return total;
+}
+void reset_all(PositionService& service, SimTime now) { service.reset(now); }
+void reset_all(ShardedFrontend& fe, SimTime now) {
+  for (std::size_t s = 0; s < fe.shard_count(); ++s) fe.shard(s).reset(now);
+}
+
+/// Drives `store` through every write that reshapes a node's record and
+/// compares report_of/map_of with the accepted reports after each one.
+template <typename Store>
+void expect_report_of_is_accepted(Store& store) {
+  Rng rng{20261018};
+  const std::vector<core::RatioMap> maps =
+      renormalization_sensitive_maps(rng, 32);
+  std::size_t next_map = 0;
+  std::map<std::string, PositionReport> accepted;
+  std::vector<std::string> ids;
+  for (int i = 0; i < 12; ++i) ids.push_back("r-" + std::to_string(i));
+
+  const auto publish = [&](const std::string& id, SimTime when) {
+    PositionReport r;
+    r.node_id = id;
+    r.when = when;
+    r.map = maps[next_map++ % maps.size()];
+    const bool ok = store.publish(r, when);
+    if (ok) accepted[id] = std::move(r);
+    return ok;
+  };
+  const auto expect_held = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    ASSERT_NO_THROW(store.check_invariants());
+    EXPECT_EQ(store.size(), accepted.size());
+    for (const std::string& id : ids) {
+      const auto it = accepted.find(id);
+      const auto report = store.report_of(id);
+      const auto map = store.map_of(id);
+      if (it == accepted.end()) {
+        EXPECT_FALSE(report.has_value()) << id;
+        EXPECT_FALSE(map.has_value()) << id;
+        continue;
+      }
+      ASSERT_TRUE(report.has_value()) << id;
+      ASSERT_TRUE(map.has_value()) << id;
+      EXPECT_TRUE(*report == it->second) << id;
+      EXPECT_TRUE(*map == it->second.map) << id;
+    }
+  };
+
+  SimTime t = SimTime::epoch();
+  for (const std::string& id : ids) ASSERT_TRUE(publish(id, t));
+  expect_held("joins");
+
+  t = t + Minutes(1);
+  ASSERT_TRUE(publish(ids[0], t));
+  expect_held("update");
+
+  // Older than the held report: rejected, and the held one stays.
+  PositionReport older;
+  older.node_id = ids[0];
+  older.when = t - Minutes(2);
+  older.map = maps[next_map++ % maps.size()];
+  ASSERT_FALSE(store.publish(older, t));
+  expect_held("out-of-order report");
+
+  // A leave frees a slot that the next join takes back.
+  ASSERT_TRUE(store.remove(ids[3]));
+  accepted.erase(ids[3]);
+  expect_held("remove");
+  const std::size_t slots = engine_slots(store);
+  ASSERT_TRUE(publish(ids[3], t));
+  EXPECT_EQ(engine_slots(store), slots);
+  expect_held("republish into the freed slot");
+
+  // Updates orphan arena entries until the engine compacts.
+  const std::uint64_t compactions = store.stats().compactions;
+  for (int step = 0; step < 4000 && store.stats().compactions == compactions;
+       ++step) {
+    t = t + Seconds(1);
+    ASSERT_TRUE(publish(ids[static_cast<std::size_t>(step) % ids.size()], t));
+  }
+  ASSERT_GT(store.stats().compactions, compactions);
+  expect_held("compaction");
+
+  // The even ids re-report late; the odd ones age out.
+  const SimTime late = t + Hours(5);
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    ASSERT_TRUE(publish(ids[i], late));
+  }
+  const SimTime sweep = t + Hours(7);
+  EXPECT_EQ(store.expire(sweep), ids.size() / 2);
+  for (std::size_t i = 1; i < ids.size(); i += 2) accepted.erase(ids[i]);
+  expect_held("expire");
+
+  reset_all(store, sweep);
+  accepted.clear();
+  expect_held("reset");
+  ASSERT_TRUE(publish(ids[5], sweep));
+  ASSERT_TRUE(publish(ids[6], sweep));
+  expect_held("republish after reset");
+}
+
+// report_of and map_of rebuild the report from the node's engine row and
+// slot; both must equal the accepted report bit for bit (gossip forwards
+// it) through updates, rejections, slot reuse, compaction, expire and
+// reset.
+TEST(PositionServiceContracts, ReportOfIsTheAcceptedReport) {
+  {
+    SCOPED_TRACE("PositionService");
+    PositionService service;
+    expect_report_of_is_accepted(service);
+  }
+  {
+    SCOPED_TRACE("ShardedFrontend, 4 shards");
+    ShardedFrontendConfig fc;
+    fc.shards = 4;
+    ShardedFrontend fe{fc};
+    expect_report_of_is_accepted(fe);
+  }
 }
 
 TEST(PositionServiceTiers, FreshStaleAndRefusedTiers) {

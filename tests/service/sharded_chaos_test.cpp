@@ -77,6 +77,12 @@ std::string id_on_shard(std::size_t shard, std::size_t shard_count,
 
 constexpr SimTime kT0 = SimTime::epoch();
 
+/// The frontend's writer-side checker (shard ownership, breaker state,
+/// each shard's tables), run after every write, tick and recovery.
+void expect_invariants(const ShardedFrontend& fe) {
+  EXPECT_NO_THROW(fe.check_invariants());
+}
+
 // ---------------------------------------------------------------------
 // Inertness: empty plan + healthy shards == the fault-blind frontend.
 // ---------------------------------------------------------------------
@@ -106,6 +112,8 @@ void run_inertness_oracle(std::size_t shards, core::SimilarityKind metric,
     const SimTime when = kT0 + Minutes(i * 11);
     EXPECT_EQ(plain.publish(report_of(id, map, when), when),
               armed.publish(report_of(id, map, when), when));
+    expect_invariants(plain);
+    expect_invariants(armed);
     ids.push_back(id);
   }
   ThreadPool pool{workers};
@@ -175,8 +183,10 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   const std::string off0 = id_on_shard(1, 4);
   for (const auto& id : on0) {
     ASSERT_TRUE(fe.publish(report_of(id, random_map(rng), kT0), kT0));
+    expect_invariants(fe);
   }
   ASSERT_TRUE(fe.publish(report_of(off0, random_map(rng), kT0), kT0));
+  expect_invariants(fe);
 
   const SimTime stall_from = kT0 + Hours(1);
   const SimTime stall_to = kT0 + Hours(2);
@@ -195,10 +205,12 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(fe.shard_health(0), ShardHealth::kClosed);
     EXPECT_FALSE(fe.publish(report_of(on0[0], random_map(rng), t), t));
+    expect_invariants(fe);
     t = t + Minutes(1);
   }
   EXPECT_EQ(fe.shard_health(0), ShardHealth::kOpen);
   EXPECT_FALSE(fe.publish(report_of(on0[1], random_map(rng), t), t));
+  expect_invariants(fe);
   auto hs = fe.health_stats();
   EXPECT_EQ(hs.breaker_opens, 1u);
   EXPECT_EQ(hs.writes_failed, 3u);
@@ -206,6 +218,7 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   EXPECT_EQ(hs.writes_shed, 1u);
   // Other shards are untouched.
   EXPECT_TRUE(fe.publish(report_of(off0, random_map(rng), t), t));
+  expect_invariants(fe);
   EXPECT_EQ(fe.shard_health(1), ShardHealth::kClosed);
 
   // Reads keep working: the open shard serves its pre-stall fallback.
@@ -224,12 +237,15 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   // half-open; two probe successes re-close it.
   const SimTime probe_at = stall_to + Hours(1);
   fe.tick(probe_at);
+  expect_invariants(fe);
   EXPECT_EQ(fe.shard_health(0), ShardHealth::kHalfOpen);
   EXPECT_TRUE(
       fe.publish(report_of(on0[2], random_map(rng), probe_at), probe_at));
+  expect_invariants(fe);
   EXPECT_EQ(fe.shard_health(0), ShardHealth::kHalfOpen);
   EXPECT_TRUE(
       fe.publish(report_of(on0[3], random_map(rng), probe_at), probe_at));
+  expect_invariants(fe);
   EXPECT_EQ(fe.shard_health(0), ShardHealth::kClosed);
   hs = fe.health_stats();
   EXPECT_EQ(hs.breaker_half_opens, 1u);
@@ -266,6 +282,8 @@ TEST(ShardedChaos, CrashKeepsAnsweringAndReplayMatchesNeverCrashedTwin) {
     ASSERT_TRUE(bytes.has_value());
     ASSERT_TRUE(fe.publish_encoded(*bytes, kT0));
     ASSERT_TRUE(twin.publish_encoded(*bytes, kT0));
+    expect_invariants(fe);
+    expect_invariants(twin);
     frames.push_back(*bytes);
     ids.push_back(id);
   }
@@ -289,6 +307,7 @@ TEST(ShardedChaos, CrashKeepsAnsweringAndReplayMatchesNeverCrashedTwin) {
   fe.set_fault_plan(&plan);
 
   fe.tick(crash_at);
+  expect_invariants(fe);
   EXPECT_EQ(fe.health_stats().shard_crashes, 1u);
   EXPECT_EQ(fe.shard(crashed).size(), 0u);  // state really gone
   EXPECT_EQ(fe.shard_health(crashed), ShardHealth::kOpen);
@@ -318,6 +337,7 @@ TEST(ShardedChaos, CrashKeepsAnsweringAndReplayMatchesNeverCrashedTwin) {
   const SimTime recovered_at = kT0 + Hours(1);
   const std::size_t accepted =
       fe.recover_shard(crashed, frames, recovered_at);
+  expect_invariants(fe);
   EXPECT_EQ(accepted, twin.shard(crashed).size());
   EXPECT_EQ(fe.shard_health(crashed), ShardHealth::kClosed);
   EXPECT_TRUE(fe.shards_needing_recovery().empty());
@@ -350,6 +370,7 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
   for (int i = 0; i < 24; ++i) {
     const std::string id = "mx-" + std::to_string(i);
     ASSERT_TRUE(fe.publish(report_of(id, random_map(rng), kT0), kT0));
+    expect_invariants(fe);
     ids.push_back(id);
   }
   const std::size_t crashed = 1;
@@ -368,6 +389,7 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
             .entity = crashed});
   fe.set_fault_plan(&plan);
   fe.tick(crash_at);
+  expect_invariants(fe);
 
   // Far past the usable bound the fallback is too old to serve: the
   // shard goes missing, answers turn partial, and a client owned by it
@@ -380,6 +402,7 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
     if (fe.shard_of(id) == crashed) continue;
     ASSERT_TRUE(
         fe.publish(report_of(id, random_map(rng), later), later));
+    expect_invariants(fe);
   }
   const auto partial = fe.closest_any_gathered(elsewhere, 6, later);
   EXPECT_EQ(partial.tiered.tier, AnswerTier::kFresh);
@@ -412,6 +435,7 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
     ids.push_back("sb-" + std::to_string(i));
     maps.push_back(random_map(rng));
     ASSERT_TRUE(fe.publish(report_of(ids.back(), maps.back(), kT0), kT0));
+    expect_invariants(fe);
   }
   const std::size_t crashed = 1;
   sim::FaultPlan plan{67};
@@ -423,6 +447,7 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
             .entity = crashed});
   fe.set_fault_plan(&plan);
   fe.tick(crash_at);
+  expect_invariants(fe);
 
   // Seven hours on, the crashed shard's fallback (cut at kT0) is inside
   // the 12h usable bound, so it answers, flagged stale; its nodes are
@@ -438,6 +463,7 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
     }
     maps[i] = random_map(rng);
     ASSERT_TRUE(fe.publish(report_of(ids[i], maps[i], later), later));
+    expect_invariants(fe);
     client = i;
   }
   ASSERT_GT(on_crashed, 0u);
@@ -499,6 +525,7 @@ TEST(ShardedChaos, GossipRepairRebuildsCrashedShardFromPeers) {
     for (const char* nid : {"alpha", "beta", "gamma"}) {
       ASSERT_TRUE(mesh.sharded_store(nid).publish(report_of(id, map, kT0),
                                                   kT0));
+      expect_invariants(mesh.sharded_store(nid));
     }
   }
   ShardedFrontend& alpha = mesh.sharded_store("alpha");
@@ -512,6 +539,7 @@ TEST(ShardedChaos, GossipRepairRebuildsCrashedShardFromPeers) {
             .entity = crashed});
   alpha.set_fault_plan(&plan);
   alpha.tick(crash_at);
+  expect_invariants(alpha);
   ASSERT_EQ(alpha.shards_needing_recovery(),
             std::vector<std::size_t>{crashed});
   const auto want = mesh.sharded_store("beta").shard(crashed).live_nodes(
@@ -519,6 +547,7 @@ TEST(ShardedChaos, GossipRepairRebuildsCrashedShardFromPeers) {
   ASSERT_FALSE(want.empty());
 
   const std::size_t accepted = mesh.repair_shards("alpha", crash_at);
+  expect_invariants(alpha);
   // Both peers contribute a copy of every owned report; duplicates are
   // accepted (equal timestamps re-publish) and the freshness rules keep
   // one per id, so the replay count is a multiple of the population.
@@ -582,6 +611,7 @@ ChaosDigest run_faulted_campaign(std::uint64_t seed, std::size_t workers) {
   SimTime t = kT0 + Hours(1);
   for (int round = 0; round < 8; ++round) {
     const auto delivery = world.report_positions(fe, t, &pool);
+    expect_invariants(fe);
     digest.accepted.push_back(delivery.accepted);
     digest.shed.push_back(delivery.shard_writes_shed);
     digest.failed.push_back(delivery.shard_writes_failed);
@@ -624,6 +654,7 @@ TEST(ShardedChaos, BreakerTransitionsUnderConcurrentReaders) {
   for (int i = 0; i < 24; ++i) {
     const std::string id = "t-" + std::to_string(i);
     ASSERT_TRUE(fe.publish(report_of(id, random_map(rng), kT0), kT0));
+    expect_invariants(fe);
     ids.push_back(id);
   }
   const SimTime stall_from = kT0 + Minutes(10);
@@ -665,9 +696,11 @@ TEST(ShardedChaos, BreakerTransitionsUnderConcurrentReaders) {
   SimTime t = stall_from;
   for (int i = 0; i < 6; ++i) {
     (void)fe.publish(report_of(ids[0], random_map(rng), t), t);
+    expect_invariants(fe);
     t = t + Minutes(2);
   }
   fe.tick(stall_from + Minutes(40));  // crash shard 2
+  expect_invariants(fe);
   std::vector<std::string> frames;
   for (const auto& id : ids) {
     const auto rep = fe.report_of(id);
@@ -675,10 +708,13 @@ TEST(ShardedChaos, BreakerTransitionsUnderConcurrentReaders) {
     if (auto bytes = encode(*rep)) frames.push_back(std::move(*bytes));
   }
   (void)fe.recover_shard(2, frames, stall_from + Minutes(42));
+  expect_invariants(fe);
   t = stall_from + Hours(1);
   fe.tick(t);  // half-open shard 0
+  expect_invariants(fe);
   for (int i = 0; i < 4; ++i) {
     (void)fe.publish(report_of(ids[1], random_map(rng), t), t);
+    expect_invariants(fe);
     t = t + Minutes(1);
   }
   while (reads.load(std::memory_order_relaxed) < 200) {

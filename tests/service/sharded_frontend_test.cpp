@@ -106,8 +106,10 @@ ServiceConfig oracle_config(core::SimilarityKind metric) {
   return cfg;
 }
 
-/// Runs every shard snapshot's node-table check on a fresh View.
+/// Runs the frontend's writer-side checker, then every shard snapshot's
+/// node-table check on a fresh View.
 void expect_invariants(const ShardedFrontend& fe) {
+  EXPECT_NO_THROW(fe.check_invariants());
   const auto view = fe.view();
   for (std::size_t s = 0; s < fe.shard_count(); ++s) {
     EXPECT_NO_THROW(view.shard(s).check_invariants()) << "shard " << s;
