@@ -1,6 +1,7 @@
 #include "core/engine_kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <stdexcept>
 #include <utility>
@@ -11,30 +12,43 @@ namespace crp::core::engine_detail {
 
 namespace {
 
+// One row's accumulator: its partial sum (cosine / weighted overlap) or
+// intersection count (jaccard, an exact integer-valued double), and the
+// epoch of the query that last touched it. Together in one 16-byte cell,
+// so a touched row costs one cache line, not one per array.
+struct Cell {
+  double acc = 0.0;
+  std::uint64_t mark = 0;
+};
+
 // Reused across queries (thread_local, see scratch()): `mark`/`epoch`
-// implement O(touched) clearing — a slot belongs to the current query only
-// if mark[m] == epoch, so no O(corpus) zeroing per query is needed.
+// implement O(touched) clearing — a cell belongs to the current query only
+// if its mark equals the epoch, so no O(corpus) zeroing per query is
+// needed. The epoch is 64-bit and never wraps.
 // Thread-locality is also what makes the kernels safe for concurrent
 // readers: two threads querying the same (frozen or quiescent) corpus
 // never share an accumulator.
 struct Scratch {
-  std::vector<double> acc;           // cosine / weighted-overlap partial sums
-  std::vector<std::uint32_t> inter;  // jaccard intersection counts
-  std::vector<std::uint64_t> mark;
+  std::vector<Cell> cells;
   std::uint64_t epoch = 0;
+  // The rows the query touched, in first-touch order, are the first
+  // `count` entries. Sized one past the corpus: the scatter writes every
+  // posting's row to touched[count] before it knows whether the row is
+  // new, so with every row touched the next write lands at index n.
   std::vector<std::uint32_t> touched;
+  std::size_t count = 0;
   // The query's non-empty posting lists, each with the query's ratio.
   std::vector<std::pair<ListView, double>> lists;
 
   void begin(std::size_t n) {
-    if (mark.size() < n) {
-      mark.resize(n, 0);
-      acc.resize(n, 0.0);
-      inter.resize(n, 0);
-    }
+    if (cells.size() < n) cells.resize(n);
+    if (touched.size() <= n) touched.resize(n + 1);
     ++epoch;
-    touched.clear();
+    count = 0;
     lists.clear();
+  }
+  [[nodiscard]] std::span<const std::uint32_t> touched_rows() const {
+    return {touched.data(), count};
   }
 };
 
@@ -45,10 +59,38 @@ Scratch& scratch() {
 
 constexpr std::uint32_t kPostingsPerLine = 64 / sizeof(Posting);
 
+/// Adds `contribution(q_ratio, posting ratio)` of every posting of the
+/// resolved lists to its row's cell, with no branch per posting. On a
+/// first touch the mask clears every bit of the cell's stale sum, so it
+/// adds onto +0.0: `+0.0 + x` is exactly the `acc = 0.0; acc += x` of a
+/// branching first touch, and the row's id joins `touched` at the same
+/// position.
+template <typename Contribution>
+void scatter(Scratch& s, Contribution contribution) {
+  Cell* const cells = s.cells.data();
+  std::uint32_t* const touched = s.touched.data();
+  const std::uint64_t epoch = s.epoch;
+  std::size_t count = 0;
+  for (const auto& [list, q_ratio] : s.lists) {
+    for (const Posting& p : list.postings()) {
+      Cell& cell = cells[p.map];
+      const std::uint64_t first = cell.mark != epoch;
+      // All ones iff the row already holds a partial sum of this query.
+      const std::uint64_t keep = first - 1;
+      touched[count] = p.map;
+      count += first;
+      cell.acc = std::bit_cast<double>(std::bit_cast<std::uint64_t>(cell.acc) &
+                                       keep) +
+                 contribution(q_ratio, p.ratio);
+      cell.mark = epoch;
+    }
+  }
+  s.count = count;
+}
+
 /// Scatter-adds `entries` (sorted by replica id) over the posting lists.
-/// Afterwards `scratch.touched` lists every corpus map sharing a replica
-/// with the query, with per-map partial sums in `scratch.acc` /
-/// `scratch.inter`.
+/// Afterwards `scratch.touched_rows()` lists every corpus map sharing a
+/// replica with the query, with per-map partial sums in `scratch.cells`.
 void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
                 Scratch& s) {
   s.begin(v.size());
@@ -65,53 +107,26 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
     }
     s.lists.emplace_back(list, q_ratio);
   }
-  for (const auto& [list, q_ratio] : s.lists) {
-    // Lists keep the query's increasing replica-id order, so each touched
-    // map accumulates its shared replicas in exactly the order the
-    // per-pair sorted merge visits them — scores stay bit-identical.
-    switch (v.kind) {
-      case SimilarityKind::kCosine:
-        for (const Posting& p : list.postings()) {
-          const std::uint32_t m = p.map;
-          if (s.mark[m] != s.epoch) {
-            s.mark[m] = s.epoch;
-            s.acc[m] = 0.0;
-            s.touched.push_back(m);
-          }
-          s.acc[m] += q_ratio * p.ratio;
-        }
-        break;
-      case SimilarityKind::kJaccard:
-        for (const Posting& p : list.postings()) {
-          const std::uint32_t m = p.map;
-          if (s.mark[m] != s.epoch) {
-            s.mark[m] = s.epoch;
-            s.inter[m] = 0;
-            s.touched.push_back(m);
-          }
-          ++s.inter[m];
-        }
-        break;
-      case SimilarityKind::kWeightedOverlap:
-        for (const Posting& p : list.postings()) {
-          const std::uint32_t m = p.map;
-          if (s.mark[m] != s.epoch) {
-            s.mark[m] = s.epoch;
-            s.acc[m] = 0.0;
-            s.touched.push_back(m);
-          }
-          s.acc[m] += std::min(q_ratio, p.ratio);
-        }
-        break;
-    }
+  // Lists keep the query's increasing replica-id order, so each touched
+  // map accumulates its shared replicas in exactly the order the per-pair
+  // sorted merge visits them — scores stay bit-identical.
+  switch (v.kind) {
+    case SimilarityKind::kCosine:
+      scatter(s, [](double q, double r) { return q * r; });
+      break;
+    case SimilarityKind::kJaccard:
+      scatter(s, [](double, double) { return 1.0; });
+      break;
+    case SimilarityKind::kWeightedOverlap:
+      scatter(s, [](double q, double r) { return std::min(q, r); });
+      break;
   }
 }
 
-/// Final score of touched map `m` from its accumulated partial sum
-/// (`acc`, cosine/weighted-overlap) or intersection count (`inter`,
-/// jaccard).
+/// Final score of touched map `m` from its accumulated cell: a partial
+/// sum (cosine/weighted-overlap) or an intersection count (jaccard).
 double finish_score(const CorpusView& v, std::size_t m, double query_norm,
-                    std::size_t query_size, double acc, std::uint32_t inter) {
+                    std::size_t query_size, double acc) {
   switch (v.kind) {
     case SimilarityKind::kCosine: {
       const double denominator = query_norm * v.norms[m];
@@ -119,6 +134,7 @@ double finish_score(const CorpusView& v, std::size_t m, double query_norm,
       return std::clamp(acc / denominator, 0.0, 1.0);
     }
     case SimilarityKind::kJaccard: {
+      const auto inter = static_cast<std::uint32_t>(acc);
       const std::size_t uni = query_size + v.rows[m].len - inter;
       if (uni == 0) return 0.0;
       return static_cast<double>(inter) / static_cast<double>(uni);
@@ -132,9 +148,7 @@ double finish_score(const CorpusView& v, std::size_t m, double query_norm,
 /// Final score of touched map `m` given the query's norm and size.
 double score_touched(const CorpusView& v, std::size_t m, double query_norm,
                      std::size_t query_size, const Scratch& s) {
-  // The sibling accumulator (acc for jaccard, inter otherwise) holds a
-  // stale value from an earlier query; finish_score never reads it.
-  return finish_score(v, m, query_norm, query_size, s.acc[m], s.inter[m]);
+  return finish_score(v, m, query_norm, query_size, s.cells[m].acc);
 }
 
 /// Appends zero-similarity live rows in row order (the order
@@ -166,10 +180,10 @@ void dense_scores(const CorpusView& v, const RowView& query,
   Scratch& s = scratch();
   accumulate(v, query.entries, s);
   std::fill(out.begin(), out.end(), 0.0);
-  for (const std::uint32_t m : s.touched) {
+  for (const std::uint32_t m : s.touched_rows()) {
     out[m] = score_touched(v, m, query.norm, query.entries.size(), s);
   }
-  if (touched_maps != nullptr) *touched_maps = s.touched.size();
+  if (touched_maps != nullptr) *touched_maps = s.count;
 }
 
 void subset_scores(const CorpusView& v, const RowView& query,
@@ -179,11 +193,11 @@ void subset_scores(const CorpusView& v, const RowView& query,
   accumulate(v, query.entries, s);
   for (std::size_t i = 0; i < subset.size(); ++i) {
     const std::size_t m = subset[i];
-    out[i] = s.mark[m] == s.epoch
+    out[i] = s.cells[m].mark == s.epoch
                  ? score_touched(v, m, query.norm, query.entries.size(), s)
                  : 0.0;
   }
-  if (touched_maps != nullptr) *touched_maps = s.touched.size();
+  if (touched_maps != nullptr) *touched_maps = s.count;
 }
 
 void touched_scores(const CorpusView& v, const RowView& query,
@@ -191,8 +205,8 @@ void touched_scores(const CorpusView& v, const RowView& query,
   Scratch& s = scratch();
   accumulate(v, query.entries, s);
   out.clear();
-  out.reserve(s.touched.size());
-  for (const std::uint32_t m : s.touched) {
+  out.reserve(s.count);
+  for (const std::uint32_t m : s.touched_rows()) {
     out.push_back(RankedCandidate{
         m, score_touched(v, m, query.norm, query.entries.size(), s)});
   }
@@ -207,7 +221,7 @@ std::optional<RankedCandidate> best_match(const CorpusView& v,
   }
   Scratch& s = scratch();
   accumulate(v, query.entries, s);
-  if (touched_maps != nullptr) *touched_maps = s.touched.size();
+  if (touched_maps != nullptr) *touched_maps = s.count;
   // Scan the touched maps only. A dense argmax starting at -1 with a
   // strict `>` comparison picks (max score, lowest index) over all rows;
   // untouched live rows all score exactly 0, so whenever some touched map
@@ -216,7 +230,7 @@ std::optional<RankedCandidate> best_match(const CorpusView& v,
   // 0 — reproduced by the fallback below.
   double best = 0.0;
   std::size_t best_index = v.size();
-  for (const std::uint32_t m : s.touched) {
+  for (const std::uint32_t m : s.touched_rows()) {
     const double score =
         score_touched(v, m, query.norm, query.entries.size(), s);
     if (score > best || (score == best && m < best_index)) {
@@ -248,7 +262,7 @@ void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
            (a.similarity == b.similarity && a.index < b.index);
   };
   BoundedTopK<RankedCandidate, decltype(better)> heap(want, better);
-  for (const std::uint32_t m : s.touched) {
+  for (const std::uint32_t m : s.touched_rows()) {
     const double score =
         score_touched(v, m, query.norm, query.entries.size(), s);
     if (score > 0.0) heap.offer(RankedCandidate{m, score});

@@ -74,16 +74,48 @@ std::vector<core::RankedCandidate>& touched_buffer() {
 /// zero-score usable rows in id order, walked from `by_id` up to the
 /// k-th. That is the dense ranking over every usable row, bit for bit.
 ///
-/// The bar: once the heap is full, a row scoring below its worst cannot
-/// enter (better_ref orders by score first), so it is skipped before its
-/// slot record is read. A row tying the worst still takes the full
-/// comparison, and a heap that ends short of k never skipped a row.
+/// Score first: a first pass ranks every positive row but `exclude` by
+/// (score, id) alone and reads no slot's age. The usable rows are a
+/// subset of those, so if the pass keeps k rows and all k are usable,
+/// every usable row it dropped ranks behind all of them: the k are the
+/// answer. Otherwise (a short heap, k = 0, or an unusable survivor) the
+/// checked pass below ranks from scratch.
+///
+/// The checked pass's bar: once the heap is full, a row scoring below its
+/// worst cannot enter (better_ref orders by score first), so it is skipped
+/// before its slot record is read. A row tying the worst still takes the
+/// full comparison, and a heap that ends short of k never skipped a row.
 std::vector<ScoredRef> rank_touched(
     const TableView& t, std::span<const core::RankedCandidate> touched,
     std::size_t exclude, bool stale_band, std::size_t k, SimTime now) {
   const auto ranked = [&](std::size_t slot) {
     return slot != exclude && t.usable(slot, stale_band, now);
   };
+  // The kept rows carry their slots; a tie by score reads the ids.
+  const auto better_slot = [&t](const core::RankedCandidate& a,
+                                const core::RankedCandidate& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return t.slots[a.index].id < t.slots[b.index].id;
+  };
+  BoundedTopK<core::RankedCandidate, decltype(better_slot)> by_score(
+      k, better_slot);
+  for (const core::RankedCandidate& c : touched) {
+    if (c.similarity > 0.0 && c.index != exclude) by_score.offer(c);
+  }
+  if (by_score.full()) {
+    const std::vector<core::RankedCandidate> kept = by_score.take_sorted();
+    if (std::all_of(kept.begin(), kept.end(),
+                    [&](const core::RankedCandidate& c) {
+                      return t.usable(c.index, stale_band, now);
+                    })) {
+      std::vector<ScoredRef> refs;
+      refs.reserve(kept.size());
+      for (const core::RankedCandidate& c : kept) {
+        refs.push_back(ScoredRef{&t.slots[c.index].id, c.similarity});
+      }
+      return refs;
+    }
+  }
   RefHeap heap(k, &better_ref);
   for (const core::RankedCandidate& c : touched) {
     if (c.similarity <= 0.0 ||

@@ -4,9 +4,11 @@
 
 #include "core/engine_snapshot.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -439,6 +441,138 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, SubsetAndRowViewTest,
                            }
                            return name;
                          });
+
+/// Checks all five reads of `corpus` (an engine or a snapshot whose rows
+/// are `maps`, every row live) for `query` against per-pair
+/// `similarity()`, bit for bit.
+template <typename Corpus>
+void expect_reads_match_similarity(const Corpus& corpus,
+                                   std::span<const RatioMap> maps,
+                                   SimilarityKind kind, const RatioMap& query,
+                                   const std::string& where) {
+  std::vector<double> naive(maps.size());
+  for (std::size_t i = 0; i < maps.size(); ++i) {
+    naive[i] = similarity(kind, query, maps[i]);
+  }
+  EXPECT_EQ(dense_scores(corpus, query), naive) << where;
+
+  std::vector<RankedCandidate> touched;
+  corpus.touched_scores(query, touched);
+  EXPECT_EQ(touched.size(), static_cast<std::size_t>(std::count_if(
+                                naive.begin(), naive.end(),
+                                [](double s) { return s > 0.0; })))
+      << where;
+  for (const RankedCandidate& t : touched) {
+    ASSERT_LT(t.index, maps.size()) << where;
+    EXPECT_EQ(t.similarity, naive[t.index]) << where << " row " << t.index;
+  }
+
+  std::vector<std::size_t> subset(maps.size());
+  std::iota(subset.rbegin(), subset.rend(), std::size_t{0});
+  std::vector<double> got(subset.size());
+  corpus.scores_subset(query, subset, got);
+  for (std::size_t i = 0; i < subset.size(); ++i) {
+    EXPECT_EQ(got[i], naive[subset[i]]) << where << " subset pos " << i;
+  }
+
+  const auto ranked = rank_candidates(query, maps, kind);
+  const auto top = corpus.top_k(query, 5);
+  ASSERT_EQ(top.size(), std::min<std::size_t>(5, maps.size())) << where;
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].index, ranked[i].index) << where << " rank " << i;
+    EXPECT_EQ(top[i].similarity, ranked[i].similarity) << where;
+  }
+  const auto best = corpus.best_match(query);
+  ASSERT_EQ(best.has_value(), !maps.empty()) << where;
+  if (best.has_value()) {
+    EXPECT_EQ(best->index, ranked[0].index) << where;
+    EXPECT_EQ(best->similarity, ranked[0].similarity) << where;
+  }
+}
+
+// The kernels' scratch is one thread_local buffer shared by every corpus
+// a thread reads, as the shards of a scatter share it. One fresh thread
+// (empty scratch) alternates reads over engines and snapshots of a small,
+// a large and another small corpus under all three metrics, so the
+// scratch grows mid-stream and smaller corpora then read through cells
+// that larger ones touched.
+TEST(SimilarityEngineTest, ScratchSharedAcrossCorporaOfEverySize) {
+  struct Owner {
+    SimilarityKind kind;
+    std::vector<RatioMap> maps;
+    std::unique_ptr<SimilarityEngine> engine;
+    std::shared_ptr<const EngineSnapshot> snap;
+  };
+  Rng rng{2301};
+  std::vector<Owner> owners;
+  for (const SimilarityKind kind :
+       {SimilarityKind::kCosine, SimilarityKind::kJaccard,
+        SimilarityKind::kWeightedOverlap}) {
+    for (const std::size_t n : {std::size_t{6}, std::size_t{300},
+                                std::size_t{11}}) {
+      Owner owner{kind, random_corpus(rng, n, 24), nullptr, nullptr};
+      owner.engine = std::make_unique<SimilarityEngine>(owner.maps, kind);
+      owner.snap = owner.engine->freeze(1);
+      owners.push_back(std::move(owner));
+    }
+  }
+  auto queries = random_corpus(rng, 12, 24);
+  queries.emplace_back();
+  std::thread reader([&] {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (const Owner& owner : owners) {
+        const std::string where = std::string(to_string(owner.kind)) + " n=" +
+                                  std::to_string(owner.maps.size()) +
+                                  " query " + std::to_string(q);
+        expect_reads_match_similarity(*owner.engine, owner.maps, owner.kind,
+                                      queries[q], where + " engine");
+        expect_reads_match_similarity(*owner.snap, owner.maps, owner.kind,
+                                      queries[q], where + " snapshot");
+      }
+    }
+  });
+  reader.join();
+}
+
+// Every row shares both query replicas, so the first list touches all n
+// rows and each posting of the second writes its row speculatively at
+// touched[n], one past the last valid entry. A fresh thread sizes its
+// scratch for this corpus alone (no spare capacity from an earlier,
+// larger read), so a touched list one entry short overflows its heap
+// block here (ASan).
+TEST(SimilarityEngineTest, EveryRowTouchedFillsTheTouchedList) {
+  constexpr std::size_t kRows = 37;
+  Rng rng{4242};
+  std::vector<RatioMap> maps;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    std::vector<RatioMap::Entry> entries{{ReplicaId{1}, rng.uniform(0.1, 1.0)},
+                                         {ReplicaId{2}, rng.uniform(0.1, 1.0)}};
+    if (i % 3 == 0) {
+      entries.emplace_back(ReplicaId{3 + static_cast<std::uint32_t>(i)}, 0.5);
+    }
+    maps.push_back(RatioMap::from_ratios(entries));
+  }
+  const RatioMap query = map_of({{ReplicaId{1}, 0.3}, {ReplicaId{2}, 0.7}});
+  std::thread reader([&] {
+    for (const SimilarityKind kind :
+         {SimilarityKind::kCosine, SimilarityKind::kJaccard,
+          SimilarityKind::kWeightedOverlap}) {
+      const std::string name = to_string(kind);
+      SimilarityEngine engine{maps, kind};
+      const auto snap = engine.freeze(1);
+      std::vector<RankedCandidate> touched;
+      engine.touched_scores(query, touched);
+      EXPECT_EQ(touched.size(), kRows) << name;
+      snap->touched_scores(query, touched);
+      EXPECT_EQ(touched.size(), kRows) << name;
+      expect_reads_match_similarity(engine, maps, kind, query,
+                                    name + " engine");
+      expect_reads_match_similarity(*snap, maps, kind, query,
+                                    name + " snapshot");
+    }
+  });
+  reader.join();
+}
 
 TEST(SimilarityEngineTest, BestMatchOnEmptyEngineIsNullopt) {
   const SimilarityEngine source{

@@ -4,6 +4,7 @@
 // size, with unknown/stale clients and malformed wire bytes mixed in.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -264,6 +265,59 @@ TEST_F(PublishBatchTest, MatchesElementWisePublishEncoded) {
     EXPECT_EQ(batched.reports_rejected(), control.reports_rejected());
     for (const std::string& id : control.live_nodes(t0)) {
       EXPECT_EQ(batched.map_of(id), control.map_of(id)) << id;
+    }
+  }
+}
+
+// Wide maps: 16 entries over a 2,000-replica id space at 60, 120 and
+// 240 nodes, so posting lists are long and a query touches much of the
+// corpus (the fixtures above draw 1-6 entries over 24 ids). Batched
+// ingest and batched closest must equal their element-wise loops.
+TEST(BatchServingWideMaps, BatchesMatchElementWiseLoops) {
+  for (const std::size_t n :
+       {std::size_t{60}, std::size_t{120}, std::size_t{240}}) {
+    SCOPED_TRACE(::testing::Message() << "nodes=" << n);
+    Rng rng{hash_combine({91, n})};
+    const SimTime now = SimTime::epoch() + Hours(1);
+    std::vector<std::string> ids;
+    std::vector<std::string> wire;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<core::RatioMap::Entry> entries;
+      for (int j = 0; j < 16; ++j) {
+        entries.emplace_back(
+            ReplicaId{static_cast<std::uint32_t>(rng.uniform_int(0, 1999))},
+            rng.uniform(0.05, 1.0));
+      }
+      ids.push_back("node-" + std::to_string(i));
+      const auto bytes = encode(report_of(
+          ids.back(), core::RatioMap::from_ratios(entries), now));
+      ASSERT_TRUE(bytes.has_value());
+      wire.push_back(*bytes);
+    }
+    PositionService loop_svc;
+    for (const std::string& bytes : wire) {
+      EXPECT_TRUE(loop_svc.publish_encoded(bytes, now));
+    }
+    std::vector<std::string> clients;
+    const std::size_t batch = std::min<std::size_t>(256, n);
+    for (std::size_t j = 0; j < batch; ++j) {
+      clients.push_back(ids[j * n / batch]);
+    }
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+      ThreadPool pool{workers};
+      PositionService svc;
+      EXPECT_EQ(svc.publish_batch(wire, now, &pool), n);
+      EXPECT_EQ(svc.live_nodes(now), loop_svc.live_nodes(now));
+      for (const std::string& id : ids) {
+        EXPECT_EQ(svc.map_of(id), loop_svc.map_of(id)) << id;
+      }
+      const auto got = svc.closest_batch(clients, 5, now, &pool);
+      ASSERT_EQ(got.size(), clients.size());
+      for (std::size_t j = 0; j < clients.size(); ++j) {
+        SCOPED_TRACE("client " + clients[j]);
+        expect_same_ranked(got[j], svc.closest_any(clients[j], 5, now));
+      }
     }
   }
 }

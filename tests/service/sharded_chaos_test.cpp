@@ -256,6 +256,106 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   EXPECT_FALSE(healthy.completeness.any_stale());
 }
 
+// An open breaker sheds a remove (it carries no clock to retry
+// against), and an expire sweep skips every shard that is not closed or
+// is stalled at the sweep's time, with no breaker transition of its own.
+TEST(ShardedChaos, OpenBreakerShedsRemoveAndExpireSkipsFailedShards) {
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  ShardedFrontend fe{fc};
+  Rng rng{23};
+  std::vector<std::vector<std::string>> on(3);
+  for (std::size_t s = 0; s < on.size(); ++s) {
+    for (int i = 0; i < 3; ++i) {
+      on[s].push_back(id_on_shard(s, 4, i));
+      ASSERT_TRUE(
+          fe.publish(report_of(on[s].back(), random_map(rng), kT0), kT0));
+      expect_invariants(fe);
+    }
+  }
+  // Shard 0 stalls from the first hour and trips its breaker; shard 2
+  // stalls only later and, never written to, keeps its breaker closed.
+  sim::FaultPlan plan{78};
+  plan.add({.kind = sim::FaultKind::kShardStall,
+            .start = kT0 + Hours(1),
+            .end = kT0 + Hours(100),
+            .probability = 1.0,
+            .entity = 0});
+  plan.add({.kind = sim::FaultKind::kShardStall,
+            .start = kT0 + Hours(9),
+            .end = kT0 + Hours(100),
+            .probability = 1.0,
+            .entity = 2});
+  fe.set_fault_plan(&plan);
+  SimTime t = kT0 + Hours(1);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(fe.publish(report_of(on[0][0], random_map(rng), t), t));
+    expect_invariants(fe);
+    t = t + Minutes(1);
+  }
+  ASSERT_EQ(fe.shard_health(0), ShardHealth::kOpen);
+
+  EXPECT_FALSE(fe.remove(on[0][1]));
+  expect_invariants(fe);
+  EXPECT_EQ(fe.health_stats().writes_shed, 1u);
+  EXPECT_EQ(fe.shard(0).size(), 3u);
+  EXPECT_TRUE(fe.map_of(on[0][1]).has_value());
+
+  // Every report is past the 6 h bound by now, but only shard 1 sweeps.
+  const SimTime sweep = kT0 + Hours(10);
+  EXPECT_EQ(fe.expire(sweep), 3u);
+  expect_invariants(fe);
+  EXPECT_EQ(fe.shard(0).size(), 3u);
+  EXPECT_EQ(fe.shard(1).size(), 0u);
+  EXPECT_EQ(fe.shard(2).size(), 3u);
+  EXPECT_NE(fe.shard_health(0), ShardHealth::kClosed);
+  EXPECT_EQ(fe.shard_health(2), ShardHealth::kClosed);
+  const auto hs = fe.health_stats();
+  EXPECT_EQ(hs.writes_failed, 3u);
+  EXPECT_EQ(hs.breaker_opens, 1u);
+}
+
+// A batch advances the fault schedule of every shard, traffic or not: a
+// crash due on a shard the batch sends nothing to still wipes it.
+TEST(ShardedChaos, BatchAdvancesFaultsOfShardsItDoesNotWrite) {
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  ShardedFrontend fe{fc};
+  Rng rng{29};
+  std::vector<std::string> frames;
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (int i = 0; i < 2; ++i) {
+      const auto bytes = encode(
+          report_of(id_on_shard(s, 4, i), random_map(rng), kT0));
+      ASSERT_TRUE(bytes.has_value());
+      frames.push_back(*bytes);
+    }
+  }
+  ASSERT_EQ(fe.publish_batch(frames, kT0), frames.size());
+  expect_invariants(fe);
+  ASSERT_EQ(fe.shard(2).size(), 2u);
+
+  const SimTime crash_at = kT0 + Minutes(30);
+  sim::FaultPlan plan{79};
+  plan.add({.kind = sim::FaultKind::kShardCrash,
+            .start = crash_at,
+            .end = crash_at + Minutes(1),
+            .probability = 1.0,
+            .entity = 2});
+  fe.set_fault_plan(&plan);
+  std::vector<std::string> to_shard1;
+  const auto bytes =
+      encode(report_of(id_on_shard(1, 4, 7), random_map(rng), crash_at));
+  ASSERT_TRUE(bytes.has_value());
+  to_shard1.push_back(*bytes);
+  EXPECT_EQ(fe.publish_batch(to_shard1, crash_at), 1u);
+  expect_invariants(fe);
+  EXPECT_EQ(fe.health_stats().shard_crashes, 1u);
+  EXPECT_EQ(fe.shard(2).size(), 0u);
+  EXPECT_EQ(fe.shard_health(2), ShardHealth::kOpen);
+  EXPECT_EQ(fe.shard(1).size(), 3u);
+}
+
 // ---------------------------------------------------------------------
 // Crash: keep answering, then rebuild bit-identical by replay.
 // ---------------------------------------------------------------------

@@ -584,6 +584,44 @@ TEST(ShardedFrontendTest, InspectionRoutesToOwningShard) {
   }
 }
 
+// The frontend's own reads capture one View each and answer as that
+// View does; the View routes and counts as the frontend does.
+TEST(ShardedFrontendTest, ConvenienceReadsEqualTheirViewTwins) {
+  const ServiceConfig cfg = oracle_config(core::SimilarityKind::kCosine);
+  PositionService svc{cfg};
+  ShardedFrontendConfig fc;
+  fc.shards = 3;
+  fc.service = cfg;
+  ShardedFrontend fe{fc};
+  const TwinCorpus corpus{svc, fe, 8800};
+  const SimTime now = SimTime::epoch() + Hours(7);
+  const auto view = fe.view();
+  EXPECT_EQ(view.size(), fe.size());
+  std::size_t answered = 0;
+  for (const std::string& c : corpus.clients) {
+    SCOPED_TRACE("client " + c);
+    EXPECT_EQ(view.shard_of(c), fe.shard_of(c));
+    const auto closest = fe.closest(c, corpus.candidates, 4, now);
+    expect_same_ranked(closest, view.closest(c, corpus.candidates, 4, now));
+    expect_same_tiered(fe.closest_tiered(c, corpus.candidates, 4, now),
+                       view.closest_tiered(c, corpus.candidates, 4, now));
+    if (!closest.empty()) ++answered;
+  }
+  EXPECT_GT(answered, 0u);
+  for (const auto& q : corpus.query_maps) {
+    expect_same_ranked(fe.top_k(q, 6, now), view.top_k(q, 6, now));
+  }
+  const auto got =
+      fe.closest_batch(corpus.clients, corpus.candidates, 5, now);
+  const auto want =
+      view.closest_batch(corpus.clients, corpus.candidates, 5, now);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("batch client " + corpus.clients[i]);
+    expect_same_ranked(got[i], want[i]);
+  }
+}
+
 TEST(ShardedGossip, ShardedStoresMatchUnshardedTrajectory) {
   const auto run_mesh = [](std::size_t store_shards) {
     GossipConfig cfg;
