@@ -55,13 +55,6 @@ class BoundedTopK {
   /// Items kept so far (min(k, offers)).
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] std::size_t bound() const { return k_; }
-  /// Whether k items are kept, so that an offer must beat worst() to
-  /// enter. Never true at k = 0: a heap that keeps nothing has no worst.
-  [[nodiscard]] bool full() const {
-    return !heap_.empty() && heap_.size() == k_;
-  }
-  /// The kept item an offer must beat. Call only while full().
-  [[nodiscard]] const T& worst() const { return heap_.front(); }
 
   /// Destructively extracts the kept items, best first. Offer nothing
   /// more afterwards.

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <utility>
-
-#include "common/top_k.hpp"
 
 namespace crp::core::engine_detail {
 
@@ -39,6 +38,8 @@ struct Scratch {
   std::size_t count = 0;
   // The query's non-empty posting lists, each with the query's ratio.
   std::vector<std::pair<ListView, double>> lists;
+  // select_touched's k-heap, and then its sorted result.
+  std::vector<RankedCandidate> kept;
 
   void begin(std::size_t n) {
     if (cells.size() < n) cells.resize(n);
@@ -123,53 +124,54 @@ void accumulate(const CorpusView& v, std::span<const RatioMap::Entry> entries,
   }
 }
 
-/// Final score of touched map `m` from its accumulated cell: a partial
-/// sum (cosine/weighted-overlap) or an intersection count (jaccard).
-double finish_score(const CorpusView& v, std::size_t m, double query_norm,
-                    std::size_t query_size, double acc) {
+/// Calls `f(finish)` with the final-score step of `v`'s metric, switched
+/// once per query: `finish(m)` is touched row m's score from its cell's
+/// partial sum (cosine, weighted overlap) or intersection count
+/// (jaccard). A touched row shares a replica with the query, so its
+/// jaccard union is never 0.
+template <typename F>
+void with_finish(const CorpusView& v, const RowView& query, const Scratch& s,
+                 const F& f) {
+  const Cell* const cells = s.cells.data();
   switch (v.kind) {
-    case SimilarityKind::kCosine: {
-      const double denominator = query_norm * v.norms[m];
-      if (denominator <= 0.0) return 0.0;
-      return std::clamp(acc / denominator, 0.0, 1.0);
-    }
-    case SimilarityKind::kJaccard: {
-      const auto inter = static_cast<std::uint32_t>(acc);
-      const std::size_t uni = query_size + v.rows[m].len - inter;
-      if (uni == 0) return 0.0;
-      return static_cast<double>(inter) / static_cast<double>(uni);
-    }
+    case SimilarityKind::kCosine:
+      return f([&](std::size_t m) {
+        const double denominator = query.norm * v.norms[m];
+        if (denominator <= 0.0) return 0.0;
+        return std::clamp(cells[m].acc / denominator, 0.0, 1.0);
+      });
+    case SimilarityKind::kJaccard:
+      return f([&](std::size_t m) {
+        const auto inter = static_cast<std::uint32_t>(cells[m].acc);
+        const std::size_t uni = query.entries.size() + v.rows[m].len - inter;
+        return static_cast<double>(inter) / static_cast<double>(uni);
+      });
     case SimilarityKind::kWeightedOverlap:
-      return std::clamp(acc, 0.0, 1.0);
+      return f([&](std::size_t m) {
+        return std::clamp(cells[m].acc, 0.0, 1.0);
+      });
   }
-  return 0.0;
 }
 
-/// Final score of touched map `m` given the query's norm and size.
-double score_touched(const CorpusView& v, std::size_t m, double query_norm,
-                     std::size_t query_size, const Scratch& s) {
-  return finish_score(v, m, query_norm, query_size, s.cells[m].acc);
-}
+/// The engine's own selection: every touched row is live (only live rows
+/// have postings), and rows tie in index order.
+constexpr auto every_row = [](std::uint32_t) { return true; };
+constexpr auto by_index = [](std::uint32_t a, std::uint32_t b) {
+  return a < b;
+};
 
 /// Appends zero-similarity live rows in row order (the order
 /// `rank_candidates`' stable sort leaves ties in) until `out` reaches
-/// `want` entries, skipping indices already ranked in `out`.
+/// `want` entries, skipping the rows already ranked in `out`.
 void pad_zero_rows(const CorpusView& v, std::vector<RankedCandidate>& out,
                    std::size_t want) {
-  std::vector<std::uint32_t> taken;
-  taken.reserve(out.size());
-  for (const RankedCandidate& rc : out) {
-    taken.push_back(static_cast<std::uint32_t>(rc.index));
-  }
+  std::vector<std::size_t> taken;
+  for (const RankedCandidate& c : out) taken.push_back(c.index);
   std::sort(taken.begin(), taken.end());
-  std::size_t next_taken = 0;
   for (std::size_t m = 0; m < v.size() && out.size() < want; ++m) {
-    if (next_taken < taken.size() && taken[next_taken] == m) {
-      ++next_taken;
-      continue;
+    if (v.rows[m].live && !std::binary_search(taken.begin(), taken.end(), m)) {
+      out.push_back(RankedCandidate{m, 0.0});
     }
-    if (!v.rows[m].live) continue;
-    out.push_back(RankedCandidate{m, 0.0});
   }
 }
 
@@ -180,9 +182,9 @@ void dense_scores(const CorpusView& v, const RowView& query,
   Scratch& s = scratch();
   accumulate(v, query.entries, s);
   std::fill(out.begin(), out.end(), 0.0);
-  for (const std::uint32_t m : s.touched_rows()) {
-    out[m] = score_touched(v, m, query.norm, query.entries.size(), s);
-  }
+  with_finish(v, query, s, [&](const auto& finish) {
+    for (const std::uint32_t m : s.touched_rows()) out[m] = finish(m);
+  });
   if (touched_maps != nullptr) *touched_maps = s.count;
 }
 
@@ -191,12 +193,12 @@ void subset_scores(const CorpusView& v, const RowView& query,
                    std::size_t* touched_maps) {
   Scratch& s = scratch();
   accumulate(v, query.entries, s);
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    const std::size_t m = subset[i];
-    out[i] = s.cells[m].mark == s.epoch
-                 ? score_touched(v, m, query.norm, query.entries.size(), s)
-                 : 0.0;
-  }
+  with_finish(v, query, s, [&](const auto& finish) {
+    for (std::size_t i = 0; i < subset.size(); ++i) {
+      const std::size_t m = subset[i];
+      out[i] = s.cells[m].mark == s.epoch ? finish(m) : 0.0;
+    }
+  });
   if (touched_maps != nullptr) *touched_maps = s.count;
 }
 
@@ -206,71 +208,83 @@ void touched_scores(const CorpusView& v, const RowView& query,
   accumulate(v, query.entries, s);
   out.clear();
   out.reserve(s.count);
-  for (const std::uint32_t m : s.touched_rows()) {
-    out.push_back(RankedCandidate{
-        m, score_touched(v, m, query.norm, query.entries.size(), s)});
-  }
+  with_finish(v, query, s, [&](const auto& finish) {
+    for (const std::uint32_t m : s.touched_rows()) {
+      out.push_back(RankedCandidate{m, finish(m)});
+    }
+  });
+}
+
+std::span<const RankedCandidate> select_touched(const CorpusView& v,
+                                                const RowView& query,
+                                                std::size_t k, KeepRow keep,
+                                                TieOrder tie_before,
+                                                std::size_t* touched_maps) {
+  Scratch& s = scratch();
+  accumulate(v, query.entries, s);
+  if (touched_maps != nullptr) *touched_maps = s.count;
+  std::vector<RankedCandidate>& heap = s.kept;
+  heap.clear();
+  if (k == 0) return {};
+  const auto better = [tie_before](const RankedCandidate& a,
+                                   const RankedCandidate& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return tie_before(static_cast<std::uint32_t>(a.index),
+                      static_cast<std::uint32_t>(b.index));
+  };
+  with_finish(v, query, s, [&](const auto& finish) {
+    // The least positive double until k rows are kept, so that exactly
+    // the rows scoring <= 0 fall below it; then the worst kept score.
+    double bar = std::numeric_limits<double>::denorm_min();
+    for (const std::uint32_t m : s.touched_rows()) {
+      const double score = finish(m);
+      if (score < bar || !keep(m)) continue;
+      const RankedCandidate c{m, score};
+      if (heap.size() < k) {
+        heap.push_back(c);
+        std::push_heap(heap.begin(), heap.end(), better);
+      } else if (better(c, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), better);
+        heap.back() = c;
+        std::push_heap(heap.begin(), heap.end(), better);
+      }
+      if (heap.size() == k) bar = heap.front().similarity;
+    }
+  });
+  std::sort_heap(heap.begin(), heap.end(), better);
+  return heap;
 }
 
 std::optional<RankedCandidate> best_match(const CorpusView& v,
                                           const RowView& query,
                                           std::size_t* touched_maps) {
-  if (v.live_rows == 0) {
-    if (touched_maps != nullptr) *touched_maps = 0;
-    return std::nullopt;
-  }
-  Scratch& s = scratch();
-  accumulate(v, query.entries, s);
-  if (touched_maps != nullptr) *touched_maps = s.count;
-  // Scan the touched maps only. A dense argmax starting at -1 with a
-  // strict `>` comparison picks (max score, lowest index) over all rows;
-  // untouched live rows all score exactly 0, so whenever some touched map
-  // scores > 0 the touched-only scan agrees with the dense one. If no
-  // touched map beats 0, the dense argmax lands on the first live row at
-  // 0 — reproduced by the fallback below.
-  double best = 0.0;
-  std::size_t best_index = v.size();
-  for (const std::uint32_t m : s.touched_rows()) {
-    const double score =
-        score_touched(v, m, query.norm, query.entries.size(), s);
-    if (score > best || (score == best && m < best_index)) {
-      best = score;
-      best_index = m;
-    }
-  }
-  if (best > 0.0) return RankedCandidate{best_index, best};
+  // A dense argmax over every live row picks (max score, lowest index).
+  // Untouched live rows all score exactly 0, so whenever some touched
+  // row scores > 0 the best of the touched rows is the dense answer;
+  // otherwise the dense argmax lands on the first live row at 0. With no
+  // live row there are no postings, and nothing is touched.
+  const auto best =
+      select_touched(v, query, 1, every_row, by_index, touched_maps);
+  if (!best.empty()) return best.front();
   for (std::size_t m = 0; m < v.size(); ++m) {
     if (v.rows[m].live) return RankedCandidate{m, 0.0};
   }
-  return std::nullopt;  // unreachable: live_rows > 0
+  return std::nullopt;
 }
 
-void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
-                std::vector<RankedCandidate>& out) {
-  out.clear();
+std::vector<RankedCandidate> top_k(const CorpusView& v, const RowView& query,
+                                   std::size_t k) {
   const std::size_t want = std::min(k, v.live_rows);
-  if (want == 0) return;
-
-  Scratch& s = scratch();
-  accumulate(v, query.entries, s);
-  // (similarity, index) pairs are unique per map, so ranking by
-  // (similarity desc, index asc) is a total order: the bounded heap keeps
-  // exactly the maps a full sort + truncate would, in the same order —
-  // matching rank_candidates' stable sort — at O(touched log k).
-  const auto better = [](const RankedCandidate& a, const RankedCandidate& b) {
-    return a.similarity > b.similarity ||
-           (a.similarity == b.similarity && a.index < b.index);
-  };
-  BoundedTopK<RankedCandidate, decltype(better)> heap(want, better);
-  for (const std::uint32_t m : s.touched_rows()) {
-    const double score =
-        score_touched(v, m, query.norm, query.entries.size(), s);
-    if (score > 0.0) heap.offer(RankedCandidate{m, score});
-  }
-  out = heap.take_sorted();
-  // A short heap kept every positive-similarity map, so padding skips
+  // (similarity, index) is a total order over rows, so the selection
+  // keeps exactly the rows a full sort + truncate would, in the same
+  // order — matching rank_candidates' stable sort.
+  const auto kept = select_touched(v, query, want, every_row, by_index,
+                                   /*touched_maps=*/nullptr);
+  std::vector<RankedCandidate> out(kept.begin(), kept.end());
+  // A short result kept every positive-similarity row, so padding skips
   // exactly the already-ranked indices.
   if (out.size() < want) pad_zero_rows(v, out, want);
+  return out;
 }
 
 void check_view(const CorpusView& v, std::size_t live_replicas,

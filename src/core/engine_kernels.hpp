@@ -149,6 +149,42 @@ void subset_scores(const CorpusView& v, const RowView& query,
 void touched_scores(const CorpusView& v, const RowView& query,
                     std::vector<RankedCandidate>& out);
 
+/// A borrowed predicate over row indices, for `select_touched`: it points
+/// at the caller's callable, which must outlive the call, and allocates
+/// nothing.
+template <typename... Rows>
+class RowFn {
+ public:
+  template <typename F>
+  RowFn(const F& f)  // implicit: a lambda passes as it is
+      : fn_(&f), call_([](const void* fn, Rows... rows) -> bool {
+          return (*static_cast<const F*>(fn))(rows...);
+        }) {}
+  bool operator()(Rows... rows) const { return call_(fn_, rows...); }
+
+ private:
+  const void* fn_;
+  bool (*call_)(const void*, Rows...);
+};
+/// Whether a row may be ranked at all.
+using KeepRow = RowFn<std::uint32_t>;
+/// Whether row `a` ranks ahead of row `b` at equal scores: a strict
+/// total order over the rows `KeepRow` accepts.
+using TieOrder = RowFn<std::uint32_t, std::uint32_t>;
+
+/// The k best touched rows that `keep` accepts, best first by (score
+/// desc, `tie_before`): bit for bit the positive rows of `touched_scores`
+/// that `keep` accepts, sorted and cut to k, so a shorter result holds
+/// all of them. One pass finishes each touched row's score and skips the
+/// row if it is <= 0 or, once k rows are kept, below the k-th; only a
+/// row that passes (a tie does) reaches `keep`, then the k-heap; neither
+/// callable may run a kernel. The span lives in the calling thread's
+/// scratch until its next kernel call; `*touched_maps` (if non-null)
+/// gets the touched-map count.
+[[nodiscard]] std::span<const RankedCandidate> select_touched(
+    const CorpusView& v, const RowView& query, std::size_t k, KeepRow keep,
+    TieOrder tie_before, std::size_t* touched_maps);
+
 /// Best-scoring live row (ties to the lowest index; first live row at 0
 /// similarity when nothing is comparable); nullopt iff no live rows.
 [[nodiscard]] std::optional<RankedCandidate> best_match(
@@ -156,8 +192,9 @@ void touched_scores(const CorpusView& v, const RowView& query,
 
 /// Top-k live rows by (similarity desc, index asc), zero-similarity
 /// padding in row order.
-void top_k_into(const CorpusView& v, const RowView& query, std::size_t k,
-                std::vector<RankedCandidate>& out);
+[[nodiscard]] std::vector<RankedCandidate> top_k(const CorpusView& v,
+                                                 const RowView& query,
+                                                 std::size_t k);
 
 // --- invariant checking (shared by both owners' check_invariants) ---
 

@@ -83,9 +83,7 @@ std::optional<RankedCandidate> EngineSnapshot::best_match(
 
 std::vector<RankedCandidate> EngineSnapshot::top_k(const RowView& query,
                                                    std::size_t k) const {
-  std::vector<RankedCandidate> out;
-  engine_detail::top_k_into(view(), query, k, out);
-  return out;
+  return engine_detail::top_k(view(), query, k);
 }
 
 }  // namespace crp::core

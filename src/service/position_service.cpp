@@ -8,8 +8,6 @@
 
 namespace crp::service {
 
-using serving_detail::SlotRec;
-
 ServiceStats& ServiceStats::operator+=(const ServiceStats& other) {
   queries_served += other.queries_served;
   reports_accepted += other.reports_accepted;
@@ -54,7 +52,7 @@ Duration PositionService::usable_bound() const {
 }
 
 serving_detail::TableView PositionService::tables() const {
-  return {engine_.view(), slots_, *by_id_, config_.staleness_bound,
+  return {engine_.view(), ids_, stamps_, *by_id_, config_.staleness_bound,
           config_.stale_usable_bound, counters_.get(), clustering_.get()};
 }
 
@@ -79,23 +77,24 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
   }
   const IndexHit hit = search(report.node_id);
   if (hit.slot != serving_detail::TableView::npos) {
-    if (slots_[hit.slot].when > report.when) {
+    if (stamps_[hit.slot] > report.when) {
       // out-of-order delivery of an older report
       reports_rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
     engine_.update(hit.slot, report.map);
-    slots_[hit.slot].when = report.when;
+    stamps_[hit.slot] = report.when;
   } else {
     const std::size_t slot = engine_.add(report.map);
     std::vector<std::uint32_t>& index = writable_index();
     index.insert(index.begin() + static_cast<std::ptrdiff_t>(hit.at),
                  static_cast<std::uint32_t>(slot));
-    SlotRec rec{std::move(report.node_id), report.when};
-    if (slot == slots_.size()) {
-      slots_.push_back(std::move(rec));
-    } else {
-      slots_[slot] = std::move(rec);  // reused tombstoned slot
+    if (slot == ids_.size()) {
+      ids_.push_back(std::move(report.node_id));
+      stamps_.push_back(report.when);
+    } else {  // reused tombstoned slot
+      ids_[slot] = std::move(report.node_id);
+      stamps_[slot] = report.when;
     }
   }
   sync_engine_stats();
@@ -124,11 +123,11 @@ PositionService::IndexHit PositionService::search(
   const auto it =
       std::lower_bound(by_id_->begin(), by_id_->end(), node_id,
                        [this](std::uint32_t slot, const std::string& id) {
-                         return slots_[slot].id < id;
+                         return ids_[slot] < id;
                        });
   IndexHit hit;
   hit.at = static_cast<std::size_t>(it - by_id_->begin());
-  if (it != by_id_->end() && slots_[*it].id == node_id) hit.slot = *it;
+  if (it != by_id_->end() && ids_[*it] == node_id) hit.slot = *it;
   return hit;
 }
 
@@ -175,7 +174,8 @@ bool PositionService::drop_node(const std::string& node_id) {
   std::vector<std::uint32_t>& index = writable_index();
   index.erase(index.begin() + static_cast<std::ptrdiff_t>(hit.at));
   engine_.remove(hit.slot);
-  slots_[hit.slot] = SlotRec{};
+  ids_[hit.slot] = std::string{};
+  stamps_[hit.slot] = SimTime{-1};
   sync_engine_stats();
   ++membership_epoch_;
   return true;
@@ -188,7 +188,8 @@ void PositionService::reset(SimTime now) {
   const auto& engine = engine_.mutation_stats();
   tombstoned_base_ += engine.postings_tombstoned;
   compactions_base_ += engine.compactions;
-  slots_.clear();
+  ids_.clear();
+  stamps_.clear();
   by_id_ = std::make_shared<std::vector<std::uint32_t>>();
   by_id_frozen_ = false;
   engine_.clear(config_.metric);
@@ -226,7 +227,7 @@ std::optional<PositionReport> PositionService::report_of(
   // The row holds the accepted map's entries verbatim (the engine
   // renormalizes nothing), and the slot its id and stamp.
   return PositionReport{
-      slots_[slot].id, slots_[slot].when,
+      ids_[slot], stamps_[slot],
       core::RatioMap::from_canonical(engine_.row_view(slot).entries)};
 }
 
@@ -296,9 +297,11 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     // report timestamps are exactly what `prev` froze (the epoch bumps
     // on every accepted publish, updates included), so the node table
     // is shared, not rebuilt.
-    snap->slots_ = prev->slots_;
+    snap->ids_ = prev->ids_;
+    snap->stamps_ = prev->stamps_;
   } else {
-    snap->slots_ = std::make_shared<const std::vector<SlotRec>>(slots_);
+    snap->ids_ = std::make_shared<const std::vector<std::string>>(ids_);
+    snap->stamps_ = std::make_shared<const std::vector<SimTime>>(stamps_);
   }
   // The id index is shared until a node joins or leaves.
   snap->by_id_ = by_id_;
@@ -315,9 +318,10 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
     snap->clustering_ = clustering_;
   }
   snap->counters_ = counters_;
-  snap->tables_ = {snap->engine_->view(), *snap->slots_, *snap->by_id_,
-                   config_.staleness_bound, config_.stale_usable_bound,
-                   counters_.get(), snap->clustering_.get()};
+  snap->tables_ = {snap->engine_->view(), *snap->ids_, *snap->stamps_,
+                   *snap->by_id_, config_.staleness_bound,
+                   config_.stale_usable_bound, counters_.get(),
+                   snap->clustering_.get()};
   snapshot_epoch_ = membership_epoch_;
   snapshot_at_ = now;
   std::shared_ptr<const ServingSnapshot> published = std::move(snap);
@@ -360,9 +364,10 @@ std::size_t PositionService::expire(SimTime now) {
   // collapses to staleness_bound when the tier is off.
   const Duration bound = usable_bound();
   std::vector<std::string> stale;
-  for (const SlotRec& rec : slots_) {
-    if (!rec.id.empty() && !serving_detail::within(rec.when, now, bound)) {
-      stale.push_back(rec.id);
+  for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
+    if (!ids_[slot].empty() &&
+        !serving_detail::within(stamps_[slot], now, bound)) {
+      stale.push_back(ids_[slot]);
     }
   }
   std::size_t dropped = 0;

@@ -499,11 +499,12 @@ class PositionService : public TableReads<PositionService> {
   ServiceConfig config_;
 
   // A node's only record: its engine row (the accepted map's entries,
-  // verbatim) and slots_[slot], its id and report time ({} for
-  // tombstoned rows) — the table a snapshot freezes. report_of rebuilds
-  // the accepted report from the two.
+  // verbatim), ids_[slot] and stamps_[slot], its id and report time (""
+  // and -1 for tombstoned rows) — the tables a snapshot freezes.
+  // report_of rebuilds the accepted report from the three.
   core::SimilarityEngine engine_;
-  std::vector<serving_detail::SlotRec> slots_;
+  std::vector<std::string> ids_;
+  std::vector<SimTime> stamps_;
   // Occupied slots sorted by node id — the index every read's find() and
   // every write's search() binary-search, here and in snapshots. Kept
   // sorted by insert/erase at the searched position as nodes join and

@@ -59,90 +59,46 @@ std::vector<RankedNode> materialize(std::span<const ScoredRef> kept) {
   return ranked;
 }
 
-/// The calling thread's touched list (the kernel overwrites it on every
-/// read), so repeated reads allocate none.
-std::vector<core::RankedCandidate>& touched_buffer() {
-  static thread_local std::vector<core::RankedCandidate> touched;
-  return touched;
-}
-
 /// Ranks an any-shaped read — every usable node except slot `exclude` —
-/// from the touched list alone. A row sharing no replica with the query
-/// scores exactly 0 and no score is negative, so the usable touched rows
-/// scoring > 0 rank ahead of every other usable row; the heap sees only
-/// those, and if fewer than k survive, the rest of the answer is the
-/// zero-score usable rows in id order, walked from `by_id` up to the
-/// k-th. That is the dense ranking over every usable row, bit for bit.
-///
-/// Score first: a first pass ranks every positive row but `exclude` by
-/// (score, id) alone and reads no slot's age. The usable rows are a
-/// subset of those, so if the pass keeps k rows and all k are usable,
-/// every usable row it dropped ranks behind all of them: the k are the
-/// answer. Otherwise (a short heap, k = 0, or an unusable survivor) the
-/// checked pass below ranks from scratch.
-///
-/// The checked pass's bar: once the heap is full, a row scoring below its
-/// worst cannot enter (better_ref orders by score first), so it is skipped
-/// before its slot record is read. A row tying the worst still takes the
-/// full comparison, and a heap that ends short of k never skipped a row.
-std::vector<ScoredRef> rank_touched(
-    const TableView& t, std::span<const core::RankedCandidate> touched,
-    std::size_t exclude, bool stale_band, std::size_t k, SimTime now) {
-  const auto ranked = [&](std::size_t slot) {
+/// with the kernel's selection over the touched rows. A row sharing no
+/// replica with the query scores exactly 0 and no score is negative, so
+/// the usable rows scoring > 0 rank ahead of every other usable row; the
+/// selection keeps the k best of those by (score, id), reading a slot's
+/// age and id only for a row that passes its bar. A result shorter than
+/// k holds every positive usable row, so the rest of the answer is the
+/// zero-score usable rows in id order, walked from `by_id` past the kept
+/// slots up to the k-th. That is the dense ranking over every usable
+/// row, bit for bit. `*touched` gets the touched-map count.
+std::vector<ScoredRef> rank_any(const TableView& t, const core::RowView& row,
+                                std::size_t exclude, bool stale_band,
+                                std::size_t k, SimTime now,
+                                std::size_t* touched) {
+  const auto ranked = [&](std::uint32_t slot) {
     return slot != exclude && t.usable(slot, stale_band, now);
   };
-  // The kept rows carry their slots; a tie by score reads the ids.
-  const auto better_slot = [&t](const core::RankedCandidate& a,
-                                const core::RankedCandidate& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return t.slots[a.index].id < t.slots[b.index].id;
+  const auto by_id = [&t](std::uint32_t a, std::uint32_t b) {
+    return t.ids[a] < t.ids[b];
   };
-  BoundedTopK<core::RankedCandidate, decltype(better_slot)> by_score(
-      k, better_slot);
-  for (const core::RankedCandidate& c : touched) {
-    if (c.similarity > 0.0 && c.index != exclude) by_score.offer(c);
+  const auto kept = core::engine_detail::select_touched(t.corpus, row, k,
+                                                        ranked, by_id, touched);
+  std::vector<ScoredRef> refs;
+  refs.reserve(kept.size());
+  for (const core::RankedCandidate& c : kept) {
+    refs.push_back(ScoredRef{&t.ids[c.index], c.similarity});
   }
-  if (by_score.full()) {
-    const std::vector<core::RankedCandidate> kept = by_score.take_sorted();
-    if (std::all_of(kept.begin(), kept.end(),
-                    [&](const core::RankedCandidate& c) {
-                      return t.usable(c.index, stale_band, now);
-                    })) {
-      std::vector<ScoredRef> refs;
-      refs.reserve(kept.size());
-      for (const core::RankedCandidate& c : kept) {
-        refs.push_back(ScoredRef{&t.slots[c.index].id, c.similarity});
-      }
-      return refs;
-    }
-  }
-  RefHeap heap(k, &better_ref);
-  for (const core::RankedCandidate& c : touched) {
-    if (c.similarity <= 0.0 ||
-        (heap.full() && c.similarity < heap.worst().sim)) {
+  if (refs.size() == k) return refs;
+  std::vector<std::size_t> taken;
+  for (const core::RankedCandidate& c : kept) taken.push_back(c.index);
+  std::sort(taken.begin(), taken.end());
+  for (const std::uint32_t slot : t.by_id) {
+    if (refs.size() == k) break;
+    if (!ranked(slot) ||
+        std::binary_search(taken.begin(), taken.end(), slot)) {
       continue;
     }
-    if (ranked(c.index)) {
-      heap.offer(ScoredRef{&t.slots[c.index].id, c.similarity});
-    }
+    refs.push_back(ScoredRef{&t.ids[slot], 0.0});
   }
-  if (heap.size() < k) {
-    std::vector<std::size_t> positive;
-    for (const core::RankedCandidate& c : touched) {
-      if (c.similarity > 0.0 && ranked(c.index)) positive.push_back(c.index);
-    }
-    std::sort(positive.begin(), positive.end());
-    // Ascending ids: once the heap is full, every later zero row ranks
-    // behind everything in it.
-    for (const std::uint32_t slot : t.by_id) {
-      if (heap.size() == k) break;
-      if (ranked(slot) &&
-          !std::binary_search(positive.begin(), positive.end(), slot)) {
-        heap.offer(ScoredRef{&t.slots[slot].id, 0.0});
-      }
-    }
-  }
-  return heap.take_sorted();
+  return refs;
 }
 
 /// Ranks a vetted list from its subset scores (`scores[i]` belongs to
@@ -185,10 +141,7 @@ std::vector<ScoredRef> partial(const TableView& t, std::size_t s,
   std::size_t touched = 0;
   std::vector<ScoredRef> refs;
   if (vetted == nullptr) {
-    std::vector<core::RankedCandidate>& rows = touched_buffer();
-    core::engine_detail::touched_scores(t.corpus, client.row, rows);
-    touched = rows.size();
-    refs = rank_touched(t, rows, exclude, stale_band, k, now);
+    refs = rank_any(t, client.row, exclude, stale_band, k, now, &touched);
   } else {
     if (vetted->slots.empty()) return {};
     std::vector<double> scores(vetted->slots.size());
@@ -249,9 +202,9 @@ std::size_t TableView::find(const std::string& id) const {
   const auto it = std::lower_bound(
       by_id.begin(), by_id.end(), id,
       [this](std::uint32_t slot, const std::string& key) {
-        return slots[slot].id < key;
+        return ids[slot] < key;
       });
-  if (it == by_id.end() || slots[*it].id != id) return npos;
+  if (it == by_id.end() || ids[*it] != id) return npos;
   return *it;
 }
 
@@ -381,7 +334,7 @@ std::vector<std::string> live_nodes(Tables tables, SimTime now) {
     std::vector<std::string> part;
     part.reserve(t.by_id.size());
     for (const std::uint32_t slot : t.by_id) {
-      if (t.live(slot, now)) part.push_back(t.slots[slot].id);
+      if (t.live(slot, now)) part.push_back(t.ids[slot]);
     }
     if (merged.empty()) {
       merged = std::move(part);
@@ -409,10 +362,10 @@ std::vector<std::string> same_cluster(const TableView& t,
   for (const std::size_t member : cluster.members) {
     // Tombstoned slots and members gone stale since the clustering was
     // computed are filtered here, at answer time.
-    if (member == slot || t.slots[member].id.empty() || !t.live(member, now)) {
+    if (member == slot || t.ids[member].empty() || !t.live(member, now)) {
       continue;
     }
-    out.push_back(t.slots[member].id);
+    out.push_back(t.ids[member]);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -423,9 +376,9 @@ std::unordered_map<std::string, std::size_t> cluster_assignment(
   t.counters->queries_served.add();
   std::unordered_map<std::string, std::size_t> out;
   if (t.clustering == nullptr) return out;
-  for (std::size_t slot = 0; slot < t.slots.size(); ++slot) {
-    if (t.slots[slot].id.empty() || !t.live(slot, now)) continue;
-    out[t.slots[slot].id] = t.clustering->assignment[slot];
+  for (std::size_t slot = 0; slot < t.ids.size(); ++slot) {
+    if (t.ids[slot].empty() || !t.live(slot, now)) continue;
+    out[t.ids[slot]] = t.clustering->assignment[slot];
   }
   return out;
 }
@@ -448,16 +401,16 @@ std::vector<std::string> diverse_set(const TableView& t, std::size_t n,
     bool center_live = false;
     std::string smallest;
     for (const std::size_t member : cluster.members) {
-      const SlotRec& rec = t.slots[member];
-      if (rec.id.empty() || !t.live(member, now)) continue;
+      const std::string& id = t.ids[member];
+      if (id.empty() || !t.live(member, now)) continue;
       ++c.live_members;
       if (member == cluster.center) center_live = true;
-      if (smallest.empty() || rec.id < smallest) smallest = rec.id;
+      if (smallest.empty() || id < smallest) smallest = id;
     }
     if (c.live_members == 0) continue;
     // Prefer the center; if it went stale, the lexicographically
     // smallest live member stands in for it.
-    c.id = center_live ? t.slots[cluster.center].id : smallest;
+    c.id = center_live ? t.ids[cluster.center] : smallest;
     candidates.push_back(std::move(c));
   }
 
@@ -485,26 +438,27 @@ void check_tables(const TableView& t, const std::string& owner) {
   const auto fail = [&owner](const std::string& what) {
     throw std::logic_error(owner + " invariant: " + what);
   };
-  if (t.slots.size() != t.corpus.size()) {
-    fail("slot table has " + std::to_string(t.slots.size()) +
-         " slots, engine has " + std::to_string(t.corpus.size()) + " rows");
+  if (t.ids.size() != t.corpus.size() || t.stamps.size() != t.ids.size()) {
+    fail("id and stamp tables have " + std::to_string(t.ids.size()) +
+         " and " + std::to_string(t.stamps.size()) + " slots, engine has " +
+         std::to_string(t.corpus.size()) + " rows");
   }
-  std::vector<char> listed(t.slots.size(), 0);
+  std::vector<char> listed(t.ids.size(), 0);
   for (std::size_t i = 0; i < t.by_id.size(); ++i) {
     const std::uint32_t slot = t.by_id[i];
-    if (slot >= t.slots.size() || t.slots[slot].id.empty()) {
+    if (slot >= t.ids.size() || t.ids[slot].empty()) {
       fail("by_id lists empty slot " + std::to_string(slot));
     }
-    if (listed[slot] != 0) fail("by_id lists slot twice: " + t.slots[slot].id);
+    if (listed[slot] != 0) fail("by_id lists slot twice: " + t.ids[slot]);
     listed[slot] = 1;
-    if (i > 0 && !(t.slots[t.by_id[i - 1]].id < t.slots[slot].id)) {
-      fail("by_id not strictly increasing at " + t.slots[slot].id);
+    if (i > 0 && !(t.ids[t.by_id[i - 1]] < t.ids[slot])) {
+      fail("by_id not strictly increasing at " + t.ids[slot]);
     }
   }
-  for (std::size_t slot = 0; slot < t.slots.size(); ++slot) {
-    const bool occupied = !t.slots[slot].id.empty();
+  for (std::size_t slot = 0; slot < t.ids.size(); ++slot) {
+    const bool occupied = !t.ids[slot].empty();
     if (occupied && listed[slot] == 0) {
-      fail("by_id misses slot of " + t.slots[slot].id);
+      fail("by_id misses slot of " + t.ids[slot]);
     }
     if (occupied != t.corpus.rows[slot].live) {
       fail("slot " + std::to_string(slot) +

@@ -37,33 +37,33 @@ struct ServingCounters;
 
 namespace serving_detail {
 
-/// One engine slot's occupant: its id ("" for a tombstoned slot) and
-/// its report timestamp (what liveness filters against). The service
-/// keeps one per engine row; a snapshot freezes a copy.
-struct SlotRec {
-  std::string id;
-  SimTime when = SimTime{-1};
-};
-
 /// Whether a report stamped `when` is at most `bound` old at `now`. The
 /// one age test of the service: it compares `when` with `now - bound`
 /// rather than computing an age, so a stamp from the far past is old
-/// instead of wrapping to a negative age.
+/// instead of wrapping to a negative age. Where `now - bound` leaves the
+/// int64 range, it lies below every stamp (bound > 0) or above every
+/// stamp (bound < 0).
 [[nodiscard]] constexpr bool within(SimTime when, SimTime now,
                                     Duration bound) {
-  return when >= now - bound;
+  std::int64_t floor = 0;
+  return __builtin_sub_overflow(now.micros(), bound.micros(), &floor)
+             ? bound.micros() > 0
+             : when.micros() >= floor;
 }
 
-/// One shard's serving tables, borrowed: the engine's corpus view, the
-/// slot table, the occupied slots sorted by id, the two age bounds, the
-/// shared counters and the attached clustering (nullptr: none). Each
-/// owner builds one in O(1); it stays valid as long as the owner's tables
-/// do (until the service's next write; while a snapshot is held).
+/// One shard's serving tables, borrowed: the engine's corpus view; each
+/// engine slot's id ("" when tombstoned) and report stamp, in two arrays
+/// so an age test loads 8 bytes; the occupied slots sorted by id; the
+/// two age bounds, the shared counters and the attached clustering
+/// (nullptr: none). Each owner builds one in O(1); it stays valid as long
+/// as the owner's tables do (until the service's next write; while a
+/// snapshot is held).
 struct TableView {
   static constexpr std::size_t npos = ~std::size_t{0};
 
   core::engine_detail::CorpusView corpus;
-  std::span<const SlotRec> slots;
+  std::span<const std::string> ids;
+  std::span<const SimTime> stamps;
   std::span<const std::uint32_t> by_id;
   Duration staleness_bound{0};
   Duration stale_usable_bound{0};
@@ -76,12 +76,12 @@ struct TableView {
   [[nodiscard]] std::size_t live_slot(const std::string& id,
                                       SimTime now) const;
   [[nodiscard]] bool live(std::size_t slot, SimTime now) const {
-    return within(slots[slot].when, now, staleness_bound);
+    return within(stamps[slot], now, staleness_bound);
   }
   /// Older than the staleness bound, within an enabled stale tier.
   [[nodiscard]] bool stale_usable(std::size_t slot, SimTime now) const {
     return stale_usable_bound > staleness_bound && !live(slot, now) &&
-           within(slots[slot].when, now, stale_usable_bound);
+           within(stamps[slot], now, stale_usable_bound);
   }
   /// Live, or stale-usable when `stale_band` widens the band.
   [[nodiscard]] bool usable(std::size_t slot, bool stale_band,
@@ -157,8 +157,8 @@ cluster_assignment(const TableView& t, SimTime now);
 /// broken invariant of the node table that find() and the zero-score
 /// padding rely on: `by_id` strictly increasing by id; every slot it
 /// lists has an id, and every occupied slot is listed exactly once; the
-/// slot table as long as the engine; an id exactly where the engine row
-/// is alive.
+/// id and stamp tables as long as the engine; an id exactly where the
+/// engine row is alive.
 void check_tables(const TableView& t, const std::string& owner);
 
 }  // namespace serving_detail

@@ -57,7 +57,7 @@ class ServingSnapshot : public TableReads<ServingSnapshot> {
   [[nodiscard]] std::size_t size() const { return by_id_->size(); }
 
   // --- identity probes (tests: structural sharing across republishes) ---
-  [[nodiscard]] const void* nodes_identity() const { return slots_.get(); }
+  [[nodiscard]] const void* nodes_identity() const { return ids_.get(); }
   [[nodiscard]] const void* counters_identity() const {
     return counters_.get();
   }
@@ -88,14 +88,14 @@ class ServingSnapshot : public TableReads<ServingSnapshot> {
     return tables_;
   }
 
-  using SlotRec = serving_detail::SlotRec;
-
   std::uint64_t membership_epoch_ = 0;
   SimTime frozen_at_ = SimTime{-1};
   std::shared_ptr<const core::EngineSnapshot> engine_;
-  /// Slot-indexed node table ("" id = tombstoned slot). Shared with the
-  /// previous snapshot when the membership epoch did not move.
-  std::shared_ptr<const std::vector<SlotRec>> slots_;
+  /// Slot-indexed node table: ids ("" = tombstoned slot) and report
+  /// stamps. Shared with the previous snapshot when the membership epoch
+  /// did not move.
+  std::shared_ptr<const std::vector<std::string>> ids_;
+  std::shared_ptr<const std::vector<SimTime>> stamps_;
   /// Occupied slots sorted by node id (shared with the writer until
   /// membership changes).
   std::shared_ptr<const std::vector<std::uint32_t>> by_id_;

@@ -243,10 +243,10 @@ void ShardedFrontend::check_invariants() const {
   };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->check_invariants();
-    for (const serving_detail::SlotRec& rec : shards_[s]->slots_) {
-      if (!rec.id.empty() && shard_of(rec.id) != s) {
-        fail(rec.id + " sits on shard " + std::to_string(s) +
-             " but is owned by shard " + std::to_string(shard_of(rec.id)));
+    for (const std::string& id : shards_[s]->ids_) {
+      if (!id.empty() && shard_of(id) != s) {
+        fail(id + " sits on shard " + std::to_string(s) +
+             " but is owned by shard " + std::to_string(shard_of(id)));
       }
     }
     if (runtime_[s]->needs_recovery && shard_health(s) != ShardHealth::kOpen) {

@@ -1213,6 +1213,77 @@ TEST_P(EngineSnapshotTest, HeldGenerationsAnswerAsFrozen) {
   EXPECT_GE(compactions, 1u) << "the run never compacted";
 }
 
+// The selection against its definition: touched_scores' positive rows
+// that the keep predicate accepts, sorted by (score desc, tie order) and
+// cut to k, bit for bit, with the same touched count. Every fourth row
+// is duplicated and updates copy maps between rows, so scores tie
+// exactly; the tie order reverses row order, and churn permutes the
+// posting lists, so neither touch order nor row order can pass for it.
+TEST_P(EngineSnapshotTest, SelectTouchedIsTheSortedCutOfTheTouchedRows) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{9411 + static_cast<std::uint64_t>(kind)};
+  const auto keep = [](std::uint32_t row) { return row % 3 != 0; };
+  const auto reversed = [](std::uint32_t a, std::uint32_t b) { return a > b; };
+  const auto kept_order = [](const RankedCandidate& a,
+                             const RankedCandidate& b) {
+    if (a.similarity != b.similarity) return a.similarity > b.similarity;
+    return a.index > b.index;
+  };
+  for (int trial = 0; trial < 4; ++trial) {
+    auto corpus = random_corpus(rng, 90, 24);
+    for (std::size_t i = 0; i < 90; i += 4) corpus.push_back(corpus[i]);
+    SimilarityEngine engine{corpus, kind};
+    for (int write = 0; write < 30; ++write) {
+      const auto row = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(corpus.size()) - 1));
+      if (!engine.alive(row)) continue;
+      if (write % 5 == 4) {
+        engine.remove(row);
+      } else {
+        engine.update(row, corpus[static_cast<std::size_t>(rng.uniform_int(
+                               0, static_cast<std::int64_t>(90) - 1))]);
+      }
+    }
+    const auto snap = engine.freeze(1);
+    const engine_detail::CorpusView views[] = {engine.view(), snap->view()};
+    auto queries = random_corpus(rng, 4, 24);
+    queries.push_back(corpus[0]);
+    queries.push_back(corpus[8]);
+    for (const RatioMap& query : queries) {
+      std::vector<RankedCandidate> touched;
+      engine.touched_scores(query, touched);
+      std::vector<RankedCandidate> want;
+      for (const RankedCandidate& c : touched) {
+        if (c.similarity > 0.0 && keep(static_cast<std::uint32_t>(c.index))) {
+          want.push_back(c);
+        }
+      }
+      std::sort(want.begin(), want.end(), kept_order);
+      for (const std::size_t k : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{5}, touched.size(),
+                                  touched.size() + 3}) {
+        const std::size_t cut = std::min(k, want.size());
+        for (const engine_detail::CorpusView& view : views) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trial " << trial << " k=" << k
+                       << (&view == views ? " engine" : " snapshot"));
+          std::size_t count = 0;
+          const auto got = engine_detail::select_touched(view, query, k, keep,
+                                                         reversed, &count);
+          EXPECT_EQ(count, touched.size());
+          ASSERT_EQ(got.size(), cut);
+          for (std::size_t i = 0; i < cut; ++i) {
+            EXPECT_EQ(got[i].index, want[i].index) << "rank " << i;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].similarity),
+                      std::bit_cast<std::uint64_t>(want[i].similarity))
+                << "rank " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // The same contract under real concurrency: two readers query held
 // generations while the writer appends into the tail chunk they share,
 // compacts and repacks. Meant for ThreadSanitizer as much as for the

@@ -295,6 +295,46 @@ TEST(ServingSnapshotTest, EpochLagBoundaryPacesRepublish) {
   EXPECT_EQ(service.snapshot(), second);
 }
 
+// Paced republish under publish/remove churn: after every write the
+// published snapshot trails the writer by fewer than max_epoch_lag
+// membership epochs. A removal advances the epoch like a publish, and
+// remove() paces at the writer's clock.
+TEST(ServingSnapshotTest, EpochLagStaysBelowTheBoundUnderPublishRemoveChurn) {
+  Rng rng{556};
+  ServiceConfig cfg;
+  cfg.snapshots.enabled = true;
+  cfg.snapshots.max_epoch_lag = 8;
+  cfg.snapshots.max_age = Hours(1000);  // only the lag paces here
+  PositionService service{cfg};
+  SimTime now = SimTime::epoch();
+  std::vector<std::string> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(node_name(i));
+    ASSERT_TRUE(service.publish(random_report(rng, ids.back(), now), now));
+  }
+  auto last = service.snapshot();
+  std::size_t removals = 0;
+  std::size_t republishes = 0;
+  for (int round = 0; round < 400; ++round) {
+    now = now + Seconds(1);
+    const std::string& id = ids[rng.uniform_int(0, ids.size() - 1)];
+    if (round % 9 == 0) {
+      removals += service.remove(id) ? 1 : 0;
+    } else {
+      ASSERT_TRUE(service.publish(random_report(rng, id, now), now));
+    }
+    const auto snap = service.snapshot();
+    ASSERT_NE(snap, nullptr);
+    ASSERT_LT(service.membership_epoch() - snap->membership_epoch(),
+              cfg.snapshots.max_epoch_lag)
+        << "round " << round;
+    if (snap != last) ++republishes;
+    last = snap;
+  }
+  EXPECT_GT(removals, 0u);
+  EXPECT_GE(republishes, 40u);  // at least 355 publishes, paced every 8
+}
+
 TEST(ServingSnapshotTest, MaxAgeBoundaryPacesRepublish) {
   Rng rng{555};
   ServiceConfig cfg;

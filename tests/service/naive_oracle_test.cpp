@@ -9,7 +9,8 @@
 // client itself. Every member is republished several times before the
 // reads, so the engines' posting lists are permuted by swap-removal and
 // their arenas compacted; the writer's tables are checked after every
-// write.
+// write. A second corpus, published once in a fixed order, puts exact
+// ties at the k-th place and unusable nodes above every live one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,6 +73,40 @@ std::vector<Member> sparse_corpus(std::uint64_t seed, int nodes) {
   }
   for (std::size_t i = 5; i < members.size(); i += 13) {
     members[i].removed = true;
+  }
+  return members;
+}
+
+/// Six groups on disjoint replicas. In each, three pairs of live nodes
+/// carry identical maps at three score levels below the group's client,
+/// each pair published larger id first, so its ids sort against its slot
+/// order and its first-touch order; an expired node and two stale-usable
+/// ones carry the client's own map and outscore every live neighbour.
+/// Other groups' nodes score 0, so a k past the positive count pads.
+std::vector<Member> tie_corpus() {
+  std::vector<Member> members;
+  const auto add = [&members](std::string id, std::uint32_t base,
+                              std::uint32_t shared, Duration at) {
+    std::vector<core::RatioMap::Entry> entries;
+    for (std::uint32_t j = 0; j < shared; ++j) {
+      entries.emplace_back(ReplicaId{base + j}, 1.0);
+    }
+    members.push_back(Member{std::move(id),
+                             core::RatioMap::from_ratios(entries),
+                             SimTime::epoch() + at});
+  };
+  for (std::uint32_t g = 0; g < 6; ++g) {
+    const std::string group = "tie" + std::to_string(g) + "-";
+    const std::uint32_t base = 1000 + 8 * g;
+    add(group + "expired", base, 4, Hours(1));
+    add(group + "stale-y", base, 4, Hours(5));
+    add(group + "stale-z", base, 4, Hours(6));
+    for (const std::uint32_t shared : {3u, 2u, 1u}) {
+      const std::string pair = group + "p" + std::to_string(shared) + "-";
+      add(pair + "b", base, shared, Hours(10));
+      add(pair + "a", base, shared, Hours(10));
+    }
+    add(group + "client", base, 4, Hours(12));
   }
   return members;
 }
@@ -154,36 +189,39 @@ std::vector<RankedNode> plain_answer(core::SimilarityKind metric,
   return naive_rank(metric, m.map, pool, m.id, false, k);
 }
 
+constexpr std::size_t kKs[] = {1, 3, 7, 200};
+
 /// The oracle's corpus: the members with their final maps, every member
 /// as a reference pool, and candidate lists as the caller's ids plus the
-/// members those name.
+/// members those name; the ks its reads run at and their top_k queries.
 struct Fixture {
   core::SimilarityKind metric = core::SimilarityKind::kCosine;
   std::vector<Member> members;
+  int churn_rounds = 8;                 // fresh maps for every member
+  std::span<const std::size_t> ks = kKs;
+  std::vector<core::RatioMap> queries;  // top_k queries besides a random one
   std::vector<const Member*> everyone;
   std::vector<std::string> clients;  // every member, plus one unknown
   std::vector<std::vector<std::string>> lists;
   std::vector<std::vector<const Member*>> list_pools;
 };
 
-/// Publishes `seed`'s sparse corpus of `nodes` members through
-/// `publish(member)`, churns
-/// every map eight times at its original time — each update
-/// removes the old map's postings (moving other rows' postings around)
-/// and orphans its arena entries, ~320 per shard at 4 shards, past the
-/// compaction floor — then removes the members marked removed through
-/// `remove`. `check` runs after every write.
+/// Publishes `f.members` through `publish(member)`, churns every map
+/// `f.churn_rounds` times at its original time — each update removes
+/// the old map's postings (moving other rows' postings around) and
+/// orphans its arena entries; eight rounds of the 80-node sparse corpus
+/// orphan ~320 per shard at 4 shards, past the compaction floor — then
+/// removes the members marked removed through `remove`. `check` runs
+/// after every write.
 template <typename Publish, typename Remove, typename Check>
-void build_fixture(Fixture& f, std::uint64_t seed, int nodes,
-                   const Publish& publish, const Remove& remove,
-                   const Check& check) {
-  f.members = sparse_corpus(3100 + seed, nodes);
+void build_fixture(Fixture& f, std::uint64_t seed, const Publish& publish,
+                   const Remove& remove, const Check& check) {
   for (const Member& m : f.members) {
     ASSERT_TRUE(publish(m)) << m.id;
     check(m.id);
   }
   Rng churn{4100 + seed};
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < f.churn_rounds; ++round) {
     for (Member& m : f.members) {
       m.map = sparse_map(churn);
       ASSERT_TRUE(publish(m)) << m.id;
@@ -228,8 +266,6 @@ void build_fixture(Fixture& f, std::uint64_t seed, int nodes,
   }
 }
 
-constexpr std::size_t kKs[] = {1, 3, 7, 200};
-
 /// Every read of one surface (a View with its pool bound, a service or a
 /// snapshot) against the naive ranking: the any-shaped reads
 /// (`candidates` false) or the candidate-list reads.
@@ -237,7 +273,7 @@ template <typename Reads>
 void check_reads(const Reads& reads, const Fixture& f, bool candidates,
                  ThreadPool* pool) {
   Rng rng{77};
-  for (const std::size_t k : kKs) {
+  for (const std::size_t k : f.ks) {
     SCOPED_TRACE(::testing::Message() << "k=" << k);
     if (!candidates) {
       for (const Member& m : f.members) {
@@ -250,6 +286,10 @@ void check_reads(const Reads& reads, const Fixture& f, bool candidates,
       const auto query = sparse_map(rng);
       expect_ranked(reads.top_k(query, k, kNow),
                     naive_rank(f.metric, query, f.everyone, "", false, k));
+      for (const core::RatioMap& q : f.queries) {
+        expect_ranked(reads.top_k(q, k, kNow),
+                      naive_rank(f.metric, q, f.everyone, "", false, k));
+      }
       const auto batch = reads.closest_batch(f.clients, k, kNow, pool);
       ASSERT_EQ(batch.size(), f.clients.size());
       for (std::size_t i = 0; i < f.members.size(); ++i) {
@@ -332,20 +372,28 @@ PositionReport report_of(const Member& m) {
   return r;
 }
 
-/// The sharded front-end over an oracle corpus of `nodes` members; every
-/// write is checked on its owning shard, whose membership epoch must
-/// never go back.
-void run_sharded(core::SimilarityKind metric, std::size_t shards,
-                 bool candidates, int nodes = kOracleNodes) {
+/// The fixture of `seed`'s sparse corpus of `nodes` members.
+Fixture sparse_fixture(core::SimilarityKind metric, std::uint64_t seed,
+                       int nodes = kOracleNodes) {
+  Fixture f;
+  f.metric = metric;
+  f.members = sparse_corpus(3100 + seed, nodes);
+  return f;
+}
+
+/// The sharded front-end over the fixture's corpus; every write is
+/// checked on its owning shard, whose membership epoch must never go
+/// back.
+void run_sharded(Fixture f, std::size_t shards, bool candidates) {
+  const core::SimilarityKind metric = f.metric;
+  const int nodes = static_cast<int>(f.members.size());
   ShardedFrontendConfig fc;
   fc.shards = shards;
   fc.service = oracle_config(metric);
   ShardedFrontend fe{fc};
   std::vector<std::uint64_t> epochs(shards, 0);
-  Fixture f;
-  f.metric = metric;
   build_fixture(
-      f, shards, nodes,
+      f, shards,
       [&fe](const Member& m) { return fe.publish(report_of(m), m.when); },
       [&fe](const std::string& id) { return fe.remove(id); },
       [&](const std::string& id) {
@@ -355,9 +403,9 @@ void run_sharded(core::SimilarityKind metric, std::size_t shards,
         epochs[s] = fe.shard(s).membership_epoch();
       });
   if (::testing::Test::HasFatalFailure()) return;
-  // Only the full corpus's churn orphans past every shard's compaction
-  // floor.
-  if (nodes == kOracleNodes) {
+  // Only the full sparse corpus's churn orphans past every shard's
+  // compaction floor.
+  if (nodes == kOracleNodes && f.churn_rounds > 0) {
     EXPECT_GE(fe.stats().compactions, shards);
   }
   const auto view = fe.view();
@@ -368,7 +416,7 @@ void run_sharded(core::SimilarityKind metric, std::size_t shards,
     ThreadPool pool{workers};
     check_reads(PooledView{view, &pool}, f, candidates, &pool);
     // An all-healthy gathered read is its tiered twin.
-    for (const std::size_t k : kKs) {
+    for (const std::size_t k : f.ks) {
       for (const Member& m : f.members) {
         SCOPED_TRACE(::testing::Message() << "k=" << k << " client " << m.id);
         if (!candidates) {
@@ -394,7 +442,8 @@ constexpr std::size_t kShardCounts[] = {1, 2, 4};
 TEST(TouchedReadOracle, AnyShapedReadsMatchNaivePerPairSimilarity) {
   for (const core::SimilarityKind metric : kMetrics) {
     for (const std::size_t shards : kShardCounts) {
-      run_sharded(metric, shards, /*candidates=*/false);
+      run_sharded(sparse_fixture(metric, shards), shards,
+                  /*candidates=*/false);
     }
   }
 }
@@ -402,7 +451,8 @@ TEST(TouchedReadOracle, AnyShapedReadsMatchNaivePerPairSimilarity) {
 TEST(TouchedReadOracle, CandidateListReadsMatchNaivePerPairSimilarity) {
   for (const core::SimilarityKind metric : kMetrics) {
     for (const std::size_t shards : kShardCounts) {
-      run_sharded(metric, shards, /*candidates=*/true);
+      run_sharded(sparse_fixture(metric, shards), shards,
+                  /*candidates=*/true);
     }
   }
 }
@@ -417,8 +467,32 @@ TEST(TouchedReadOracle, MoreShardsThanNodesMatchNaivePerPairSimilarity) {
     for (const std::size_t shards : {std::size_t{8}, std::size_t{16}}) {
       for (const int nodes : {3, 5}) {
         for (const bool candidates : {false, true}) {
-          run_sharded(metric, shards, candidates, nodes);
+          run_sharded(sparse_fixture(metric, shards, nodes), shards,
+                      candidates);
         }
+      }
+    }
+  }
+}
+
+// What a selection that ranks by score first must still get right: the
+// k-th and (k+1)-th neighbours tie exactly under ids that sort against
+// their slot and first-touch order, so the tie falls to the id; expired
+// and stale-usable nodes outscore every live neighbour, so the keep
+// predicate, not the score, must drop them; and a k past the positive
+// count pads past kept slots. Every read shape, at 1 and 4 shards.
+TEST(TouchedReadOracle, TiesAtTheKthPlaceAndUnusableTopScorersMatchNaive) {
+  static constexpr std::size_t kTieKs[] = {1, 2, 3, 5, 7, 200};
+  for (const core::SimilarityKind metric : kMetrics) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      for (const bool candidates : {false, true}) {
+        Fixture f;
+        f.metric = metric;
+        f.members = tie_corpus();
+        f.churn_rounds = 0;  // keeps the publication order in every list
+        f.ks = kTieKs;
+        f.queries = {f.members[9].map, f.members[19].map};  // two clients'
+        run_sharded(std::move(f), shards, candidates);
       }
     }
   }
@@ -431,10 +505,9 @@ TEST(TouchedReadOracle, ServiceAndSnapshotMatchNaivePerPairSimilarity) {
   for (const core::SimilarityKind metric : kMetrics) {
     PositionService service{oracle_config(metric)};
     std::uint64_t epoch = 0;
-    Fixture f;
-    f.metric = metric;
+    Fixture f = sparse_fixture(metric, 0);
     build_fixture(
-        f, 0, kOracleNodes,
+        f, 0,
         [&service](const Member& m) {
           return service.publish(report_of(m), m.when);
         },

@@ -372,6 +372,90 @@ TEST(PositionServiceContracts, FarPastWireReportsAreRejected) {
   expect_none_live(sharded.live_nodes(later));
 }
 
+// Clocks and stamps at the edges of the int64 range. The age test
+// compares a stamp with now - bound without forming it where it leaves
+// the range (the UBSan job checks that no subtraction overflows): at the
+// bottom every stamp up to now is fresh, at the top a stamp of now is.
+// A stamp 1 us in the future is rejected and changes nothing, and a
+// frame that repeats a replica id is stored as its merged map.
+TEST(PositionServiceContracts, EdgeClocksFutureStampsAndRepeatedReplicas) {
+  using Limits = std::numeric_limits<std::int64_t>;
+  const ServiceConfig config;  // staleness_bound 6h, no stale tier
+  {
+    SCOPED_TRACE("now = INT64_MIN + 1");
+    PositionService service{config};
+    const SimTime now{Limits::min() + 1};
+    ASSERT_TRUE(service.publish(report("a", {{ReplicaId{1}, 1.0}}, now), now));
+    ASSERT_TRUE(service.publish(
+        report("b", {{ReplicaId{1}, 0.5}, {ReplicaId{2}, 0.5}},
+               SimTime{Limits::min()}),
+        now));
+    EXPECT_NO_THROW(service.check_invariants());
+    EXPECT_EQ(service.live_nodes(now), (std::vector<std::string>{"a", "b"}));
+    const auto ranked = service.closest_any("a", 5, now);
+    ASSERT_EQ(ranked.size(), 1u);
+    EXPECT_EQ(ranked[0].node_id, "b");
+    EXPECT_EQ(service.closest_any_tiered("b", 5, now).tier,
+              AnswerTier::kFresh);
+    EXPECT_EQ(service.expire(now), 0u);
+  }
+  {
+    SCOPED_TRACE("now = INT64_MAX");
+    PositionService service{config};
+    const SimTime now{Limits::max()};
+    ASSERT_TRUE(service.publish(report("y", {{ReplicaId{3}, 1.0}},
+                                       now - config.staleness_bound),
+                                now));
+    ASSERT_TRUE(service.publish(report("z", {{ReplicaId{3}, 1.0}}, now), now));
+    EXPECT_NO_THROW(service.check_invariants());
+    EXPECT_EQ(service.live_nodes(now), (std::vector<std::string>{"y", "z"}));
+    const auto ranked = service.closest_any("z", 5, now);
+    ASSERT_EQ(ranked.size(), 1u);
+    EXPECT_EQ(ranked[0].node_id, "y");
+    EXPECT_EQ(service.expire(now), 0u);
+  }
+  for (const SimTime now :
+       {SimTime{Limits::min() + 1}, SimTime::epoch() + Hours(1)}) {
+    SCOPED_TRACE(::testing::Message() << "future stamp at " << now.micros());
+    PositionService service{config};
+    const PositionReport accepted = report("a", {{ReplicaId{1}, 1.0}}, now);
+    ASSERT_TRUE(service.publish(accepted, now));
+    const std::uint64_t epoch = service.membership_epoch();
+    const SimTime future = now + Micros(1);
+    EXPECT_FALSE(service.publish(report("a", {{ReplicaId{2}, 1.0}}, future),
+                                 now));
+    EXPECT_FALSE(service.publish(report("f", {{ReplicaId{1}, 1.0}}, future),
+                                 now));
+    EXPECT_EQ(service.reports_rejected(), 2u);
+    EXPECT_EQ(service.membership_epoch(), epoch);
+    EXPECT_NO_THROW(service.check_invariants());
+    EXPECT_EQ(service.live_nodes(now), std::vector<std::string>{"a"});
+    EXPECT_EQ(service.report_of("a"), accepted);
+  }
+  {
+    SCOPED_TRACE("repeated replica id");
+    const SimTime now = SimTime::epoch() + Hours(1);
+    std::string frame = *encode(
+        report("dup", {{ReplicaId{4}, 0.25}, {ReplicaId{9}, 0.75}}, now));
+    // The second entry's replica id (little-endian u32, after the
+    // 3-byte magic, version, id length, id, stamp and entry count)
+    // becomes the first's.
+    const std::size_t entries = 3 + 1 + 2 + 3 + 8 + 4;
+    frame[entries + 12] = 4;
+    const auto decoded = decode(frame);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->map.size(), 1u);
+    PositionService service{config};
+    ASSERT_TRUE(service.publish_encoded(frame, now));
+    const auto stored = service.report_of("dup");
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(*stored, *decoded);
+    const core::RatioMap::Entry repeated[] = {{ReplicaId{4}, 0.25},
+                                              {ReplicaId{4}, 0.75}};
+    EXPECT_EQ(stored->map, core::RatioMap::from_ratios(repeated));
+  }
+}
+
 /// 16-entry maps that renormalizing again would change: their ratios do
 /// not sum to exactly 1, so only a verbatim copy keeps their bits.
 std::vector<core::RatioMap> renormalization_sensitive_maps(Rng& rng,
