@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
       service::ShardedFrontend frontend{fc};
       const auto sharded_delivery = exp.world->report_positions(frontend, now);
       const auto sharded_answers =
-          frontend.closest_batch(clients, candidates, 5, now);
+          frontend.view().closest_batch(clients, candidates, 5, now);
       const bool match =
           bench::ranked_digest(sharded_answers) == bench::ranked_digest(answers);
       std::cout << "sharded serving (" << frontend.shard_count()

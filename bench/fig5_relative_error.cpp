@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
       candidates.push_back(exp.world->topology().host(h).name);
     }
     const auto baseline = svc.closest_batch(clients, candidates, 5, now);
-    const auto sharded = frontend.closest_batch(clients, candidates, 5, now);
+    const auto sharded =
+        frontend.view().closest_batch(clients, candidates, 5, now);
     const bool match =
         bench::ranked_digest(sharded) == bench::ranked_digest(baseline);
     std::cout << "\nsharded serving (" << frontend.shard_count()

@@ -90,8 +90,8 @@ FaultedRun run_faulted(eval::World& world, const sim::FaultPlan* plan,
   // Availability sweep: one gathered query per live client. Crashed
   // shards' members are served from fallbacks, so they stay queryable.
   std::vector<std::vector<service::RankedNode>> answers;
-  for (const std::string& id : fe.live_nodes(t)) {
-    const auto gathered = fe.closest_any_gathered(id, 8, t, pool);
+  for (const std::string& id : fe.view().live_nodes(t)) {
+    const auto gathered = fe.view().closest_any_gathered(id, 8, t, pool);
     ++run.clients;
     switch (gathered.tiered.tier) {
       case service::AnswerTier::kFresh:
@@ -114,7 +114,7 @@ FaultedRun run_faulted(eval::World& world, const sim::FaultPlan* plan,
   // frontend holds for the crashed shards, then re-count.
   if (reference != nullptr && run.shards_down > 0) {
     std::vector<std::string> frames;
-    for (const std::string& id : reference->live_nodes(t)) {
+    for (const std::string& id : reference->view().live_nodes(t)) {
       const auto report = reference->report_of(id);
       if (!report.has_value()) continue;
       if (auto bytes = service::encode(*report)) {

@@ -11,7 +11,8 @@
 //
 // Everything in `engine_detail` is internal: layouts and kernel
 // signatures may change freely between PRs. User code queries through
-// `SimilarityEngine` / `EngineSnapshot`.
+// `SimilarityEngine` / `EngineSnapshot`, which both inherit their five
+// queries from `CorpusReads` below.
 #pragma once
 
 #include <cstdint>
@@ -222,4 +223,78 @@ template <typename T>
 }
 
 }  // namespace engine_detail
+
+/// The five queries of SimilarityEngine and EngineSnapshot: one surface
+/// over the owner's borrowed storage (`Owner::view()`, valid until the
+/// engine's next mutation; while the snapshot is held), so the two
+/// answer alike by construction. Each query takes a `RowView` — a
+/// RatioMap converts implicitly, a corpus row comes from `row_view` —
+/// and answers from one pass over the query's posting lists, in the
+/// calling thread's own scratch: callers run many at once with a
+/// `parallel_for` whose slots are indexed by query, and the results are
+/// bit-identical for any pool size.
+template <typename Owner>
+class CorpusReads {
+ public:
+  /// Similarity of `query` to every corpus row, indexed by row position
+  /// (0 for dead rows); `out.size()` must be `size()`. Bit-identical to
+  /// calling `similarity(kind, query, map)` per live map. If
+  /// `touched_maps` is non-null it receives the number of corpus maps
+  /// sharing at least one replica with the query — the work the
+  /// inverted index actually did.
+  void scores(const RowView& query, std::span<double> out,
+              std::size_t* touched_maps = nullptr) const {
+    engine_detail::dense_scores(corpus(), query, out, touched_maps);
+  }
+
+  /// Similarity of the query to the given corpus rows only:
+  /// `out[i] = similarity(query, row subset[i])`, bit-identical to the
+  /// dense `scores` read at those positions (0 for dead rows), without
+  /// materializing — or zero-filling — a corpus-sized vector. Cost is
+  /// O(query postings + subset). Duplicate or unordered subset indices
+  /// are fine.
+  void scores_subset(const RowView& query, std::span<const std::size_t> subset,
+                     std::span<double> out,
+                     std::size_t* touched_maps = nullptr) const {
+    engine_detail::subset_scores(corpus(), query, subset, out, touched_maps);
+  }
+
+  /// (row, score) for every corpus row sharing a replica with `query`:
+  /// the rows the dense `scores` writes, bit-identical, in first-touch
+  /// order. Every other row scores exactly 0, so a ranking over these
+  /// alone costs O(touched), not O(corpus). `out.size()` afterwards is
+  /// the touched-map count the dense form reports.
+  void touched_scores(const RowView& query,
+                      std::vector<RankedCandidate>& out) const {
+    engine_detail::touched_scores(corpus(), query, out);
+  }
+
+  /// The best-scoring *live* row for the query — `top_k(query, 1)[0]`
+  /// without the sort or the allocation: highest similarity, ties to the
+  /// lowest row index, and the first live row (at similarity 0) when no
+  /// row shares a replica with the query. nullopt iff no live rows.
+  /// This is SMF's argmax-over-centers: O(query postings), independent
+  /// of the corpus row count.
+  [[nodiscard]] std::optional<RankedCandidate> best_match(
+      const RowView& query, std::size_t* touched_maps = nullptr) const {
+    return engine_detail::best_match(corpus(), query, touched_maps);
+  }
+
+  /// The k best *live* rows by (similarity desc, row asc), without
+  /// scoring or sorting the rows the query shares no replica with:
+  /// zero-similarity live rows pad the tail in row order when k exceeds
+  /// the comparable ones. `top_k(query, live_size())` is the full
+  /// ranking — the same contract, bit for bit, as `rank_candidates` over
+  /// the live maps. Dead rows are never returned.
+  [[nodiscard]] std::vector<RankedCandidate> top_k(const RowView& query,
+                                                   std::size_t k) const {
+    return engine_detail::top_k(corpus(), query, k);
+  }
+
+ private:
+  [[nodiscard]] engine_detail::CorpusView corpus() const {
+    return static_cast<const Owner&>(*this).view();
+  }
+};
+
 }  // namespace crp::core

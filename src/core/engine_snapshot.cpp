@@ -59,31 +59,4 @@ void EngineSnapshot::check_invariants(const SimilarityEngine* source) const {
   }
 }
 
-void EngineSnapshot::scores(const RowView& query, std::span<double> out,
-                            std::size_t* touched_maps) const {
-  engine_detail::dense_scores(view(), query, out, touched_maps);
-}
-
-void EngineSnapshot::scores_subset(const RowView& query,
-                                   std::span<const std::size_t> subset,
-                                   std::span<double> out,
-                                   std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), query, subset, out, touched_maps);
-}
-
-void EngineSnapshot::touched_scores(const RowView& query,
-                                    std::vector<RankedCandidate>& out) const {
-  engine_detail::touched_scores(view(), query, out);
-}
-
-std::optional<RankedCandidate> EngineSnapshot::best_match(
-    const RowView& query, std::size_t* touched_maps) const {
-  return engine_detail::best_match(view(), query, touched_maps);
-}
-
-std::vector<RankedCandidate> EngineSnapshot::top_k(const RowView& query,
-                                                   std::size_t k) const {
-  return engine_detail::top_k(view(), query, k);
-}
-
 }  // namespace crp::core

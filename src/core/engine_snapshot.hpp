@@ -6,11 +6,11 @@
 // bytes themselves), its replica index until a new replica appears, and
 // every frozen posting list no write touched since the previous freeze;
 // it owns fresh copies of the flat row tables and of the list-view table
-// the kernels walk. Every query here runs the same `engine_detail`
-// kernels the mutable engine runs, over those frozen bytes — so a
-// snapshot query is bit-identical to the same query against the engine
-// at the moment of the freeze. That is the whole determinism story: one
-// kernel implementation, two storage owners.
+// the kernels walk. Its queries are the engine's own (`CorpusReads`,
+// core/engine_kernels.hpp) over those frozen bytes — so a snapshot query
+// is bit-identical to the same query against the engine at the moment of
+// the freeze. That is the whole determinism story: one query surface,
+// two storage owners.
 //
 // Thread safety: an EngineSnapshot is deeply immutable after freeze();
 // any number of threads may query one concurrently with no locking (the
@@ -23,20 +23,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "core/engine_kernels.hpp"
 #include "core/ratio_map.hpp"
-#include "core/selection.hpp"
 #include "core/similarity.hpp"
 
 namespace crp::core {
 
 class SimilarityEngine;
 
-class EngineSnapshot {
+class EngineSnapshot : public CorpusReads<EngineSnapshot> {
  public:
   /// Row-slot count (dead slots included), the length of dense score
   /// vectors — mirrors SimilarityEngine::size() at the freeze.
@@ -61,24 +58,6 @@ class EngineSnapshot {
   [[nodiscard]] RowView row_view(std::size_t index) const {
     return view().row_view(index);
   }
-
-  // --- queries: each bit-identical to its SimilarityEngine namesake at
-  // --- the frozen epoch (same kernels, same bytes) ---
-
-  void scores(const RowView& query, std::span<double> out,
-              std::size_t* touched_maps = nullptr) const;
-  /// Subset read with a raw row view (possibly another shard's) as the
-  /// query — the scatter/gather candidate-list path.
-  void scores_subset(const RowView& query,
-                     std::span<const std::size_t> subset,
-                     std::span<double> out,
-                     std::size_t* touched_maps = nullptr) const;
-  void touched_scores(const RowView& query,
-                      std::vector<RankedCandidate>& out) const;
-  [[nodiscard]] std::optional<RankedCandidate> best_match(
-      const RowView& query, std::size_t* touched_maps = nullptr) const;
-  [[nodiscard]] std::vector<RankedCandidate> top_k(const RowView& query,
-                                                   std::size_t k) const;
 
   /// Throws std::logic_error naming the first broken invariant:
   ///  * every row segment lies in an arena chunk the snapshot holds, and

@@ -411,35 +411,4 @@ void SimilarityEngine::check_invariants() const {
   if (held != current + frozen_dead_) fail("frozen dead weight is off");
 }
 
-// --- query forwarding: every query runs the shared kernels over this
-// --- engine's CorpusView (bit-identity with EngineSnapshot by
-// --- construction — same code, same storage bytes).
-
-void SimilarityEngine::scores(const RowView& query, std::span<double> out,
-                              std::size_t* touched_maps) const {
-  engine_detail::dense_scores(view(), query, out, touched_maps);
-}
-
-void SimilarityEngine::scores_subset(const RowView& query,
-                                     std::span<const std::size_t> subset,
-                                     std::span<double> out,
-                                     std::size_t* touched_maps) const {
-  engine_detail::subset_scores(view(), query, subset, out, touched_maps);
-}
-
-void SimilarityEngine::touched_scores(
-    const RowView& query, std::vector<RankedCandidate>& out) const {
-  engine_detail::touched_scores(view(), query, out);
-}
-
-std::optional<RankedCandidate> SimilarityEngine::best_match(
-    const RowView& query, std::size_t* touched_maps) const {
-  return engine_detail::best_match(view(), query, touched_maps);
-}
-
-std::vector<RankedCandidate> SimilarityEngine::top_k(const RowView& query,
-                                                     std::size_t k) const {
-  return engine_detail::top_k(view(), query, k);
-}
-
 }  // namespace crp::core

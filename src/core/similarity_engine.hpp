@@ -36,14 +36,11 @@
 // and norms/sizes come from the same `RatioMap` the fresh build would
 // ingest.
 //
-// Queries: five entry points, each taking the query as a `RowView` — a
-// RatioMap converts implicitly, a corpus row comes from `row_view` — and
-// each answering from one pass over the query's posting lists: dense
-// `scores`, `scores_subset`, `touched_scores`, `best_match` and `top_k`.
-// A query reads only its own thread_local scratch, so callers run many at
-// once with a `parallel_for` whose slots are indexed by query, and the
-// results are bit-identical for any pool size. Mutations are not
-// thread-safe; quiesce queries before calling add/update/remove/compact.
+// Queries: the five of `CorpusReads` (core/engine_kernels.hpp), shared
+// with `EngineSnapshot` — dense `scores`, `scores_subset`,
+// `touched_scores`, `best_match` and `top_k`, each over `view()`.
+// Mutations are not thread-safe; quiesce queries before calling
+// add/update/remove/compact.
 //
 // Concurrent serving (DESIGN.md §8): `freeze()` produces an immutable
 // `EngineSnapshot` sharing this engine's query kernels, its arena chunks
@@ -56,20 +53,18 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/engine_kernels.hpp"
 #include "core/ratio_map.hpp"
-#include "core/selection.hpp"
 #include "core/similarity.hpp"
 
 namespace crp::core {
 
 class EngineSnapshot;
 
-class SimilarityEngine {
+class SimilarityEngine : public CorpusReads<SimilarityEngine> {
  public:
   /// Mutation counters (monotonic over the engine's lifetime).
   struct MutationStats {
@@ -216,54 +211,6 @@ class SimilarityEngine {
   /// engine retains the newest snapshot to share from.
   [[nodiscard]] std::shared_ptr<const EngineSnapshot> freeze(
       std::uint64_t epoch);
-
-  // --- queries ---
-
-  /// Similarity of `query` to every corpus row, indexed by row position
-  /// (0 for dead rows); `out.size()` must be `size()`. Bit-identical to
-  /// calling `similarity(kind, query, map)` per live map. If
-  /// `touched_maps` is non-null it receives the number of corpus maps
-  /// sharing at least one replica with the query — the work the
-  /// inverted index actually did.
-  void scores(const RowView& query, std::span<double> out,
-              std::size_t* touched_maps = nullptr) const;
-
-  /// Similarity of the query to the given corpus rows only:
-  /// `out[i] = similarity(query, row subset[i])`, bit-identical to the
-  /// dense `scores` read at those positions (0 for dead rows), without
-  /// materializing — or zero-filling — an engine-sized vector. Cost is
-  /// O(query postings + subset). Duplicate or unordered subset indices
-  /// are fine.
-  void scores_subset(const RowView& query,
-                     std::span<const std::size_t> subset,
-                     std::span<double> out,
-                     std::size_t* touched_maps = nullptr) const;
-
-  /// (row, score) for every corpus row sharing a replica with `query`:
-  /// the rows the dense `scores` writes, bit-identical, in first-touch
-  /// order. Every other row scores exactly 0, so a ranking over these
-  /// alone costs O(touched), not O(corpus). `out.size()` afterwards is
-  /// the touched-map count the dense form reports.
-  void touched_scores(const RowView& query,
-                      std::vector<RankedCandidate>& out) const;
-
-  /// The best-scoring *live* row for the query — `top_k(query, 1)[0]`
-  /// without the sort or the allocation: highest similarity, ties to the
-  /// lowest row index, and the first live row (at similarity 0) when no
-  /// row shares a replica with the query. nullopt iff no live rows.
-  /// This is SMF's argmax-over-centers: O(query postings), independent
-  /// of the corpus row count.
-  [[nodiscard]] std::optional<RankedCandidate> best_match(
-      const RowView& query, std::size_t* touched_maps = nullptr) const;
-
-  /// The k best *live* rows by (similarity desc, row asc), without
-  /// scoring or sorting the rows the query shares no replica with:
-  /// zero-similarity live rows pad the tail in row order when k exceeds
-  /// the comparable ones. `top_k(query, live_size())` is the full
-  /// ranking — the same contract, bit for bit, as `rank_candidates` over
-  /// the live maps. Dead rows are never returned.
-  [[nodiscard]] std::vector<RankedCandidate> top_k(const RowView& query,
-                                                   std::size_t k) const;
 
  private:
   friend class EngineSnapshot;  // check_invariants compares with its source

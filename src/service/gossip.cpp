@@ -148,7 +148,7 @@ const GossipMesh::Node& GossipMesh::node_at(const std::string& node) const {
 
 std::vector<std::string> GossipMesh::live_in_store(const Node& node,
                                                    SimTime now) const {
-  return node.sharded ? node.sharded->live_nodes(now)
+  return node.sharded ? node.sharded->view().live_nodes(now)
                       : node.store->live_nodes(now);
 }
 

@@ -51,9 +51,10 @@ Duration PositionService::usable_bound() const {
              : config_.staleness_bound;
 }
 
-serving_detail::TableView PositionService::tables() const {
-  return {engine_.view(), ids_, stamps_, *by_id_, config_.staleness_bound,
-          config_.stale_usable_bound, counters_.get(), clustering_.get()};
+std::array<serving_detail::TableView, 1> PositionService::tables() const {
+  return {serving_detail::TableView{
+      engine_.view(), ids_, stamps_, *by_id_, config_.staleness_bound,
+      config_.stale_usable_bound, counters_.get(), clustering_.get()}};
 }
 
 void PositionService::sync_engine_stats() {
@@ -231,11 +232,14 @@ std::optional<PositionReport> PositionService::report_of(
       core::RatioMap::from_canonical(engine_.row_view(slot).entries)};
 }
 
+bool PositionService::clustering_current(SimTime now) const {
+  return clustered_epoch_ == membership_epoch_ &&
+         clustered_at_ >= SimTime::epoch() &&
+         serving_detail::within(clustered_at_, now, config_.recluster_after);
+}
+
 void PositionService::ensure_clustering(SimTime now) {
-  const bool fresh = clustered_epoch_ == membership_epoch_ &&
-                     clustered_at_ >= SimTime::epoch() &&
-                     now - clustered_at_ <= config_.recluster_after;
-  if (fresh) {
+  if (clustering_current(now)) {
     clustering_cache_hits_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -265,23 +269,23 @@ void PositionService::ensure_clustering(SimTime now) {
 std::vector<std::string> PositionService::same_cluster(
     const std::string& node_id, SimTime now) {
   // Only a live client's answer needs the clustering.
-  if (tables().live_slot(node_id, now) != serving_detail::TableView::npos) {
+  if (tables()[0].live_slot(node_id, now) != serving_detail::TableView::npos) {
     ensure_clustering(now);
   }
-  return serving_detail::same_cluster(tables(), node_id, now);
+  return serving_detail::same_cluster(tables()[0], node_id, now);
 }
 
 std::unordered_map<std::string, std::size_t>
 PositionService::cluster_assignment(SimTime now) {
   ensure_clustering(now);
-  return serving_detail::cluster_assignment(tables(), now);
+  return serving_detail::cluster_assignment(tables()[0], now);
 }
 
 std::vector<std::string> PositionService::diverse_set(std::size_t n,
                                                       SimTime now,
                                                       std::uint64_t seed) {
   ensure_clustering(now);
-  return serving_detail::diverse_set(tables(), n, now, seed);
+  return serving_detail::diverse_set(tables()[0], n, now, seed);
 }
 
 std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
@@ -309,9 +313,7 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
   if (config_.snapshots.clustering) {
     ensure_clustering(now);
     snap->clustering_ = clustering_;
-  } else if (clustered_epoch_ == membership_epoch_ &&
-             clustered_at_ >= SimTime::epoch() &&
-             now - clustered_at_ <= config_.recluster_after) {
+  } else if (clustering_current(now)) {
     // Not asked to cluster, but the cache happens to be current —
     // attaching the shared generation costs nothing and lets snapshot
     // cluster queries answer.
@@ -379,7 +381,7 @@ std::size_t PositionService::expire(SimTime now) {
 }
 
 void PositionService::check_invariants() const {
-  serving_detail::check_tables(tables(), "PositionService");
+  serving_detail::check_tables(tables()[0], "PositionService");
   engine_.check_invariants();
 }
 

@@ -242,12 +242,17 @@ struct ServingCounters {
   ShardedCounter refused_queries;
 };
 
-/// The read surface PositionService and ServingSnapshot share. Every
-/// query is one call into the serving core (service/serving_detail.hpp)
-/// over the owner's one table (`Owner::tables()`: the service's live
-/// tables, a snapshot's frozen ones), so the two answer alike by
-/// construction. Reads are const and safe to run concurrently while no
-/// write runs.
+/// The read surface of PositionService, ServingSnapshot and
+/// ShardedFrontend::View. Every query is one call into the serving core
+/// (service/serving_detail.hpp) over the owner's borrowed shard tables
+/// (`Owner::tables()`: the service's one live table, a snapshot's one
+/// frozen table, a View's captured table per shard), so the three answer
+/// alike by construction. `pool` runs a single read's shards and a
+/// batch's clients (nullptr: `ThreadPool::shared()`); a one-table single
+/// read runs inline, so for the service and a snapshot only batches use
+/// it. Answers are pool-size-independent. Reads are const; a service's
+/// are safe to run concurrently while no write runs, a snapshot's and a
+/// View's always.
 template <typename Owner>
 class TableReads {
  public:
@@ -256,7 +261,7 @@ class TableReads {
   /// GossipMesh::coverage binary-searches the result (and asserts the
   /// order). Keep it sorted.
   [[nodiscard]] std::vector<std::string> live_nodes(SimTime now) const {
-    return serving_detail::live_nodes(table(), now);
+    return serving_detail::live_nodes(lent(), now);
   }
 
   // --- §IV.A closest-node selection ---
@@ -265,24 +270,24 @@ class TableReads {
   /// unknown client yields empty.
   [[nodiscard]] std::vector<RankedNode> closest(
       const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now) const {
-    return serving_detail::closest(table(), client, candidates, k, now,
-                                   nullptr);
+      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const {
+    return serving_detail::closest(lent(), client, candidates, k, now, pool);
   }
   /// Same, but over every live node except the client.
   [[nodiscard]] std::vector<RankedNode> closest_any(
-      const std::string& client, std::size_t k, SimTime now) const {
-    return serving_detail::closest(table(), client, std::nullopt, k, now,
-                                   nullptr);
+      const std::string& client, std::size_t k, SimTime now,
+      ThreadPool* pool = nullptr) const {
+    return serving_detail::closest(lent(), client, std::nullopt, k, now,
+                                   pool);
   }
   /// Ranks every live node by similarity to an external query map (a
   /// position that never published — e.g. a prospective node probing
   /// where it would land), best first, at most k entries. Same
   /// (similarity desc, id asc) total order as the closest paths.
-  [[nodiscard]] std::vector<RankedNode> top_k(const core::RatioMap& query,
-                                              std::size_t k,
-                                              SimTime now) const {
-    return serving_detail::top_k(table(), query, k, now, nullptr);
+  [[nodiscard]] std::vector<RankedNode> top_k(
+      const core::RatioMap& query, std::size_t k, SimTime now,
+      ThreadPool* pool = nullptr) const {
+    return serving_detail::top_k(lent(), query, k, now, pool);
   }
 
   // --- degraded-mode serving (DESIGN.md §7) ---
@@ -292,49 +297,50 @@ class TableReads {
   /// the answer is marked kStale; otherwise the query *refuses* with a
   /// typed reason instead of silently returning empty. With the stale
   /// tier disabled (default config) only kFresh/kRefused occur.
-  [[nodiscard]] TieredAnswer closest_any_tiered(const std::string& client,
-                                                std::size_t k,
-                                                SimTime now) const {
-    return serving_detail::closest_tiered(table(), client, std::nullopt, {},
-                                          k, now, nullptr);
+  [[nodiscard]] TieredAnswer closest_any_tiered(
+      const std::string& client, std::size_t k, SimTime now,
+      ThreadPool* pool = nullptr) const {
+    return serving_detail::closest_tiered(lent(), client, std::nullopt, {},
+                                          k, now, pool);
   }
   /// Candidate-list variant of `closest_any_tiered`; the fresh tier
   /// ranks exactly what `closest` would.
   [[nodiscard]] TieredAnswer closest_tiered(
       const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now) const {
-    return serving_detail::closest_tiered(table(), client, candidates, {}, k,
-                                          now, nullptr);
+      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const {
+    return serving_detail::closest_tiered(lent(), client, candidates, {}, k,
+                                          now, pool);
   }
 
   // --- batched serving (DESIGN.md §6 "Batched query execution") ---
   /// `closest_any` for a whole batch of clients: result `i` is
   /// bit-identical to `closest_any(clients[i], k, now)`, with the same
-  /// counter totals. Clients run in parallel on `pool` (default
-  /// `ThreadPool::shared()`), each one touched-only engine read of its
-  /// own corpus row, so a client costs O(rows sharing a replica with
-  /// it), not O(corpus).
+  /// counter totals. Clients run in parallel on `pool`, each one
+  /// touched-only engine read of its own corpus row per shard, so a
+  /// client costs O(rows sharing a replica with it), not O(corpus).
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients, std::size_t k, SimTime now,
       ThreadPool* pool = nullptr) const {
-    return serving_detail::closest_batch(table(), clients, std::nullopt, k,
+    return serving_detail::closest_batch(lent(), clients, std::nullopt, k,
                                          now, pool);
   }
   /// Candidate-list variant: result `i` is bit-identical to
   /// `closest(clients[i], candidates, k, now)`. The candidate set is
-  /// vetted (known + live) once for the batch; each client then scores
-  /// only the vetted slots.
+  /// vetted (known + live) once per shard for the batch; each client
+  /// then scores only the vetted slots.
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients,
       std::span<const std::string> candidates, std::size_t k, SimTime now,
       ThreadPool* pool = nullptr) const {
-    return serving_detail::closest_batch(table(), clients, candidates, k, now,
+    return serving_detail::closest_batch(lent(), clients, candidates, k, now,
                                          pool);
   }
 
  private:
-  [[nodiscard]] std::array<serving_detail::TableView, 1> table() const {
-    return {static_cast<const Owner&>(*this).tables()};
+  /// The owner's tables: a span, or the service's one table by value,
+  /// which lives until the end of the read's full expression.
+  [[nodiscard]] auto lent() const {
+    return static_cast<const Owner&>(*this).tables();
   }
 };
 
@@ -462,7 +468,7 @@ class PositionService : public TableReads<PositionService> {
 
   /// The live tables, borrowed by the serving core (one shard); valid
   /// until the next write.
-  [[nodiscard]] serving_detail::TableView tables() const;
+  [[nodiscard]] std::array<serving_detail::TableView, 1> tables() const;
   /// publish() minus the snapshot hook — the shared core publish,
   /// publish_encoded and publish_batch apply per report.
   bool publish_impl(PositionReport report, SimTime now);
@@ -491,9 +497,12 @@ class PositionService : public TableReads<PositionService> {
   /// by_id_ for a join or a leave: copied first if a snapshot shares it.
   /// Updates never edit it.
   [[nodiscard]] std::vector<std::uint32_t>& writable_index();
-  /// Recomputes the cached clustering if membership changed or the cache
-  /// aged out. The clustering covers every engine row (stale-but-known
-  /// nodes included); answers filter liveness afterwards.
+  /// Whether the cached clustering covers the current membership and is
+  /// at most `recluster_after` old at `now`.
+  [[nodiscard]] bool clustering_current(SimTime now) const;
+  /// Recomputes the cached clustering unless it is current. The
+  /// clustering covers every engine row (stale-but-known nodes
+  /// included); answers filter liveness afterwards.
   void ensure_clustering(SimTime now);
 
   ServiceConfig config_;

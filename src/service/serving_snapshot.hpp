@@ -78,15 +78,13 @@ class ServingSnapshot : public TableReads<ServingSnapshot> {
 
  private:
   friend class PositionService;
-  friend class ShardedFrontend;  // a View borrows tables()
+  friend class ShardedFrontend;  // a View copies tables_
   friend class TableReads<ServingSnapshot>;
   ServingSnapshot() = default;
 
   /// The frozen tables, borrowed by the serving core (one shard); valid
   /// while this snapshot is held.
-  [[nodiscard]] const serving_detail::TableView& tables() const {
-    return tables_;
-  }
+  [[nodiscard]] serving_detail::Tables tables() const { return {&tables_, 1}; }
 
   std::uint64_t membership_epoch_ = 0;
   SimTime frozen_at_ = SimTime{-1};

@@ -9,6 +9,20 @@
 #include "sim/fault_plan.hpp"
 
 namespace crp::service {
+namespace {
+
+/// Whether at least `d` has passed from `since` to `now`: `now - since
+/// >= d` without forming a difference past the int64 range (such a
+/// difference exceeds every `d` when `now` is later and none when it is
+/// earlier).
+bool elapsed(SimTime since, SimTime now, Duration d) {
+  std::int64_t gap = 0;
+  return __builtin_sub_overflow(now.micros(), since.micros(), &gap)
+             ? now > since
+             : gap >= d.micros();
+}
+
+}  // namespace
 
 ShardedFrontend::ShardedFrontend(ShardedFrontendConfig config)
     : config_(std::move(config)) {
@@ -42,13 +56,6 @@ std::size_t ShardedFrontend::shard_index(std::string_view node_id,
 
 void ShardedFrontend::set_fault_plan(const sim::FaultPlan* plan) {
   plan_ = plan != nullptr && plan->empty() ? nullptr : plan;
-  if (plan_ == nullptr) return;
-  // Seed every fallback with the currently published snapshot so a
-  // shard that fails before its first armed write still has a
-  // last-known-good to serve.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    runtime_[s]->fallback.store(shards_[s]->snapshot());
-  }
 }
 
 void ShardedFrontend::open_breaker(std::size_t s, SimTime now) {
@@ -70,12 +77,10 @@ void ShardedFrontend::process_shard_faults(std::size_t s, SimTime now) {
   if (crash.has_value() && (!rt.crash_seen || *crash != rt.last_crash_key)) {
     rt.crash_seen = true;
     rt.last_crash_key = *crash;
-    if (rt.fallback.load() == nullptr) {
-      rt.fallback.store(shards_[s]->snapshot());
-    }
-    // The wipe: the shard publishes an empty snapshot, but Views keep
-    // serving the fallback captured above until recovery re-closes the
-    // breaker.
+    // The wipe: the shard publishes an empty snapshot, but Views serve
+    // the pre-crash one held here until recovery. A crash of a shard
+    // still awaiting recovery keeps the snapshot of the first crash.
+    if (!rt.needs_recovery) rt.fallback.store(shards_[s]->snapshot());
     shards_[s]->reset(now);
     rt.needs_recovery = true;
     shard_crashes_.fetch_add(1, std::memory_order_relaxed);
@@ -92,7 +97,7 @@ void ShardedFrontend::process_shard_faults(std::size_t s, SimTime now) {
   if (static_cast<ShardHealth>(rt.health.load(std::memory_order_relaxed)) ==
           ShardHealth::kOpen &&
       !rt.needs_recovery && rt.opened_at >= SimTime::epoch() &&
-      now - rt.opened_at >= config_.breaker.open_cooldown) {
+      elapsed(rt.opened_at, now, config_.breaker.open_cooldown)) {
     rt.health.store(static_cast<std::uint8_t>(ShardHealth::kHalfOpen),
                     std::memory_order_relaxed);
     rt.half_open_successes = 0;
@@ -161,10 +166,6 @@ bool ShardedFrontend::admit_write(std::size_t s, SimTime now,
   return false;
 }
 
-void ShardedFrontend::refresh_fallback(std::size_t s) {
-  runtime_[s]->fallback.store(shards_[s]->snapshot());
-}
-
 void ShardedFrontend::tick(SimTime now) {
   if (plan_ == nullptr) return;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -203,7 +204,7 @@ std::size_t ShardedFrontend::recover_shard(std::size_t index,
   (void)shards_[index]->publish_snapshot(now);
   recovery_replays_.fetch_add(accepted, std::memory_order_relaxed);
   rt.needs_recovery = false;
-  refresh_fallback(index);
+  rt.fallback.store(nullptr);
   // Caught up: the breaker closes without half-open ceremony — the
   // replay itself was the probe.
   if (static_cast<ShardHealth>(rt.health.load(std::memory_order_relaxed)) !=
@@ -253,6 +254,11 @@ void ShardedFrontend::check_invariants() const {
       fail("shard " + std::to_string(s) +
            " needs recovery but its breaker is not open");
     }
+    if ((runtime_[s]->fallback.load() != nullptr) !=
+        runtime_[s]->needs_recovery) {
+      fail("shard " + std::to_string(s) +
+           " holds a pre-crash snapshot iff it needs no recovery");
+    }
   }
   const FrontendHealthStats hs = health_stats();
   if (hs.breaker_closes > hs.breaker_opens ||
@@ -266,9 +272,7 @@ void ShardedFrontend::check_invariants() const {
 bool ShardedFrontend::publish(PositionReport report, SimTime now) {
   const std::size_t s = shard_of(report.node_id);
   if (!admit_write(s, now, 1)) return false;
-  const bool accepted = shards_[s]->publish(std::move(report), now);
-  if (plan_ != nullptr) refresh_fallback(s);
-  return accepted;
+  return shards_[s]->publish(std::move(report), now);
 }
 
 bool ShardedFrontend::publish_encoded(std::string_view bytes, SimTime now) {
@@ -282,18 +286,14 @@ bool ShardedFrontend::publish_encoded(std::string_view bytes, SimTime now) {
   }
   const std::size_t s = shard_of(*id);
   if (!admit_write(s, now, 1)) return false;
-  const bool accepted = shards_[s]->publish_encoded(bytes, now);
-  if (plan_ != nullptr) refresh_fallback(s);
-  return accepted;
+  return shards_[s]->publish_encoded(bytes, now);
 }
 
 std::size_t ShardedFrontend::publish_batch(std::span<const std::string> batch,
                                            SimTime now, ThreadPool* pool) {
   if (shards_.size() == 1) {
     if (!admit_write(0, now, batch.size())) return 0;
-    const std::size_t accepted = shards_[0]->publish_batch(batch, now, pool);
-    if (plan_ != nullptr) refresh_fallback(0);
-    return accepted;
+    return shards_[0]->publish_batch(batch, now, pool);
   }
   std::vector<std::vector<std::string>> groups(shards_.size());
   for (const std::string& bytes : batch) {
@@ -329,11 +329,6 @@ std::size_t ShardedFrontend::publish_batch(std::span<const std::string> batch,
   });
   std::size_t total = 0;
   for (const std::size_t a : accepted) total += a;
-  if (plan_ != nullptr) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (admitted[s] != 0 && !groups[s].empty()) refresh_fallback(s);
-    }
-  }
   return total;
 }
 
@@ -345,9 +340,7 @@ bool ShardedFrontend::remove(const std::string& node_id) {
     writes_shed_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  const bool dropped = shards_[s]->remove(node_id);
-  if (plan_ != nullptr) refresh_fallback(s);
-  return dropped;
+  return shards_[s]->remove(node_id);
 }
 
 std::size_t ShardedFrontend::expire(SimTime now) {
@@ -363,7 +356,6 @@ std::size_t ShardedFrontend::expire(SimTime now) {
       }
     }
     dropped += shards_[s]->expire(now);
-    if (plan_ != nullptr) refresh_fallback(s);
   }
   return dropped;
 }
@@ -378,7 +370,6 @@ void ShardedFrontend::publish_snapshots(SimTime now) {
       }
     }
     (void)shards_[s]->publish_snapshot(now);
-    if (plan_ != nullptr) refresh_fallback(s);
   }
 }
 
@@ -438,18 +429,17 @@ ShardedFrontend::View ShardedFrontend::view() const {
     if (plan_ != nullptr) {
       h = runtime_[s]->health.load(std::memory_order_relaxed);
       if (static_cast<ShardHealth>(h) != ShardHealth::kClosed) {
-        // Failed shard: serve its last-known-good fallback, not
-        // whatever the wiped/stalled service currently publishes.
+        // Failed shard: serve its last known good — the pre-crash
+        // snapshot while it awaits recovery, else what it published last
+        // (a failed shard publishes nothing new).
         snap = runtime_[s]->fallback.load();
-        if (snap != nullptr) {
-          health_counters_->stale_fallback_views.fetch_add(
-              1, std::memory_order_relaxed);
-        }
+        health_counters_->stale_fallback_views.fetch_add(
+            1, std::memory_order_relaxed);
       }
     }
     if (snap == nullptr) snap = shards_[s]->snapshot();
     v.epochs_.push_back(snap->membership_epoch());
-    v.tables_.push_back(snap->tables());
+    v.tables_.push_back(snap->tables_);
     v.snaps_.push_back(std::move(snap));
     v.health_.push_back(h);
   }
@@ -463,7 +453,8 @@ ShardCompleteness ShardedFrontend::View::completeness(SimTime now) const {
   for (std::size_t s = 0; s < n; ++s) {
     if (static_cast<ShardHealth>(health_[s]) == ShardHealth::kClosed) {
       ++c.shards_answered;
-    } else if (now - snaps_[s]->frozen_at() <= usable_bound_) {
+    } else if (serving_detail::within(snaps_[s]->frozen_at(), now,
+                                      usable_bound_)) {
       // The fallback is within the stale-usable window: the shard
       // answers, flagged, from its last-known-good capture.
       ++c.shards_answered;
@@ -475,45 +466,10 @@ ShardCompleteness ShardedFrontend::View::completeness(SimTime now) const {
   return c;
 }
 
-std::size_t ShardedFrontend::View::shard_of(std::string_view node_id) const {
-  return shard_index(node_id, snaps_.size());
-}
-
 std::size_t ShardedFrontend::View::size() const {
   std::size_t total = 0;
   for (const auto& snap : snaps_) total += snap->size();
   return total;
-}
-
-std::vector<std::string> ShardedFrontend::View::live_nodes(
-    SimTime now) const {
-  return serving_detail::live_nodes(tables_, now);
-}
-
-std::vector<RankedNode> ShardedFrontend::View::closest_any(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return serving_detail::closest(tables_, client, std::nullopt, k, now, pool);
-}
-
-std::vector<RankedNode> ShardedFrontend::View::closest(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return serving_detail::closest(tables_, client, candidates, k, now, pool);
-}
-
-TieredAnswer ShardedFrontend::View::closest_any_tiered(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return serving_detail::closest_tiered(tables_, client, std::nullopt, {}, k,
-                                        now, pool);
-}
-
-TieredAnswer ShardedFrontend::View::closest_tiered(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return serving_detail::closest_tiered(tables_, client, candidates, {}, k,
-                                        now, pool);
 }
 
 GatheredAnswer ShardedFrontend::View::gathered(
@@ -555,88 +511,6 @@ GatheredAnswer ShardedFrontend::View::closest_gathered(
     const std::string& client, std::span<const std::string> candidates,
     std::size_t k, SimTime now, ThreadPool* pool) const {
   return gathered(client, candidates, k, now, pool);
-}
-
-std::vector<RankedNode> ShardedFrontend::View::top_k(
-    const core::RatioMap& query, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return serving_detail::top_k(tables_, query, k, now, pool);
-}
-
-std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
-    std::span<const std::string> clients, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return serving_detail::closest_batch(tables_, clients, std::nullopt, k, now,
-                                       pool);
-}
-
-std::vector<std::vector<RankedNode>> ShardedFrontend::View::closest_batch(
-    std::span<const std::string> clients,
-    std::span<const std::string> candidates, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return serving_detail::closest_batch(tables_, clients, candidates, k, now,
-                                       pool);
-}
-
-// --- frontend convenience wrappers (one View capture each) ---
-
-std::vector<std::string> ShardedFrontend::live_nodes(SimTime now) const {
-  return view().live_nodes(now);
-}
-
-std::vector<RankedNode> ShardedFrontend::closest(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return view().closest(client, candidates, k, now, pool);
-}
-
-std::vector<RankedNode> ShardedFrontend::closest_any(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return view().closest_any(client, k, now, pool);
-}
-
-TieredAnswer ShardedFrontend::closest_any_tiered(const std::string& client,
-                                                 std::size_t k, SimTime now,
-                                                 ThreadPool* pool) const {
-  return view().closest_any_tiered(client, k, now, pool);
-}
-
-TieredAnswer ShardedFrontend::closest_tiered(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return view().closest_tiered(client, candidates, k, now, pool);
-}
-
-std::vector<RankedNode> ShardedFrontend::top_k(const core::RatioMap& query,
-                                               std::size_t k, SimTime now,
-                                               ThreadPool* pool) const {
-  return view().top_k(query, k, now, pool);
-}
-
-std::vector<std::vector<RankedNode>> ShardedFrontend::closest_batch(
-    std::span<const std::string> clients, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return view().closest_batch(clients, k, now, pool);
-}
-
-std::vector<std::vector<RankedNode>> ShardedFrontend::closest_batch(
-    std::span<const std::string> clients,
-    std::span<const std::string> candidates, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return view().closest_batch(clients, candidates, k, now, pool);
-}
-
-GatheredAnswer ShardedFrontend::closest_any_gathered(
-    const std::string& client, std::size_t k, SimTime now,
-    ThreadPool* pool) const {
-  return view().closest_any_gathered(client, k, now, pool);
-}
-
-GatheredAnswer ShardedFrontend::closest_gathered(
-    const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return view().closest_gathered(client, candidates, k, now, pool);
 }
 
 // --- stats ---

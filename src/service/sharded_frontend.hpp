@@ -194,9 +194,11 @@ class ShardedFrontend {
   /// One acquire-all capture of every shard's published snapshot plus
   /// the epoch vector it implies. Queries on a View answer from exactly
   /// the captured snapshots — concurrent republishing never shifts an
-  /// answer mid-View. Safe to query from any number of threads; cheap
+  /// answer mid-View. Its reads (TableReads) are each bit-identical to
+  /// the PositionService read of the same name over the union corpus at
+  /// this view's epochs. Safe to query from any number of threads; cheap
   /// to copy (shared_ptrs).
-  class View {
+  class View : public TableReads<View> {
    public:
     [[nodiscard]] std::size_t shard_count() const { return snaps_.size(); }
     /// Membership epoch per shard at capture, in shard order.
@@ -206,41 +208,8 @@ class ShardedFrontend {
     [[nodiscard]] const ServingSnapshot& shard(std::size_t index) const {
       return *snaps_[index];
     }
-    /// Owning shard of `node_id` under this view's partitioning.
-    [[nodiscard]] std::size_t shard_of(std::string_view node_id) const;
-
-    /// Union of the shards' live nodes, lexicographic (the partitions
-    /// are disjoint, so the merge of their sorted answers is sorted).
-    [[nodiscard]] std::vector<std::string> live_nodes(SimTime now) const;
+    /// Nodes known to the captured snapshots (live or not).
     [[nodiscard]] std::size_t size() const;
-
-    // --- scattered queries: each bit-identical to the PositionService
-    // --- method of the same name over the union corpus at this view's
-    // --- epochs. `pool` runs a single read's shards and a batch's
-    // --- clients (nullptr = the shared pool; a one-shard single read
-    // --- runs inline); results are pool-size-independent.
-    [[nodiscard]] std::vector<RankedNode> closest(
-        const std::string& client, std::span<const std::string> candidates,
-        std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
-    [[nodiscard]] std::vector<RankedNode> closest_any(
-        const std::string& client, std::size_t k, SimTime now,
-        ThreadPool* pool = nullptr) const;
-    [[nodiscard]] TieredAnswer closest_any_tiered(
-        const std::string& client, std::size_t k, SimTime now,
-        ThreadPool* pool = nullptr) const;
-    [[nodiscard]] TieredAnswer closest_tiered(
-        const std::string& client, std::span<const std::string> candidates,
-        std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
-    [[nodiscard]] std::vector<RankedNode> top_k(
-        const core::RatioMap& query, std::size_t k, SimTime now,
-        ThreadPool* pool = nullptr) const;
-    [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-        std::span<const std::string> clients, std::size_t k, SimTime now,
-        ThreadPool* pool = nullptr) const;
-    [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-        std::span<const std::string> clients,
-        std::span<const std::string> candidates, std::size_t k, SimTime now,
-        ThreadPool* pool = nullptr) const;
 
     // --- fault-aware (gathered) queries ---
     /// Health captured per shard at view() time (all kClosed without an
@@ -267,7 +236,11 @@ class ShardedFrontend {
 
    private:
     friend class ShardedFrontend;
+    friend class TableReads<View>;
     View() = default;
+
+    /// The captured tables, one per shard, lent to the serving core.
+    [[nodiscard]] serving_detail::Tables tables() const { return tables_; }
 
     /// Shared body of the gathered queries: the tiered read with each
     /// shard's health band, plus the completeness it was gathered under.
@@ -352,48 +325,17 @@ class ShardedFrontend {
   // --- reads ---
   /// Acquire-all-then-answer: loads every shard's published snapshot in
   /// shard order. Never contains a null snapshot (the constructor
-  /// publishes an empty one per shard). Safe from any thread.
+  /// publishes an empty one per shard). Safe from any thread. Every read
+  /// goes through a View: pin one to answer several queries from one
+  /// capture.
   [[nodiscard]] View view() const;
-  // Convenience single-capture queries — each captures a fresh View.
-  // Pin a View yourself to answer several queries from one capture.
-  [[nodiscard]] std::vector<std::string> live_nodes(SimTime now) const;
-  [[nodiscard]] std::vector<RankedNode> closest(
-      const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
-  [[nodiscard]] std::vector<RankedNode> closest_any(
-      const std::string& client, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] TieredAnswer closest_any_tiered(
-      const std::string& client, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] TieredAnswer closest_tiered(
-      const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
-  [[nodiscard]] std::vector<RankedNode> top_k(
-      const core::RatioMap& query, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-      std::span<const std::string> clients, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
-      std::span<const std::string> clients,
-      std::span<const std::string> candidates, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] GatheredAnswer closest_any_gathered(
-      const std::string& client, std::size_t k, SimTime now,
-      ThreadPool* pool = nullptr) const;
-  [[nodiscard]] GatheredAnswer closest_gathered(
-      const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
 
   // --- fault tolerance (DESIGN.md §9) ---
   /// Arms (or with nullptr disarms) a deterministic fault plan. While
   /// armed, writes consult kShardStall/kShardCrash draws and the
   /// per-shard breakers; unarmed, every fault path short-circuits and
   /// the frontend is bit-identical to one that never heard of faults.
-  /// The plan must outlive the frontend (not copied). Arming seeds each
-  /// shard's fallback snapshot with its currently published one.
-  /// Writer-side.
+  /// The plan must outlive the frontend (not copied). Writer-side.
   void set_fault_plan(const sim::FaultPlan* plan);
   [[nodiscard]] const sim::FaultPlan* fault_plan() const { return plan_; }
   /// Advances fault scheduling to `now` without writing: fires due
@@ -411,8 +353,9 @@ class ShardedFrontend {
   /// Anti-entropy crash recovery: re-ingests `replay` (wire-encoded
   /// reports gathered from gossip peers; frames owned by other shards
   /// are filtered out, so callers may pass a whole peer store) into the
-  /// crashed shard, republishes its snapshot at `now`, refreshes the
-  /// fallback and force-closes the breaker. Returns reports accepted.
+  /// crashed shard, republishes its snapshot at `now`, drops the held
+  /// pre-crash snapshot and force-closes the breaker. Returns reports
+  /// accepted.
   /// No-op (returns 0) for shards not needing recovery. Writer-side.
   std::size_t recover_shard(std::size_t index,
                             std::span<const std::string> replay, SimTime now,
@@ -422,7 +365,8 @@ class ShardedFrontend {
   /// Throws std::logic_error naming the first broken invariant: each
   /// shard's own (PositionService::check_invariants); every id in shard
   /// s's slot table owned by s (shard_index); a shard still needing
-  /// recovery has an open breaker; breaker closes and half-opens never
+  /// recovery has an open breaker and holds its pre-crash snapshot, and
+  /// no other shard holds one; breaker closes and half-opens never
   /// outnumber opens. Writer-side.
   void check_invariants() const;
 
@@ -446,8 +390,11 @@ class ShardedFrontend {
   struct ShardRuntime {
     std::atomic<std::uint8_t> health{
         static_cast<std::uint8_t>(ShardHealth::kClosed)};
-    /// Last snapshot published by a healthy write — what Views serve
-    /// for this shard while it is failed (the "last known good").
+    /// The snapshot the shard published before its crash, held from the
+    /// crash to its recovery (null otherwise) — what Views serve for a
+    /// crashed shard instead of its wiped one. A shard that failed
+    /// without crashing serves its published snapshot: writes to it are
+    /// shed and maintenance skips it, so that is its last known good.
     SnapshotHandle<ServingSnapshot> fallback;
     // writer-only breaker bookkeeping
     std::size_t consecutive_failures = 0;
@@ -468,10 +415,6 @@ class ShardedFrontend {
   void note_write_success(std::size_t s);
   void note_write_failure(std::size_t s, SimTime now);
   void open_breaker(std::size_t s, SimTime now);
-  /// Re-points shard `s`'s fallback at its current published snapshot
-  /// (after every healthy write, so the fallback is never staler than
-  /// the last success).
-  void refresh_fallback(std::size_t s);
 
   ShardedFrontendConfig config_;
   std::vector<std::unique_ptr<PositionService>> shards_;

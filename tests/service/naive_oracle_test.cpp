@@ -266,28 +266,28 @@ void build_fixture(Fixture& f, std::uint64_t seed, const Publish& publish,
   }
 }
 
-/// Every read of one surface (a View with its pool bound, a service or a
-/// snapshot) against the naive ranking: the any-shaped reads
-/// (`candidates` false) or the candidate-list reads.
-template <typename Reads>
-void check_reads(const Reads& reads, const Fixture& f, bool candidates,
-                 ThreadPool* pool) {
+/// Every read of one surface (a View, a service or a snapshot, each
+/// reading through TableReads on `pool`) against the naive ranking: the
+/// any-shaped reads (`candidates` false) or the candidate-list reads.
+template <typename Owner>
+void check_reads(const TableReads<Owner>& reads, const Fixture& f,
+                 bool candidates, ThreadPool* pool) {
   Rng rng{77};
   for (const std::size_t k : f.ks) {
     SCOPED_TRACE(::testing::Message() << "k=" << k);
     if (!candidates) {
       for (const Member& m : f.members) {
         SCOPED_TRACE("client " + m.id);
-        expect_tiered(reads.closest_any_tiered(m.id, k, kNow), f.metric, m,
-                      f.everyone, k);
-        expect_ranked(reads.closest_any(m.id, k, kNow),
+        expect_tiered(reads.closest_any_tiered(m.id, k, kNow, pool),
+                      f.metric, m, f.everyone, k);
+        expect_ranked(reads.closest_any(m.id, k, kNow, pool),
                       plain_answer(f.metric, m, f.everyone, k));
       }
       const auto query = sparse_map(rng);
-      expect_ranked(reads.top_k(query, k, kNow),
+      expect_ranked(reads.top_k(query, k, kNow, pool),
                     naive_rank(f.metric, query, f.everyone, "", false, k));
       for (const core::RatioMap& q : f.queries) {
-        expect_ranked(reads.top_k(q, k, kNow),
+        expect_ranked(reads.top_k(q, k, kNow, pool),
                       naive_rank(f.metric, q, f.everyone, "", false, k));
       }
       const auto batch = reads.closest_batch(f.clients, k, kNow, pool);
@@ -306,9 +306,9 @@ void check_reads(const Reads& reads, const Fixture& f, bool candidates,
       const std::vector<const Member*>& pool_l = f.list_pools[l];
       for (const Member& m : f.members) {
         SCOPED_TRACE("client " + m.id);
-        expect_tiered(reads.closest_tiered(m.id, list, k, kNow), f.metric,
-                      m, pool_l, k);
-        expect_ranked(reads.closest(m.id, list, k, kNow),
+        expect_tiered(reads.closest_tiered(m.id, list, k, kNow, pool),
+                      f.metric, m, pool_l, k);
+        expect_ranked(reads.closest(m.id, list, k, kNow, pool),
                       plain_answer(f.metric, m, pool_l, k));
       }
       const auto batch = reads.closest_batch(f.clients, list, k, kNow, pool);
@@ -322,39 +322,6 @@ void check_reads(const Reads& reads, const Fixture& f, bool candidates,
     }
   }
 }
-
-/// A View's reads with its pool bound, shaped like the service's.
-struct PooledView {
-  const ShardedFrontend::View& view;
-  ThreadPool* pool;
-
-  TieredAnswer closest_any_tiered(const std::string& c, std::size_t k,
-                                  SimTime now) const {
-    return view.closest_any_tiered(c, k, now, pool);
-  }
-  TieredAnswer closest_tiered(const std::string& c,
-                              std::span<const std::string> list,
-                              std::size_t k, SimTime now) const {
-    return view.closest_tiered(c, list, k, now, pool);
-  }
-  std::vector<RankedNode> closest_any(const std::string& c, std::size_t k,
-                                      SimTime now) const {
-    return view.closest_any(c, k, now, pool);
-  }
-  std::vector<RankedNode> closest(const std::string& c,
-                                  std::span<const std::string> list,
-                                  std::size_t k, SimTime now) const {
-    return view.closest(c, list, k, now, pool);
-  }
-  std::vector<RankedNode> top_k(const core::RatioMap& q, std::size_t k,
-                                SimTime now) const {
-    return view.top_k(q, k, now, pool);
-  }
-  template <typename... Args>
-  auto closest_batch(Args&&... args) const {
-    return view.closest_batch(std::forward<Args>(args)...);
-  }
-};
 
 ServiceConfig oracle_config(core::SimilarityKind metric) {
   ServiceConfig config;
@@ -414,7 +381,7 @@ void run_sharded(Fixture f, std::size_t shards, bool candidates) {
                  << "metric=" << static_cast<int>(metric) << " shards="
                  << shards << " nodes=" << nodes << " workers=" << workers);
     ThreadPool pool{workers};
-    check_reads(PooledView{view, &pool}, f, candidates, &pool);
+    check_reads(view, f, candidates, &pool);
     // An all-healthy gathered read is its tiered twin.
     for (const std::size_t k : f.ks) {
       for (const Member& m : f.members) {

@@ -368,8 +368,8 @@ TEST(PositionServiceContracts, FarPastWireReportsAreRejected) {
   }
   EXPECT_EQ(sharded.stats().reports_rejected, frames.size());
   EXPECT_EQ(sharded.size(), 0u);
-  expect_none_live(sharded.live_nodes(now));
-  expect_none_live(sharded.live_nodes(later));
+  expect_none_live(sharded.view().live_nodes(now));
+  expect_none_live(sharded.view().live_nodes(later));
 }
 
 // Clocks and stamps at the edges of the int64 range. The age test
@@ -453,6 +453,57 @@ TEST(PositionServiceContracts, EdgeClocksFutureStampsAndRepeatedReplicas) {
     const core::RatioMap::Entry repeated[] = {{ReplicaId{4}, 0.25},
                                               {ReplicaId{4}, 0.75}};
     EXPECT_EQ(stored->map, core::RatioMap::from_ratios(repeated));
+  }
+}
+
+// The clustering cache's age test at a far-past clock: a cluster query
+// and a freeze compare the cut time with now - recluster_after without
+// forming now - clustered_at (the UBSan job checks that no subtraction
+// overflows). A clustering cut at 1 h is not older than the bound at
+// INT64_MIN + 1, so the query answers from the cache and the snapshot
+// carries it; in range the cache holds exactly up to recluster_after.
+TEST(PositionServiceContracts, FarClockClusterCacheAgeDoesNotOverflow) {
+  const ServiceConfig config;  // recluster_after 30 min, snapshots off
+  const SimTime at = SimTime::epoch() + Hours(1);
+  const SimTime far{std::numeric_limits<std::int64_t>::min() + 1};
+  const auto cluster_at = [&](PositionService& service) {
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      std::string id = "c";
+      id += std::to_string(i);
+      ASSERT_TRUE(
+          service.publish(report(id, {{ReplicaId{i % 2}, 1.0}}, at), at));
+    }
+    EXPECT_EQ(service.cluster_assignment(at).size(), 6u);
+    EXPECT_EQ(service.stats().reclusters, 1u);
+  };
+  {
+    SCOPED_TRACE("cluster_assignment at INT64_MIN + 1");
+    PositionService service{config};
+    cluster_at(service);
+    // Every stamp is fresh this far before it, so all six answer.
+    EXPECT_EQ(service.cluster_assignment(far).size(), 6u);
+    EXPECT_EQ(service.stats().reclusters, 1u);
+    EXPECT_EQ(service.stats().clustering_cache_hits, 1u);
+  }
+  {
+    SCOPED_TRACE("publish_snapshot at INT64_MIN + 1");
+    PositionService service{config};
+    cluster_at(service);
+    EXPECT_TRUE(service.publish_snapshot(far)->has_clustering());
+    EXPECT_EQ(service.stats().reclusters, 1u);
+  }
+  {
+    SCOPED_TRACE("at recluster_after and 1 us past it");
+    PositionService service{config};
+    cluster_at(service);
+    const SimTime edge = at + config.recluster_after;
+    EXPECT_TRUE(service.publish_snapshot(edge)->has_clustering());
+    EXPECT_EQ(service.cluster_assignment(edge).size(), 6u);
+    EXPECT_EQ(service.stats().reclusters, 1u);
+    const SimTime past = edge + Micros(1);
+    EXPECT_FALSE(service.publish_snapshot(past)->has_clustering());
+    EXPECT_EQ(service.cluster_assignment(past).size(), 6u);
+    EXPECT_EQ(service.stats().reclusters, 2u);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -225,7 +226,7 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   const auto view = fe.view();
   EXPECT_EQ(view.shard_health(0), ShardHealth::kOpen);
   EXPECT_FALSE(view.closest_any(on0[0], 3, t).empty());
-  const auto gathered = fe.closest_any_gathered(off0, 3, t);
+  const auto gathered = fe.view().closest_any_gathered(off0, 3, t);
   EXPECT_EQ(gathered.tiered.tier, AnswerTier::kStale);
   EXPECT_EQ(gathered.tiered.reason, DegradedReason::kStaleShard);
   EXPECT_TRUE(gathered.completeness.complete());
@@ -251,7 +252,7 @@ TEST(ShardedChaos, StallTripsBreakerThenHalfOpenRecloses) {
   EXPECT_EQ(hs.breaker_half_opens, 1u);
   EXPECT_EQ(hs.breaker_closes, 1u);
   // Healthy again: views stop substituting the fallback.
-  const auto healthy = fe.closest_any_gathered(off0, 3, probe_at);
+  const auto healthy = fe.view().closest_any_gathered(off0, 3, probe_at);
   EXPECT_EQ(healthy.tiered.tier, AnswerTier::kFresh);
   EXPECT_FALSE(healthy.completeness.any_stale());
 }
@@ -418,18 +419,19 @@ TEST(ShardedChaos, CrashKeepsAnsweringAndReplayMatchesNeverCrashedTwin) {
   // the pre-crash snapshot), never empty-by-crash; gathered answers are
   // typed kStale/kStaleShard with the crashed shard flagged.
   const SimTime now = crash_at + Minutes(5);
-  expect_same_ranked(fe.closest_any(client_on_crashed, 6, now),
-                     twin.closest_any(client_on_crashed, 6, now));
-  expect_same_ranked(fe.closest_any(client_elsewhere, 6, now),
-                     twin.closest_any(client_elsewhere, 6, now));
-  const auto degraded = fe.closest_any_gathered(client_on_crashed, 6, now);
+  expect_same_ranked(fe.view().closest_any(client_on_crashed, 6, now),
+                     twin.view().closest_any(client_on_crashed, 6, now));
+  expect_same_ranked(fe.view().closest_any(client_elsewhere, 6, now),
+                     twin.view().closest_any(client_elsewhere, 6, now));
+  const auto degraded =
+      fe.view().closest_any_gathered(client_on_crashed, 6, now);
   EXPECT_EQ(degraded.tiered.tier, AnswerTier::kStale);
   EXPECT_EQ(degraded.tiered.reason, DegradedReason::kStaleShard);
   EXPECT_TRUE(degraded.completeness.complete());
   EXPECT_TRUE(degraded.completeness.stale_shards[crashed]);
   expect_same_ranked(
       degraded.tiered.ranked,
-      twin.closest_any_tiered(client_on_crashed, 6, now).ranked);
+      twin.view().closest_any_tiered(client_on_crashed, 6, now).ranked);
 
   // Recovery: replay the full feed (frames owned by other shards are
   // filtered out), then the rebuilt shard must match the never-crashed
@@ -450,9 +452,9 @@ TEST(ShardedChaos, CrashKeepsAnsweringAndReplayMatchesNeverCrashedTwin) {
             twin_snap->live_nodes(recovered_at));
   // And the whole frontend answers as if the crash never happened.
   for (const auto& c : {client_on_crashed, client_elsewhere}) {
-    expect_same_ranked(fe.closest_any(c, 8, recovered_at),
-                       twin.closest_any(c, 8, recovered_at));
-    const auto after = fe.closest_any_gathered(c, 8, recovered_at);
+    expect_same_ranked(fe.view().closest_any(c, 8, recovered_at),
+                       twin.view().closest_any(c, 8, recovered_at));
+    const auto after = fe.view().closest_any_gathered(c, 8, recovered_at);
     EXPECT_EQ(after.tiered.tier, AnswerTier::kFresh);
     EXPECT_TRUE(after.completeness.complete());
     EXPECT_FALSE(after.completeness.any_stale());
@@ -504,7 +506,7 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
         fe.publish(report_of(id, random_map(rng), later), later));
     expect_invariants(fe);
   }
-  const auto partial = fe.closest_any_gathered(elsewhere, 6, later);
+  const auto partial = fe.view().closest_any_gathered(elsewhere, 6, later);
   EXPECT_EQ(partial.tiered.tier, AnswerTier::kFresh);
   EXPECT_FALSE(partial.completeness.complete());
   EXPECT_EQ(partial.completeness.missing_shards,
@@ -512,7 +514,7 @@ TEST(ShardedChaos, ExpiredFallbackGoesMissingAndOwnerRefusesTyped) {
   EXPECT_FALSE(partial.tiered.ranked.empty());
   EXPECT_GT(fe.health_stats().partial_answers, 0u);
 
-  const auto refused = fe.closest_any_gathered(on_crashed, 6, later);
+  const auto refused = fe.view().closest_any_gathered(on_crashed, 6, later);
   EXPECT_EQ(refused.tiered.tier, AnswerTier::kRefused);
   EXPECT_EQ(refused.tiered.reason, DegradedReason::kShardUnavailable);
   EXPECT_TRUE(refused.tiered.ranked.empty());
@@ -587,8 +589,8 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
 
   const std::size_t k = ids.size();
   for (const GatheredAnswer& got :
-       {fe.closest_any_gathered(ids[client], k, later),
-        fe.closest_gathered(ids[client], ids, k, later)}) {
+       {fe.view().closest_any_gathered(ids[client], k, later),
+        fe.view().closest_gathered(ids[client], ids, k, later)}) {
     EXPECT_EQ(got.tiered.tier, AnswerTier::kStale);
     EXPECT_EQ(got.tiered.reason, DegradedReason::kStaleShard);
     EXPECT_TRUE(got.completeness.complete());
@@ -598,6 +600,96 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
     }
     expect_same_ranked(got.tiered.ranked, want);
   }
+}
+
+// ---------------------------------------------------------------------
+// Far clocks: a fallback's age and a breaker's cooldown are compared
+// without forming now - t (the UBSan job checks that no subtraction
+// overflows); in range each holds exactly up to its bound.
+// ---------------------------------------------------------------------
+
+// A crashed shard's held snapshot froze at 1 h. At INT64_MIN + 1 it is
+// not older than the usable bound, so a gathered read still counts it,
+// flagged stale; in range it answers up to the bound and goes missing
+// 1 us past it.
+TEST(ShardedChaos, FarClockFallbackAgeKeepsTheCrashedShardAnswering) {
+  ShardedFrontendConfig fc;
+  fc.shards = 2;  // no stale tier: the usable bound is the 6 h staleness
+  ShardedFrontend fe{fc};
+  Rng rng{47};
+  const SimTime at = kT0 + Hours(1);
+  const std::size_t crashed = 1;
+  const std::string client = id_on_shard(0, 2);
+  for (const std::string& id :
+       {client, id_on_shard(0, 2, 1), id_on_shard(crashed, 2),
+        id_on_shard(crashed, 2, 1)}) {
+    ASSERT_TRUE(fe.publish(report_of(id, random_map(rng), at), at));
+    expect_invariants(fe);
+  }
+  sim::FaultPlan plan{71};
+  const SimTime crash_at = at + Minutes(10);
+  plan.add({.kind = sim::FaultKind::kShardCrash,
+            .start = crash_at,
+            .end = crash_at + Minutes(1),
+            .probability = 1.0,
+            .entity = crashed});
+  fe.set_fault_plan(&plan);
+  fe.tick(crash_at);
+  expect_invariants(fe);
+  ASSERT_EQ(fe.view().shard(crashed).frozen_at(), at);
+  ASSERT_EQ(fe.view().shard(crashed).size(), 2u);
+
+  const SimTime far{std::numeric_limits<std::int64_t>::min() + 1};
+  const auto got = fe.view().closest_any_gathered(client, 4, far);
+  EXPECT_TRUE(got.completeness.complete());
+  EXPECT_TRUE(got.completeness.stale_shards[crashed]);
+  EXPECT_EQ(got.tiered.reason, DegradedReason::kStaleShard);
+  EXPECT_EQ(got.tiered.ranked.size(), 3u);
+
+  const SimTime edge = at + fc.service.staleness_bound;
+  const ShardCompleteness at_edge = fe.view().completeness(edge);
+  EXPECT_TRUE(at_edge.complete());
+  EXPECT_TRUE(at_edge.stale_shards[crashed]);
+  EXPECT_EQ(fe.view().completeness(edge + Micros(1)).missing_shards,
+            std::vector<std::size_t>{crashed});
+}
+
+// A stall opened shard 0's breaker at 1 h 7 min. A tick at INT64_MIN + 1
+// is long before the cooldown ends, so the breaker stays open; in range
+// it half-opens exactly at the cooldown and not 1 us before.
+TEST(ShardedChaos, FarClockTickKeepsTheBreakerOpenUntilItsCooldown) {
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  ShardedFrontend fe{fc};
+  Rng rng{53};
+  const std::string on0 = id_on_shard(0, 4);
+  ASSERT_TRUE(fe.publish(report_of(on0, random_map(rng), kT0), kT0));
+  sim::FaultPlan plan{73};
+  plan.add({.kind = sim::FaultKind::kShardStall,
+            .start = kT0 + Hours(1),
+            .end = kT0 + Hours(2),
+            .probability = 1.0,
+            .entity = 0});
+  fe.set_fault_plan(&plan);
+  SimTime t = kT0 + Hours(1) + Minutes(5);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(fe.publish(report_of(on0, random_map(rng), t), t));
+    t = t + Minutes(1);
+  }
+  const SimTime opened_at = kT0 + Hours(1) + Minutes(7);
+  ASSERT_EQ(fe.shard_health(0), ShardHealth::kOpen);
+
+  fe.tick(SimTime{std::numeric_limits<std::int64_t>::min() + 1});
+  expect_invariants(fe);
+  EXPECT_EQ(fe.shard_health(0), ShardHealth::kOpen);
+
+  const SimTime cooled = opened_at + fc.breaker.open_cooldown;
+  fe.tick(cooled - Micros(1));
+  EXPECT_EQ(fe.shard_health(0), ShardHealth::kOpen);
+  fe.tick(cooled);
+  expect_invariants(fe);
+  EXPECT_EQ(fe.shard_health(0), ShardHealth::kHalfOpen);
+  EXPECT_EQ(fe.health_stats().breaker_half_opens, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -720,9 +812,9 @@ ChaosDigest run_faulted_campaign(std::uint64_t seed, std::size_t workers) {
   const auto hs = fe.health_stats();
   digest.crashes = hs.shard_crashes;
   digest.opens = hs.breaker_opens;
-  digest.live = fe.live_nodes(t);
+  digest.live = fe.view().live_nodes(t);
   if (!digest.live.empty()) {
-    digest.ranked = fe.closest_any(digest.live[0], 8, t, &pool);
+    digest.ranked = fe.view().closest_any(digest.live[0], 8, t, &pool);
   }
   return digest;
 }
