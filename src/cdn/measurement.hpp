@@ -34,19 +34,37 @@ class MeasurementSystem {
   MeasurementSystem(const netsim::LatencyOracle& oracle,
                     MeasurementConfig config);
 
-  /// The CDN's current latency estimate between a client resolver and a
-  /// replica host, in milliseconds. Equals the four-argument form called
-  /// with `oracle.base_rtt_ms(resolver, replica_host)`.
+  /// What every estimate for one resolver at one time shares: the
+  /// measurement epoch, the oracle origin at the epoch's sample time,
+  /// and the noise hash folded over (seed, tag, resolver). Build it once
+  /// with `context` for all the replicas a redirection ranks.
+  struct EstimateContext {
+    netsim::LatencyOracle::Origin origin;
+    std::uint64_t epoch = 0;
+    std::uint64_t noise = 0;
+  };
+  [[nodiscard]] EstimateContext context(HostId resolver, SimTime t) const;
+
+  /// The CDN's current latency estimate between the context's resolver
+  /// and a replica host, in milliseconds. `base_rtt_ms` must be the
+  /// value the oracle's `base_rtt_ms` returns for the pair. Not counted:
+  /// the caller adds its estimates with `count_estimates`.
+  [[nodiscard]] double estimate_ms(const EstimateContext& context,
+                                   HostId replica_host,
+                                   double base_rtt_ms) const;
+
+  /// The same estimate, per call and counted: `estimate_ms(context(
+  /// resolver, t), replica_host, base_rtt_ms)`.
+  [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
+                                   SimTime t, double base_rtt_ms) const;
+  /// ...with the base RTT looked up in the oracle.
   [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
                                    SimTime t) const;
 
-  /// The same estimate for a caller that already holds the pair's static
-  /// RTT: `base_rtt_ms` must be the value the oracle's `base_rtt_ms`
-  /// returns for the pair.
-  [[nodiscard]] double estimate_ms(HostId resolver, HostId replica_host,
-                                   SimTime t, double base_rtt_ms) const;
+  /// Adds `n` estimates computed through a context.
+  void count_estimates(std::size_t n) const { estimates_.add(n); }
 
-  /// Estimates computed so far, by either form: the work redirection
+  /// Estimates computed so far, by every form: the work redirection
   /// asks of the subsystem. Counted per thread and merged on read, like
   /// the CDN authoritative's query count, so concurrent callers count
   /// without sharing a cache line.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 
@@ -76,7 +77,8 @@ std::atomic<std::uint64_t> g_next_policy_id{1};
 
 /// Per-thread estimate memo of the latency-driven policies (DESIGN.md §6).
 /// It holds the estimates of one (policy, resolver, now) key, one slot
-/// per candidate-list index, filled only when a select needs the slot.
+/// per candidate-list index, filled only when a select needs the slot,
+/// and the key's estimate context, built with the key's first estimate.
 /// Thread-local like the oracle's pair cache, so a select after `prepare`
 /// still mutates no shared state.
 struct EstimateMemo {
@@ -86,6 +88,7 @@ struct EstimateMemo {
   HostId resolver;
   SimTime now;
   std::vector<double> estimates;
+  std::optional<MeasurementSystem::EstimateContext> context;
 
   /// Switches to the key, emptying every slot unless it already holds it.
   void bind(std::uint64_t id, HostId r, SimTime t, std::size_t candidates) {
@@ -94,6 +97,7 @@ struct EstimateMemo {
     resolver = r;
     now = t;
     estimates.assign(candidates, kUnset);
+    context.reset();
   }
 };
 
@@ -165,25 +169,33 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   memo.bind(policy_id_, resolver, now, near.size());
   std::vector<std::pair<double, ReplicaId>> ranked;
   ranked.reserve(near.size());
+  std::size_t computed = 0;
   for (std::size_t i = 0; i < near.size(); ++i) {
     const Candidate& c = near[i];
     if (!customer.serves(c.id)) continue;
     if (health_ != nullptr && !health_->available(c.id, now)) continue;
     double& estimate = memo.estimates[i];
     if (std::isnan(estimate)) {
-      estimate =
-          measurement_->estimate_ms(resolver, c.host, now, c.base_rtt_ms);
+      if (!memo.context) memo.context = measurement_->context(resolver, now);
+      estimate = measurement_->estimate_ms(*memo.context, c.host,
+                                           c.base_rtt_ms);
+      ++computed;
     }
     ranked.emplace_back(estimate, c.id);
   }
+  if (computed > 0) measurement_->count_estimates(computed);
   // Only the front (the coverage test) and the rotation pool are read.
-  // (estimate, id) is a strict total order over distinct candidates, so
-  // sorting just that prefix gives a full sort's prefix.
+  // (estimate, id) is a strict total order over distinct candidates
+  // (estimates are finite), so sorting just that prefix gives a full
+  // sort's prefix.
   const std::size_t pool = std::min(config_.rotation_pool, ranked.size());
   const std::size_t head =
       std::min(std::max<std::size_t>(pool, 1), ranked.size());
   std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(head),
-                    ranked.end());
+                    ranked.end(), [](const auto& x, const auto& y) {
+                      return x.first < y.first ||
+                             (x.first == y.first && x.second < y.second);
+                    });
 
   const std::int64_t epoch = epoch_index(now, config_.rotation_epoch);
   Rng rng{hash_combine({config_.seed, kRedirectTag,

@@ -98,9 +98,10 @@ class LatencyDrivenPolicy final : public RedirectionPolicy {
   /// then draws `count` of the best `rotation_pool` with rank weights.
   /// Estimates are read through a per-thread memo keyed by (this policy,
   /// `resolver`, `now`), so consecutive selects for one resolver at one
-  /// instant — a probe's customers — compute each candidate's estimate
-  /// once. An estimate is a pure function of that key and the replica, so
-  /// the memo never changes an answer.
+  /// instant — a probe's customers — build one estimate context and
+  /// compute each candidate's estimate once. An estimate is a pure
+  /// function of that key and the replica, so the memo never changes an
+  /// answer.
   [[nodiscard]] std::vector<ReplicaId> select(HostId resolver,
                                               const Customer& customer,
                                               SimTime now,

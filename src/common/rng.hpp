@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <string_view>
@@ -36,12 +37,22 @@ namespace crp {
   return x;
 }
 
+/// Continues a `hash_combine` fold from `state` with more keys:
+/// `hash_extend(hash_combine({a, b}), {c}) == hash_combine({a, b, c})`
+/// bit for bit, so a hot path can fold its fixed leading keys once and
+/// hash only the keys that vary.
+[[nodiscard]] constexpr std::uint64_t hash_extend(
+    std::uint64_t state, std::initializer_list<std::uint64_t> keys) {
+  for (std::uint64_t k : keys) {
+    state = hash_mix(state ^ (k + 0x9e3779b97f4a7c15ULL));
+  }
+  return state;
+}
+
 /// Combines an arbitrary list of 64-bit keys into one well-mixed value.
 [[nodiscard]] constexpr std::uint64_t hash_combine(
     std::initializer_list<std::uint64_t> keys) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::uint64_t k : keys) h = hash_mix(h ^ (k + 0x9e3779b97f4a7c15ULL));
-  return h;
+  return hash_extend(0x9e3779b97f4a7c15ULL, keys);
 }
 
 /// Maps a 64-bit hash to a double uniformly distributed in [0, 1).

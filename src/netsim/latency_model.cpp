@@ -29,12 +29,15 @@ double hash_normal(std::uint64_t h) {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-std::int64_t epoch_of(SimTime t, Duration epoch) {
-  return t.micros() / std::max<std::int64_t>(1, epoch.micros());
+// The epoch index of `t`, as the hashes key it.
+std::uint64_t epoch_of(SimTime t, Duration epoch) {
+  return static_cast<std::uint64_t>(
+      t.micros() / std::max<std::int64_t>(1, epoch.micros()));
 }
 
-// Tags of the per-query dynamics, hashed at compile time rather than on
-// every RTT evaluation.
+// Tags of the hashed terms, hashed at compile time.
+constexpr std::uint64_t kQuirkTag = stable_hash("quirk");
+constexpr std::uint64_t kInterconnectTag = stable_hash("interconnect");
 constexpr std::uint64_t kCongestionTag = stable_hash("congestion");
 constexpr std::uint64_t kRouteShiftTag = stable_hash("route-shift");
 constexpr std::uint64_t kJitterTag = stable_hash("jitter");
@@ -94,6 +97,11 @@ std::atomic<std::uint64_t> g_next_oracle_id{1};
 LatencyOracle::LatencyOracle(const Topology& topo, LatencyConfig config)
     : topo_(&topo),
       config_(config),
+      quirk_prefix_(hash_combine({config.seed, kQuirkTag})),
+      interconnect_prefix_(hash_combine({config.seed, kInterconnectTag})),
+      congestion_prefix_(hash_combine({config.seed, kCongestionTag})),
+      route_shift_prefix_(hash_combine({config.seed, kRouteShiftTag})),
+      jitter_prefix_(hash_combine({config.seed, kJitterTag})),
       oracle_id_(g_next_oracle_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 PairCacheStats LatencyOracle::pair_cache_stats() {
@@ -108,8 +116,7 @@ PairCacheStats LatencyOracle::pair_cache_stats() {
 
 double LatencyOracle::pair_quirk(HostId a, HostId b) const {
   const auto [lo, hi] = ordered(a, b);
-  const std::uint64_t h =
-      hash_combine({config_.seed, stable_hash("quirk"), lo, hi});
+  const std::uint64_t h = hash_extend(quirk_prefix_, {lo, hi});
   if (hash_to_unit(h) >= config_.quirk_probability) return 1.0;
   const double u = hash_to_unit(hash_mix(h ^ 0x1234abcdULL));
   return 1.2 + u * (config_.quirk_max_inflation - 1.2);
@@ -119,8 +126,7 @@ double LatencyOracle::region_interconnect(RegionId a, RegionId b) const {
   if (a == b) return 1.0;
   const std::uint64_t lo = std::min(a.value(), b.value());
   const std::uint64_t hi = std::max(a.value(), b.value());
-  const std::uint64_t h =
-      hash_combine({config_.seed, stable_hash("interconnect"), lo, hi});
+  const std::uint64_t h = hash_extend(interconnect_prefix_, {lo, hi});
   if (hash_to_unit(h) >= config_.bad_interconnect_fraction) return 1.0;
   const double u = hash_to_unit(hash_mix(h ^ 0x9876fedcULL));
   return 1.15 + u * (config_.bad_interconnect_max_inflation - 1.15);
@@ -185,52 +191,60 @@ double LatencyOracle::base_rtt_uncached_ms(HostId a, HostId b) const {
 }
 
 double LatencyOracle::congestion_extra(HostId h, SimTime t) const {
-  const Host& host = topo_->host(h);
-  const std::int64_t epoch = epoch_of(t, config_.congestion_epoch);
+  return congestion_at(topo_->host(h).pop,
+                       epoch_of(t, config_.congestion_epoch));
+}
+
+double LatencyOracle::route_shift_factor(HostId a, HostId b,
+                                         SimTime t) const {
+  if (a == b) return 1.0;
+  return route_shift_at(topo_->host(a).pop, topo_->host(b).pop,
+                        epoch_of(t, config_.route_shift_epoch));
+}
+
+double LatencyOracle::congestion_at(PopId pop, std::uint64_t epoch) const {
   const std::uint64_t hash =
-      hash_combine({config_.seed, kCongestionTag,
-                    host.pop.value(), static_cast<std::uint64_t>(epoch)});
+      hash_extend(congestion_prefix_, {pop.value(), epoch});
   if (hash_to_unit(hash) >= config_.congestion_probability) return 0.0;
   const double severity = hash_to_unit(hash_mix(hash ^ 0x5555aaaaULL));
   return severity * config_.congestion_max_extra;
 }
 
-double LatencyOracle::route_shift_factor(HostId a, HostId b,
-                                         SimTime t) const {
+double LatencyOracle::route_shift_at(PopId a, PopId b,
+                                     std::uint64_t epoch) const {
+  // Same PoP: no inter-domain route.
   if (config_.route_shift_sigma <= 0.0 || a == b) return 1.0;
-  const Host& ha = topo_->host(a);
-  const Host& hb = topo_->host(b);
-  if (ha.pop == hb.pop) return 1.0;  // same PoP: no inter-domain route
-  const std::uint64_t lo = std::min(ha.pop.value(), hb.pop.value());
-  const std::uint64_t hi = std::max(ha.pop.value(), hb.pop.value());
-  const std::int64_t epoch = epoch_of(t, config_.route_shift_epoch);
-  const std::uint64_t h =
-      hash_combine({config_.seed, kRouteShiftTag, lo, hi,
-                    static_cast<std::uint64_t>(epoch)});
+  const std::uint64_t lo = std::min(a.value(), b.value());
+  const std::uint64_t hi = std::max(a.value(), b.value());
+  const std::uint64_t h = hash_extend(route_shift_prefix_, {lo, hi, epoch});
   return std::exp(config_.route_shift_sigma * hash_normal(h));
 }
 
-double LatencyOracle::jitter_factor(HostId a, HostId b, SimTime t) const {
+double LatencyOracle::jitter_at(HostId a, HostId b,
+                                std::uint64_t epoch) const {
   if (config_.jitter_sigma <= 0.0) return 1.0;
   const auto [lo, hi] = ordered(a, b);
-  const std::int64_t epoch = epoch_of(t, config_.jitter_epoch);
-  const std::uint64_t h =
-      hash_combine({config_.seed, kJitterTag, lo, hi,
-                    static_cast<std::uint64_t>(epoch)});
+  const std::uint64_t h = hash_extend(jitter_prefix_, {lo, hi, epoch});
   return std::exp(config_.jitter_sigma * hash_normal(h));
 }
 
-double LatencyOracle::rtt_ms(HostId a, HostId b, SimTime t) const {
-  return rtt_ms(a, b, t, base_rtt_ms(a, b));
+LatencyOracle::Origin LatencyOracle::origin(HostId a, SimTime t) const {
+  const PopId pop = topo_->host(a).pop;
+  const std::uint64_t congestion_epoch =
+      epoch_of(t, config_.congestion_epoch);
+  return {a, pop, 1.0 + congestion_at(pop, congestion_epoch),
+          congestion_epoch, epoch_of(t, config_.jitter_epoch),
+          epoch_of(t, config_.route_shift_epoch)};
 }
 
-double LatencyOracle::rtt_ms(HostId a, HostId b, SimTime t,
+double LatencyOracle::rtt_ms(const Origin& from, HostId b,
                              double base) const {
-  if (a == b) return 0.0;
+  if (from.host == b) return 0.0;
+  const PopId pop = topo_->host(b).pop;
   const double congestion =
-      1.0 + congestion_extra(a, t) + congestion_extra(b, t);
-  return base * congestion * jitter_factor(a, b, t) *
-         route_shift_factor(a, b, t);
+      from.congestion + congestion_at(pop, from.congestion_epoch);
+  return base * congestion * jitter_at(from.host, b, from.jitter_epoch) *
+         route_shift_at(from.pop, pop, from.route_epoch);
 }
 
 }  // namespace crp::netsim

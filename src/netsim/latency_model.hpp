@@ -109,16 +109,33 @@ class LatencyOracle {
   /// `LatencyConfig::pair_cache` is on (bit-identical either way).
   [[nodiscard]] double base_rtt_ms(HostId a, HostId b) const;
 
-  /// RTT at sim time `t`, including congestion and jitter, milliseconds.
-  /// Equals `rtt_ms(a, b, t, base_rtt_ms(a, b))`.
-  [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t) const;
+  /// The terms of an RTT from one host at one sim time that do not
+  /// depend on the far end: the host's PoP, its congestion multiplier
+  /// (`1.0 + congestion_extra(host, t)`) and the congestion, jitter and
+  /// route-shift epochs of `t`. Build it once with `origin` and pass it
+  /// to `rtt_ms` for every far end measured from that host at that time.
+  struct Origin {
+    HostId host;
+    PopId pop;
+    double congestion = 1.0;
+    std::uint64_t congestion_epoch = 0;
+    std::uint64_t jitter_epoch = 0;
+    std::uint64_t route_epoch = 0;
+  };
+  [[nodiscard]] Origin origin(HostId a, SimTime t) const;
 
-  /// The same RTT for a caller that already holds the pair's static RTT:
-  /// `base` must be the value `base_rtt_ms(a, b)` returns. Skips the
-  /// pair-cache lookup, so a caller that keeps the base RTT beside the
-  /// pair (the CDN's candidate lists) pays only for the dynamics.
-  [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t,
+  /// RTT from `from.host` to `b` at the origin's time, including
+  /// congestion and jitter, milliseconds. `base` must be the value
+  /// `base_rtt_ms(from.host, b)` returns: a caller that keeps the base
+  /// RTT beside the pair (the CDN's candidate lists) skips the
+  /// pair-cache lookup and computes only the far end's terms.
+  [[nodiscard]] double rtt_ms(const Origin& from, HostId b,
                               double base) const;
+
+  /// RTT at sim time `t`: `rtt_ms(origin(a, t), b, base_rtt_ms(a, b))`.
+  [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t) const {
+    return rtt_ms(origin(a, t), b, base_rtt_ms(a, b));
+  }
 
   [[nodiscard]] Duration base_rtt(HostId a, HostId b) const {
     return MillisF(base_rtt_ms(a, b));
@@ -168,10 +185,22 @@ class LatencyOracle {
   [[nodiscard]] double base_rtt_uncached_ms(HostId a, HostId b) const;
   [[nodiscard]] double pair_quirk(HostId a, HostId b) const;
   [[nodiscard]] double region_interconnect(RegionId a, RegionId b) const;
-  [[nodiscard]] double jitter_factor(HostId a, HostId b, SimTime t) const;
+  // The dynamics at an epoch index (`t` divided by the term's epoch).
+  [[nodiscard]] double congestion_at(PopId pop, std::uint64_t epoch) const;
+  [[nodiscard]] double jitter_at(HostId a, HostId b,
+                                 std::uint64_t epoch) const;
+  [[nodiscard]] double route_shift_at(PopId a, PopId b,
+                                      std::uint64_t epoch) const;
 
   const Topology* topo_;
   LatencyConfig config_;
+  // hash_combine state after (seed, tag) for each hashed term, folded
+  // once here, so each term hashes only the keys that vary.
+  std::uint64_t quirk_prefix_;
+  std::uint64_t interconnect_prefix_;
+  std::uint64_t congestion_prefix_;
+  std::uint64_t route_shift_prefix_;
+  std::uint64_t jitter_prefix_;
   const sim::FaultPlan* faults_ = nullptr;
   /// Distinguishes this oracle's entries in the shared per-thread cache;
   /// unique per instance and never reused, so a destroyed oracle's stale

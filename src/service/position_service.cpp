@@ -97,6 +97,7 @@ bool PositionService::publish_impl(PositionReport report, SimTime now) {
       ids_[slot] = std::move(report.node_id);
       stamps_[slot] = report.when;
     }
+    ids_published_ = false;
   }
   sync_engine_stats();
   reports_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -177,6 +178,7 @@ bool PositionService::drop_node(const std::string& node_id) {
   engine_.remove(hit.slot);
   ids_[hit.slot] = std::string{};
   stamps_[hit.slot] = SimTime{-1};
+  ids_published_ = false;
   sync_engine_stats();
   ++membership_epoch_;
   return true;
@@ -191,6 +193,7 @@ void PositionService::reset(SimTime now) {
   compactions_base_ += engine.compactions;
   ids_.clear();
   stamps_.clear();
+  ids_published_ = false;
   by_id_ = std::make_shared<std::vector<std::uint32_t>>();
   by_id_frozen_ = false;
   engine_.clear(config_.metric);
@@ -296,17 +299,17 @@ std::shared_ptr<const ServingSnapshot> PositionService::publish_snapshot(
   snap->membership_epoch_ = membership_epoch_;
   snap->frozen_at_ = now;
   snap->engine_ = engine_.freeze(membership_epoch_);
-  if (prev != nullptr && prev->membership_epoch_ == membership_epoch_) {
-    // No accepted publish and no drop since `prev` was cut — ids and
-    // report timestamps are exactly what `prev` froze (the epoch bumps
-    // on every accepted publish, updates included), so the node table
-    // is shared, not rebuilt.
-    snap->ids_ = prev->ids_;
-    snap->stamps_ = prev->stamps_;
-  } else {
-    snap->ids_ = std::make_shared<const std::vector<std::string>>(ids_);
-    snap->stamps_ = std::make_shared<const std::vector<SimTime>>(stamps_);
-  }
+  // The id table is shared until a node joins or leaves; the stamps
+  // until any accepted publish or drop (the epoch bumps on each,
+  // updates included).
+  snap->ids_ = prev != nullptr && ids_published_
+                   ? prev->ids_
+                   : std::make_shared<const std::vector<std::string>>(ids_);
+  snap->stamps_ =
+      prev != nullptr && prev->membership_epoch_ == membership_epoch_
+          ? prev->stamps_
+          : std::make_shared<const std::vector<SimTime>>(stamps_);
+  ids_published_ = true;
   // The id index is shared until a node joins or leaves.
   snap->by_id_ = by_id_;
   by_id_frozen_ = true;

@@ -418,8 +418,9 @@ class PositionService : public TableReads<PositionService> {
   /// `now`, unconditionally (works with snapshots disabled too —
   /// callers doing their own pacing). Writer-side. Storage the engine
   /// did not dirty since the last freeze is shared with the previous
-  /// snapshot, not copied; the node table is shared whenever the
-  /// membership epoch is unchanged.
+  /// snapshot, not copied; so is the id table unless a node joined or
+  /// left (or a `reset` ran) since then, and the stamp table unless the
+  /// membership epoch moved.
   std::shared_ptr<const ServingSnapshot> publish_snapshot(SimTime now);
   /// Publishes a fresh snapshot iff `config().snapshots.enabled` and
   /// the published one has fallen past `max_epoch_lag` membership
@@ -514,6 +515,9 @@ class PositionService : public TableReads<PositionService> {
   core::SimilarityEngine engine_;
   std::vector<std::string> ids_;
   std::vector<SimTime> stamps_;
+  // Whether the published snapshot's id table equals ids_: no join,
+  // leave or reset since it was cut, so the next one shares it.
+  bool ids_published_ = false;
   // Occupied slots sorted by node id — the index every read's find() and
   // every write's search() binary-search, here and in snapshots. Kept
   // sorted by insert/erase at the searched position as nodes join and

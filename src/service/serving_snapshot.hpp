@@ -58,6 +58,7 @@ class ServingSnapshot : public TableReads<ServingSnapshot> {
 
   // --- identity probes (tests: structural sharing across republishes) ---
   [[nodiscard]] const void* nodes_identity() const { return ids_.get(); }
+  [[nodiscard]] const void* stamps_identity() const { return stamps_.get(); }
   [[nodiscard]] const void* counters_identity() const {
     return counters_.get();
   }
@@ -90,8 +91,9 @@ class ServingSnapshot : public TableReads<ServingSnapshot> {
   SimTime frozen_at_ = SimTime{-1};
   std::shared_ptr<const core::EngineSnapshot> engine_;
   /// Slot-indexed node table: ids ("" = tombstoned slot) and report
-  /// stamps. Shared with the previous snapshot when the membership epoch
-  /// did not move.
+  /// stamps. The ids are shared with the previous snapshot unless a node
+  /// joined or left since it; the stamps unless the membership epoch
+  /// moved.
   std::shared_ptr<const std::vector<std::string>> ids_;
   std::shared_ptr<const std::vector<SimTime>> stamps_;
   /// Occupied slots sorted by node id (shared with the writer until

@@ -146,19 +146,27 @@ bool ShardedFrontend::admit_write(std::size_t s, SimTime now,
   // Bounded retry with exponential backoff: retry r draws at
   // now + 2^(r-1) * retry_backoff, so a stall epoch boundary inside the
   // backoff window lets a retry succeed — and the draws stay pure
-  // functions of (shard, attempt, advanced clock).
+  // functions of (shard, attempt, advanced clock). A retry whose
+  // backoff or draw time would leave the int64 range is not attempted:
+  // the write fails as if it had drawn a stall. (A backoff saturated at
+  // INT64_MAX would still draw from a clock at or before 0, at a time
+  // that is not the retry's.)
   const ShardBreakerConfig& br = config_.breaker;
+  SimTime t = now;
+  std::int64_t backoff = br.retry_backoff.micros();
+  bool backoff_fits = true;
   for (std::size_t attempt = 0;; ++attempt) {
-    const SimTime t =
-        attempt == 0
-            ? now
-            : now + Duration{br.retry_backoff.micros()
-                             << (attempt - 1)};
     if (!plan_->shard_stalled(s, t, attempt)) {
       note_write_success(s);
       return true;
     }
-    if (attempt == br.max_retries) break;
+    std::int64_t next = 0;
+    if (attempt == br.max_retries || !backoff_fits ||
+        __builtin_add_overflow(now.micros(), backoff, &next)) {
+      break;
+    }
+    t = SimTime{next};
+    backoff_fits = !__builtin_mul_overflow(backoff, 2, &backoff);
     write_retries_.fetch_add(1, std::memory_order_relaxed);
   }
   writes_failed_.fetch_add(weight, std::memory_order_relaxed);
@@ -193,11 +201,17 @@ std::size_t ShardedFrontend::recover_shard(std::size_t index,
   if (!rt.needs_recovery) return 0;
   // Keep only this shard's frames: peers hand over whole stores, and
   // replaying another shard's nodes here would corrupt the partition.
+  // A frame that does not peek is a routing failure, counted as
+  // publish_batch counts it; another shard's frame is not.
   std::vector<std::string> owned;
   owned.reserve(replay.size());
   for (const std::string& bytes : replay) {
     const auto id = peek_node_id(bytes);
-    if (id.has_value() && shard_of(*id) == index) owned.push_back(bytes);
+    if (!id.has_value()) {
+      routing_rejected_.fetch_add(1, std::memory_order_relaxed);
+    } else if (shard_of(*id) == index) {
+      owned.push_back(bytes);
+    }
   }
   const std::size_t accepted =
       shards_[index]->publish_batch(owned, now, pool);

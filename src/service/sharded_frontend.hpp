@@ -352,10 +352,11 @@ class ShardedFrontend {
   [[nodiscard]] std::vector<std::size_t> shards_needing_recovery() const;
   /// Anti-entropy crash recovery: re-ingests `replay` (wire-encoded
   /// reports gathered from gossip peers; frames owned by other shards
-  /// are filtered out, so callers may pass a whole peer store) into the
-  /// crashed shard, republishes its snapshot at `now`, drops the held
-  /// pre-crash snapshot and force-closes the breaker. Returns reports
-  /// accepted.
+  /// are filtered out, so callers may pass a whole peer store, and
+  /// frames whose header won't peek are counted in `routing_rejected`)
+  /// into the crashed shard, republishes its snapshot at `now`, drops
+  /// the held pre-crash snapshot and force-closes the breaker. Returns
+  /// reports accepted.
   /// No-op (returns 0) for shards not needing recovery. Writer-side.
   std::size_t recover_shard(std::size_t index,
                             std::span<const std::string> replay, SimTime now,

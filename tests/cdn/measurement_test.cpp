@@ -94,6 +94,56 @@ TEST(MeasurementSystem, BaseRttFormMatchesThreeArgumentForm) {
   }
 }
 
+// The context form against the model recomputed from scratch
+// (test::reference_estimate_ms): one context per (resolver, t), reused
+// for several replicas, over negative and positive times, a resolver
+// that is the replica host, route shift on and off, and no jitter.
+TEST(MeasurementSystem, ContextFormMatchesReferenceModel) {
+  test::MiniWorld world{27};
+  std::vector<HostId> hosts = world.clients;
+  for (const ReplicaServer& r : world.deployment.replicas()) {
+    hosts.push_back(r.host);
+  }
+  std::vector<netsim::LatencyConfig> configs(3);
+  for (netsim::LatencyConfig& c : configs) c.seed = 29;
+  configs[0].route_shift_sigma = 0.3;
+  configs[0].congestion_probability = 0.5;
+  configs[1].jitter_sigma = 0.0;
+  configs[1].route_shift_sigma = 0.2;
+  configs[1].route_shift_epoch = Minutes(90);
+  MeasurementConfig mc;
+  mc.seed = 31;
+  Rng rng{405};
+  std::size_t checked = 0;
+  for (const netsim::LatencyConfig& lat : configs) {
+    const netsim::LatencyOracle oracle{world.topo, lat};
+    const MeasurementSystem measurement{oracle, mc};
+    for (int i = 0; i < 1200; ++i) {
+      const HostId resolver = rng.pick(hosts);
+      const SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                      Hours(24 * 40).micros())};
+      const MeasurementSystem::EstimateContext context =
+          measurement.context(resolver, t);
+      for (int j = 0; j < 3; ++j) {
+        const HostId replica =
+            rng.uniform() < 0.125 ? resolver : rng.pick(hosts);
+        const double base = oracle.base_rtt_ms(resolver, replica);
+        ASSERT_EQ(measurement.estimate_ms(context, replica, base),
+                  test::reference_estimate_ms(world.topo, lat, mc, resolver,
+                                              replica, t, base))
+            << "resolver " << resolver.value() << " replica "
+            << replica.value() << " t " << t.micros();
+        ++checked;
+      }
+    }
+    // The context form counts nothing; the caller adds its estimates.
+    EXPECT_EQ(measurement.estimates_computed(), 0u);
+    measurement.count_estimates(5);
+    EXPECT_EQ(measurement.estimates_computed(), 5u);
+  }
+  EXPECT_GE(checked, 10000u);
+}
+
 TEST(MeasurementSystem, NoiseScalesWithSigma) {
   test::MiniWorld world{25};
   MeasurementConfig noisy;

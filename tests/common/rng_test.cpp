@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace crp {
@@ -216,6 +219,65 @@ TEST(HashMix, AvalanchesOnSingleBitFlip) {
 
 TEST(HashCombine, OrderSensitive) {
   EXPECT_NE(hash_combine({1, 2}), hash_combine({2, 1}));
+}
+
+// The fold hash_combine and hash_extend document, written out: from the
+// golden-ratio start, each key k maps h to hash_mix(h ^ (k + golden)).
+template <std::size_t N>
+std::uint64_t reference_fold(const std::array<std::uint64_t, N>& keys) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const std::uint64_t k : keys) {
+    h = hash_mix(h ^ (k + 0x9e3779b97f4a7c15ULL));
+  }
+  return h;
+}
+
+// hash_extend(hash_combine(keys[0, P)), keys[P, N)) == hash_combine(keys)
+// == the written-out fold, for every split point P.
+template <std::size_t N>
+void expect_extend_continues(const std::array<std::uint64_t, N>& keys) {
+  const std::uint64_t whole =
+      std::apply([](auto... k) { return hash_combine({k...}); }, keys);
+  ASSERT_EQ(whole, reference_fold(keys));
+  const auto split = [&]<std::size_t P>(
+                         std::integral_constant<std::size_t, P>) {
+    const std::uint64_t prefix = [&]<std::size_t... I>(
+                                     std::index_sequence<I...>) {
+      return hash_combine({keys[I]...});
+    }(std::make_index_sequence<P>{});
+    const std::uint64_t extended = [&]<std::size_t... J>(
+                                       std::index_sequence<J...>) {
+      return hash_extend(prefix, {keys[P + J]...});
+    }(std::make_index_sequence<N - P>{});
+    EXPECT_EQ(extended, whole) << "split at " << P << " of " << N;
+  };
+  [&]<std::size_t... P>(std::index_sequence<P...>) {
+    (split(std::integral_constant<std::size_t, P>{}), ...);
+  }(std::make_index_sequence<N + 1>{});
+}
+
+template <std::size_t N, typename KeyFn>
+std::array<std::uint64_t, N> draw_keys(const KeyFn& key) {
+  std::array<std::uint64_t, N> keys{};
+  for (std::uint64_t& k : keys) k = key();
+  return keys;
+}
+
+TEST(HashExtend, ContinuesHashCombineAtEverySplit) {
+  Rng rng{41};
+  for (int trial = 0; trial < 200; ++trial) {
+    // Full-width keys, plus small and all-ones keys (carry edges of the
+    // key offset).
+    const auto key = [&] {
+      const double u = rng.uniform();
+      if (u < 0.2) return static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+      if (u < 0.3) return ~std::uint64_t{0} - rng.uniform_int(0, 3);
+      return rng();
+    };
+    [&]<std::size_t... N>(std::index_sequence<N...>) {
+      (expect_extend_continues(draw_keys<N>(key)), ...);
+    }(std::make_index_sequence<7>{});
+  }
 }
 
 TEST(HashToUnit, InUnitInterval) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "netsim/topology_builder.hpp"
 
 namespace crp::netsim {
@@ -272,11 +273,12 @@ TEST_F(LatencyModelTest, BaseRttFormMatchesThreeArgumentForm) {
         const SimTime t = SimTime::epoch() + Hours(13 * k) +
                           Minutes(7 * static_cast<int>(i));
         const double base = oracle.base_rtt_ms(a, b);
-        EXPECT_EQ(oracle.rtt_ms(a, b, t, base), oracle.rtt_ms(a, b, t));
+        const LatencyOracle::Origin from = oracle.origin(a, t);
+        EXPECT_EQ(oracle.rtt_ms(from, b, base), oracle.rtt_ms(a, b, t));
         if (a == b) continue;
         // The carried value is the one used: doubling it doubles the RTT
         // exactly (scaling by two commutes with rounding).
-        EXPECT_EQ(oracle.rtt_ms(a, b, t, 2.0 * base),
+        EXPECT_EQ(oracle.rtt_ms(from, b, 2.0 * base),
                   2.0 * oracle.rtt_ms(a, b, t));
         if (oracle.congestion_extra(a, t) > 0.0) ++congested;
         if (oracle.route_shift_factor(a, b, t) != 1.0) ++shifted;
@@ -285,6 +287,49 @@ TEST_F(LatencyModelTest, BaseRttFormMatchesThreeArgumentForm) {
   }
   EXPECT_GT(congested, 0u);
   EXPECT_GT(shifted, 0u);
+}
+
+// The origin form against the model recomputed from scratch with full
+// hash_combine keys (test::reference_rtt_ms): one origin per (a, t),
+// reused for several far ends, over negative and positive times, a == b,
+// route shift on and off, and no jitter.
+TEST_F(LatencyModelTest, OriginFormMatchesReferenceModel) {
+  std::vector<LatencyConfig> configs(3);
+  for (LatencyConfig& c : configs) c.seed = 77;
+  configs[0].route_shift_sigma = 0.3;
+  configs[0].congestion_probability = 0.5;
+  configs[1].jitter_sigma = 0.0;
+  configs[1].route_shift_sigma = 0.2;
+  configs[1].route_shift_epoch = Minutes(90);
+  configs[1].congestion_probability = 0.3;
+  Rng rng{404};
+  std::size_t checked = 0;
+  std::size_t congested = 0;
+  std::size_t shifted = 0;
+  for (const LatencyConfig& config : configs) {
+    const LatencyOracle oracle{topo_, config};
+    for (int i = 0; i < 1200; ++i) {
+      const HostId a = rng.pick(hosts_);
+      const SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                      Hours(24 * 40).micros())};
+      const LatencyOracle::Origin from = oracle.origin(a, t);
+      for (int j = 0; j < 3; ++j) {
+        const HostId b = rng.uniform() < 0.125 ? a : rng.pick(hosts_);
+        const double base = oracle.base_rtt_ms(a, b);
+        ASSERT_EQ(oracle.rtt_ms(from, b, base),
+                  test::reference_rtt_ms(topo_, config, a, b, t, base))
+            << "a " << a.value() << " b " << b.value() << " t "
+            << t.micros();
+        ++checked;
+        if (a == b) continue;
+        if (oracle.congestion_extra(b, t) > 0.0) ++congested;
+        if (oracle.route_shift_factor(a, b, t) != 1.0) ++shifted;
+      }
+    }
+  }
+  EXPECT_GE(checked, 10000u);
+  EXPECT_GT(congested, 1000u);
+  EXPECT_GT(shifted, 1000u);
 }
 
 TEST_F(LatencyModelTest, PairCacheIsResultNeutral) {

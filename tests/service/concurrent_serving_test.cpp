@@ -15,6 +15,7 @@
 #include "common/thread_pool.hpp"
 #include "core/similarity.hpp"
 #include "service/position_service.hpp"
+#include "service/sharded_frontend.hpp"
 
 namespace crp::service {
 namespace {
@@ -235,12 +236,82 @@ TEST(ServingSnapshotTest, RepublishWithoutWritesSharesEverything) {
   EXPECT_EQ(s1->engine().get(), s2->engine().get());
   EXPECT_EQ(s1->counters_identity(), s2->counters_identity());
 
-  // A write moves the epoch: the node table is rebuilt.
+  // An update moves the epoch: the stamps are rebuilt, and the id table
+  // is shared (no node joined or left).
   (void)service.publish(random_report(rng, "n0", t0 + Minutes(11)),
                         t0 + Minutes(11));
   const auto s3 = service.publish_snapshot(t0 + Minutes(11));
-  EXPECT_NE(s3->nodes_identity(), s2->nodes_identity());
+  EXPECT_EQ(s3->nodes_identity(), s2->nodes_identity());
+  EXPECT_NE(s3->stamps_identity(), s2->stamps_identity());
   EXPECT_EQ(s3->counters_identity(), s2->counters_identity());
+}
+
+// The id table is copied only when a node joined or left (or a reset
+// ran) since the last snapshot; update-only republishes share it, on a
+// service and on a frontend that republishes after every write. Every
+// snapshot keeps answering from its own frozen ids and stamps.
+TEST(ServingSnapshotTest, UpdateOnlyRepublishSharesTheIdTable) {
+  Rng rng{554};
+  PositionService service;
+  const SimTime t0 = SimTime::epoch();
+  for (int i = 0; i < 8; ++i) {
+    (void)service.publish(random_report(rng, node_name(i), t0), t0);
+  }
+  const auto joined = service.publish_snapshot(t0);
+  (void)service.publish(random_report(rng, "n1", t0 + Minutes(1)),
+                        t0 + Minutes(1));
+  (void)service.publish(random_report(rng, "n2", t0 + Minutes(2)),
+                        t0 + Minutes(2));
+  const auto updated = service.publish_snapshot(t0 + Minutes(2));
+  EXPECT_EQ(updated->nodes_identity(), joined->nodes_identity());
+  EXPECT_NE(updated->stamps_identity(), joined->stamps_identity());
+  EXPECT_EQ(updated->live_nodes(t0 + Minutes(2)),
+            joined->live_nodes(t0 + Minutes(2)));
+  ASSERT_NO_THROW(updated->check_invariants());
+
+  (void)service.publish(random_report(rng, "late", t0 + Minutes(3)),
+                        t0 + Minutes(3));
+  const auto grown = service.publish_snapshot(t0 + Minutes(3));
+  EXPECT_NE(grown->nodes_identity(), updated->nodes_identity());
+  EXPECT_EQ(grown->size(), 9u);
+  EXPECT_EQ(updated->size(), 8u);
+
+  (void)service.remove("n4");
+  const auto shrunk = service.publish_snapshot(t0 + Minutes(3));
+  EXPECT_NE(shrunk->nodes_identity(), grown->nodes_identity());
+  EXPECT_EQ(shrunk->size(), 8u);
+  EXPECT_EQ(grown->size(), 9u);
+  ASSERT_NO_THROW(shrunk->check_invariants());
+  ASSERT_NO_THROW(service.check_invariants());
+
+  // The republish inside reset() copies the (now empty) table.
+  service.reset(t0 + Minutes(4));
+  const auto wiped = service.snapshot();
+  EXPECT_NE(wiped->nodes_identity(), shrunk->nodes_identity());
+  EXPECT_EQ(wiped->size(), 0u);
+  EXPECT_EQ(shrunk->size(), 8u);
+
+  ShardedFrontendConfig fc;
+  fc.shards = 2;
+  ShardedFrontend fe{fc};
+  for (int i = 0; i < 8; ++i) {
+    (void)fe.publish(random_report(rng, node_name(i), t0), t0);
+  }
+  const ShardedFrontend::View before = fe.view();
+  (void)fe.publish(random_report(rng, "n3", t0 + Minutes(1)),
+                   t0 + Minutes(1));
+  ASSERT_NO_THROW(fe.check_invariants());
+  const ShardedFrontend::View after = fe.view();
+  const std::size_t s = fe.shard_of("n3");
+  EXPECT_EQ(after.shard(s).nodes_identity(),
+            before.shard(s).nodes_identity());
+  EXPECT_NE(after.shard(s).stamps_identity(),
+            before.shard(s).stamps_identity());
+  (void)fe.remove("n3");
+  ASSERT_NO_THROW(fe.check_invariants());
+  EXPECT_NE(fe.view().shard(s).nodes_identity(),
+            after.shard(s).nodes_identity());
+  EXPECT_EQ(fe.view().size(), 7u);
 }
 
 TEST(ServingSnapshotTest, DisabledConfigNeverAutopublishes) {

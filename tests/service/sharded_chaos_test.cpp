@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -690,6 +691,60 @@ TEST(ShardedChaos, FarClockTickKeepsTheBreakerOpenUntilItsCooldown) {
   expect_invariants(fe);
   EXPECT_EQ(fe.shard_health(0), ShardHealth::kHalfOpen);
   EXPECT_EQ(fe.health_stats().breaker_half_opens, 1u);
+}
+
+// A write within the retry backoff of the clock's end, on a stalled
+// shard: retry 1 would draw past INT64_MAX, so it is not attempted, and
+// the write fails like one whose every retry drew a stall.
+TEST(ShardedChaos, FarClockRetryPastTheClockEndIsNotAttempted) {
+  ShardedFrontendConfig fc;
+  fc.shards = 1;
+  ShardedFrontend fe{fc};
+  Rng rng{57};
+  const SimTime end{std::numeric_limits<std::int64_t>::max()};
+  sim::FaultPlan plan{77};
+  plan.add({.kind = sim::FaultKind::kShardStall,
+            .start = end - Hours(1),
+            .end = end,
+            .probability = 1.0,
+            .entity = 0});
+  fe.set_fault_plan(&plan);
+  const SimTime now = end - Seconds(1);
+  EXPECT_FALSE(fe.publish(report_of("n", random_map(rng), now), now));
+  expect_invariants(fe);
+  const FrontendHealthStats h = fe.health_stats();
+  EXPECT_EQ(h.writes_failed, 1u);
+  EXPECT_EQ(h.write_retries, 0u);
+  EXPECT_EQ(fe.size(), 0u);
+}
+
+// 70 retries allowed under a stall over every clock value, from a clock
+// at 0. Retry r would draw at 2^(r-1) * backoff: the retries stop at the
+// last r whose draw is at most INT64_MAX (no shift past 63 bits, and no
+// draw at a saturated INT64_MAX, which the stall window leaves out).
+TEST(ShardedChaos, FarClockRetriesStopBeforeTheBackoffLeavesTheClock) {
+  ShardedFrontendConfig fc;
+  fc.shards = 1;
+  fc.breaker.max_retries = 70;
+  ShardedFrontend fe{fc};
+  Rng rng{58};
+  sim::FaultPlan plan{78};
+  plan.add({.kind = sim::FaultKind::kShardStall,
+            .start = SimTime{std::numeric_limits<std::int64_t>::min()},
+            .end = SimTime{std::numeric_limits<std::int64_t>::max()},
+            .probability = 1.0,
+            .entity = 0});
+  fe.set_fault_plan(&plan);
+  EXPECT_FALSE(fe.publish(report_of("n", random_map(rng), kT0), kT0));
+  expect_invariants(fe);
+  const FrontendHealthStats h = fe.health_stats();
+  EXPECT_EQ(h.writes_failed, 1u);
+  // 2^(r-1) * backoff <= INT64_MAX - kT0 holds for r = 1 .. bit_width(q).
+  const auto q = static_cast<std::uint64_t>(
+      (std::numeric_limits<std::int64_t>::max() - kT0.micros()) /
+      fc.breaker.retry_backoff.micros());
+  EXPECT_EQ(h.write_retries, static_cast<std::uint64_t>(std::bit_width(q)));
+  EXPECT_LT(h.write_retries, fc.breaker.max_retries);
 }
 
 // ---------------------------------------------------------------------

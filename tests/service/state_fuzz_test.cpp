@@ -264,11 +264,11 @@ TEST(StateFuzz, PublishBatchOnShardedFrontendMatchesDecodedTwin) {
   EXPECT_GT(unpeekable, 100u);
 }
 
-// recover_shard replays only the frames its shard owns (a frame that
-// does not peek is dropped without a count), so the crashed shard must
-// end as a fresh service fed decode(frame) for each of them, its reject
-// counter moving by the owned frames decode rejects, while no other
-// shard and no routing counter moves.
+// recover_shard replays only the frames its shard owns, so the crashed
+// shard must end as a fresh service fed decode(frame) for each of them,
+// its reject counter moving by the owned frames decode rejects, the
+// routing counter by the frames that do not peek, and no other shard
+// moving.
 TEST(StateFuzz, RecoverShardMatchesDecodedTwin) {
   for (std::size_t crashed = 0; crashed < 4; ++crashed) {
     SCOPED_TRACE(::testing::Message() << "crashed shard " << crashed);
@@ -296,9 +296,12 @@ TEST(StateFuzz, RecoverShardMatchesDecodedTwin) {
       replay.push_back(mutate(rng, frames));
     }
     std::vector<std::string> owned;
+    std::uint64_t unpeekable = 0;
     for (const std::string& frame : replay) {
       const auto id = peek_node_id(frame);
-      if (id.has_value() && fe.shard_of(*id) == crashed) {
+      if (!id.has_value()) {
+        ++unpeekable;
+      } else if (fe.shard_of(*id) == crashed) {
         owned.push_back(frame);
       }
     }
@@ -324,15 +327,50 @@ TEST(StateFuzz, RecoverShardMatchesDecodedTwin) {
     EXPECT_EQ(after.reports_rejected - before.reports_rejected,
               twin.reports_rejected() + d.rejected);
     EXPECT_EQ(reports_digest(shard, ids), reports_digest(twin, ids));
-    EXPECT_EQ(fe.stats().routing_rejected, routing);
+    EXPECT_EQ(fe.stats().routing_rejected, routing + unpeekable);
     for (std::size_t s = 0; s < fe.shard_count(); ++s) {
       if (s != crashed) {
         EXPECT_EQ(fe.write_epochs()[s], epochs[s]) << "shard " << s;
       }
     }
     EXPECT_GT(d.rejected, 50u);
+    EXPECT_GT(unpeekable, 10u);
     EXPECT_GT(twin.reports_accepted(), 5u);
   }
+}
+
+// One frame that does not peek in an otherwise valid replay moves
+// routing_rejected by exactly 1; the crashed shard's own frames are all
+// accepted, and other shards' frames are filtered without a count.
+TEST(StateFuzz, RecoverShardCountsAnUnpeekableFrame) {
+  Rng rng{8400};
+  const std::vector<std::string> frames = valid_frames(rng, 24);
+  ShardedFrontendConfig fc;
+  fc.shards = 2;
+  ShardedFrontend fe{fc};
+  ASSERT_EQ(fe.publish_batch(frames, kNow), frames.size());
+  const std::size_t owned = fe.shard(1).size();
+  ASSERT_GT(owned, 0u);
+  ASSERT_LT(owned, frames.size());
+  sim::FaultPlan plan{8401};
+  plan.add({.kind = sim::FaultKind::kShardCrash,
+            .start = kNow,
+            .end = kNow + Minutes(1),
+            .probability = 1.0,
+            .entity = 1});
+  fe.set_fault_plan(&plan);
+  fe.tick(kNow);
+  ASSERT_EQ(fe.shards_needing_recovery(), std::vector<std::size_t>{1});
+
+  std::vector<std::string> replay = frames;
+  const std::string garbage = frames[0].substr(0, 5);
+  ASSERT_FALSE(peek_node_id(garbage).has_value());
+  replay.insert(replay.begin() + 3, garbage);
+  const std::uint64_t routing = fe.stats().routing_rejected;
+  EXPECT_EQ(fe.recover_shard(1, replay, kNow), owned);
+  EXPECT_EQ(fe.stats().routing_rejected, routing + 1);
+  EXPECT_EQ(fe.shard(1).size(), owned);
+  ASSERT_NO_THROW(fe.check_invariants());
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Shared test fixtures: a small but fully functional world.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include "cdn/customer.hpp"
@@ -56,5 +60,75 @@ struct MiniWorld {
   cdn::CustomerCatalog catalog;
   std::unique_ptr<cdn::MeasurementSystem> measurement;
 };
+
+/// Box–Muller standard normal over two hash-derived uniforms, the second
+/// drawn from `hash_mix(h ^ salt)`: the noise formula of the latency and
+/// measurement models, written out for the references below.
+inline double reference_normal(std::uint64_t h, std::uint64_t salt) {
+  double u1 = hash_to_unit(h);
+  const double u2 = hash_to_unit(hash_mix(h ^ salt));
+  if (u1 <= 1e-12) u1 = 1e-12;
+  return std::sqrt(-2.0 * std::log(u1)) *
+         std::cos(2.0 * std::numbers::pi * u2);
+}
+
+/// LatencyOracle's RTT from a to b at t over static RTT `base`,
+/// recomputed from its model with every term's full hash_combine keys:
+/// base * ((1 + congestion(a) + congestion(b)) * jitter * route shift).
+/// Independent of the oracle's dynamics code.
+inline double reference_rtt_ms(const netsim::Topology& topo,
+                               const netsim::LatencyConfig& c, HostId a,
+                               HostId b, SimTime t, double base) {
+  if (a == b) return 0.0;
+  const auto epoch = [t](Duration e) {
+    return static_cast<std::uint64_t>(
+        t.micros() / std::max<std::int64_t>(1, e.micros()));
+  };
+  const auto congestion = [&](HostId h) {
+    const std::uint64_t hash =
+        hash_combine({c.seed, stable_hash("congestion"),
+                      topo.host(h).pop.value(), epoch(c.congestion_epoch)});
+    if (hash_to_unit(hash) >= c.congestion_probability) return 0.0;
+    return hash_to_unit(hash_mix(hash ^ 0x5555aaaaULL)) *
+           c.congestion_max_extra;
+  };
+  constexpr std::uint64_t kNormalSalt = 0xa5a5a5a5a5a5a5a5ULL;
+  double jitter = 1.0;
+  if (c.jitter_sigma > 0.0) {
+    const std::uint64_t h = hash_combine(
+        {c.seed, stable_hash("jitter"), std::min(a.value(), b.value()),
+         std::max(a.value(), b.value()), epoch(c.jitter_epoch)});
+    jitter = std::exp(c.jitter_sigma * reference_normal(h, kNormalSalt));
+  }
+  double route = 1.0;
+  const std::uint64_t pa = topo.host(a).pop.value();
+  const std::uint64_t pb = topo.host(b).pop.value();
+  if (c.route_shift_sigma > 0.0 && pa != pb) {
+    const std::uint64_t h =
+        hash_combine({c.seed, stable_hash("route-shift"), std::min(pa, pb),
+                      std::max(pa, pb), epoch(c.route_shift_epoch)});
+    route = std::exp(c.route_shift_sigma * reference_normal(h, kNormalSalt));
+  }
+  return base * (1.0 + congestion(a) + congestion(b)) * jitter * route;
+}
+
+/// MeasurementSystem's estimate for (resolver, replica) at t, recomputed
+/// from its model: the reference RTT at the start of t's refresh epoch,
+/// times log-normal noise keyed by (seed, tag, resolver, replica, epoch).
+inline double reference_estimate_ms(const netsim::Topology& topo,
+                                    const netsim::LatencyConfig& lat,
+                                    const cdn::MeasurementConfig& m,
+                                    HostId resolver, HostId replica,
+                                    SimTime t, double base) {
+  const std::int64_t refresh = m.refresh.micros();
+  const std::int64_t epoch = t.micros() / std::max<std::int64_t>(1, refresh);
+  const double true_rtt = reference_rtt_ms(topo, lat, resolver, replica,
+                                           SimTime{epoch * refresh}, base);
+  const std::uint64_t h = hash_combine(
+      {m.seed, stable_hash("cdn-measure"), resolver.value(), replica.value(),
+       static_cast<std::uint64_t>(epoch)});
+  return true_rtt *
+         std::exp(m.noise_sigma * reference_normal(h, 0xdeadbeefULL));
+}
 
 }  // namespace crp::test
