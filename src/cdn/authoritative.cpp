@@ -18,7 +18,6 @@ dns::Message CdnAuthoritative::resolve(const dns::Question& question,
                                        Ipv4 resolver_addr, SimTime now) {
   queries_.add();
   dns::Message reply;
-  reply.question = question;
 
   if (question.type != dns::RecordType::kA ||
       !question.name.is_subdomain_of(catalog_->cdn_zone())) {
@@ -47,6 +46,7 @@ dns::Message CdnAuthoritative::resolve(const dns::Question& question,
     reply.rcode = dns::Rcode::kServFail;
     return reply;
   }
+  reply.answers.reserve(picks.size());
   for (ReplicaId id : picks) {
     const HostId replica_host = deployment_->replica(id).host;
     reply.answers.push_back(dns::ResourceRecord::a(

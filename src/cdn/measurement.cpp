@@ -2,19 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 namespace crp::cdn {
 
 namespace {
 
 constexpr std::uint64_t kMeasureTag = stable_hash("cdn-measure");
+// The salt of the noise draw's second uniform.
+constexpr std::uint64_t kNoiseSalt = 0xdeadbeefULL;
 
 }  // namespace
 
 MeasurementSystem::MeasurementSystem(const netsim::LatencyOracle& oracle,
                                      MeasurementConfig config)
-    : oracle_(&oracle), config_(config) {}
+    : oracle_(&oracle), config_(config), noise_(config.noise_sigma) {}
 
 MeasurementSystem::EstimateContext MeasurementSystem::context(
     HostId resolver, SimTime t) const {
@@ -28,19 +29,20 @@ MeasurementSystem::EstimateContext MeasurementSystem::context(
 }
 
 double MeasurementSystem::estimate_ms(const EstimateContext& context,
-                                      HostId replica_host,
-                                      double base_rtt_ms) const {
-  const double true_rtt =
-      oracle_->rtt_ms(context.origin, replica_host, base_rtt_ms);
+                                      HostId replica_host, double base_rtt_ms,
+                                      double bar) const {
   // ...with measurement noise frozen for the epoch.
-  const std::uint64_t h =
-      hash_extend(context.noise, {replica_host.value(), context.epoch});
-  double u1 = hash_to_unit(h);
-  const double u2 = hash_to_unit(hash_mix(h ^ 0xdeadbeefULL));
-  if (u1 <= 1e-12) u1 = 1e-12;
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * std::numbers::pi * u2);
-  return true_rtt * std::exp(config_.noise_sigma * z);
+  const HashNormal noise{
+      hash_extend(context.noise, {replica_host.value(), context.epoch}),
+      kNoiseSalt};
+  // The estimate's floor is the RTT's floor times the noise floor; the
+  // division's rounding is far inside the floors' margins, so a skipped
+  // estimate still exceeds `bar`.
+  const double true_rtt = oracle_->rtt_ms(context.origin, replica_host,
+                                          base_rtt_ms,
+                                          bar / noise_.floor(noise));
+  if (std::isinf(true_rtt)) return true_rtt;
+  return true_rtt * noise_(noise);
 }
 
 double MeasurementSystem::estimate_ms(HostId resolver, HostId replica_host,

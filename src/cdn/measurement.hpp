@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -49,9 +50,15 @@ class MeasurementSystem {
   /// and a replica host, in milliseconds. `base_rtt_ms` must be the
   /// value the oracle's `base_rtt_ms` returns for the pair. Not counted:
   /// the caller adds its estimates with `count_estimates`.
-  [[nodiscard]] double estimate_ms(const EstimateContext& context,
-                                   HostId replica_host,
-                                   double base_rtt_ms) const;
+  ///
+  /// With a finite `bar`, returns +infinity without computing the
+  /// estimate when the estimate's floor exceeds `bar`: the oracle's RTT
+  /// floor times the noise draw's floor, from the pair's hashes, which
+  /// the estimate then reuses. Otherwise returns the exact estimate.
+  [[nodiscard]] double estimate_ms(
+      const EstimateContext& context, HostId replica_host,
+      double base_rtt_ms,
+      double bar = std::numeric_limits<double>::infinity()) const;
 
   /// The same estimate, per call and counted: `estimate_ms(context(
   /// resolver, t), replica_host, base_rtt_ms)`.
@@ -77,6 +84,7 @@ class MeasurementSystem {
  private:
   const netsim::LatencyOracle* oracle_;
   MeasurementConfig config_;
+  LognormalFactor noise_;
   mutable ShardedCounter estimates_;
 };
 

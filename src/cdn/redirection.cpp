@@ -77,8 +77,9 @@ std::atomic<std::uint64_t> g_next_policy_id{1};
 
 /// Per-thread estimate memo of the latency-driven policies (DESIGN.md §6).
 /// It holds the estimates of one (policy, resolver, now) key, one slot
-/// per candidate-list index, filled only when a select needs the slot,
-/// and the key's estimate context, built with the key's first estimate.
+/// per candidate-list index, filled only when a select estimates the
+/// candidate, and the key's estimate context, built with the key's first
+/// estimate.
 /// Thread-local like the oracle's pair cache, so a select after `prepare`
 /// still mutates no shared state.
 struct EstimateMemo {
@@ -162,40 +163,60 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   if (count <= 0) return {};
 
   // Candidates near this resolver that also serve this customer, ranked
-  // by the measurement subsystem's *current* estimate. Only served and
-  // available candidates are estimated, each at most once per memo key.
+  // by the measurement subsystem's *current* estimate. Only the front
+  // (the coverage test) and the rotation pool are read, so `best` keeps
+  // the `cap` best (estimate, id) pairs ranked so far, a max-heap whose
+  // front is the bar once it is full. A candidate whose estimate floor
+  // exceeds the bar cannot reach the pool: it is not estimated and not
+  // ranked, and its memo slot stays empty for a later select with a
+  // higher bar, but it still counts as served. Each served and
+  // available candidate is estimated at most once per memo key.
+  // (estimate, id) is a strict total order over distinct candidates
+  // (estimates are finite), so the sorted heap is a full sort's prefix.
+  const auto better = [](const std::pair<double, ReplicaId>& x,
+                         const std::pair<double, ReplicaId>& y) {
+    return x.first < y.first || (x.first == y.first && x.second < y.second);
+  };
+  const std::size_t cap = std::max<std::size_t>(
+      std::min(config_.rotation_pool, config_.candidate_pool), 1);
   const std::vector<Candidate>& near = candidates(resolver);
   EstimateMemo& memo = estimate_memo();
   memo.bind(policy_id_, resolver, now, near.size());
-  std::vector<std::pair<double, ReplicaId>> ranked;
-  ranked.reserve(near.size());
+  std::vector<std::pair<double, ReplicaId>> best;
+  best.reserve(std::min(cap, near.size()));
+  double bar = std::numeric_limits<double>::infinity();
+  std::size_t served = 0;
   std::size_t computed = 0;
   for (std::size_t i = 0; i < near.size(); ++i) {
     const Candidate& c = near[i];
     if (!customer.serves(c.id)) continue;
     if (health_ != nullptr && !health_->available(c.id, now)) continue;
-    double& estimate = memo.estimates[i];
+    ++served;
+    double estimate = memo.estimates[i];
     if (std::isnan(estimate)) {
       if (!memo.context) memo.context = measurement_->context(resolver, now);
       estimate = measurement_->estimate_ms(*memo.context, c.host,
-                                           c.base_rtt_ms);
+                                           c.base_rtt_ms, bar);
+      if (std::isinf(estimate)) continue;  // its floor exceeds the bar
+      memo.estimates[i] = estimate;
       ++computed;
     }
-    ranked.emplace_back(estimate, c.id);
+    const std::pair<double, ReplicaId> entry{estimate, c.id};
+    if (best.size() < cap) {
+      best.push_back(entry);
+      std::push_heap(best.begin(), best.end(), better);
+    } else if (better(entry, best.front())) {
+      std::pop_heap(best.begin(), best.end(), better);
+      best.back() = entry;
+      std::push_heap(best.begin(), best.end(), better);
+    } else {
+      continue;
+    }
+    if (best.size() == cap) bar = best.front().first;
   }
   if (computed > 0) measurement_->count_estimates(computed);
-  // Only the front (the coverage test) and the rotation pool are read.
-  // (estimate, id) is a strict total order over distinct candidates
-  // (estimates are finite), so sorting just that prefix gives a full
-  // sort's prefix.
-  const std::size_t pool = std::min(config_.rotation_pool, ranked.size());
-  const std::size_t head =
-      std::min(std::max<std::size_t>(pool, 1), ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(head),
-                    ranked.end(), [](const auto& x, const auto& y) {
-                      return x.first < y.first ||
-                             (x.first == y.first && x.second < y.second);
-                    });
+  std::sort_heap(best.begin(), best.end(), better);
+  const std::size_t pool = std::min(config_.rotation_pool, served);
 
   const std::int64_t epoch = epoch_index(now, config_.rotation_epoch);
   Rng rng{hash_combine({config_.seed, kRedirectTag,
@@ -205,7 +226,7 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
 
   // Poor coverage: sometimes answer origin fallbacks instead of edges.
   const bool poorly_covered =
-      ranked.empty() || ranked.front().first > config_.coverage_threshold_ms;
+      best.empty() || best.front().first > config_.coverage_threshold_ms;
   if (poorly_covered && !deployment_->fallbacks().empty() &&
       rng.bernoulli(config_.fallback_probability)) {
     std::vector<ReplicaId> out;
@@ -218,7 +239,7 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
     for (std::size_t i : picks) out.push_back(fallbacks[i]);
     return out;
   }
-  if (ranked.empty()) {
+  if (best.empty()) {
     // No edge candidate serves this customer near here and no fallback
     // drawn: answer the globally best-effort fallbacks deterministically.
     const auto fallbacks = deployment_->fallbacks();
@@ -240,12 +261,13 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
   // turns redirections into frequency distributions (ratio maps).
   std::vector<double> w(rotation_weights_.begin(),
                         rotation_weights_.begin() + static_cast<long>(pool));
-  std::vector<ReplicaId> out;
   const auto want =
       std::min<std::size_t>(static_cast<std::size_t>(count), pool);
+  std::vector<ReplicaId> out;
+  out.reserve(want);
   for (std::size_t pick = 0; pick < want; ++pick) {
     const std::size_t idx = rng.weighted_index(w);
-    out.push_back(ranked[idx].second);
+    out.push_back(best[idx].second);
     w[idx] = 0.0;  // without replacement
   }
   return out;

@@ -101,7 +101,9 @@ class LatencyDrivenPolicy final : public RedirectionPolicy {
   /// instant — a probe's customers — build one estimate context and
   /// compute each candidate's estimate once. An estimate is a pure
   /// function of that key and the replica, so the memo never changes an
-  /// answer.
+  /// answer. A candidate whose estimate floor exceeds the
+  /// `rotation_pool`-th best estimate ranked so far cannot be drawn, so
+  /// it is skipped without an estimate (DESIGN.md §6, "Estimate floors").
   [[nodiscard]] std::vector<ReplicaId> select(HostId resolver,
                                               const Customer& customer,
                                               SimTime now,

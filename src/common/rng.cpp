@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -11,6 +12,38 @@ namespace crp {
 std::uint64_t splitmix64(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ULL;
   return hash_mix(state);
+}
+
+LognormalFactor::LognormalFactor(double sigma) : sigma_(sigma) {
+  // Covers the rounding of log, sqrt, cos, exp and the products (about
+  // 1e-15 relative) many times over.
+  constexpr double kMargin = 1e-9;
+  constexpr std::size_t kAxis = HashNormal::kCellsPerAxis;
+  const auto radius = [](double u1) {
+    return std::sqrt(-2.0 * std::log(std::max(u1, 1e-12)));
+  };
+  const auto cosine = [](double u2) {
+    return std::cos(2.0 * std::numbers::pi * u2);
+  };
+  for (std::size_t i = 0; i < kAxis; ++i) {
+    // u1 in [i/16, (i+1)/16); the radius falls as u1 grows.
+    const double r_max = radius(static_cast<double>(i) / kAxis);
+    const double r_min = radius(static_cast<double>(i + 1) / kAxis);
+    for (std::size_t j = 0; j < kAxis; ++j) {
+      // u2 in [j/16, (j+1)/16]; cos(2π u2) falls to -1 at u2 = ½, then
+      // rises, so its extremes are at the ends or, for the minimum, ½.
+      const double a = static_cast<double>(j) / kAxis;
+      const double b = static_cast<double>(j + 1) / kAxis;
+      const double c_min =
+          a <= 0.5 && 0.5 <= b ? -1.0 : std::min(cosine(a), cosine(b));
+      const double c_max = std::max(cosine(a), cosine(b));
+      // z = r · c over the cell's rectangle of (r, c).
+      const double z_min = c_min < 0.0 ? r_max * c_min : r_min * c_min;
+      const double z_max = c_max > 0.0 ? r_max * c_max : r_min * c_max;
+      const double z = sigma >= 0.0 ? z_min - kMargin : z_max + kMargin;
+      floors_[i * kAxis + j] = std::exp(sigma * z) * (1.0 - kMargin);
+    }
+  }
 }
 
 namespace {

@@ -9,13 +9,17 @@
 // `hash_mix` exposes the stateless counterpart: a 64-bit mixing function
 // used to derive pseudo-random values from (entity, epoch) pairs without
 // storing any state — the backbone of the deterministic latency-dynamics
-// and CDN-measurement-noise models.
+// and CDN-measurement-noise models, whose noise terms are `HashNormal`
+// draws.
 #pragma once
 
 #include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <numbers>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -59,6 +63,61 @@ namespace crp {
 [[nodiscard]] constexpr double hash_to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
+
+/// One standard-normal draw as a pure function of a hash: Box–Muller over
+/// u1 = hash_to_unit(h), clamped to at least 1e-12, and u2 =
+/// hash_to_unit(hash_mix(h ^ salt)). Each model that draws noise has its
+/// own salt. The top four bits of the two hashes are ⌊16·u1⌋ and
+/// ⌊16·u2⌋, the draw's cell in a `LognormalFactor`'s floor table, so a
+/// caller can bound the draw before it pays for `log`, `sqrt` and `cos`.
+class HashNormal {
+ public:
+  static constexpr std::size_t kCellsPerAxis = 16;
+
+  constexpr HashNormal(std::uint64_t h, std::uint64_t salt)
+      : h1_(h), h2_(hash_mix(h ^ salt)) {}
+
+  /// The deviate.
+  [[nodiscard]] double z() const {
+    double u1 = hash_to_unit(h1_);
+    const double u2 = hash_to_unit(h2_);
+    if (u1 <= 1e-12) u1 = 1e-12;
+    return std::sqrt(-2.0 * std::log(u1)) *
+           std::cos(2.0 * std::numbers::pi * u2);
+  }
+
+  /// ⌊16·u1⌋ · 16 + ⌊16·u2⌋.
+  [[nodiscard]] constexpr std::size_t cell() const {
+    return static_cast<std::size_t>((h1_ >> 60) * kCellsPerAxis +
+                                    (h2_ >> 60));
+  }
+
+ private:
+  std::uint64_t h1_;
+  std::uint64_t h2_;
+};
+
+/// A log-normal factor exp(sigma · z) of `HashNormal` draws, and a floor
+/// for each of the draw's 16 × 16 cells (2 KiB), built once per sigma:
+/// `floor(draw) <= (*this)(draw)` for every draw and any sign of sigma
+/// (DESIGN.md §6, "Estimate floors").
+class LognormalFactor {
+ public:
+  explicit LognormalFactor(double sigma);
+
+  [[nodiscard]] double operator()(const HashNormal& draw) const {
+    return std::exp(sigma_ * draw.z());
+  }
+  /// A lower bound of the factor that reads only the draw's cell.
+  [[nodiscard]] double floor(const HashNormal& draw) const {
+    return floors_[draw.cell()];
+  }
+
+ private:
+  double sigma_;
+  std::array<double, HashNormal::kCellsPerAxis * HashNormal::kCellsPerAxis>
+      floors_{};
+};
 
 /// xoshiro256** pseudo-random generator with distribution helpers.
 ///

@@ -48,7 +48,6 @@ struct Question {
 /// Simplified DNS message (response side).
 struct Message {
   std::uint16_t id = 0;
-  Question question;
   Rcode rcode = Rcode::kNoError;
   std::vector<ResourceRecord> answers;
 

@@ -17,11 +17,19 @@ Ipv4 RecursiveResolver::address() const {
 }
 
 const std::vector<ResourceRecord>& RecursiveResolver::cache_store(
-    const Name& name, RecordType type, std::vector<ResourceRecord> records,
-    Rcode rcode, SimTime now) {
+    Cache::iterator expired, const Name& name, RecordType type,
+    std::vector<ResourceRecord> records, Rcode rcode, SimTime now) {
   if (config_.max_cache_entries == 0) {
     uncached_ = std::move(records);
     return uncached_;
+  }
+  Duration min_ttl = Hours(24);
+  for (const ResourceRecord& rr : records) min_ttl = std::min(min_ttl, rr.ttl);
+  if (records.empty()) min_ttl = Seconds(30);  // negative-cache TTL
+  CacheEntry entry{std::move(records), rcode, now + min_ttl};
+  if (expired != cache_.end()) {
+    expired->second = std::move(entry);
+    return expired->second.records;
   }
   if (cache_.size() >= config_.max_cache_entries) {
     // Pressure valve: drop everything expired; if still full, evict the
@@ -37,8 +45,8 @@ const std::vector<ResourceRecord>& RecursiveResolver::cache_store(
       const std::size_t evict = cache_.size() - keep;
       std::vector<std::pair<SimTime, const CacheKey*>> by_expiry;
       by_expiry.reserve(cache_.size());
-      for (const auto& [key, entry] : cache_) {
-        by_expiry.emplace_back(entry.expires, &key);
+      for (const auto& [key, cached] : cache_) {
+        by_expiry.emplace_back(cached.expires, &key);
       }
       std::nth_element(by_expiry.begin(),
                        by_expiry.begin() + static_cast<long>(evict) - 1,
@@ -54,36 +62,29 @@ const std::vector<ResourceRecord>& RecursiveResolver::cache_store(
       for (const CacheKey& victim : victims) cache_.erase(victim);
     }
   }
-  Duration min_ttl = Hours(24);
-  for (const ResourceRecord& rr : records) min_ttl = std::min(min_ttl, rr.ttl);
-  if (records.empty()) min_ttl = Seconds(30);  // negative-cache TTL
   // Insert only after the valve: it must never evict what it returns.
-  return cache_
-      .insert_or_assign(CacheKey{name, type},
-                        CacheEntry{std::move(records), rcode, now + min_ttl})
+  return cache_.emplace(CacheKey{name, type}, std::move(entry))
       .first->second.records;
 }
 
 const std::vector<ResourceRecord>* RecursiveResolver::lookup(
     const Name& name, RecordType type, SimTime now, ResolveResult& result) {
-  if (const auto it = cache_.find(CacheKeyRef{name, type});
-      it != cache_.end()) {
-    if (it->second.expires > now) {
-      ++cache_hits_;
-      if (it->second.rcode != Rcode::kNoError) {
-        result.rcode = it->second.rcode;
-        return nullptr;
-      }
-      return &it->second.records;
+  // After the hit test: the key's expired entry, or end().
+  Cache::iterator expired = cache_.find(CacheKeyRef{name, type});
+  if (expired != cache_.end() && expired->second.expires > now) {
+    ++cache_hits_;
+    if (expired->second.rcode != Rcode::kNoError) {
+      result.rcode = expired->second.rcode;
+      return nullptr;
     }
-    cache_.erase(it);
+    return &expired->second.records;
   }
   ++cache_misses_;
 
   AuthoritativeServer* const server = registry_->find(name);
   if (server == nullptr) {
     result.rcode = Rcode::kServFail;
-    cache_store(name, type, {}, Rcode::kServFail, now);
+    cache_store(expired, name, type, {}, Rcode::kServFail, now);
     return nullptr;
   }
 
@@ -115,13 +116,15 @@ const std::vector<ResourceRecord>* RecursiveResolver::lookup(
     Message reply = server->resolve(Question{name, type}, address(), now);
     if (reply.rcode != Rcode::kNoError) {
       result.rcode = reply.rcode;
-      cache_store(name, type, {}, reply.rcode, now);
+      cache_store(expired, name, type, {}, reply.rcode, now);
       return nullptr;
     }
-    return &cache_store(name, type, std::move(reply.answers),
+    return &cache_store(expired, name, type, std::move(reply.answers),
                         Rcode::kNoError, now);
   }
-  // Every attempt lost: give up with SERVFAIL (uncached, see above).
+  // Every attempt lost: give up with SERVFAIL, uncached (see above), and
+  // drop the expired answer, so a fault loss leaves no entry.
+  if (expired != cache_.end()) cache_.erase(expired);
   ++timeouts_;
   result.rcode = Rcode::kServFail;
   result.timed_out = true;
@@ -169,7 +172,11 @@ ResolveResult RecursiveResolver::resolve(const Name& name, SimTime now) {
       return result;
     }
 
-    // Collect A answers; follow at most one CNAME per step.
+    // Collect A answers; follow at most one CNAME per step. Addresses
+    // are collected in the last step only.
+    result.chain.reserve(result.chain.size() + records->size());
+    result.addresses.reserve(static_cast<std::size_t>(
+        std::ranges::count(*records, RecordType::kA, &ResourceRecord::type)));
     std::optional<std::size_t> cname;  // its index in `result.chain`
     for (const ResourceRecord& rr : *records) {
       if (rr.type == RecordType::kA) {

@@ -6,7 +6,8 @@
 // round-trip via the latency oracle — so a King measurement through the
 // resolver sees realistic turnaround times, and a CRP probe sees the CDN's
 // 20-second TTLs expire between probes. Lookups read cached answers in
-// place; `resolve` copies each record once, into its result.
+// place, an expired answer is refreshed in its own entry, and `resolve`
+// copies each record once, into its result.
 #pragma once
 
 #include <cstddef>
@@ -138,6 +139,9 @@ class RecursiveResolver {
     SimTime expires;
   };
 
+  using Cache =
+      std::unordered_map<CacheKey, CacheEntry, CacheKeyHash, CacheKeyEq>;
+
   /// Looks up (name, type), from cache or upstream. Appends the RTT cost
   /// of any upstream query to `result.elapsed`. Returns the answer's
   /// records, or nullptr on failure (with `result.rcode` set). The
@@ -148,11 +152,14 @@ class RecursiveResolver {
                                             SimTime now,
                                             ResolveResult& result);
 
-  /// Stores an answer (after the eviction valve has made room) and
-  /// returns the stored records; same lifetime as `lookup`'s.
+  /// Stores an answer and returns the stored records; same lifetime as
+  /// `lookup`'s. `expired` is the key's expired entry, refreshed in place
+  /// (its key and node are kept, and the cache does not grow), or
+  /// `cache_.end()` for a new key, which is inserted after the eviction
+  /// valve has made room.
   const std::vector<ResourceRecord>& cache_store(
-      const Name& name, RecordType type, std::vector<ResourceRecord> records,
-      Rcode rcode, SimTime now);
+      Cache::iterator expired, const Name& name, RecordType type,
+      std::vector<ResourceRecord> records, Rcode rcode, SimTime now);
 
   /// Was upstream attempt `attempt` at `now` lost? Pure function of the
   /// armed plans — bit-identical for any replay order or thread count.
@@ -164,7 +171,7 @@ class RecursiveResolver {
   const netsim::LatencyOracle* oracle_;
   const sim::FaultPlan* faults_ = nullptr;
   ResolverConfig config_;
-  std::unordered_map<CacheKey, CacheEntry, CacheKeyHash, CacheKeyEq> cache_;
+  Cache cache_;
   /// The last answer when caching is off (`max_cache_entries == 0`).
   std::vector<ResourceRecord> uncached_;
   std::size_t cache_hits_ = 0;

@@ -23,7 +23,6 @@ void StaticZone::add_wildcard_a(Ipv4 address, Duration ttl) {
 Message StaticZone::resolve(const Question& question, Ipv4 /*resolver_addr*/,
                             SimTime /*now*/) {
   Message reply;
-  reply.question = question;
   if (!question.name.is_subdomain_of(apex_)) {
     reply.rcode = Rcode::kServFail;  // not authoritative — misdelegation
     return reply;

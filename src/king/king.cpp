@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -15,12 +14,7 @@ KingEstimator::KingEstimator(const netsim::LatencyOracle& oracle,
 
 namespace {
 double hash_lognormal(std::uint64_t h, double sigma) {
-  double u1 = hash_to_unit(h);
-  const double u2 = hash_to_unit(hash_mix(h ^ 0xfeedfaceULL));
-  if (u1 <= 1e-12) u1 = 1e-12;
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * std::numbers::pi * u2);
-  return std::exp(sigma * z);
+  return std::exp(sigma * HashNormal{h, 0xfeedfaceULL}.z());
 }
 }  // namespace
 

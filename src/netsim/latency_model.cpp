@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <numbers>
 #include <vector>
 
 namespace crp::netsim {
@@ -19,15 +18,8 @@ std::pair<std::uint64_t, std::uint64_t> ordered(HostId a, HostId b) {
   return x < y ? std::pair{x, y} : std::pair{y, x};
 }
 
-// Standard-normal deviate as a pure function of a hash (Box–Muller over
-// two hash-derived uniforms).
-double hash_normal(std::uint64_t h) {
-  double u1 = hash_to_unit(h);
-  const double u2 = hash_to_unit(hash_mix(h ^ 0xa5a5a5a5a5a5a5a5ULL));
-  if (u1 <= 1e-12) u1 = 1e-12;
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
+// The salt of the jitter and route-shift draws' second uniform.
+constexpr std::uint64_t kNormalSalt = 0xa5a5a5a5a5a5a5a5ULL;
 
 // The epoch index of `t`, as the hashes key it.
 std::uint64_t epoch_of(SimTime t, Duration epoch) {
@@ -102,6 +94,8 @@ LatencyOracle::LatencyOracle(const Topology& topo, LatencyConfig config)
       congestion_prefix_(hash_combine({config.seed, kCongestionTag})),
       route_shift_prefix_(hash_combine({config.seed, kRouteShiftTag})),
       jitter_prefix_(hash_combine({config.seed, kJitterTag})),
+      jitter_(config.jitter_sigma),
+      route_shift_(config.route_shift_sigma),
       oracle_id_(g_next_oracle_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 PairCacheStats LatencyOracle::pair_cache_stats() {
@@ -198,8 +192,10 @@ double LatencyOracle::congestion_extra(HostId h, SimTime t) const {
 double LatencyOracle::route_shift_factor(HostId a, HostId b,
                                          SimTime t) const {
   if (a == b) return 1.0;
-  return route_shift_at(topo_->host(a).pop, topo_->host(b).pop,
-                        epoch_of(t, config_.route_shift_epoch));
+  const std::optional<HashNormal> shift =
+      route_shift_draw(topo_->host(a).pop, topo_->host(b).pop,
+                       epoch_of(t, config_.route_shift_epoch));
+  return shift ? route_shift_(*shift) : 1.0;
 }
 
 double LatencyOracle::congestion_at(PopId pop, std::uint64_t epoch) const {
@@ -210,22 +206,22 @@ double LatencyOracle::congestion_at(PopId pop, std::uint64_t epoch) const {
   return severity * config_.congestion_max_extra;
 }
 
-double LatencyOracle::route_shift_at(PopId a, PopId b,
-                                     std::uint64_t epoch) const {
+std::optional<HashNormal> LatencyOracle::route_shift_draw(
+    PopId a, PopId b, std::uint64_t epoch) const {
   // Same PoP: no inter-domain route.
-  if (config_.route_shift_sigma <= 0.0 || a == b) return 1.0;
+  if (config_.route_shift_sigma <= 0.0 || a == b) return std::nullopt;
   const std::uint64_t lo = std::min(a.value(), b.value());
   const std::uint64_t hi = std::max(a.value(), b.value());
-  const std::uint64_t h = hash_extend(route_shift_prefix_, {lo, hi, epoch});
-  return std::exp(config_.route_shift_sigma * hash_normal(h));
+  return HashNormal{hash_extend(route_shift_prefix_, {lo, hi, epoch}),
+                    kNormalSalt};
 }
 
-double LatencyOracle::jitter_at(HostId a, HostId b,
-                                std::uint64_t epoch) const {
-  if (config_.jitter_sigma <= 0.0) return 1.0;
+std::optional<HashNormal> LatencyOracle::jitter_draw(
+    HostId a, HostId b, std::uint64_t epoch) const {
+  if (config_.jitter_sigma <= 0.0) return std::nullopt;
   const auto [lo, hi] = ordered(a, b);
-  const std::uint64_t h = hash_extend(jitter_prefix_, {lo, hi, epoch});
-  return std::exp(config_.jitter_sigma * hash_normal(h));
+  return HashNormal{hash_extend(jitter_prefix_, {lo, hi, epoch}),
+                    kNormalSalt};
 }
 
 LatencyOracle::Origin LatencyOracle::origin(HostId a, SimTime t) const {
@@ -237,14 +233,25 @@ LatencyOracle::Origin LatencyOracle::origin(HostId a, SimTime t) const {
           epoch_of(t, config_.route_shift_epoch)};
 }
 
-double LatencyOracle::rtt_ms(const Origin& from, HostId b,
-                             double base) const {
+double LatencyOracle::rtt_ms(const Origin& from, HostId b, double base,
+                             double bar) const {
   if (from.host == b) return 0.0;
   const PopId pop = topo_->host(b).pop;
-  const double congestion =
-      from.congestion + congestion_at(pop, from.congestion_epoch);
-  return base * congestion * jitter_at(from.host, b, from.jitter_epoch) *
-         route_shift_at(from.pop, pop, from.route_epoch);
+  const std::optional<HashNormal> jitter =
+      jitter_draw(from.host, b, from.jitter_epoch);
+  const std::optional<HashNormal> shift =
+      route_shift_draw(from.pop, pop, from.route_epoch);
+  double floor = base * from.congestion;
+  if (jitter) floor *= jitter_.floor(*jitter);
+  if (shift) floor *= route_shift_.floor(*shift);
+  if (floor > bar) return std::numeric_limits<double>::infinity();
+  // An absent term's factor is exactly 1, so skipping it keeps the bits
+  // of `base * congestion * jitter * route`.
+  double rtt =
+      base * (from.congestion + congestion_at(pop, from.congestion_epoch));
+  if (jitter) rtt *= jitter_(*jitter);
+  if (shift) rtt *= route_shift_(*shift);
+  return rtt;
 }
 
 }  // namespace crp::netsim

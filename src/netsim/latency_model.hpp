@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -129,8 +131,16 @@ class LatencyOracle {
   /// `base_rtt_ms(from.host, b)` returns: a caller that keeps the base
   /// RTT beside the pair (the CDN's candidate lists) skips the
   /// pair-cache lookup and computes only the far end's terms.
-  [[nodiscard]] double rtt_ms(const Origin& from, HostId b,
-                              double base) const;
+  ///
+  /// With a finite `bar`, returns +infinity without computing the RTT
+  /// when the RTT's floor exceeds `bar`. The floor is `base *
+  /// from.congestion` times the floors of the jitter and route-shift
+  /// draws (`LognormalFactor::floor`): the far end's congestion is >= 0,
+  /// and the pair's draws are hashed once for the floor and the RTT. It
+  /// is 0 for `from.host == b`, whose RTT is 0.
+  [[nodiscard]] double rtt_ms(
+      const Origin& from, HostId b, double base,
+      double bar = std::numeric_limits<double>::infinity()) const;
 
   /// RTT at sim time `t`: `rtt_ms(origin(a, t), b, base_rtt_ms(a, b))`.
   [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t) const {
@@ -187,10 +197,12 @@ class LatencyOracle {
   [[nodiscard]] double region_interconnect(RegionId a, RegionId b) const;
   // The dynamics at an epoch index (`t` divided by the term's epoch).
   [[nodiscard]] double congestion_at(PopId pop, std::uint64_t epoch) const;
-  [[nodiscard]] double jitter_at(HostId a, HostId b,
-                                 std::uint64_t epoch) const;
-  [[nodiscard]] double route_shift_at(PopId a, PopId b,
-                                      std::uint64_t epoch) const;
+  // A pair's jitter and route-shift draws; none when the term is off
+  // (sigma <= 0, or one PoP for route shift), whose factor is exactly 1.
+  [[nodiscard]] std::optional<HashNormal> jitter_draw(
+      HostId a, HostId b, std::uint64_t epoch) const;
+  [[nodiscard]] std::optional<HashNormal> route_shift_draw(
+      PopId a, PopId b, std::uint64_t epoch) const;
 
   const Topology* topo_;
   LatencyConfig config_;
@@ -201,6 +213,8 @@ class LatencyOracle {
   std::uint64_t congestion_prefix_;
   std::uint64_t route_shift_prefix_;
   std::uint64_t jitter_prefix_;
+  LognormalFactor jitter_;
+  LognormalFactor route_shift_;
   const sim::FaultPlan* faults_ = nullptr;
   /// Distinguishes this oracle's entries in the shared per-thread cache;
   /// unique per instance and never reused, so a destroyed oracle's stale

@@ -104,18 +104,11 @@ TEST(MeasurementSystem, ContextFormMatchesReferenceModel) {
   for (const ReplicaServer& r : world.deployment.replicas()) {
     hosts.push_back(r.host);
   }
-  std::vector<netsim::LatencyConfig> configs(3);
-  for (netsim::LatencyConfig& c : configs) c.seed = 29;
-  configs[0].route_shift_sigma = 0.3;
-  configs[0].congestion_probability = 0.5;
-  configs[1].jitter_sigma = 0.0;
-  configs[1].route_shift_sigma = 0.2;
-  configs[1].route_shift_epoch = Minutes(90);
   MeasurementConfig mc;
   mc.seed = 31;
   Rng rng{405};
   std::size_t checked = 0;
-  for (const netsim::LatencyConfig& lat : configs) {
+  for (const netsim::LatencyConfig& lat : test::swept_latency_configs(29)) {
     const netsim::LatencyOracle oracle{world.topo, lat};
     const MeasurementSystem measurement{oracle, mc};
     for (int i = 0; i < 1200; ++i) {
@@ -142,6 +135,62 @@ TEST(MeasurementSystem, ContextFormMatchesReferenceModel) {
     EXPECT_EQ(measurement.estimates_computed(), 5u);
   }
   EXPECT_GE(checked, 10000u);
+}
+
+// The estimate floor against the model recomputed from scratch: at a bar
+// equal to test::reference_estimate_ms, the bar form must return that
+// estimate, since a floor above it would return +infinity. The swept
+// latency models meet noise sigmas of 0.12, 0, 0.5 and -0.3, over
+// negative and positive times and a resolver that is the replica host;
+// three in four noise draws are forced into the smallest-u1 cell, the
+// cells around u2 = 1/2, or both, by stepping t through refresh epochs.
+TEST(MeasurementSystem, FloorNeverExceedsTheEstimate) {
+  test::MiniWorld world{27};
+  std::vector<HostId> hosts = world.clients;
+  for (const ReplicaServer& r : world.deployment.replicas()) {
+    hosts.push_back(r.host);
+  }
+  Rng rng{406};
+  for (const netsim::LatencyConfig& lat : test::swept_latency_configs(29)) {
+    const netsim::LatencyOracle oracle{world.topo, lat};
+    for (const double sigma : {0.12, 0.0, 0.5, -0.3}) {
+      MeasurementConfig mc;
+      mc.seed = 31;
+      mc.noise_sigma = sigma;
+      const MeasurementSystem measurement{oracle, mc};
+      std::size_t pruned_at_half = 0;
+      for (int i = 0; i < 10000; ++i) {
+        const HostId resolver = rng.pick(hosts);
+        const HostId replica =
+            rng.uniform() < 0.125 ? resolver : rng.pick(hosts);
+        SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                  Hours(24 * 40).micros())};
+        const test::DrawCell cell = test::kDrawCells[i % 4];
+        while (!test::draw_in(
+            cell, test::reference_noise_hash(mc, resolver, replica, t),
+            test::kNoiseSalt)) {
+          t = t + mc.refresh;
+        }
+        const double base = oracle.base_rtt_ms(resolver, replica);
+        const double want = test::reference_estimate_ms(
+            world.topo, lat, mc, resolver, replica, t, base);
+        const MeasurementSystem::EstimateContext context =
+            measurement.context(resolver, t);
+        ASSERT_EQ(measurement.estimate_ms(context, replica, base, want), want)
+            << "sigma " << sigma << " resolver " << resolver.value()
+            << " replica " << replica.value() << " t " << t.micros();
+        const double half = measurement.estimate_ms(context, replica, base,
+                                                    want / 2.0);
+        if (std::isinf(half)) {
+          ++pruned_at_half;
+        } else {
+          ASSERT_EQ(half, want);
+        }
+      }
+      // The floors are tight enough to prune.
+      EXPECT_GT(pruned_at_half, 1000u) << "sigma " << sigma;
+    }
+  }
 }
 
 TEST(MeasurementSystem, NoiseScalesWithSigma) {

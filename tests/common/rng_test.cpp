@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "../test_util.hpp"
+
 namespace crp {
 namespace {
 
@@ -277,6 +279,48 @@ TEST(HashExtend, ContinuesHashCombineAtEverySplit) {
     [&]<std::size_t... N>(std::index_sequence<N...>) {
       (expect_extend_continues(draw_keys<N>(key)), ...);
     }(std::make_index_sequence<7>{});
+  }
+}
+
+// HashNormal's deviate and cell, and every LognormalFactor floor, against
+// Box-Muller recomputed by test::reference_normal: random hashes plus
+// hashes forced into the 1e-12 clamp (u1 = 0 and just above), the
+// smallest-u1 cell and the cells around u2 = 1/2, for positive, zero and
+// negative sigmas.
+TEST(LognormalFactor, FloorNeverExceedsTheFactor) {
+  constexpr std::uint64_t kSalt = test::kLatencySalt;
+  Rng rng{409};
+  std::vector<std::uint64_t> hashes;
+  for (int i = 0; i < 20000; ++i) hashes.push_back(rng());
+  for (std::uint64_t k = 0; k < 2000; ++k) {
+    hashes.push_back(k << 11);     // u1 = k * 2^-53, inside the clamp
+    hashes.push_back(rng() >> 4);  // u1 < 1/16
+  }
+  for (const test::DrawCell cell :
+       {test::DrawCell::kHalfU2, test::DrawCell::kBoth}) {
+    for (int found = 0; found < 2000;) {
+      const std::uint64_t h = rng() >> (cell == test::DrawCell::kBoth ? 4 : 0);
+      if (test::draw_in(cell, h, kSalt)) {
+        hashes.push_back(h);
+        ++found;
+      }
+    }
+  }
+  for (const double sigma : {0.06, 0.12, 0.3, 0.5, 2.0, 0.0, -0.3, -2.0}) {
+    const LognormalFactor factor{sigma};
+    for (const std::uint64_t h : hashes) {
+      const HashNormal draw{h, kSalt};
+      const double z = test::reference_normal(h, kSalt);
+      ASSERT_EQ(draw.z(), z) << h;
+      ASSERT_EQ(draw.cell(),
+                static_cast<std::size_t>(hash_to_unit(h) * 16) * 16 +
+                    static_cast<std::size_t>(
+                        hash_to_unit(hash_mix(h ^ kSalt)) * 16))
+          << h;
+      ASSERT_EQ(factor(draw), std::exp(sigma * z)) << h;
+      ASSERT_LT(factor.floor(draw), std::exp(sigma * z))
+          << "sigma " << sigma << " h " << h;
+    }
   }
 }
 

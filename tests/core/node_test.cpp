@@ -15,7 +15,6 @@ class RotatingZone final : public dns::AuthoritativeServer {
   dns::Message resolve(const dns::Question& question, Ipv4 /*addr*/,
                        SimTime now) override {
     dns::Message reply;
-    reply.question = question;
     const auto idx =
         static_cast<std::uint32_t>((now.micros() / Minutes(1).micros()) % 3);
     reply.answers.push_back(dns::ResourceRecord::a(

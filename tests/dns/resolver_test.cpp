@@ -193,6 +193,77 @@ TEST_F(ResolverTest, CachePressureEvictsButStaysCorrect) {
   EXPECT_LE(resolver.cache_size(), 4u);
 }
 
+// An expired entry is refreshed in its own slot. Every count, the cache
+// size and negative caching must read as they did when the expired entry
+// was erased and a new one inserted: across a positive and a negative
+// refresh, and an all-lost timeout, which leaves no entry behind.
+TEST_F(ResolverTest, ExpiryRefreshKeepsCountsAndCacheSize) {
+  constexpr std::uint64_t kFaultyHost = 99;
+  CountingZone faulty_zone{[] {
+    StaticZone z{Name::parse("faulty.net"), HostId{kFaultyHost}};
+    z.add(ResourceRecord::a(Name::parse("www.faulty.net"), Ipv4(10, 0, 0, 5),
+                            Seconds(60)));
+    return z;
+  }()};
+  registry_.register_zone(Name::parse("faulty.net"), &faulty_zone);
+  sim::FaultPlan plan{7};
+  sim::FaultRule outage;
+  outage.kind = sim::FaultKind::kResolverOutage;
+  outage.start = SimTime::epoch() + Seconds(61);
+  outage.end = SimTime::epoch() + Hours(1);
+  outage.entity = kFaultyHost;
+  plan.add(outage);
+  RecursiveResolver resolver{HostId{1}, registry_, nullptr};
+  resolver.set_fault_plan(&plan);
+
+  struct Counts {
+    std::size_t hits, misses, queries_sent, retries, timeouts, cache_size;
+  };
+  const auto expect_counts = [&](const Counts& want) {
+    EXPECT_EQ(resolver.cache_hits(), want.hits);
+    EXPECT_EQ(resolver.cache_misses(), want.misses);
+    EXPECT_EQ(resolver.queries_sent(), want.queries_sent);
+    EXPECT_EQ(resolver.retries(), want.retries);
+    EXPECT_EQ(resolver.timeouts(), want.timeouts);
+    EXPECT_EQ(resolver.cache_size(), want.cache_size);
+  };
+  const auto resolve = [&](const char* name, Duration at) {
+    return resolver.resolve(Name::parse(name), SimTime::epoch() + at);
+  };
+
+  // A positive (60 s), a negative (30 s) and a soon-faulty answer.
+  EXPECT_TRUE(resolve("direct.example.com", Seconds(0)).ok());
+  EXPECT_EQ(resolve("no.example.com", Seconds(0)).rcode, Rcode::kNxDomain);
+  EXPECT_TRUE(resolve("www.faulty.net", Seconds(0)).ok());
+  expect_counts({0, 3, 3, 0, 0, 3});
+
+  // All three expired: the two zone answers refresh in place...
+  const auto refreshed = resolve("direct.example.com", Seconds(61));
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_EQ(refreshed.addresses[0], Ipv4(10, 0, 0, 7));
+  EXPECT_EQ(refreshed.upstream_queries, 1);
+  EXPECT_EQ(resolve("no.example.com", Seconds(61)).rcode, Rcode::kNxDomain);
+  expect_counts({0, 5, 5, 0, 0, 3});
+  // ...and are cached again, the negative answer included.
+  EXPECT_TRUE(resolve("direct.example.com", Seconds(62)).ok());
+  const auto negative = resolve("no.example.com", Seconds(62));
+  EXPECT_EQ(negative.rcode, Rcode::kNxDomain);
+  EXPECT_EQ(negative.upstream_queries, 0);
+  expect_counts({2, 5, 5, 0, 0, 3});
+  EXPECT_EQ(site_zone_.queries, 4);
+
+  // Every attempt at the faulty zone is lost: SERVFAIL, and the expired
+  // entry is gone rather than refreshed or negative-cached.
+  const auto lost = resolve("www.faulty.net", Seconds(100));
+  EXPECT_EQ(lost.rcode, Rcode::kServFail);
+  EXPECT_TRUE(lost.timed_out);
+  expect_counts({2, 6, 8, 2, 1, 2});
+  // Once the outage ends the name is a plain miss, inserted anew.
+  EXPECT_TRUE(resolve("www.faulty.net", Hours(1)).ok());
+  expect_counts({2, 7, 9, 2, 1, 3});
+  EXPECT_EQ(faulty_zone.queries, 2);
+}
+
 TEST(ResolverCachePressure, FullCacheKeepsHotRecords) {
   // Regression: the pressure valve used to drop the *entire* cache when
   // purging expired entries left it full; it must evict the

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "../test_util.hpp"
 #include "netsim/topology_builder.hpp"
 
@@ -330,6 +332,60 @@ TEST_F(LatencyModelTest, OriginFormMatchesReferenceModel) {
   EXPECT_GE(checked, 10000u);
   EXPECT_GT(congested, 1000u);
   EXPECT_GT(shifted, 1000u);
+}
+
+// The RTT floor against the model recomputed from scratch: at a bar equal
+// to test::reference_rtt_ms, the bar form must return that RTT, since a
+// floor above it would return +infinity. The swept latency models, over
+// negative and positive times and a == b; three in four jitter draws (on
+// half the samples) and route-shift draws (on the other half) are forced
+// into the smallest-u1 cell, the cells around u2 = 1/2, or both, by
+// stepping t through the term's epochs.
+TEST_F(LatencyModelTest, RttFloorNeverExceedsTheRtt) {
+  Rng rng{407};
+  for (const LatencyConfig& config : test::swept_latency_configs(77)) {
+    const LatencyOracle oracle{topo_, config};
+    std::size_t forced = 0;
+    std::size_t pruned_at_half = 0;
+    for (int i = 0; i < 12000; ++i) {
+      const HostId a = rng.pick(hosts_);
+      const HostId b = rng.uniform() < 0.125 ? a : rng.pick(hosts_);
+      SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                Hours(24 * 40).micros())};
+      const test::DrawCell cell = test::kDrawCells[i % 4];
+      const std::uint64_t pa = topo_.host(a).pop.value();
+      const std::uint64_t pb = topo_.host(b).pop.value();
+      if (a != b && i % 8 < 4 && config.jitter_sigma > 0.0) {
+        while (!test::draw_in(cell,
+                              test::reference_jitter_hash(config, a, b, t),
+                              test::kLatencySalt)) {
+          t = t + config.jitter_epoch;
+        }
+        ++forced;
+      } else if (i % 8 >= 4 && config.route_shift_sigma > 0.0 && pa != pb) {
+        while (!test::draw_in(cell,
+                              test::reference_route_hash(config, pa, pb, t),
+                              test::kLatencySalt)) {
+          t = t + config.route_shift_epoch;
+        }
+        ++forced;
+      }
+      const double base = oracle.base_rtt_ms(a, b);
+      const double want = test::reference_rtt_ms(topo_, config, a, b, t, base);
+      const LatencyOracle::Origin from = oracle.origin(a, t);
+      ASSERT_EQ(oracle.rtt_ms(from, b, base, want), want)
+          << "a " << a.value() << " b " << b.value() << " t " << t.micros();
+      const double half = oracle.rtt_ms(from, b, base, want / 2.0);
+      if (std::isinf(half)) {
+        ++pruned_at_half;
+      } else {
+        ASSERT_EQ(half, want);
+      }
+    }
+    EXPECT_GT(forced, 3000u);
+    // The floors are tight enough to prune.
+    EXPECT_GT(pruned_at_half, 3000u);
+  }
 }
 
 TEST_F(LatencyModelTest, PairCacheIsResultNeutral) {

@@ -17,7 +17,6 @@ class RotatingZone final : public dns::AuthoritativeServer {
                        SimTime now) override {
     ++queries;
     dns::Message reply;
-    reply.question = question;
     const auto idx = static_cast<std::uint32_t>(
         (now.micros() / Seconds(20).micros()) % 5);
     reply.answers.push_back(dns::ResourceRecord::a(
