@@ -16,6 +16,11 @@
 // multi-core hosts). tools/check_counters.py gates the tiny run's digests
 // and estimates per probe.
 //
+// Each variant also prints the heap allocations its campaign made per
+// probe, counted by this binary's own `operator new` (every thread's).
+// The count depends on the standard library, so it is printed for
+// comparison only and no gate reads it.
+//
 // The pair-cache toggle does not reach redirection: candidate lists carry
 // each candidate's base RTT, so `select` never reads the cache. On a
 // campaign it covers the candidate-list prewarm (one base RTT per
@@ -23,10 +28,12 @@
 // resolvers' upstream RTTs, so the on/off rows differ by little.
 //
 // CRP_BENCH_SCALE=tiny|small shrinks the corpus sweep for CI smoke runs.
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +45,10 @@
 namespace {
 
 using namespace crp;
+
+/// Every `operator new` this process has made (counted by the
+/// replacement below): read before and after a campaign.
+std::atomic<std::uint64_t> g_allocations{0};
 
 struct Corpus {
   std::size_t candidates;
@@ -83,6 +94,7 @@ std::uint64_t ratio_digest(eval::World& world) {
 struct RunResult {
   eval::CampaignStats stats;
   std::uint64_t digest = 0;
+  std::uint64_t allocations = 0;  // during the campaign
 };
 
 enum class Mode { kSequential, kParallel };
@@ -93,32 +105,49 @@ RunResult run(const Corpus& corpus, Mode mode, bool pair_cache,
   const SimTime start = SimTime::epoch();
   const SimTime end = start + Hours(6);
   const Duration interval = Minutes(15);
+  const std::uint64_t allocations_before =
+      g_allocations.load(std::memory_order_relaxed);
   if (mode == Mode::kSequential) {
     (void)world.run_probing_sequential(start, end, interval);
   } else {
     (void)world.run_probing_parallel(start, end, interval, pool);
   }
-  return RunResult{world.campaign_stats(), ratio_digest(world)};
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocations_before;
+  return RunResult{world.campaign_stats(), ratio_digest(world), allocations};
 }
 
 void report(const char* label, const Corpus& corpus, const RunResult& r,
             double baseline_wall) {
-  const double estimates_per_probe =
-      r.stats.probes_issued == 0
-          ? 0.0
-          : static_cast<double>(r.stats.cdn_estimates) /
-                static_cast<double>(r.stats.probes_issued);
+  const auto per_probe = [&](double n) {
+    return r.stats.probes_issued == 0
+               ? 0.0
+               : n / static_cast<double>(r.stats.probes_issued);
+  };
   std::printf(
       "  %-26s %8zu probes  %9.0f probes/s  wall %7.3f s  "
-      "speedup %5.2fx  %5.1f estimates/probe  pair-cache hit %5.1f%%\n",
+      "speedup %5.2fx  %5.1f estimates/probe  pair-cache hit %5.1f%%  "
+      "heap allocs %6.2f/probe\n",
       label, r.stats.probes_issued, r.stats.probes_per_second(),
       r.stats.wall_seconds,
       r.stats.wall_seconds > 0.0 ? baseline_wall / r.stats.wall_seconds : 0.0,
-      estimates_per_probe, 100.0 * r.stats.oracle_pair_hit_rate());
+      per_probe(static_cast<double>(r.stats.cdn_estimates)),
+      100.0 * r.stats.oracle_pair_hit_rate(),
+      per_probe(static_cast<double>(r.allocations)));
   (void)corpus;
 }
 
 }  // namespace
+
+// This binary's allocation counter: the replaceable global `operator new`
+// and its `operator delete` pair (array and nothrow forms call these).
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 int main() {
   const std::vector<Corpus> sweep = corpus_sweep();

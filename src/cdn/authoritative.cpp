@@ -71,17 +71,7 @@ CdnDnsSetup register_cdn_dns(dns::ZoneRegistry& registry,
   for (const Customer& customer : catalog.customers()) {
     // The customer's own zone holds only the CNAME into the CDN; give it
     // a long TTL — it is the A answer that must stay fresh.
-    dns::Name apex;
-    {
-      // Zone apex = web name minus its first label.
-      const auto labels = customer.web_name.labels();
-      std::string text;
-      for (std::size_t i = 1; i < labels.size(); ++i) {
-        if (!text.empty()) text += '.';
-        text += labels[i];
-      }
-      apex = dns::Name::parse(text);
-    }
+    const dns::Name apex = customer.web_name.parent();
     auto zone = std::make_unique<dns::StaticZone>(apex, customer_dns_host);
     zone->add(dns::ResourceRecord::cname(customer.web_name,
                                          customer.cdn_name, Hours(4)));

@@ -15,7 +15,10 @@ constexpr std::uint64_t kNoiseSalt = 0xdeadbeefULL;
 
 MeasurementSystem::MeasurementSystem(const netsim::LatencyOracle& oracle,
                                      MeasurementConfig config)
-    : oracle_(&oracle), config_(config), noise_(config.noise_sigma) {}
+    : oracle_(&oracle),
+      config_(config),
+      noise_prefix_(hash_combine({config.seed, kMeasureTag})),
+      noise_(config.noise_sigma) {}
 
 MeasurementSystem::EstimateContext MeasurementSystem::context(
     HostId resolver, SimTime t) const {
@@ -24,21 +27,26 @@ MeasurementSystem::EstimateContext MeasurementSystem::context(
   // The estimate was taken at the start of the epoch...
   const SimTime sample_time{epoch * config_.refresh.micros()};
   return {oracle_->origin(resolver, sample_time),
-          static_cast<std::uint64_t>(epoch),
-          hash_combine({config_.seed, kMeasureTag, resolver.value()})};
+          static_cast<std::uint64_t>(epoch)};
+}
+
+MeasurementSystem::Replica MeasurementSystem::replica(
+    HostId resolver, HostId replica_host) const {
+  return {oracle_->far(resolver, replica_host),
+          hash_extend(noise_prefix_,
+                      {resolver.value(), replica_host.value()})};
 }
 
 double MeasurementSystem::estimate_ms(const EstimateContext& context,
-                                      HostId replica_host, double base_rtt_ms,
-                                      double bar) const {
+                                      const Replica& replica,
+                                      double base_rtt_ms, double bar) const {
   // ...with measurement noise frozen for the epoch.
-  const HashNormal noise{
-      hash_extend(context.noise, {replica_host.value(), context.epoch}),
-      kNoiseSalt};
+  const HashNormal noise{hash_extend(replica.noise, {context.epoch}),
+                         kNoiseSalt};
   // The estimate's floor is the RTT's floor times the noise floor; the
   // division's rounding is far inside the floors' margins, so a skipped
   // estimate still exceeds `bar`.
-  const double true_rtt = oracle_->rtt_ms(context.origin, replica_host,
+  const double true_rtt = oracle_->rtt_ms(context.origin, replica.far,
                                           base_rtt_ms,
                                           bar / noise_.floor(noise));
   if (std::isinf(true_rtt)) return true_rtt;

@@ -36,29 +36,49 @@ class MeasurementSystem {
                     MeasurementConfig config);
 
   /// What every estimate for one resolver at one time shares: the
-  /// measurement epoch, the oracle origin at the epoch's sample time,
-  /// and the noise hash folded over (seed, tag, resolver). Build it once
-  /// with `context` for all the replicas a redirection ranks.
+  /// measurement epoch and the oracle origin at the epoch's sample time.
+  /// Build it once with `context` for all the replicas a redirection
+  /// ranks.
   struct EstimateContext {
     netsim::LatencyOracle::Origin origin;
     std::uint64_t epoch = 0;
-    std::uint64_t noise = 0;
   };
   [[nodiscard]] EstimateContext context(HostId resolver, SimTime t) const;
 
+  /// What every estimate for one (resolver, replica host) pair shares at
+  /// any time: the oracle's far end of the pair and the noise hash
+  /// folded over (seed, tag, resolver, replica host). Build it once with
+  /// `replica` and pass it with any context of the same resolver.
+  struct Replica {
+    netsim::LatencyOracle::Far far;
+    std::uint64_t noise = 0;
+  };
+  [[nodiscard]] Replica replica(HostId resolver, HostId replica_host) const;
+
   /// The CDN's current latency estimate between the context's resolver
-  /// and a replica host, in milliseconds. `base_rtt_ms` must be the
-  /// value the oracle's `base_rtt_ms` returns for the pair. Not counted:
-  /// the caller adds its estimates with `count_estimates`.
+  /// and the replica, in milliseconds. `replica` must be `replica(
+  /// context.origin.host, ...)`, and `base_rtt_ms` the value the
+  /// oracle's `base_rtt_ms` returns for the pair. Not counted: the
+  /// caller adds its estimates with `count_estimates`.
   ///
   /// With a finite `bar`, returns +infinity without computing the
   /// estimate when the estimate's floor exceeds `bar`: the oracle's RTT
   /// floor times the noise draw's floor, from the pair's hashes, which
   /// the estimate then reuses. Otherwise returns the exact estimate.
   [[nodiscard]] double estimate_ms(
-      const EstimateContext& context, HostId replica_host,
+      const EstimateContext& context, const Replica& replica,
       double base_rtt_ms,
       double bar = std::numeric_limits<double>::infinity()) const;
+
+  /// The same estimate to a replica host: `estimate_ms(context,
+  /// replica(context.origin.host, replica_host), base_rtt_ms, bar)`.
+  [[nodiscard]] double estimate_ms(
+      const EstimateContext& context, HostId replica_host,
+      double base_rtt_ms,
+      double bar = std::numeric_limits<double>::infinity()) const {
+    return estimate_ms(context, replica(context.origin.host, replica_host),
+                       base_rtt_ms, bar);
+  }
 
   /// The same estimate, per call and counted: `estimate_ms(context(
   /// resolver, t), replica_host, base_rtt_ms)`.
@@ -84,6 +104,8 @@ class MeasurementSystem {
  private:
   const netsim::LatencyOracle* oracle_;
   MeasurementConfig config_;
+  // hash_combine state after (seed, tag), folded once.
+  std::uint64_t noise_prefix_;
   LognormalFactor noise_;
   mutable ShardedCounter estimates_;
 };

@@ -121,6 +121,11 @@ LatencyDrivenPolicy::LatencyDrivenPolicy(const netsim::LatencyOracle& oracle,
       measurement_(&measurement),
       config_(config),
       policy_id_(g_next_policy_id.fetch_add(1, std::memory_order_relaxed)) {
+  if (config_.rotation_pool == 0) {
+    // A pool of 0 would draw nothing for a well-covered resolver.
+    throw std::invalid_argument{
+        "LatencyDrivenPolicy: rotation_pool must be at least 1"};
+  }
   // A rotation draws from at most `candidate_pool` ranks.
   const std::size_t ranks =
       std::min(config_.rotation_pool, config_.candidate_pool);
@@ -138,8 +143,9 @@ std::vector<LatencyDrivenPolicy::Candidate> LatencyDrivenPolicy::nearest_for(
       [&](const ReplicaServer& r) {
         return oracle_->base_rtt_ms(resolver, r.host);
       },
-      [](const ReplicaServer& r, double base_rtt_ms) {
-        return Candidate{r.id, r.host, base_rtt_ms};
+      [&](const ReplicaServer& r, double base_rtt_ms) {
+        return Candidate{r.id, measurement_->replica(resolver, r.host),
+                         base_rtt_ms};
       });
 }
 
@@ -177,8 +183,8 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
                          const std::pair<double, ReplicaId>& y) {
     return x.first < y.first || (x.first == y.first && x.second < y.second);
   };
-  const std::size_t cap = std::max<std::size_t>(
-      std::min(config_.rotation_pool, config_.candidate_pool), 1);
+  const std::size_t cap =
+      std::min(config_.rotation_pool, config_.candidate_pool);
   const std::vector<Candidate>& near = candidates(resolver);
   EstimateMemo& memo = estimate_memo();
   memo.bind(policy_id_, resolver, now, near.size());
@@ -195,8 +201,8 @@ std::vector<ReplicaId> LatencyDrivenPolicy::select(HostId resolver,
     double estimate = memo.estimates[i];
     if (std::isnan(estimate)) {
       if (!memo.context) memo.context = measurement_->context(resolver, now);
-      estimate = measurement_->estimate_ms(*memo.context, c.host,
-                                           c.base_rtt_ms, bar);
+      estimate =
+          measurement_->estimate_ms(*memo.context, c.key, c.base_rtt_ms, bar);
       if (std::isinf(estimate)) continue;  // its floor exceeds the bar
       memo.estimates[i] = estimate;
       ++computed;

@@ -63,7 +63,9 @@ struct LatencyPolicyConfig {
   /// CDN's "candidate set" — production systems also prune this way.
   std::size_t candidate_pool = 48;
   /// Size of the rotation pool: the top candidates by current estimate
-  /// among which answers rotate for load balancing.
+  /// among which answers rotate for load balancing. At least 1: the
+  /// latency-driven policy's constructor throws std::invalid_argument on
+  /// 0, which would answer no replica.
   std::size_t rotation_pool = 8;
   /// How often the rotation re-draws (the CDN answer TTL).
   Duration rotation_epoch = Seconds(20);
@@ -79,12 +81,14 @@ struct LatencyPolicyConfig {
 /// Latency-driven redirection with load-balancing rotation (the premise).
 class LatencyDrivenPolicy final : public RedirectionPolicy {
  public:
-  /// One entry of a resolver's candidate list: a nearby edge replica, its
-  /// host, and the pair's static RTT exactly as `base_rtt_ms(resolver,
-  /// host)` returns it (the ranking key the list was built by).
+  /// One entry of a resolver's candidate list: a nearby edge replica,
+  /// the pair's estimate key (`MeasurementSystem::replica(resolver,
+  /// host)`: the replica's host and PoP and the pair's hash folds), and
+  /// the pair's static RTT exactly as `base_rtt_ms(resolver, host)`
+  /// returns it (the ranking key the list was built by).
   struct Candidate {
     ReplicaId id;
-    HostId host;
+    MeasurementSystem::Replica key;
     double base_rtt_ms = 0.0;
   };
 
@@ -114,8 +118,8 @@ class LatencyDrivenPolicy final : public RedirectionPolicy {
   }
 
   /// The resolver's `candidate_pool` nearest edge replicas by static RTT,
-  /// nearest first, each with its host and base RTT (computed once, then
-  /// cached). Exposed for tests.
+  /// nearest first, each with its estimate key and base RTT (computed
+  /// once, then cached). Exposed for tests.
   [[nodiscard]] const std::vector<Candidate>& candidates(HostId resolver);
 
   /// Attaches an availability tracker; unavailable replicas are never

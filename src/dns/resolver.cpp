@@ -5,6 +5,19 @@
 
 namespace crp::dns {
 
+namespace {
+
+// Adds `us` to `elapsed`; false, leaving `elapsed` as it was, when the
+// sum would leave the int64 range.
+bool charge(Duration& elapsed, std::int64_t us) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(elapsed.micros(), us, &sum)) return false;
+  elapsed = Duration{sum};
+  return true;
+}
+
+}  // namespace
+
 RecursiveResolver::RecursiveResolver(HostId host, const ZoneRegistry& registry,
                                      const netsim::LatencyOracle* oracle,
                                      ResolverConfig config)
@@ -70,7 +83,7 @@ const std::vector<ResourceRecord>& RecursiveResolver::cache_store(
 const std::vector<ResourceRecord>* RecursiveResolver::lookup(
     const Name& name, RecordType type, SimTime now, ResolveResult& result) {
   // After the hit test: the key's expired entry, or end().
-  Cache::iterator expired = cache_.find(CacheKeyRef{name, type});
+  Cache::iterator expired = cache_.find(CacheKey{name, type});
   if (expired != cache_.end() && expired->second.expires > now) {
     ++cache_hits_;
     if (expired->second.rcode != Rcode::kNoError) {
@@ -89,13 +102,17 @@ const std::vector<ResourceRecord>* RecursiveResolver::lookup(
   }
 
   const HostId upstream = server->host();
-  const int attempts = std::max(1, config_.max_retries + 1);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  const int retries = std::max(0, config_.max_retries);
+  // Exponential backoff: wait retry_backoff * 2^(k-1) before retry k. A
+  // retry whose backoff or charge would leave the int64 range is not
+  // attempted, and the lookup fails as if that retry were lost too.
+  std::int64_t backoff = config_.retry_backoff.micros();
+  bool backoff_fits = true;
+  for (int attempt = 0;; ++attempt) {
     if (attempt > 0) {
+      if (!backoff_fits || !charge(result.elapsed, backoff)) break;
       ++retries_;
-      // Exponential backoff: wait retry_backoff * 2^(k-1) before retry k.
-      result.elapsed +=
-          config_.retry_backoff * static_cast<double>(1 << (attempt - 1));
+      backoff_fits = !__builtin_mul_overflow(backoff, 2, &backoff);
     }
     ++queries_sent_;
     ++result.upstream_queries;
@@ -105,7 +122,10 @@ const std::vector<ResourceRecord>* RecursiveResolver::lookup(
       // outage must clear the instant the plan says so, not a TTL
       // later — and the lost attempt never reached the server, so it
       // adds resolver-side load but no authoritative-side load.
-      result.elapsed += config_.query_timeout;
+      if (!charge(result.elapsed, config_.query_timeout.micros()) ||
+          attempt == retries) {
+        break;
+      }
       continue;
     }
     if (oracle_ != nullptr && upstream.valid()) {
@@ -122,8 +142,9 @@ const std::vector<ResourceRecord>* RecursiveResolver::lookup(
     return &cache_store(expired, name, type, std::move(reply.answers),
                         Rcode::kNoError, now);
   }
-  // Every attempt lost: give up with SERVFAIL, uncached (see above), and
-  // drop the expired answer, so a fault loss leaves no entry.
+  // Every attempt lost (or out of range, above): give up with SERVFAIL,
+  // uncached (see above), and drop the expired answer, so a fault loss
+  // leaves no entry.
   if (expired != cache_.end()) cache_.erase(expired);
   ++timeouts_;
   result.rcode = Rcode::kServFail;
@@ -159,13 +180,11 @@ ResolveResult RecursiveResolver::resolve(const Name& name, SimTime now) {
     return result;
   }
 
-  // The name being resolved: `name`, then the target of the CNAME last
-  // copied into `result.chain` (never a cache entry, which the next
-  // lookup may evict).
-  const Name* current = &name;
+  // The name being resolved: `name`, then the target of the last CNAME.
+  Name current = name;
   for (int depth = 0; depth <= config_.max_chain; ++depth) {
     const std::vector<ResourceRecord>* records =
-        lookup(*current, RecordType::kA, now, result);
+        lookup(current, RecordType::kA, now, result);
     if (records == nullptr) {
       // rcode already set by lookup
       if (result.rcode == Rcode::kNoError) result.rcode = Rcode::kServFail;
@@ -177,13 +196,13 @@ ResolveResult RecursiveResolver::resolve(const Name& name, SimTime now) {
     result.chain.reserve(result.chain.size() + records->size());
     result.addresses.reserve(static_cast<std::size_t>(
         std::ranges::count(*records, RecordType::kA, &ResourceRecord::type)));
-    std::optional<std::size_t> cname;  // its index in `result.chain`
+    std::optional<Name> cname;
     for (const ResourceRecord& rr : *records) {
       if (rr.type == RecordType::kA) {
         result.addresses.push_back(rr.address);
         result.chain.push_back(rr);
       } else if (rr.type == RecordType::kCname && !cname.has_value()) {
-        cname = result.chain.size();
+        cname = rr.target;
         result.chain.push_back(rr);
       }
     }
@@ -194,7 +213,7 @@ ResolveResult RecursiveResolver::resolve(const Name& name, SimTime now) {
       result.rcode = Rcode::kNxDomain;
       return result;
     }
-    current = &result.chain[*cname].target;
+    current = *cname;
   }
   result.rcode = Rcode::kServFail;  // CNAME chain too long / loop
   return result;

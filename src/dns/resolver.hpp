@@ -62,7 +62,9 @@ struct ResolverConfig {
   int max_retries = 2;
   /// Simulated time charged for an attempt whose answer never arrived.
   Duration query_timeout = Millis(400);
-  /// Backoff before retry k (1-based) is retry_backoff * 2^(k-1).
+  /// Backoff before retry k (1-based) is retry_backoff * 2^(k-1). A
+  /// retry whose backoff or charge would leave the int64 range is not
+  /// attempted: the lookup fails as if every attempt were lost.
   Duration retry_backoff = Millis(200);
 };
 
@@ -111,25 +113,14 @@ class RecursiveResolver {
     Name name;
     RecordType type;
   };
-  /// A key that borrows its name, so probing the cache copies nothing.
-  struct CacheKeyRef {
-    const Name& name;
-    RecordType type;
-  };
-  /// Hash and equality over owned and borrowed keys alike (transparent,
-  /// so `find` takes a CacheKeyRef).
   struct CacheKeyHash {
-    using is_transparent = void;
-    template <typename Key>
-    std::size_t operator()(const Key& k) const noexcept {
-      return std::hash<Name>{}(k.name) ^
+    std::size_t operator()(const CacheKey& k) const noexcept {
+      return k.name.hash() ^
              (static_cast<std::size_t>(k.type) * 0x9e3779b97f4a7c15ULL);
     }
   };
   struct CacheKeyEq {
-    using is_transparent = void;
-    template <typename A, typename B>
-    bool operator()(const A& a, const B& b) const noexcept {
+    bool operator()(const CacheKey& a, const CacheKey& b) const noexcept {
       return a.type == b.type && a.name == b.name;
     }
   };

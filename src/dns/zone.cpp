@@ -1,6 +1,6 @@
 #include "dns/zone.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace crp::dns {
 
@@ -57,36 +57,13 @@ void ZoneRegistry::register_zone(const Name& suffix,
   zones_[suffix] = server;
 }
 
-std::size_t ZoneRegistry::LabelsHash::operator()(
-    Labels labels) const noexcept {
-  // FNV-1a over the labels, each closed by a separator.
-  std::size_t h = 14695981039346656037ULL;
-  for (const std::string& label : labels) {
-    for (const char c : label) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= '.';
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-bool ZoneRegistry::LabelsEqual::operator()(Labels a, Labels b) const {
-  return std::ranges::equal(a, b);
-}
-
 AuthoritativeServer* ZoneRegistry::find(const Name& name) const {
-  // Try progressively shorter label suffixes of `name`, most specific
-  // first; the last, empty suffix is the root. Labels are stored parsed
-  // (lower-case, no dots), so matching them one by one finds exactly the
-  // zone that re-parsing each dotted suffix would.
-  const Labels labels = name.labels();
-  for (std::size_t drop = 0; drop <= labels.size(); ++drop) {
-    const auto it = zones_.find(labels.subspan(drop));
+  // Most specific first; the root is its own parent and ends the walk.
+  for (Name suffix = name;; suffix = suffix.parent()) {
+    const auto it = zones_.find(suffix);
     if (it != zones_.end()) return it->second;
+    if (suffix.empty()) return nullptr;
   }
-  return nullptr;
 }
 
 }  // namespace crp::dns

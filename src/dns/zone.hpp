@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -72,39 +71,13 @@ class ZoneRegistry {
   void register_zone(const Name& suffix, AuthoritativeServer* server);
 
   /// Server for the most specific registered suffix of `name`, or
-  /// nullptr if no zone matches. Probes each label suffix of `name` in
-  /// place: no suffix is rebuilt as a string or parsed.
+  /// nullptr if no zone matches: probes `name`, then each parent.
   [[nodiscard]] AuthoritativeServer* find(const Name& name) const;
 
   [[nodiscard]] std::size_t size() const { return zones_.size(); }
 
  private:
-  using Labels = std::span<const std::string>;
-
-  /// Hash and equality over label sequences that accept a registered
-  /// zone's `Name` and a suffix of a queried name's labels alike, so the
-  /// map can be probed with a suffix directly (heterogeneous lookup).
-  struct LabelsHash {
-    using is_transparent = void;
-    std::size_t operator()(Labels labels) const noexcept;
-    std::size_t operator()(const Name& name) const noexcept {
-      return (*this)(name.labels());
-    }
-  };
-  struct LabelsEqual {
-    using is_transparent = void;
-    bool operator()(Labels a, Labels b) const;
-    bool operator()(const Name& a, const Name& b) const { return a == b; }
-    bool operator()(const Name& a, Labels b) const {
-      return (*this)(a.labels(), b);
-    }
-    bool operator()(Labels a, const Name& b) const {
-      return (*this)(a, b.labels());
-    }
-  };
-
-  std::unordered_map<Name, AuthoritativeServer*, LabelsHash, LabelsEqual>
-      zones_;
+  std::unordered_map<Name, AuthoritativeServer*> zones_;
 };
 
 }  // namespace crp::dns

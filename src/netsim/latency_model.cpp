@@ -216,14 +216,6 @@ std::optional<HashNormal> LatencyOracle::route_shift_draw(
                     kNormalSalt};
 }
 
-std::optional<HashNormal> LatencyOracle::jitter_draw(
-    HostId a, HostId b, std::uint64_t epoch) const {
-  if (config_.jitter_sigma <= 0.0) return std::nullopt;
-  const auto [lo, hi] = ordered(a, b);
-  return HashNormal{hash_extend(jitter_prefix_, {lo, hi, epoch}),
-                    kNormalSalt};
-}
-
 LatencyOracle::Origin LatencyOracle::origin(HostId a, SimTime t) const {
   const PopId pop = topo_->host(a).pop;
   const std::uint64_t congestion_epoch =
@@ -233,14 +225,21 @@ LatencyOracle::Origin LatencyOracle::origin(HostId a, SimTime t) const {
           epoch_of(t, config_.route_shift_epoch)};
 }
 
-double LatencyOracle::rtt_ms(const Origin& from, HostId b, double base,
+LatencyOracle::Far LatencyOracle::far(HostId a, HostId b) const {
+  const auto [lo, hi] = ordered(a, b);
+  return {b, topo_->host(b).pop, hash_extend(jitter_prefix_, {lo, hi})};
+}
+
+double LatencyOracle::rtt_ms(const Origin& from, const Far& to, double base,
                              double bar) const {
-  if (from.host == b) return 0.0;
-  const PopId pop = topo_->host(b).pop;
-  const std::optional<HashNormal> jitter =
-      jitter_draw(from.host, b, from.jitter_epoch);
+  if (from.host == to.host) return 0.0;
+  // The jitter draw is off at sigma <= 0, like route shift's.
+  std::optional<HashNormal> jitter;
+  if (config_.jitter_sigma > 0.0) {
+    jitter.emplace(hash_extend(to.jitter, {from.jitter_epoch}), kNormalSalt);
+  }
   const std::optional<HashNormal> shift =
-      route_shift_draw(from.pop, pop, from.route_epoch);
+      route_shift_draw(from.pop, to.pop, from.route_epoch);
   double floor = base * from.congestion;
   if (jitter) floor *= jitter_.floor(*jitter);
   if (shift) floor *= route_shift_.floor(*shift);
@@ -248,7 +247,7 @@ double LatencyOracle::rtt_ms(const Origin& from, HostId b, double base,
   // An absent term's factor is exactly 1, so skipping it keeps the bits
   // of `base * congestion * jitter * route`.
   double rtt =
-      base * (from.congestion + congestion_at(pop, from.congestion_epoch));
+      base * (from.congestion + congestion_at(to.pop, from.congestion_epoch));
   if (jitter) rtt *= jitter_(*jitter);
   if (shift) rtt *= route_shift_(*shift);
   return rtt;

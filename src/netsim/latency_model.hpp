@@ -126,21 +126,42 @@ class LatencyOracle {
   };
   [[nodiscard]] Origin origin(HostId a, SimTime t) const;
 
-  /// RTT from `from.host` to `b` at the origin's time, including
-  /// congestion and jitter, milliseconds. `base` must be the value
-  /// `base_rtt_ms(from.host, b)` returns: a caller that keeps the base
-  /// RTT beside the pair (the CDN's candidate lists) skips the
-  /// pair-cache lookup and computes only the far end's terms.
+  /// The terms of an RTT from one host that depend only on the far end
+  /// and the pair, not on the time: the far host, its PoP, and the
+  /// pair's jitter hash folded over the ordered host pair (the draw then
+  /// adds only its epoch). Build it once with `far(a, b)` and pass it to
+  /// `rtt_ms` with any origin of `a`.
+  struct Far {
+    HostId host;
+    PopId pop;
+    std::uint64_t jitter = 0;
+  };
+  [[nodiscard]] Far far(HostId a, HostId b) const;
+
+  /// RTT from `from.host` to `to.host` at the origin's time, including
+  /// congestion and jitter, milliseconds. `to` must be `far(from.host,
+  /// ...)`, and `base` the value `base_rtt_ms(from.host, to.host)`
+  /// returns: a caller that keeps both beside the pair (the CDN's
+  /// candidate lists) skips the pair-cache lookup and hashes only the
+  /// draws' epochs.
   ///
   /// With a finite `bar`, returns +infinity without computing the RTT
   /// when the RTT's floor exceeds `bar`. The floor is `base *
   /// from.congestion` times the floors of the jitter and route-shift
   /// draws (`LognormalFactor::floor`): the far end's congestion is >= 0,
   /// and the pair's draws are hashed once for the floor and the RTT. It
-  /// is 0 for `from.host == b`, whose RTT is 0.
+  /// is 0 for `from.host == to.host`, whose RTT is 0.
+  [[nodiscard]] double rtt_ms(
+      const Origin& from, const Far& to, double base,
+      double bar = std::numeric_limits<double>::infinity()) const;
+
+  /// The same RTT to host `b`: `rtt_ms(from, far(from.host, b), base,
+  /// bar)`.
   [[nodiscard]] double rtt_ms(
       const Origin& from, HostId b, double base,
-      double bar = std::numeric_limits<double>::infinity()) const;
+      double bar = std::numeric_limits<double>::infinity()) const {
+    return rtt_ms(from, far(from.host, b), base, bar);
+  }
 
   /// RTT at sim time `t`: `rtt_ms(origin(a, t), b, base_rtt_ms(a, b))`.
   [[nodiscard]] double rtt_ms(HostId a, HostId b, SimTime t) const {
@@ -197,10 +218,8 @@ class LatencyOracle {
   [[nodiscard]] double region_interconnect(RegionId a, RegionId b) const;
   // The dynamics at an epoch index (`t` divided by the term's epoch).
   [[nodiscard]] double congestion_at(PopId pop, std::uint64_t epoch) const;
-  // A pair's jitter and route-shift draws; none when the term is off
-  // (sigma <= 0, or one PoP for route shift), whose factor is exactly 1.
-  [[nodiscard]] std::optional<HashNormal> jitter_draw(
-      HostId a, HostId b, std::uint64_t epoch) const;
+  // A pair's route-shift draw; none when the term is off (sigma <= 0,
+  // or one PoP), whose factor is exactly 1.
   [[nodiscard]] std::optional<HashNormal> route_shift_draw(
       PopId a, PopId b, std::uint64_t epoch) const;
 

@@ -137,6 +137,52 @@ TEST(MeasurementSystem, ContextFormMatchesReferenceModel) {
   EXPECT_GE(checked, 10000u);
 }
 
+// The replica form against the model recomputed from scratch
+// (test::reference_estimate_ms): one key per (resolver, replica), built
+// once and reused at six times each, negative ones included, with a
+// resolver that is the replica host, over the swept latency models. At a
+// bar equal to the reference value, the bar form must return that value.
+TEST(MeasurementSystem, ReplicaFormMatchesReferenceModel) {
+  test::MiniWorld world{27};
+  std::vector<HostId> hosts = world.clients;
+  for (const ReplicaServer& r : world.deployment.replicas()) {
+    hosts.push_back(r.host);
+  }
+  MeasurementConfig mc;
+  mc.seed = 31;
+  Rng rng{409};
+  std::size_t checked = 0;
+  for (const netsim::LatencyConfig& lat : test::swept_latency_configs(29)) {
+    const netsim::LatencyOracle oracle{world.topo, lat};
+    const MeasurementSystem measurement{oracle, mc};
+    for (int i = 0; i < 600; ++i) {
+      const HostId resolver = rng.pick(hosts);
+      const HostId replica =
+          rng.uniform() < 0.125 ? resolver : rng.pick(hosts);
+      const MeasurementSystem::Replica key =
+          measurement.replica(resolver, replica);
+      ASSERT_EQ(key.far.host, replica);
+      const double base = oracle.base_rtt_ms(resolver, replica);
+      for (int j = 0; j < 6; ++j) {
+        const SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                        Hours(24 * 40).micros())};
+        const double want = test::reference_estimate_ms(
+            world.topo, lat, mc, resolver, replica, t, base);
+        const MeasurementSystem::EstimateContext context =
+            measurement.context(resolver, t);
+        ASSERT_EQ(measurement.estimate_ms(context, key, base), want)
+            << "resolver " << resolver.value() << " replica "
+            << replica.value() << " t " << t.micros();
+        ASSERT_EQ(measurement.estimate_ms(context, key, base, want), want)
+            << "resolver " << resolver.value() << " replica "
+            << replica.value() << " t " << t.micros();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 10800u);
+}
+
 // The estimate floor against the model recomputed from scratch: at a bar
 // equal to test::reference_estimate_ms, the bar form must return that
 // estimate, since a floor above it would return +infinity. The swept

@@ -95,9 +95,11 @@ TEST_F(RedirectionTest, CandidateListSortedByProximity) {
   ASSERT_GT(candidates.size(), 10u);
   double prev = -1.0;
   for (const LatencyDrivenPolicy::Candidate& c : candidates) {
-    EXPECT_EQ(c.host, world_.deployment.replica(c.id).host);
+    const HostId host = world_.deployment.replica(c.id).host;
+    EXPECT_EQ(c.key.far.host, host);
+    EXPECT_EQ(c.key.far.pop, world_.topo.host(host).pop);
     EXPECT_FALSE(world_.deployment.is_origin_fallback(c.id));
-    const double rtt = world_.oracle->base_rtt_ms(world_.clients[0], c.host);
+    const double rtt = world_.oracle->base_rtt_ms(world_.clients[0], host);
     // The carried base RTT is the oracle's value, bit for bit.
     EXPECT_EQ(c.base_rtt_ms, rtt);
     EXPECT_GE(rtt, prev);

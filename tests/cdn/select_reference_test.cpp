@@ -24,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -381,16 +382,27 @@ void SelectReferenceOracle::poorly_covered_fallback_branches() {
 }
 
 void SelectReferenceOracle::rotation_pool_edges() {
+  // A pool of 0 would answer no replica to a well-covered resolver, so
+  // both latency-driven policies refuse it.
+  LatencyPolicyConfig empty_pool;
+  empty_pool.rotation_pool = 0;
+  EXPECT_THROW((LatencyDrivenPolicy{*world_.oracle, world_.deployment,
+                                    *world_.measurement, empty_pool}),
+               std::invalid_argument);
+  EXPECT_THROW((StickyPolicy{*world_.oracle, world_.deployment,
+                             *world_.measurement, empty_pool}),
+               std::invalid_argument);
+
   const double threshold = min_discriminating_threshold();
   const std::size_t candidate_pool = LatencyPolicyConfig{}.candidate_pool;
   for (const std::size_t rotation_pool :
-       {std::size_t{0}, std::size_t{1}, std::size_t{8}, candidate_pool + 52}) {
+       {std::size_t{1}, std::size_t{8}, candidate_pool + 52}) {
     SCOPED_TRACE("rotation_pool " + std::to_string(rotation_pool));
     LatencyPolicyConfig config;
     config.rotation_pool = rotation_pool;
-    // With a pool of 0 nothing is drawn, yet the coverage test still
-    // needs the true minimum at the front; every poorly covered answer
-    // is a fallback, so a misjudged coverage changes the answer.
+    // With a pool of 1 only the front is drawn, and the coverage test
+    // needs the true minimum there; every poorly covered answer is a
+    // fallback, so a misjudged coverage changes the answer.
     config.coverage_threshold_ms = threshold;
     config.fallback_probability = 1.0;
     LatencyDrivenPolicy policy{*world_.oracle, world_.deployment,

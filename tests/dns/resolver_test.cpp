@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
 #include "dns/zone.hpp"
 #include "sim/fault_plan.hpp"
 
@@ -415,6 +422,71 @@ TEST_F(ResolverFaultTest, UpstreamOutageExhaustsRetriesWithServFail) {
   EXPECT_EQ(zone_.queries, 0);
   // Elapsed: 3 timeouts of 400 ms plus backoffs 200 + 400 ms.
   EXPECT_EQ(result.elapsed, Millis(1800));
+}
+
+// The backoff before retry k is retry_backoff * 2^(k-1), in 64 bits.
+// Under an all-lost outage, elapsed is the closed form (r + 1) timeouts
+// plus backoff * (2^r - 1) while that fits in int64; past it, a retry
+// whose charge would leave the range is not attempted, so elapsed stops
+// at the last count that fits and never decreases as max_retries grows.
+// (An int shift used to wrap at 32 retries and overflow at 33, and
+// INT_MAX retries overflowed the attempt count; run this in the UBSan
+// build.)
+TEST_F(ResolverFaultTest, RetryBackoffStaysInTheInt64Range) {
+  sim::FaultPlan plan{7};
+  sim::FaultRule rule;
+  rule.kind = sim::FaultKind::kResolverOutage;
+  rule.end = SimTime::epoch() + Hours(1);
+  rule.entity = kServerHost;
+  plan.add(rule);
+
+  const ResolverConfig defaults;
+  // The closed form for r retries, exact in long double (64-bit
+  // mantissa at least) wherever it fits in int64, and whether it does.
+  const auto closed_form = [&](int r) {
+    return static_cast<long double>(defaults.query_timeout.micros()) *
+               (static_cast<long double>(r) + 1) +
+           static_cast<long double>(defaults.retry_backoff.micros()) *
+               (std::ldexp(1.0L, r) - 1);
+  };
+  const auto fits = [&](int r) {
+    return closed_form(r) <=
+           static_cast<long double>(std::numeric_limits<std::int64_t>::max());
+  };
+  std::vector<int> sweep(71);
+  std::iota(sweep.begin(), sweep.end(), 0);
+  sweep.push_back(std::numeric_limits<int>::max());
+  Duration previous{0};
+  int saturated = 0;
+  for (const int max_retries : sweep) {
+    SCOPED_TRACE("max_retries " + std::to_string(max_retries));
+    ResolverConfig config;
+    config.max_retries = max_retries;
+    RecursiveResolver resolver{HostId{1}, registry_, nullptr, config};
+    resolver.set_fault_plan(&plan);
+    const auto result =
+        resolver.resolve(Name::parse("www.faulty.net"), SimTime::epoch());
+    EXPECT_EQ(result.rcode, Rcode::kServFail);
+    EXPECT_TRUE(result.timed_out);
+    EXPECT_EQ(resolver.timeouts(), 1u);
+    const int retried = result.upstream_queries - 1;
+    EXPECT_EQ(resolver.retries(), static_cast<std::size_t>(retried));
+    ASSERT_TRUE(fits(retried));
+    EXPECT_EQ(static_cast<long double>(result.elapsed.micros()),
+              closed_form(retried));
+    if (fits(max_retries)) {
+      EXPECT_EQ(retried, max_retries);
+    } else {
+      // Stopped at the last retry count whose charges fit.
+      EXPECT_LT(retried, max_retries);
+      EXPECT_FALSE(fits(retried + 1));
+      ++saturated;
+    }
+    EXPECT_GE(result.elapsed, previous);
+    previous = result.elapsed;
+  }
+  EXPECT_GT(saturated, 20);
+  EXPECT_EQ(zone_.queries, 0);
 }
 
 TEST_F(ResolverFaultTest, FaultServFailIsNotNegativeCached) {

@@ -334,6 +334,42 @@ TEST_F(LatencyModelTest, OriginFormMatchesReferenceModel) {
   EXPECT_GT(shifted, 1000u);
 }
 
+// The far form against the model recomputed from scratch with full
+// hash_combine keys (test::reference_rtt_ms): one far end per (a, b),
+// built once and reused at six times each, negative ones included, with
+// a == b, over the swept models. At a bar equal to the reference value,
+// the bar form must return that value.
+TEST_F(LatencyModelTest, FarFormMatchesReferenceModel) {
+  Rng rng{408};
+  std::size_t checked = 0;
+  for (const LatencyConfig& config : test::swept_latency_configs(77)) {
+    const LatencyOracle oracle{topo_, config};
+    for (int i = 0; i < 600; ++i) {
+      const HostId a = rng.pick(hosts_);
+      const HostId b = rng.uniform() < 0.125 ? a : rng.pick(hosts_);
+      const LatencyOracle::Far far = oracle.far(a, b);
+      ASSERT_EQ(far.host, b);
+      ASSERT_EQ(far.pop, topo_.host(b).pop);
+      const double base = oracle.base_rtt_ms(a, b);
+      for (int j = 0; j < 6; ++j) {
+        const SimTime t{rng.uniform_int(-Hours(24 * 40).micros(),
+                                        Hours(24 * 40).micros())};
+        const double want =
+            test::reference_rtt_ms(topo_, config, a, b, t, base);
+        const LatencyOracle::Origin from = oracle.origin(a, t);
+        ASSERT_EQ(oracle.rtt_ms(from, far, base), want)
+            << "a " << a.value() << " b " << b.value() << " t "
+            << t.micros();
+        ASSERT_EQ(oracle.rtt_ms(from, far, base, want), want)
+            << "a " << a.value() << " b " << b.value() << " t "
+            << t.micros();
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 10800u);
+}
+
 // The RTT floor against the model recomputed from scratch: at a bar equal
 // to test::reference_rtt_ms, the bar form must return that RTT, since a
 // floor above it would return +infinity. The swept latency models, over
