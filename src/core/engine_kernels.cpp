@@ -188,20 +188,6 @@ void dense_scores(const CorpusView& v, const RowView& query,
   if (touched_maps != nullptr) *touched_maps = s.count;
 }
 
-void subset_scores(const CorpusView& v, const RowView& query,
-                   std::span<const std::size_t> subset, std::span<double> out,
-                   std::size_t* touched_maps) {
-  Scratch& s = scratch();
-  accumulate(v, query.entries, s);
-  with_finish(v, query, s, [&](const auto& finish) {
-    for (std::size_t i = 0; i < subset.size(); ++i) {
-      const std::size_t m = subset[i];
-      out[i] = s.cells[m].mark == s.epoch ? finish(m) : 0.0;
-    }
-  });
-  if (touched_maps != nullptr) *touched_maps = s.count;
-}
-
 void touched_scores(const CorpusView& v, const RowView& query,
                     std::vector<RankedCandidate>& out) {
   Scratch& s = scratch();
@@ -285,6 +271,58 @@ std::vector<RankedCandidate> top_k(const CorpusView& v, const RowView& query,
   // exactly the already-ranked indices.
   if (out.size() < want) pad_zero_rows(v, out, want);
   return out;
+}
+
+FlatCorpus::FlatCorpus(SimilarityKind kind, std::span<const RowView> rows)
+    : kind_(kind),
+      rows_(rows.size()),
+      norms_(rows.size()),
+      strongest_(rows.size()) {
+  std::size_t entries = 0;
+  for (std::size_t m = 0; m < rows.size(); ++m) {
+    const RowView& r = rows[m];
+    rows_[m] = Row{r.entries.data(),
+                   static_cast<std::uint32_t>(r.entries.size()), true};
+    norms_[m] = r.norm;
+    strongest_[m] = r.strongest;
+    entries += r.entries.size();
+  }
+  // Counting pass: each entry's list, looked up once, and each list's
+  // posting count in `at`.
+  std::vector<std::uint32_t> list_of(entries);
+  std::vector<std::uint32_t> at;
+  std::size_t e = 0;
+  for (const Row& r : rows_) {
+    for (std::uint32_t i = 0; i < r.len; ++i) {
+      const ReplicaId id = r.entries[i].first;
+      std::uint32_t l = replicas_.find(id);
+      if (l == ReplicaTable::kNoList) {
+        l = static_cast<std::uint32_t>(at.size());
+        replicas_.insert(id, l);
+        at.push_back(0);
+      }
+      ++at[l];
+      list_of[e++] = l;
+    }
+  }
+  // Prefix offsets place the lists back to back in one block; `at` then
+  // holds each list's fill cursor, and the fill walks the rows in order.
+  postings_.resize(entries);
+  lists_.resize(at.size());
+  Posting* const block = postings_.data();
+  std::uint32_t offset = 0;
+  for (std::size_t l = 0; l < at.size(); ++l) {
+    lists_[l] = ListView{block + offset, at[l]};
+    at[l] = offset;
+    offset += lists_[l].size;
+  }
+  e = 0;
+  for (std::uint32_t m = 0; m < rows_.size(); ++m) {
+    const Row& r = rows_[m];
+    for (std::uint32_t i = 0; i < r.len; ++i) {
+      block[at[list_of[e++]]++] = Posting{m, i, r.entries[i].second};
+    }
+  }
 }
 
 void check_view(const CorpusView& v, std::size_t live_replicas,

@@ -11,8 +11,9 @@
 //
 // Everything in `engine_detail` is internal: layouts and kernel
 // signatures may change freely between PRs. User code queries through
-// `SimilarityEngine` / `EngineSnapshot`, which both inherit their five
-// queries from `CorpusReads` below.
+// `SimilarityEngine` / `EngineSnapshot`, which both inherit their four
+// queries from `CorpusReads` below; a candidate-list read builds a
+// `FlatCorpus` over its candidates and queries it the same way.
 #pragma once
 
 #include <cstdint>
@@ -138,11 +139,6 @@ struct CorpusView {
 void dense_scores(const CorpusView& v, const RowView& query,
                   std::span<double> out, std::size_t* touched_maps);
 
-/// Scores for the given rows only: out[i] = score of subset[i].
-void subset_scores(const CorpusView& v, const RowView& query,
-                   std::span<const std::size_t> subset, std::span<double> out,
-                   std::size_t* touched_maps);
-
 /// (row, score) for every row sharing a replica with the query, in
 /// first-touch order: exactly the rows `dense_scores` writes, with the
 /// same score bits; every other row scores 0. `out` is overwritten, and
@@ -224,15 +220,15 @@ template <typename T>
 
 }  // namespace engine_detail
 
-/// The five queries of SimilarityEngine and EngineSnapshot: one surface
-/// over the owner's borrowed storage (`Owner::view()`, valid until the
-/// engine's next mutation; while the snapshot is held), so the two
-/// answer alike by construction. Each query takes a `RowView` — a
-/// RatioMap converts implicitly, a corpus row comes from `row_view` —
-/// and answers from one pass over the query's posting lists, in the
-/// calling thread's own scratch: callers run many at once with a
-/// `parallel_for` whose slots are indexed by query, and the results are
-/// bit-identical for any pool size.
+/// The four queries of SimilarityEngine, EngineSnapshot and FlatCorpus:
+/// one surface over the owner's borrowed storage (`Owner::view()`, valid
+/// until the engine's next mutation; while the snapshot or the flat
+/// corpus is held), so they answer alike by construction. Each query
+/// takes a `RowView` — a RatioMap converts implicitly, a corpus row
+/// comes from `row_view` — and answers from one pass over the query's
+/// posting lists, in the calling thread's own scratch: callers run many
+/// at once with a `parallel_for` whose slots are indexed by query, and
+/// the results are bit-identical for any pool size.
 template <typename Owner>
 class CorpusReads {
  public:
@@ -245,18 +241,6 @@ class CorpusReads {
   void scores(const RowView& query, std::span<double> out,
               std::size_t* touched_maps = nullptr) const {
     engine_detail::dense_scores(corpus(), query, out, touched_maps);
-  }
-
-  /// Similarity of the query to the given corpus rows only:
-  /// `out[i] = similarity(query, row subset[i])`, bit-identical to the
-  /// dense `scores` read at those positions (0 for dead rows), without
-  /// materializing — or zero-filling — a corpus-sized vector. Cost is
-  /// O(query postings + subset). Duplicate or unordered subset indices
-  /// are fine.
-  void scores_subset(const RowView& query, std::span<const std::size_t> subset,
-                     std::span<double> out,
-                     std::size_t* touched_maps = nullptr) const {
-    engine_detail::subset_scores(corpus(), query, subset, out, touched_maps);
   }
 
   /// (row, score) for every corpus row sharing a replica with `query`:
@@ -297,4 +281,45 @@ class CorpusReads {
   }
 };
 
+namespace engine_detail {
+
+/// A read-only corpus over borrowed rows: row i is the i-th row given,
+/// every row is live, and each row's entries stay where the tables that
+/// lent them keep them, so the corpus is valid while those are (a held
+/// View or snapshot; a service until its next write). It owns the row
+/// tables, a replica table, one block of postings and the list table
+/// over it. A candidate-list read builds one over its usable candidates,
+/// so that a client scores only the rows it chooses among; a batch's
+/// clients share one read-only. Rows may repeat: each is its own row.
+class FlatCorpus : public CorpusReads<FlatCorpus> {
+ public:
+  /// Indexes `rows` in O(entries) by a counting sort: one replica-table
+  /// lookup per entry counts each list's postings, prefix offsets place
+  /// the lists back to back, and a second pass fills each list in row
+  /// order.
+  FlatCorpus(SimilarityKind kind, std::span<const RowView> rows);
+  // The list views point into this corpus's own posting block: a move
+  // keeps the block where it is, a copy would point into the source's.
+  FlatCorpus(FlatCorpus&&) = default;
+  FlatCorpus& operator=(FlatCorpus&&) = default;
+  FlatCorpus(const FlatCorpus&) = delete;
+  FlatCorpus& operator=(const FlatCorpus&) = delete;
+
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
+  [[nodiscard]] CorpusView view() const {
+    return CorpusView{kind_,      rows_, norms_, strongest_,
+                      &replicas_, lists_, rows_.size()};
+  }
+
+ private:
+  SimilarityKind kind_ = SimilarityKind::kCosine;
+  std::vector<Row> rows_;
+  std::vector<double> norms_;
+  std::vector<double> strongest_;
+  ReplicaTable replicas_;
+  std::vector<Posting> postings_;
+  std::vector<ListView> lists_;
+};
+
+}  // namespace engine_detail
 }  // namespace crp::core

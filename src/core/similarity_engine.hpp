@@ -36,9 +36,9 @@
 // and norms/sizes come from the same `RatioMap` the fresh build would
 // ingest.
 //
-// Queries: the five of `CorpusReads` (core/engine_kernels.hpp), shared
-// with `EngineSnapshot` — dense `scores`, `scores_subset`,
-// `touched_scores`, `best_match` and `top_k`, each over `view()`.
+// Queries: the four of `CorpusReads` (core/engine_kernels.hpp), shared
+// with `EngineSnapshot` — dense `scores`, `touched_scores`, `best_match`
+// and `top_k`, each over `view()`.
 // Mutations are not thread-safe; quiesce queries before calling
 // add/update/remove/compact.
 //

@@ -267,11 +267,15 @@ class TableReads {
   // --- §IV.A closest-node selection ---
   /// Ranks `candidates` (live, known) by similarity to `client`, best
   /// first, at most k entries. Unknown/stale candidates are skipped;
-  /// unknown client yields empty.
+  /// unknown client yields empty. Each candidate is looked up once, on
+  /// its owning shard, and the client is ranked inline (no pool) over
+  /// one flat corpus of the usable ones, so a read costs O(candidates),
+  /// not O(corpus); a candidate listed twice is ranked twice.
   [[nodiscard]] std::vector<RankedNode> closest(
       const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const {
-    return serving_detail::closest(lent(), client, candidates, k, now, pool);
+      std::size_t k, SimTime now) const {
+    return serving_detail::closest(lent(), client, candidates, k, now,
+                                   nullptr);
   }
   /// Same, but over every live node except the client.
   [[nodiscard]] std::vector<RankedNode> closest_any(
@@ -304,12 +308,12 @@ class TableReads {
                                           k, now, pool);
   }
   /// Candidate-list variant of `closest_any_tiered`; the fresh tier
-  /// ranks exactly what `closest` would.
+  /// ranks exactly what `closest` would, inline like it.
   [[nodiscard]] TieredAnswer closest_tiered(
       const std::string& client, std::span<const std::string> candidates,
-      std::size_t k, SimTime now, ThreadPool* pool = nullptr) const {
+      std::size_t k, SimTime now) const {
     return serving_detail::closest_tiered(lent(), client, candidates, {}, k,
-                                          now, pool);
+                                          now, nullptr);
   }
 
   // --- batched serving (DESIGN.md §6 "Batched query execution") ---
@@ -325,9 +329,11 @@ class TableReads {
                                          now, pool);
   }
   /// Candidate-list variant: result `i` is bit-identical to
-  /// `closest(clients[i], candidates, k, now)`. The candidate set is
-  /// vetted (known + live) once per shard for the batch; each client
-  /// then scores only the vetted slots.
+  /// `closest(clients[i], candidates, k, now)`, with the same counter
+  /// totals. The batch builds one flat corpus of the usable (known +
+  /// live) candidates before its clients run; each client then ranks
+  /// over it read-only, touching only the candidates it shares a
+  /// replica with.
   [[nodiscard]] std::vector<std::vector<RankedNode>> closest_batch(
       std::span<const std::string> clients,
       std::span<const std::string> candidates, std::size_t k, SimTime now,

@@ -15,8 +15,9 @@ namespace {
 
 constexpr std::size_t npos = TableView::npos;
 
-/// Heap entry: a borrowed node id plus its score. Every ranker and every
-/// partial holds these; only `materialize` copies ids, once per answer.
+/// Heap entry: a borrowed node id plus its score. Every shard partial of
+/// an any-shaped read holds these; only `materialize` copies ids, once
+/// per answer.
 struct ScoredRef {
   const std::string* id = nullptr;
   double sim = 0.0;
@@ -34,17 +35,8 @@ bool better_ref(const ScoredRef& a, const ScoredRef& b) {
 
 using RefHeap = BoundedTopK<ScoredRef, decltype(&better_ref)>;
 
-/// A candidate list vetted against one shard: the candidates resident
-/// and usable there, in caller order, as borrowed ids plus the slots the
-/// subset read scores. The client is not removed here; the owning shard
-/// skips it by slot at rank time.
-struct Vetted {
-  std::vector<const std::string*> ids;
-  std::vector<std::size_t> slots;
-};
-
-/// The client of a scattered read: its row, plus where it lives. Slot
-/// numbers are per shard, so only the owning shard excludes the slot; an
+/// The client of a read: its row, plus where it lives. Slot numbers are
+/// per shard, so a read excludes the slot only on the owning shard; an
 /// external query (top_k) excludes nothing.
 struct Client {
   core::RowView row;
@@ -101,54 +93,15 @@ std::vector<ScoredRef> rank_any(const TableView& t, const core::RowView& row,
   return refs;
 }
 
-/// Ranks a vetted list from its subset scores (`scores[i]` belongs to
-/// candidate i), skipping slot `exclude`. The refs borrow the vetted ids.
-std::vector<ScoredRef> rank_vetted(const Vetted& vetted,
-                                   std::span<const double> scores,
-                                   std::size_t exclude, std::size_t k) {
-  RefHeap heap(k, &better_ref);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (vetted.slots[i] != exclude) {
-      heap.offer(ScoredRef{vetted.ids[i], scores[i]});
-    }
-  }
-  return heap.take_sorted();
-}
-
-Vetted vet(const TableView& t, std::span<const std::string> candidates,
-           bool stale_band, SimTime now) {
-  Vetted vetted;
-  vetted.ids.reserve(candidates.size());
-  vetted.slots.reserve(candidates.size());
-  for (const std::string& candidate : candidates) {
-    const std::size_t slot = t.find(candidate);
-    if (slot == npos || !t.usable(slot, stale_band, now)) continue;
-    vetted.ids.push_back(&candidate);
-    vetted.slots.push_back(slot);
-  }
-  return vetted;
-}
-
-/// Shard `s`'s partial answer: its own k best for `client`, over every
-/// node (`vetted` null) or over its vetted candidates, as refs into its
-/// slot table or the caller's candidates. An empty vetted list reads
-/// nothing and counts nothing.
+/// Shard `s`'s partial answer to an any-shaped read: its own k best for
+/// `client`, as refs into its slot table.
 std::vector<ScoredRef> partial(const TableView& t, std::size_t s,
                                const Client& client, bool stale_band,
-                               const Vetted* vetted, std::size_t k,
-                               SimTime now) {
+                               std::size_t k, SimTime now) {
   const std::size_t exclude = s == client.owner ? client.slot : npos;
   std::size_t touched = 0;
-  std::vector<ScoredRef> refs;
-  if (vetted == nullptr) {
-    refs = rank_any(t, client.row, exclude, stale_band, k, now, &touched);
-  } else {
-    if (vetted->slots.empty()) return {};
-    std::vector<double> scores(vetted->slots.size());
-    core::engine_detail::subset_scores(t.corpus, client.row, vetted->slots,
-                                       scores, &touched);
-    refs = rank_vetted(*vetted, scores, exclude, k);
-  }
+  std::vector<ScoredRef> refs =
+      rank_any(t, client.row, exclude, stale_band, k, now, &touched);
   t.counters->similarity_queries.add();
   t.counters->maps_touched.add(touched);
   return refs;
@@ -168,24 +121,18 @@ std::vector<RankedNode> merge(std::span<const std::vector<ScoredRef>> partials,
   return materialize(heap.take_sorted());
 }
 
-/// The scatter core of a single read: ranks `client` on every shard not
-/// kSkip (`bands` empty: all kLive), vetting `candidates` per shard, and
-/// merges. Shards run on `pool` (nullptr: shared), one shard inline.
+/// The scatter core of an any-shaped single read: ranks `client` on
+/// every shard not kSkip (`bands` empty: all kLive) and merges. Shards
+/// run on `pool` (nullptr: shared), one shard inline.
 std::vector<RankedNode> scatter(Tables tables, const Client& client,
-                                Candidates candidates,
                                 std::span<const Band> bands, std::size_t k,
                                 SimTime now, ThreadPool* pool) {
   std::vector<std::vector<ScoredRef>> partials(tables.size());
   const auto run = [&](std::size_t s) {
     const Band band = bands.empty() ? Band::kLive : bands[s];
     if (band == Band::kSkip) return;
-    const bool stale_band = band == Band::kStale;
-    if (!candidates) {
-      partials[s] = partial(tables[s], s, client, stale_band, nullptr, k, now);
-      return;
-    }
-    const Vetted vetted = vet(tables[s], *candidates, stale_band, now);
-    partials[s] = partial(tables[s], s, client, stale_band, &vetted, k, now);
+    partials[s] =
+        partial(tables[s], s, client, band == Band::kStale, k, now);
   };
   if (tables.size() == 1) {
     run(0);
@@ -194,6 +141,108 @@ std::vector<RankedNode> scatter(Tables tables, const Client& client,
         .parallel_for(0, tables.size(), run);
   }
   return merge(partials, k);
+}
+
+/// The usable candidates of a candidate-list read, as one flat corpus:
+/// row r is the r-th usable occurrence in the caller's list (order and
+/// duplicates kept), lent by the shard that owns it, whose id and slot
+/// `homes[r]` holds.
+struct CandidateSet {
+  struct Home {
+    const std::string* id = nullptr;
+    std::size_t shard = 0;
+    std::size_t slot = npos;
+  };
+  std::vector<Home> homes;
+  core::engine_detail::FlatCorpus corpus;
+};
+
+/// Looks each candidate up once, on its owning shard, and keeps it if it
+/// is usable in that shard's band (`bands` empty: all kLive). A shard
+/// never holds an id it does not own, so this vets exactly what a lookup
+/// on every shard would.
+CandidateSet usable_candidates(Tables tables,
+                               std::span<const std::string> candidates,
+                               std::span<const Band> bands, SimTime now) {
+  std::vector<CandidateSet::Home> homes;
+  std::vector<core::RowView> rows;
+  for (const std::string& id : candidates) {
+    const std::size_t s = shard_index(id, tables.size());
+    const Band band = bands.empty() ? Band::kLive : bands[s];
+    if (band == Band::kSkip) continue;
+    const TableView& t = tables[s];
+    const std::size_t slot = t.find(id);
+    if (slot == npos || !t.usable(slot, band == Band::kStale, now)) continue;
+    homes.push_back(CandidateSet::Home{&id, s, slot});
+    rows.push_back(t.corpus.row_view(slot));
+  }
+  return CandidateSet{std::move(homes),
+                      core::engine_detail::FlatCorpus(
+                          tables[0].corpus.kind, rows)};
+}
+
+/// Ranks `client` against a candidate set and counts one similarity
+/// read, and the candidate rows it touched, on `home` (the client's
+/// owning shard); an empty set runs no read and counts nothing. The
+/// kernel's selection keeps the k best positive rows by (score, id),
+/// skipping the client's own row; a result shorter than k holds every
+/// positive row, and the zero-score rows pad it in id order. That is
+/// the ranking of every usable candidate by (similarity desc, id asc),
+/// duplicates included, bit for bit.
+std::vector<RankedNode> rank_candidates(const CandidateSet& set,
+                                        const Client& client,
+                                        const TableView& home, std::size_t k) {
+  const std::vector<CandidateSet::Home>& homes = set.homes;
+  if (homes.empty()) return {};
+  const auto ranked = [&](std::uint32_t r) {
+    return homes[r].slot != client.slot || homes[r].shard != client.owner;
+  };
+  // Copies of one candidate tie on the id; their rows order them.
+  const auto by_id = [&homes](std::uint32_t a, std::uint32_t b) {
+    const int order = homes[a].id->compare(*homes[b].id);
+    return order != 0 ? order < 0 : a < b;
+  };
+  std::size_t touched = 0;
+  const auto kept = core::engine_detail::select_touched(
+      set.corpus.view(), client.row, k, ranked, by_id, &touched);
+  home.counters->similarity_queries.add();
+  home.counters->maps_touched.add(touched);
+  std::vector<RankedNode> out;
+  out.reserve(std::min(k, homes.size()));
+  for (const core::RankedCandidate& c : kept) {
+    out.push_back(RankedNode{*homes[c.index].id, c.similarity});
+  }
+  if (out.size() == k) return out;
+  std::vector<std::uint32_t> taken;
+  for (const core::RankedCandidate& c : kept) {
+    taken.push_back(static_cast<std::uint32_t>(c.index));
+  }
+  std::sort(taken.begin(), taken.end());
+  std::vector<std::uint32_t> rest;
+  for (std::uint32_t r = 0; r < homes.size(); ++r) {
+    if (ranked(r) && !std::binary_search(taken.begin(), taken.end(), r)) {
+      rest.push_back(r);
+    }
+  }
+  const auto pad = rest.begin() + static_cast<std::ptrdiff_t>(
+                                      std::min(k - out.size(), rest.size()));
+  std::partial_sort(rest.begin(), pad, rest.end(), by_id);
+  for (auto it = rest.begin(); it != pad; ++it) {
+    out.push_back(RankedNode{*homes[*it].id, 0.0});
+  }
+  return out;
+}
+
+/// A single read's answer under `bands`: a candidate list ranked inline
+/// over its flat corpus, or every node ranked by the scatter core on
+/// `pool`.
+std::vector<RankedNode> rank_single(Tables tables, const Client& client,
+                                    Candidates candidates,
+                                    std::span<const Band> bands, std::size_t k,
+                                    SimTime now, ThreadPool* pool) {
+  if (!candidates) return scatter(tables, client, bands, k, now, pool);
+  return rank_candidates(usable_candidates(tables, *candidates, bands, now),
+                         client, tables[client.owner], k);
 }
 
 }  // namespace
@@ -226,8 +275,8 @@ std::vector<RankedNode> closest(Tables tables, const std::string& client,
   home.counters->queries_served.add();
   const std::size_t slot = home.live_slot(client, now);
   if (slot == npos) return {};
-  return scatter(tables, {home.corpus.row_view(slot), owner, slot},
-                 candidates, {}, k, now, pool);
+  return rank_single(tables, {home.corpus.row_view(slot), owner, slot},
+                     candidates, {}, k, now, pool);
 }
 
 TieredAnswer closest_tiered(Tables tables, const std::string& client,
@@ -270,8 +319,9 @@ TieredAnswer closest_tiered(Tables tables, const std::string& client,
       widened.push_back(band(s) == Band::kSkip ? Band::kSkip : Band::kStale);
     }
   }
-  out.ranked = scatter(tables, {home.corpus.row_view(slot), owner, slot},
-                       candidates, fresh ? health : widened, k, now, pool);
+  out.ranked = rank_single(tables, {home.corpus.row_view(slot), owner, slot},
+                           candidates, fresh ? health : widened, k, now,
+                           pool);
   if (out.ranked.empty()) return refuse(DegradedReason::kNoUsableCandidates);
   out.tier = fresh && !stale_shard ? AnswerTier::kFresh : AnswerTier::kStale;
   out.reason = !fresh       ? DegradedReason::kStaleClient
@@ -287,7 +337,7 @@ std::vector<RankedNode> top_k(Tables tables, const core::RowView& query,
                               std::size_t k, SimTime now, ThreadPool* pool) {
   // No owning shard and no slot to exclude; the query counts on shard 0.
   tables[0].counters->queries_served.add();
-  return scatter(tables, {query, 0, npos}, std::nullopt, {}, k, now, pool);
+  return scatter(tables, {query, 0, npos}, {}, k, now, pool);
 }
 
 std::vector<std::vector<RankedNode>> closest_batch(
@@ -299,16 +349,15 @@ std::vector<std::vector<RankedNode>> closest_batch(
   for (std::size_t s = 0; s < n; ++s) {
     if (served[s] != 0) tables[s].counters->queries_served.add(served[s]);
   }
-  // Batches serve fresh clients against live nodes. The candidate list
-  // is vetted once per shard for the whole batch.
-  std::vector<Vetted> vetted;
-  if (candidates) {
-    for (const TableView& t : tables) {
-      vetted.push_back(vet(t, *candidates, /*stale_band=*/false, now));
-    }
-  }
-  // One task per client: it scatters over the shards inline and merges
-  // at once, so a one-shard batch keeps its parallelism over clients.
+  // Batches serve fresh clients against live nodes. A candidate batch
+  // builds its candidate set once, and every client ranks over it.
+  const std::optional<CandidateSet> set =
+      candidates ? std::optional<CandidateSet>(
+                       usable_candidates(tables, *candidates, {}, now))
+                 : std::nullopt;
+  // One task per client: it ranks inline (over the candidate set, or
+  // over each shard and merges at once), so a one-shard batch keeps its
+  // parallelism over clients.
   std::vector<std::vector<RankedNode>> out(clients.size());
   (pool != nullptr ? *pool : ThreadPool::shared())
       .parallel_for(0, clients.size(), [&](std::size_t i) {
@@ -316,10 +365,14 @@ std::vector<std::vector<RankedNode>> closest_batch(
         const std::size_t slot = tables[owner].live_slot(clients[i], now);
         if (slot == npos) return;
         const Client client{tables[owner].corpus.row_view(slot), owner, slot};
+        if (set) {
+          out[i] = rank_candidates(*set, client, tables[owner], k);
+          return;
+        }
         std::vector<std::vector<ScoredRef>> partials(n);
         for (std::size_t s = 0; s < n; ++s) {
-          partials[s] = partial(tables[s], s, client, /*stale_band=*/false,
-                                candidates ? &vetted[s] : nullptr, k, now);
+          partials[s] =
+              partial(tables[s], s, client, /*stale_band=*/false, k, now);
         }
         out[i] = merge(partials, k);
       });

@@ -103,11 +103,17 @@ using Candidates = std::optional<std::span<const std::string>>;
                                       std::size_t shards);
 
 // --- reads over N >= 1 shards, each bit-identical to one unsharded
-// --- service over the union corpus. A single read runs its shards on
-// --- `pool` (nullptr: the shared pool), a batch its clients; a one-shard
-// --- single read runs inline and touches no pool. The client's owning
-// --- shard counts the query and its tier; each shard counts the
-// --- similarity reads it runs (an empty vetted list runs none).
+// --- service over the union corpus. An any-shaped single read runs its
+// --- shards on `pool` (nullptr: the shared pool), a batch its clients;
+// --- a one-shard single read and every candidate-list single read run
+// --- inline and touch no pool (`pool` is unread for them). The client's
+// --- owning shard counts the query and its tier. An any-shaped read
+// --- counts one similarity read on each shard it ranks. A
+// --- candidate-list read ranks one flat corpus of its usable candidates
+// --- (a batch builds it once for every client) and counts one
+// --- similarity read, and the candidate rows it touched, on the
+// --- client's owning shard; with no usable candidate it runs no read
+// --- and counts nothing.
 
 /// closest (a candidate list) or closest_any (nullopt): a live client
 /// ranked against the live nodes, itself excluded.

@@ -523,8 +523,8 @@ GatheredAnswer ShardedFrontend::View::closest_any_gathered(
 
 GatheredAnswer ShardedFrontend::View::closest_gathered(
     const std::string& client, std::span<const std::string> candidates,
-    std::size_t k, SimTime now, ThreadPool* pool) const {
-  return gathered(client, candidates, k, now, pool);
+    std::size_t k, SimTime now) const {
+  return gathered(client, candidates, k, now, nullptr);
 }
 
 // --- stats ---

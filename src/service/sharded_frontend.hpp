@@ -226,13 +226,14 @@ class ShardedFrontend {
     /// closest_any_tiered/closest_tiered; under shard failure the answer
     /// degrades (stale fallback shards widen to the stale band, missing
     /// shards are excluded) instead of vanishing. A client whose owning
-    /// shard is missing refuses with kShardUnavailable.
+    /// shard is missing refuses with kShardUnavailable. The candidate
+    /// form ranks inline, as `closest_tiered` does, and takes no pool.
     [[nodiscard]] GatheredAnswer closest_any_gathered(
         const std::string& client, std::size_t k, SimTime now,
         ThreadPool* pool = nullptr) const;
     [[nodiscard]] GatheredAnswer closest_gathered(
         const std::string& client, std::span<const std::string> candidates,
-        std::size_t k, SimTime now, ThreadPool* pool = nullptr) const;
+        std::size_t k, SimTime now) const;
 
    private:
     friend class ShardedFrontend;

@@ -304,37 +304,51 @@ TEST(SimilarityEngineTest, SelectClosestSkipsRemovedRows) {
 class SubsetAndRowViewTest
     : public ::testing::TestWithParam<SimilarityKind> {};
 
+// A flat corpus over some of an engine's rows — a candidate-list read's
+// corpus — scores each of them as the engine's dense read does.
 TEST_P(SubsetAndRowViewTest, SubsetScoresMatchDenseReads) {
   const SimilarityKind kind = GetParam();
   Rng rng{9001 + static_cast<std::uint64_t>(kind)};
   auto corpus = random_corpus(rng, 50, 30);
   SimilarityEngine engine{corpus, kind};
-  // Kill a few rows so the subset path sees dead slots too.
+  // Kill a few rows so the subset sees dead slots (empty rows) too.
   engine.remove(3);
   engine.remove(17);
 
   const auto queries = random_corpus(rng, 6, 30);
   // Unordered subset with duplicates and dead rows.
   const std::vector<std::size_t> subset{17, 0, 5, 5, 49, 3, 12, 0};
+  std::vector<RowView> rows;
+  for (const std::size_t row : subset) rows.push_back(engine.row_view(row));
+  const engine_detail::FlatCorpus flat{kind, rows};
+  ASSERT_NO_THROW(engine_detail::check_view(
+      flat.view(), flat.view().lists.size(), "subset corpus"));
   std::vector<double> dense(engine.size());
   std::vector<double> got(subset.size());
-  for (const RatioMap& query : queries) {
-    std::size_t dense_touched = 0;
-    std::size_t subset_touched = 0;
-    engine.scores(query, dense, &dense_touched);
-    engine.scores_subset(query, subset, got, &subset_touched);
-    EXPECT_EQ(subset_touched, dense_touched);
+  const auto expect_subset = [&](const RowView& query,
+                                 const std::string& where) {
+    std::size_t touched = 0;
+    engine.scores(query, dense);
+    flat.scores(query, got, &touched);
+    std::size_t sharing = 0;
     for (std::size_t i = 0; i < subset.size(); ++i) {
-      EXPECT_EQ(got[i], dense[subset[i]]) << "subset pos " << i;
+      EXPECT_EQ(got[i], dense[subset[i]]) << where << " subset pos " << i;
+      const auto row = engine.row_view(subset[i]).entries;
+      sharing += std::any_of(row.begin(), row.end(), [&](const auto& e) {
+        return std::any_of(
+            query.entries.begin(), query.entries.end(),
+            [&](const auto& q) { return q.first == e.first; });
+      });
     }
+    // A copy of a row is its own row: each is touched.
+    EXPECT_EQ(touched, sharing) << where;
+  };
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_subset(queries[q], "query " + std::to_string(q));
   }
   // Corpus row as query.
   for (const std::size_t row : {std::size_t{0}, std::size_t{8}}) {
-    engine.scores(engine.row_view(row), dense);
-    engine.scores_subset(engine.row_view(row), subset, got);
-    for (std::size_t i = 0; i < subset.size(); ++i) {
-      EXPECT_EQ(got[i], dense[subset[i]]) << "row " << row << " pos " << i;
-    }
+    expect_subset(engine.row_view(row), "row " + std::to_string(row));
   }
 }
 
@@ -442,8 +456,8 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, SubsetAndRowViewTest,
                            return name;
                          });
 
-/// Checks all five reads of `corpus` (an engine or a snapshot whose rows
-/// are `maps`, every row live) for `query` against per-pair
+/// Checks all four reads of `corpus` (an engine, a snapshot or a flat
+/// corpus whose rows are `maps`, every row live) for `query` against per-pair
 /// `similarity()`, bit for bit.
 template <typename Corpus>
 void expect_reads_match_similarity(const Corpus& corpus,
@@ -465,14 +479,6 @@ void expect_reads_match_similarity(const Corpus& corpus,
   for (const RankedCandidate& t : touched) {
     ASSERT_LT(t.index, maps.size()) << where;
     EXPECT_EQ(t.similarity, naive[t.index]) << where << " row " << t.index;
-  }
-
-  std::vector<std::size_t> subset(maps.size());
-  std::iota(subset.rbegin(), subset.rend(), std::size_t{0});
-  std::vector<double> got(subset.size());
-  corpus.scores_subset(query, subset, got);
-  for (std::size_t i = 0; i < subset.size(); ++i) {
-    EXPECT_EQ(got[i], naive[subset[i]]) << where << " subset pos " << i;
   }
 
   const auto ranked = rank_candidates(query, maps, kind);
@@ -611,7 +617,7 @@ TEST(SimilarityEngineTest, SmfClusterMatchesReferenceImplementation) {
 /// Checks every query entry point of `corpus` (an engine or a snapshot)
 /// against per-pair similarity() over `rows`, its maps by row index
 /// (nullopt for a removed row). `query` is the map `view` was made from.
-/// Dense, subset and touched scores must equal similarity() bit for bit
+/// Dense and touched scores must equal similarity() bit for bit
 /// (0 for dead rows); through row index <-> live position, top_k (the
 /// full ranking, its top 5 and an oversized k) must equal
 /// rank_candidates over the live maps, and best_match select_closest.
@@ -633,11 +639,6 @@ void expect_naive_answers(const Corpus& corpus,
   ASSERT_EQ(corpus.live_size(), live.size());
 
   EXPECT_EQ(dense_scores(corpus, view), want);
-  std::vector<std::size_t> every_row(rows.size());
-  std::iota(every_row.begin(), every_row.end(), std::size_t{0});
-  std::vector<double> subset(rows.size());
-  corpus.scores_subset(view, every_row, subset);
-  EXPECT_EQ(subset, want);
   std::vector<RankedCandidate> touched;
   corpus.touched_scores(view, touched);
   std::vector<double> from_touched(rows.size(), 0.0);
@@ -932,17 +933,10 @@ TEST_P(EngineSnapshotTest, FreezeMatchesMutableEngineBitForBit) {
     // rows included; external maps and the live rows' own views as
     // queries.
     const auto queries = random_corpus(rng, 6, 30);
-    std::vector<std::size_t> every_row(engine.size());
-    std::iota(every_row.begin(), every_row.end(), std::size_t{0});
     const auto expect_same = [&](const RowView& in_engine,
                                  const RowView& in_snap,
                                  const RatioMap& map) {
       EXPECT_EQ(dense_scores(engine, in_engine), dense_scores(*snap, in_snap));
-      std::vector<double> sub_engine(every_row.size());
-      std::vector<double> sub_snap(every_row.size());
-      engine.scores_subset(in_engine, every_row, sub_engine);
-      snap->scores_subset(in_snap, every_row, sub_snap);
-      EXPECT_EQ(sub_engine, sub_snap);
       std::vector<RankedCandidate> want;
       std::vector<RankedCandidate> got;
       engine.touched_scores(in_engine, want);
@@ -1359,6 +1353,149 @@ TEST(EngineSnapshotTest, ReadersQueryHeldGenerationsWhileWriterAppends) {
   EXPECT_GE(engine.mutation_stats().compactions, 1u);
   ASSERT_NO_THROW(engine.check_invariants());
 }
+
+
+// --- the flat corpus: a candidate-list read's corpus over borrowed rows ---
+
+class FlatCorpusTest : public ::testing::TestWithParam<SimilarityKind> {};
+
+/// Rows for a flat corpus: random maps (empty ones among them), one-entry
+/// maps (one twice), and copies of every fifth row, shuffled.
+std::vector<RatioMap> flat_rows(Rng& rng, std::size_t n) {
+  auto maps = random_corpus(rng, n, 40);
+  for (const std::uint32_t id : {3u, 7u, 3u, 39u}) {
+    maps.push_back(map_of({{ReplicaId{id}, 1.0}}));
+  }
+  for (std::size_t i = 0; i < n; i += 5) maps.push_back(maps[i]);
+  rng.shuffle(maps);
+  return maps;
+}
+
+/// Every read of `flat` for `query` against an engine with the same rows,
+/// bit for bit, and against per-pair similarity().
+void expect_flat_matches_engine(const engine_detail::FlatCorpus& flat,
+                                const RowView& in_flat,
+                                const SimilarityEngine& engine,
+                                const RowView& in_engine,
+                                std::span<const RatioMap> maps,
+                                SimilarityKind kind, const RatioMap& query,
+                                const std::string& where) {
+  EXPECT_EQ(dense_scores(flat, in_flat), dense_scores(engine, in_engine))
+      << where;
+  std::size_t flat_touched = 0;
+  std::size_t engine_touched = 0;
+  std::vector<double> scratch(flat.size());
+  flat.scores(in_flat, scratch, &flat_touched);
+  engine.scores(in_engine, scratch, &engine_touched);
+  EXPECT_EQ(flat_touched, engine_touched) << where;
+  // Both fill each list in row order, so even the first-touch order
+  // agrees.
+  std::vector<RankedCandidate> got;
+  std::vector<RankedCandidate> want;
+  flat.touched_scores(in_flat, got);
+  engine.touched_scores(in_engine, want);
+  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(flat.best_match(in_flat), engine.best_match(in_engine)) << where;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                              maps.size(), maps.size() + 3}) {
+    EXPECT_EQ(flat.top_k(in_flat, k), engine.top_k(in_engine, k))
+        << where << " k=" << k;
+  }
+  expect_reads_match_similarity(flat, maps, kind, query, where);
+}
+
+// Random rows with copies and one-entry rows, under every metric: the
+// four reads over a flat corpus equal those of an engine built with
+// `add` from the same rows, and per-pair similarity(), bit for bit; the
+// shared invariant checker passes on every build.
+TEST_P(FlatCorpusTest, ReadsMatchAnEngineBuiltWithAddBitForBit) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{6060 + static_cast<std::uint64_t>(kind)};
+  for (int trial = 0; trial < 12; ++trial) {
+    const auto maps =
+        flat_rows(rng, static_cast<std::size_t>(rng.uniform_int(0, 60)));
+    SimilarityEngine engine{kind};
+    for (const RatioMap& m : maps) (void)engine.add(m);
+    const std::vector<RowView> rows(maps.begin(), maps.end());
+    const engine_detail::FlatCorpus flat{kind, rows};
+    ASSERT_EQ(flat.size(), maps.size());
+    ASSERT_NO_THROW(engine_detail::check_view(
+        flat.view(), engine.distinct_replicas(), "flat corpus"));
+
+    auto queries = random_corpus(rng, 8, 40);
+    queries.emplace_back();
+    queries.push_back(map_of({{ReplicaId{3}, 1.0}}));
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expect_flat_matches_engine(
+          flat, queries[q], engine, queries[q], maps, kind, queries[q],
+          "trial " + std::to_string(trial) + " query " + std::to_string(q));
+    }
+    // Each row as the query, through each side's own row view.
+    for (std::size_t r = 0; r < maps.size(); ++r) {
+      expect_flat_matches_engine(
+          flat, flat.view().row_view(r), engine, engine.row_view(r), maps,
+          kind, maps[r],
+          "trial " + std::to_string(trial) + " row " + std::to_string(r));
+    }
+  }
+}
+
+TEST_P(FlatCorpusTest, EmptyCorpusAnswersNothing) {
+  const SimilarityKind kind = GetParam();
+  const engine_detail::FlatCorpus flat{kind, {}};
+  ASSERT_NO_THROW(engine_detail::check_view(flat.view(), 0, "empty corpus"));
+  EXPECT_EQ(flat.size(), 0u);
+  const RatioMap query = map_of({{ReplicaId{1}, 0.5}, {ReplicaId{2}, 0.5}});
+  std::size_t touched = 7;
+  flat.scores(query, {}, &touched);
+  EXPECT_EQ(touched, 0u);
+  std::vector<RankedCandidate> got{RankedCandidate{3, 0.5}};
+  flat.touched_scores(query, got);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(flat.best_match(query), std::nullopt);
+  EXPECT_TRUE(flat.top_k(query, 4).empty());
+}
+
+// A batch's workers all read one flat corpus: four threads query it at
+// once and each must see the answers one thread saw alone.
+TEST_P(FlatCorpusTest, ConcurrentReadersShareOneCorpus) {
+  const SimilarityKind kind = GetParam();
+  Rng rng{6161 + static_cast<std::uint64_t>(kind)};
+  const auto maps = flat_rows(rng, 80);
+  const std::vector<RowView> rows(maps.begin(), maps.end());
+  const engine_detail::FlatCorpus flat{kind, rows};
+  const auto queries = random_corpus(rng, 24, 40);
+  const auto answers = [&] {
+    std::vector<std::vector<RankedCandidate>> out;
+    for (const RatioMap& q : queries) {
+      out.push_back(flat.top_k(q, 6));
+      std::vector<RankedCandidate> touched;
+      flat.touched_scores(q, touched);
+      out.push_back(std::move(touched));
+    }
+    return out;
+  };
+  const auto want = answers();
+  std::vector<std::vector<std::vector<RankedCandidate>>> got(4);
+  std::vector<std::thread> readers;
+  for (auto& slot : got) {
+    readers.emplace_back([&answers, &slot] { slot = answers(); });
+  }
+  for (std::thread& t : readers) t.join();
+  for (const auto& g : got) EXPECT_EQ(g, want);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FlatCorpusTest,
+                         ::testing::Values(SimilarityKind::kCosine,
+                                           SimilarityKind::kJaccard,
+                                           SimilarityKind::kWeightedOverlap),
+                         [](const auto& info) {
+                           std::string name = to_string(info.param);
+                           for (char& c : name) {
+                             if (c == '-') c = '_';
+                           }
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace crp::core

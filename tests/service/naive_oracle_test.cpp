@@ -6,15 +6,18 @@
 // with fewer than k others and an any-shaped answer's tail is zero-score
 // padding, and k runs past the corpus size. Candidate lists mix live,
 // stale-usable, expired, removed and unknown ids, duplicates and the
-// client itself. Every member is republished several times before the
-// reads, so the engines' posting lists are permuted by swap-removal and
-// their arenas compacted; the writer's tables are checked after every
-// write. A second corpus, published once in a fixed order, puts exact
-// ties at the k-th place and unusable nodes above every live one.
+// client itself; one names every id twice, one only the members of one
+// shard of 4, and each client is also listed first and last. Every
+// member is republished several times before the reads, so the engines'
+// posting lists are permuted by swap-removal and their arenas compacted;
+// the writer's tables are checked after every write. A second corpus,
+// published once in a fixed order, puts exact ties at the k-th place
+// and unusable nodes above every live one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -257,6 +260,17 @@ void build_fixture(Fixture& f, std::uint64_t seed, const Publish& publish,
   for (std::size_t i = 0; i < f.members.size(); i += 9) {
     f.lists.back().push_back(f.members[i].id);
   }
+  // Every id twice; and only the members shard 0 of 4 owns, so that at
+  // 4 shards one shard lends every candidate and three lend none.
+  f.lists.push_back(f.clients);
+  f.lists.back().insert(f.lists.back().end(), f.clients.begin(),
+                        f.clients.end());
+  f.lists.emplace_back();
+  for (const Member& m : f.members) {
+    if (ShardedFrontend::shard_index(m.id, 4) == 0) {
+      f.lists.back().push_back(m.id);
+    }
+  }
   for (const auto& list : f.lists) {
     f.list_pools.emplace_back();
     for (const std::string& id : list) {
@@ -267,7 +281,8 @@ void build_fixture(Fixture& f, std::uint64_t seed, const Publish& publish,
 }
 
 /// Every read of one surface (a View, a service or a snapshot, each
-/// reading through TableReads on `pool`) against the naive ranking: the
+/// reading through TableReads; batches and any-shaped reads on `pool`,
+/// candidate-list single reads inline) against the naive ranking: the
 /// any-shaped reads (`candidates` false) or the candidate-list reads.
 template <typename Owner>
 void check_reads(const TableReads<Owner>& reads, const Fixture& f,
@@ -306,9 +321,9 @@ void check_reads(const TableReads<Owner>& reads, const Fixture& f,
       const std::vector<const Member*>& pool_l = f.list_pools[l];
       for (const Member& m : f.members) {
         SCOPED_TRACE("client " + m.id);
-        expect_tiered(reads.closest_tiered(m.id, list, k, kNow, pool),
+        expect_tiered(reads.closest_tiered(m.id, list, k, kNow),
                       f.metric, m, pool_l, k);
-        expect_ranked(reads.closest(m.id, list, k, kNow, pool),
+        expect_ranked(reads.closest(m.id, list, k, kNow),
                       plain_answer(f.metric, m, pool_l, k));
       }
       const auto batch = reads.closest_batch(f.clients, list, k, kNow, pool);
@@ -319,6 +334,26 @@ void check_reads(const TableReads<Owner>& reads, const Fixture& f,
                       plain_answer(f.metric, f.members[i], pool_l, k));
       }
       EXPECT_TRUE(batch.back().empty());
+    }
+    // Each client listed first and last around the random mix: both
+    // copies are its own row, and neither may rank.
+    for (const Member& m : f.members) {
+      SCOPED_TRACE("bracketed client " + m.id);
+      std::vector<std::string> list{m.id};
+      list.insert(list.end(), f.lists[1].begin(), f.lists[1].end());
+      list.push_back(m.id);
+      std::vector<const Member*> pool_m{&m};
+      pool_m.insert(pool_m.end(), f.list_pools[1].begin(),
+                    f.list_pools[1].end());
+      pool_m.push_back(&m);
+      expect_tiered(reads.closest_tiered(m.id, list, k, kNow),
+                    f.metric, m, pool_m, k);
+      expect_ranked(reads.closest(m.id, list, k, kNow),
+                    plain_answer(f.metric, m, pool_m, k));
+      const std::vector<std::string> one{m.id};
+      const auto batch = reads.closest_batch(one, list, k, kNow, pool);
+      ASSERT_EQ(batch.size(), 1u);
+      expect_ranked(batch[0], plain_answer(f.metric, m, pool_m, k));
     }
   }
 }
@@ -393,7 +428,7 @@ void run_sharded(Fixture f, std::size_t shards, bool candidates) {
         }
         for (std::size_t l = 0; l < f.lists.size(); ++l) {
           expect_tiered(
-              view.closest_gathered(m.id, f.lists[l], k, kNow, &pool).tiered,
+              view.closest_gathered(m.id, f.lists[l], k, kNow).tiered,
               metric, m, f.list_pools[l], k);
         }
       }
@@ -421,6 +456,142 @@ TEST(TouchedReadOracle, CandidateListReadsMatchNaivePerPairSimilarity) {
       run_sharded(sparse_fixture(metric, shards), shards,
                   /*candidates=*/true);
     }
+  }
+}
+
+/// Whether two maps share a replica: whether a read of one touches the
+/// other's row.
+bool shares_replica(const core::RatioMap& a, const core::RatioMap& b) {
+  for (const auto& entry : a.entries()) {
+    for (const auto& other : b.entries()) {
+      if (entry.first == other.first) return true;
+    }
+  }
+  return false;
+}
+
+// A candidate-list read ranks one corpus of its usable candidates, so it
+// runs one similarity read, on the client's owning shard, and touches
+// the usable candidate rows that share a replica with the client: each
+// copy in the list is a row, and the client's own copies are touched,
+// then skipped. A read with no usable candidate counts nothing. Plain,
+// tiered and batch reads count alike, and so do 1, 2 and 4 shards.
+TEST(TouchedReadOracle, CandidateReadsCountOneReadOnTheClientsShard) {
+  constexpr core::SimilarityKind kMetric = core::SimilarityKind::kCosine;
+  std::vector<std::uint64_t> totals;  // reads, then touched, per shard count
+  for (const std::size_t shards : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    ShardedFrontendConfig fc;
+    fc.shards = shards;
+    fc.service = oracle_config(kMetric);
+    ShardedFrontend fe{fc};
+    Fixture f = sparse_fixture(kMetric, 0);
+    build_fixture(
+        f, 0,
+        [&fe](const Member& m) { return fe.publish(report_of(m), m.when); },
+        [&fe](const std::string& id) { return fe.remove(id); },
+        [](const std::string&) {});
+    if (HasFatalFailure()) return;
+    const auto view = fe.view();
+    ThreadPool pool{2};
+    std::vector<ServiceStats> seen = fe.shard_stats();
+    std::uint64_t reads = 0;
+    std::uint64_t touched = 0;
+    // The counts since the last check must be one read touching `want`
+    // rows on `owner` (nothing when `want` is nullopt), and none on any
+    // other shard.
+    const auto expect_counted = [&](std::size_t owner,
+                                    std::optional<std::uint64_t> want) {
+      const std::vector<ServiceStats> now_stats = fe.shard_stats();
+      for (std::size_t s = 0; s < shards; ++s) {
+        const bool read = s == owner && want.has_value();
+        EXPECT_EQ(now_stats[s].similarity_queries - seen[s].similarity_queries,
+                  read ? 1u : 0u)
+            << "shard " << s;
+        EXPECT_EQ(now_stats[s].maps_touched - seen[s].maps_touched,
+                  read ? *want : 0u)
+            << "shard " << s;
+      }
+      seen = now_stats;
+      if (want.has_value()) {
+        ++reads;
+        touched += *want;
+      }
+    };
+    // What a read of `m` over a pool counts: nothing when no pool member
+    // is usable in the band, else the usable members it touches.
+    const auto counted = [](const Member& m,
+                            const std::vector<const Member*>& pool_l,
+                            bool stale_band) -> std::optional<std::uint64_t> {
+      std::uint64_t usable_rows = 0;
+      std::uint64_t sharing = 0;
+      for (const Member* c : pool_l) {
+        if (!usable(*c, stale_band)) continue;
+        ++usable_rows;
+        sharing += shares_replica(m.map, c->map) ? 1 : 0;
+      }
+      if (usable_rows == 0) return std::nullopt;
+      return sharing;
+    };
+    // The fixture's lists, plus one naming no node a fresh client may
+    // rank: removed and expired members and an unknown id.
+    std::vector<std::vector<std::string>> lists = f.lists;
+    std::vector<std::vector<const Member*>> pools = f.list_pools;
+    lists.emplace_back(1, "never-published");
+    pools.emplace_back();
+    for (const Member& m : f.members) {
+      if (m.removed || !live(m)) {
+        lists.back().push_back(m.id);
+        pools.back().push_back(&m);
+      }
+    }
+    for (std::size_t l = 0; l < lists.size(); ++l) {
+      SCOPED_TRACE(::testing::Message() << "candidate list " << l);
+      const std::vector<const Member*>& pool_l = pools[l];
+      for (const Member& m : f.members) {
+        SCOPED_TRACE("client " + m.id);
+        const std::size_t owner = fe.shard_of(m.id);
+        const bool fresh = !m.removed && live(m);
+        (void)view.closest(m.id, lists[l], 3, kNow);
+        expect_counted(owner, fresh ? counted(m, pool_l, false)
+                                    : std::nullopt);
+        (void)view.closest_tiered(m.id, lists[l], 3, kNow);
+        const bool answers = fresh || (!m.removed && stale_usable(m));
+        expect_counted(owner, answers ? counted(m, pool_l, !fresh)
+                                      : std::nullopt);
+      }
+      // A batch counts each fresh client as its single read does.
+      (void)view.closest_batch(f.clients, lists[l], 3, kNow, &pool);
+      const std::vector<ServiceStats> before = seen;
+      std::vector<std::uint64_t> want_reads(shards, 0);
+      std::vector<std::uint64_t> want_touched(shards, 0);
+      for (const Member& m : f.members) {
+        if (m.removed || !live(m)) continue;
+        if (const auto want = counted(m, pool_l, false)) {
+          ++want_reads[fe.shard_of(m.id)];
+          want_touched[fe.shard_of(m.id)] += *want;
+          ++reads;
+          touched += *want;
+        }
+      }
+      seen = fe.shard_stats();
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(seen[s].similarity_queries - before[s].similarity_queries,
+                  want_reads[s])
+            << "batch, shard " << s;
+        EXPECT_EQ(seen[s].maps_touched - before[s].maps_touched,
+                  want_touched[s])
+            << "batch, shard " << s;
+      }
+    }
+    EXPECT_GT(reads, 0u);
+    EXPECT_GT(touched, 0u);
+    totals.push_back(reads);
+    totals.push_back(touched);
+  }
+  // Every shard count ran and touched the same.
+  for (std::size_t i = 2; i < totals.size(); ++i) {
+    EXPECT_EQ(totals[i], totals[i % 2]) << "total " << i;
   }
 }
 

@@ -15,14 +15,18 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/similarity.hpp"
 #include "eval/world.hpp"
 #include "service/gossip.hpp"
 #include "service/position_service.hpp"
@@ -136,10 +140,9 @@ void run_inertness_oracle(std::size_t shards, core::SimilarityKind metric,
     EXPECT_TRUE(gathered.completeness.complete());
     EXPECT_FALSE(gathered.completeness.any_stale());
     EXPECT_EQ(gathered.completeness.shards_answered, shards);
-    const auto gathered_cand =
-        av.closest_gathered(ids[i], ids, 5, now, &pool);
+    const auto gathered_cand = av.closest_gathered(ids[i], ids, 5, now);
     expect_same_tiered(gathered_cand.tiered,
-                       pv.closest_tiered(ids[i], ids, 5, now, &pool));
+                       pv.closest_tiered(ids[i], ids, 5, now));
     EXPECT_TRUE(gathered_cand.completeness.complete());
   }
   // Nothing degraded, nothing counted.
@@ -601,6 +604,187 @@ TEST(ShardedChaos, StaleFallbackShardWidensToTheStaleBand) {
     }
     expect_same_ranked(got.tiered.ranked, want);
   }
+}
+
+// Candidate-list gathered reads under shard_chaos against the naive
+// ranking of the usable set. Members re-report every 90 minutes through
+// stalls (writes retried, failed or shed) and crashes; a shard crashed
+// for 14 hours is recovered from the members' latest reports. The
+// reference knows each shard's contents from its writer (`report_of`,
+// recorded each step just before the snapshots are cut) and takes the
+// View's completeness as given: a stale-fallback shard answers from the
+// capture it froze, widened to the stale band, and a missing one sits
+// the read out. Every candidate occurrence is scored with per-pair
+// similarity() and the list is ranked by (similarity desc, id asc).
+TEST(ShardedChaos, CandidateGatheredReadsMatchNaiveUnderShardChaos) {
+  using Contents = std::unordered_map<std::string, PositionReport>;
+  ServiceConfig cfg;
+  cfg.stale_usable_bound = Hours(12);
+  ShardedFrontendConfig fc;
+  fc.shards = 4;
+  fc.service = cfg;
+  ShardedFrontend fe{fc};
+  Rng rng{4242};
+  std::vector<PositionReport> latest;  // each member's last report sent
+  for (int i = 0; i < 48; ++i) {
+    latest.push_back(
+        report_of("ch-" + std::to_string(i), random_map(rng), kT0));
+    ASSERT_TRUE(fe.publish(latest.back(), kT0));
+  }
+  // Each shard's writer contents at every instant it may have frozen.
+  std::vector<std::map<std::int64_t, Contents>> frozen(fc.shards);
+  const auto record = [&](SimTime at) {
+    for (std::size_t s = 0; s < fc.shards; ++s) {
+      Contents held;
+      for (const PositionReport& r : latest) {
+        if (auto got = fe.shard(s).report_of(r.node_id)) {
+          held.emplace(r.node_id, std::move(*got));
+        }
+      }
+      frozen[s][at.micros()] = std::move(held);
+    }
+  };
+  record(kT0);
+  fe.publish_snapshots(kT0);
+
+  const SimTime end = kT0 + Hours(30);
+  const sim::FaultPlan plan =
+      sim::FaultPlan::shard_chaos(4243, 0.9, kT0 + Minutes(30), end);
+  fe.set_fault_plan(&plan);
+  ThreadPool pool{2};
+  std::vector<SimTime> crashed_since(fc.shards, SimTime{-1});
+  std::size_t stale_reads = 0;
+  std::size_t partial_reads = 0;
+  int step = 0;
+  for (SimTime now = kT0 + Minutes(30); now < end;
+       now = now + Minutes(30), ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    fe.tick(now);
+    expect_invariants(fe);
+    for (std::size_t i = static_cast<std::size_t>(step) % 3; i < latest.size();
+         i += 3) {
+      latest[i] = report_of(latest[i].node_id, random_map(rng), now);
+      (void)fe.publish(latest[i], now);
+    }
+    expect_invariants(fe);
+    for (const std::size_t s : fe.shards_needing_recovery()) {
+      if (crashed_since[s] < kT0) crashed_since[s] = now;
+      if (now - crashed_since[s] < Hours(14)) continue;
+      std::vector<std::string> frames;
+      for (const PositionReport& r : latest) {
+        if (auto bytes = encode(r)) frames.push_back(std::move(*bytes));
+      }
+      (void)fe.recover_shard(s, frames, now, &pool);
+      crashed_since[s] = SimTime{-1};
+      expect_invariants(fe);
+    }
+    record(now);
+    fe.publish_snapshots(now);
+
+    const auto view = fe.view();
+    const ShardCompleteness shape = view.completeness(now);
+    std::vector<const Contents*> held(fc.shards, nullptr);
+    for (std::size_t s = 0; s < fc.shards; ++s) {
+      const auto it = frozen[s].find(view.shard(s).frozen_at().micros());
+      ASSERT_NE(it, frozen[s].end()) << "shard " << s;
+      held[s] = &it->second;
+    }
+    // The naive answer of `client` over `list` under the view's bands.
+    const auto naive = [&](const std::string& client,
+                           std::span<const std::string> list, std::size_t k) {
+      TieredAnswer want;
+      const auto missing = [&](std::size_t s) {
+        return std::find(shape.missing_shards.begin(),
+                         shape.missing_shards.end(),
+                         s) != shape.missing_shards.end();
+      };
+      const std::size_t owner = fe.shard_of(client);
+      if (missing(owner)) {
+        want.reason = DegradedReason::kShardUnavailable;
+        return want;
+      }
+      const auto self = held[owner]->find(client);
+      if (self == held[owner]->end()) {
+        want.reason = DegradedReason::kUnknownClient;
+        return want;
+      }
+      const Duration age = now - self->second.when;
+      const bool fresh = age <= cfg.staleness_bound;
+      if (!fresh && age > cfg.stale_usable_bound) {
+        want.reason = DegradedReason::kClientExpired;
+        return want;
+      }
+      for (const std::string& id : list) {
+        const std::size_t s = fe.shard_of(id);
+        if (id == client || missing(s)) continue;
+        const auto it = held[s]->find(id);
+        if (it == held[s]->end()) continue;
+        const Duration cand_age = now - it->second.when;
+        const bool stale_band = !fresh || shape.stale_shards[s];
+        if (cand_age > (stale_band ? cfg.stale_usable_bound
+                                   : cfg.staleness_bound)) {
+          continue;
+        }
+        want.ranked.push_back(RankedNode{
+            id, core::similarity(cfg.metric, self->second.map,
+                                 it->second.map)});
+      }
+      std::sort(want.ranked.begin(), want.ranked.end(),
+                [](const RankedNode& a, const RankedNode& b) {
+                  if (a.similarity != b.similarity) {
+                    return a.similarity > b.similarity;
+                  }
+                  return a.node_id < b.node_id;
+                });
+      if (want.ranked.size() > k) want.ranked.resize(k);
+      if (want.ranked.empty()) {
+        want.reason = DegradedReason::kNoUsableCandidates;
+        return want;
+      }
+      want.tier = fresh && !shape.any_stale() ? AnswerTier::kFresh
+                                              : AnswerTier::kStale;
+      want.reason = !fresh             ? DegradedReason::kStaleClient
+                    : shape.any_stale() ? DegradedReason::kStaleShard
+                                        : DegradedReason::kNone;
+      return want;
+    };
+
+    std::vector<std::string> every;  // every member twice
+    std::vector<std::string> mix;    // a random mix, duplicates and unknowns
+    for (int copy = 0; copy < 2; ++copy) {
+      for (const PositionReport& r : latest) every.push_back(r.node_id);
+    }
+    for (int i = 0; i < 20; ++i) {
+      mix.push_back(latest[rng.uniform_int(0, latest.size() - 1)].node_id);
+    }
+    mix.push_back("never-published");
+    for (std::size_t c = static_cast<std::size_t>(step) % 4;
+         c < latest.size(); c += 4) {
+      const std::string& client = latest[c].node_id;
+      SCOPED_TRACE("client " + client);
+      std::vector<std::string> bracketed{client};
+      bracketed.insert(bracketed.end(), mix.begin(), mix.end());
+      bracketed.push_back(client);
+      for (const auto& list : {every, mix, bracketed}) {
+        for (const std::size_t k : {std::size_t{3}, std::size_t{200}}) {
+          const GatheredAnswer got =
+              view.closest_gathered(client, list, k, now);
+          EXPECT_EQ(got.completeness.missing_shards, shape.missing_shards);
+          EXPECT_EQ(got.completeness.stale_shards, shape.stale_shards);
+          expect_same_tiered(got.tiered, naive(client, list, k));
+          if (got.tiered.answered()) {
+            stale_reads += shape.any_stale() ? 1 : 0;
+            partial_reads += shape.complete() ? 0 : 1;
+          }
+        }
+      }
+    }
+  }
+  // The chaos bit: answers came from stale fallbacks and from views
+  // missing a shard.
+  EXPECT_GT(fe.health_stats().shard_crashes, 0u);
+  EXPECT_GT(stale_reads, 0u);
+  EXPECT_GT(partial_reads, 0u);
 }
 
 // ---------------------------------------------------------------------

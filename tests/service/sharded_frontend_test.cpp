@@ -146,13 +146,12 @@ void expect_equivalent(PositionService& svc, ShardedFrontend& fe,
                                 std::size_t{100}}) {
       expect_same_ranked(view.closest_any(c, k, now, pool),
                          svc.closest_any(c, k, now));
-      expect_same_ranked(view.closest(c, corpus.candidates, k, now, pool),
+      expect_same_ranked(view.closest(c, corpus.candidates, k, now),
                          svc.closest(c, corpus.candidates, k, now));
     }
     expect_same_tiered(view.closest_any_tiered(c, 4, now, pool),
                        svc.closest_any_tiered(c, 4, now));
-    expect_same_tiered(view.closest_tiered(c, corpus.candidates, 4, now,
-                                           pool),
+    expect_same_tiered(view.closest_tiered(c, corpus.candidates, 4, now),
                        svc.closest_tiered(c, corpus.candidates, 4, now));
   }
   for (const auto& q : corpus.query_maps) {
@@ -282,7 +281,7 @@ TEST(ShardedOracle, ZeroKAnswersEmptyOnEverySurface) {
       EXPECT_TRUE(snap->closest_any(c, 0, now).empty());
       EXPECT_TRUE(snap->closest(c, cands, 0, now).empty());
       EXPECT_TRUE(view.closest_any(c, 0, now, &pool).empty());
-      EXPECT_TRUE(view.closest(c, cands, 0, now, &pool).empty());
+      EXPECT_TRUE(view.closest(c, cands, 0, now).empty());
       expect_refused_no_candidates(svc.closest_any_tiered(c, 0, now));
       expect_refused_no_candidates(svc.closest_tiered(c, cands, 0, now));
       expect_refused_no_candidates(snap->closest_any_tiered(c, 0, now));
@@ -290,11 +289,11 @@ TEST(ShardedOracle, ZeroKAnswersEmptyOnEverySurface) {
       expect_refused_no_candidates(
           view.closest_any_tiered(c, 0, now, &pool));
       expect_refused_no_candidates(
-          view.closest_tiered(c, cands, 0, now, &pool));
+          view.closest_tiered(c, cands, 0, now));
       expect_refused_no_candidates(
           view.closest_any_gathered(c, 0, now, &pool).tiered);
       expect_refused_no_candidates(
-          view.closest_gathered(c, cands, 0, now, &pool).tiered);
+          view.closest_gathered(c, cands, 0, now).tiered);
     }
     // The snapshot bumps the service's own counters: two tiered forms
     // on each, per client; the view's four forms count on the frontend.
@@ -493,11 +492,30 @@ TEST(ShardedFrontendTest, StatsAggregateMatchesUnshardedAttribution) {
   }
   (void)svc.closest_batch(corpus.clients, 3, now);
   (void)fe.view().closest_batch(corpus.clients, 3, now);
+  // A candidate-list read ranks one corpus of its usable candidates and
+  // counts one similarity read, and the rows it touched, on the client's
+  // shard: unlike the scattered reads above, its work counts are the
+  // unsharded ones.
+  const ServiceStats svc_before = svc.stats();
+  const ServiceStats fe_before = fe.stats();
+  for (const std::string& c : corpus.clients) {
+    (void)svc.closest(c, corpus.candidates, 3, now);
+    (void)fe.view().closest(c, corpus.candidates, 3, now);
+    (void)svc.closest_tiered(c, corpus.candidates, 3, now);
+    (void)fe.view().closest_tiered(c, corpus.candidates, 3, now);
+  }
+  (void)svc.closest_batch(corpus.clients, corpus.candidates, 3, now);
+  (void)fe.view().closest_batch(corpus.clients, corpus.candidates, 3, now);
   const auto ss = svc.stats();
   const auto fs = fe.stats();
+  EXPECT_GT(ss.similarity_queries, svc_before.similarity_queries);
+  EXPECT_EQ(fs.similarity_queries - fe_before.similarity_queries,
+            ss.similarity_queries - svc_before.similarity_queries);
+  EXPECT_EQ(fs.maps_touched - fe_before.maps_touched,
+            ss.maps_touched - svc_before.maps_touched);
   // Per-query attribution aggregates to exactly the unsharded counts;
-  // similarity_queries/maps_touched are per-shard work (N partials per
-  // scattered query) and deliberately not compared.
+  // the scattered reads' similarity_queries/maps_touched are per-shard
+  // work (N partials per query) and deliberately not compared.
   EXPECT_EQ(fs.queries_served, ss.queries_served);
   EXPECT_EQ(fs.fresh_answers, ss.fresh_answers);
   EXPECT_EQ(fs.stale_answers, ss.stale_answers);
@@ -539,7 +557,7 @@ TEST(ShardedFrontendTest, PinnedViewUnchangedByLaterWrites) {
       for (const std::string& c : {ids[0], ids[7], ids[31]}) {
         answers.push_back(view.closest_any_gathered(c, 5, t0, &pool)
                               .tiered.ranked);
-        answers.push_back(view.closest_gathered(c, candidates, 5, t0, &pool)
+        answers.push_back(view.closest_gathered(c, candidates, 5, t0)
                               .tiered.ranked);
       }
       for (auto& row : view.closest_batch(ids, 6, t0, &pool)) {
